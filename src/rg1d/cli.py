@@ -1,17 +1,25 @@
-"""Batch front-end: config parsing, run orchestration, table emission.
+"""Batch front-end: option tables, run orchestration, table emission.
 
 Subcommands: prop, flow, exponents, nu, correlations, g1map, borel,
-oracle.  Options come from an INI-style config file (flat key=value
-under a section named after the subcommand, with shared defaults in
-[model]) and any command-line flag overrides its config entry.  Every
-run writes <out-dir>/<command>.csv plus <out-dir>/<command>_summary.txt,
-a flat sorted key=value file that is also echoed to stdout.  Identical
-(config, seed) pairs produce byte-identical outputs: numbers print with
-a fixed %.12g format, summaries are key-sorted, and sweep workers merge
-in deterministic order.
+oracle.  Each subcommand has one declarative option table (oracle has one
+per --what mode, because the modes' defaults differ).  The table is the
+single source of option names, types, defaults and rules: it builds the
+argument parser, and an option's flag name is also its config key.  A
+value comes from the command-line flag, else from the INI config file
+(flat key=value under a section named after the subcommand, then the
+shared [model] section), else from the table default, and must then pass
+its row's rule (a choice list or a bound).
 
-Exit codes: 0 ok, 2 config error, 3 numeric failure, 4 invariant check
-failure (failing checks are listed in the summary before exiting).
+Every run writes <out-dir>/<command>.csv plus <out-dir>/<command>_summary.txt,
+a flat sorted key=value file that is also echoed to stdout.  Identical
+(config, seed) pairs produce byte-identical outputs: numbers print with a
+fixed %.12g format, summaries are key-sorted, and sweep workers merge in
+deterministic order.
+
+Exit codes: 0 ok; 2 config error (a bad flag, config entry or input file,
+or a value that breaks its rule), with one "config error:" line on stderr;
+3 numeric failure; 4 invariant check failure (the summary, failing checks
+included, is written before exiting).
 """
 
 from __future__ import annotations
@@ -20,9 +28,11 @@ import argparse
 import configparser
 import contextlib
 import math
+import operator
 import os
 import sys
 from multiprocessing import Pool
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +47,27 @@ class ConfigError(Exception):
     pass
 
 
+class Opt(NamedTuple):
+    """One option: flag name and config key, type, default, rule, the
+    summary key it is reported under (None: not reported) and help text.
+
+    rule is one (op, bound) pair or a tuple of them; op is "in" with a
+    tuple of choices (every item of a comma list must be one), or a
+    comparison "<=", ">", ">=" against a number or another option's
+    name.  None values (derived defaults) skip the rule."""
+
+    name: str
+    type: object
+    default: object = None
+    rule: tuple = ()
+    key: str | None = None
+    help: str | None = None
+
+
+_COMPARE = {"<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "in": lambda item, choices: item in choices}
+
+
 # ----------------------------------------------------------------------
 # option plumbing
 # ----------------------------------------------------------------------
@@ -49,36 +80,53 @@ def _config_phase():
         yield
     except ConfigError:
         raise
-    except (ValueError, KeyError, OSError) as exc:
-        raise ConfigError(str(exc))
+    except (ValueError, KeyError, OSError, configparser.Error) as exc:
+        raise ConfigError("; ".join(str(exc).splitlines()))
 
 
 def _load_config(path):
-    if path is None:
-        return None
-    if not os.path.exists(path):
-        raise ConfigError("config file not found: %s" % path)
     cfg = configparser.ConfigParser()
-    cfg.read(path)
+    if path is not None and not cfg.read(path):
+        raise ConfigError("config file not found: %s" % path)
     return cfg
 
 
-def _opt(args, section, name, default=None, cast=float):
-    """Precedence: command-line flag, then [section]/[model] config, then
-    the built-in default."""
-    attr = "lam" if name == "lambda" else name.replace("-", "_")
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    cfg = args._cfg
-    if cfg is not None:
-        for sec in (section, "model"):
-            if cfg.has_section(sec) and cfg.has_option(sec, name):
-                raw = cfg.get(sec, name)
-                if cast is bool:
-                    return raw.strip().lower() in ("1", "true", "yes", "on")
-                return cast(raw)
-    return default
+def _names(text):
+    """A comma-separated list option."""
+    return tuple(text.split(","))
+
+
+def _rules(opt):
+    """A row's rule as a tuple of (op, bound) pairs."""
+    return (opt.rule,) if opt.rule and isinstance(opt.rule[0], str) else opt.rule
+
+
+def _resolve(table, args, cfg, section):
+    """Option values by precedence: command-line flag, then [section] and
+    [model] in the config file, then the table default; each value is then
+    checked against its row's rule."""
+    values = {}
+    for opt in table:
+        val = getattr(args, opt.name.replace("-", "_"))
+        if val is None:
+            val = opt.default
+            for sec in (section, "model"):
+                if cfg.has_option(sec, opt.name):
+                    try:
+                        val = opt.type(cfg.get(sec, opt.name))
+                    except ValueError as exc:
+                        raise ConfigError("[%s] %s: %s" % (sec, opt.name, exc))
+                    break
+        values[opt.name] = val
+    for opt in table:
+        val = values[opt.name]
+        for op, bound in _rules(opt) if val is not None else ():
+            limit = values[bound] if isinstance(bound, str) else bound
+            items = val if isinstance(val, tuple) else (val,)
+            if not all(_COMPARE[op](item, limit) for item in items):
+                raise ConfigError("%s must be %s %s, got %s" % (
+                    opt.name, op, _fmt(bound), _fmt(val)))
+    return values
 
 
 def _fmt(v):
@@ -92,29 +140,9 @@ def _fmt(v):
         return _FMT % v
     if isinstance(v, complex):
         return (_FMT + "%+sj") % (v.real, _FMT % v.imag)
+    if isinstance(v, tuple):
+        return ",".join(_fmt(x) for x in v)
     return str(v)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_summary(path, pairs):
-    lines = ["%s=%s" % (k, _fmt(v)) for k, v in sorted(pairs.items())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-
-
-def _out_paths(args, command):
-    out = _opt(args, command, "out-dir", ".", str)
-    os.makedirs(out, exist_ok=True)
-    return (os.path.join(out, command + ".csv"),
-            os.path.join(out, command + "_summary.txt"))
 
 
 def _parse_grid(text):
@@ -140,64 +168,49 @@ def _potential_from(spec):
     if spec.startswith("uv:"):
         _, u, v = spec.split(":")
         return u_v_potential(float(u), float(v))
-    if not os.path.exists(spec):
-        raise ConfigError("potential file not found: %s" % spec)
     return InteractionPotential.from_file(spec)
 
 
-def _map_jobs(fn, tasks, jobs):
-    """Worker-pool map with deterministic submission-order merge."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with Pool(min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+# Every command returns (csv header, csv rows, summary, checks): summary
+# holds the computed keys (main adds the reported options), checks maps
+# name -> (passed, margin), or is None for a command without checks.
 
-
-def _check_lines(summary, checks):
-    """Fold named boolean checks into the summary; return overall flag."""
-    ok = True
-    for name, (passed, detail) in sorted(checks.items()):
-        summary["check_" + name] = "pass" if passed else "FAIL"
-        summary["check_" + name + "_margin"] = detail
-        ok = ok and passed
-    summary["checks_ok"] = ok
-    return ok
+COMMON = (Opt("out-dir", str, ".", help="output directory"),)
+SEED = Opt("seed", int, help="seed for any stochastic lanes")
 
 
 # ----------------------------------------------------------------------
 # prop: free-propagator tables and representation equivalence
 # ----------------------------------------------------------------------
 
+PROP = (
+    SEED,
+    Opt("mu", float, 0.5, key="mu"),
+    Opt("beta", float, 64.0, key="beta"),
+    Opt("L", int, 256, key="L"),
+    Opt("M", int, 10, key="M"),
+    Opt("gamma", float, 2.0, key="gamma"),
+    Opt("potential", str),
+    Opt("points", str, help="file of 'x x0' rows"),
+)
 
-def cmd_prop(args):
+
+def cmd_prop(o):
+    beta = o["beta"]
     with _config_phase():
-        mu = _opt(args, "prop", "mu", 0.5)
-        beta = _opt(args, "prop", "beta", 64.0)
-        L = int(_opt(args, "prop", "L", 256, int))
-        M = int(_opt(args, "prop", "M", 10, int))
-        gamma = _opt(args, "prop", "gamma", 2.0)
-        pot = _potential_from(_opt(args, "prop", "potential", None, str))
-        params = ModelParams(lam=0.0, mu_bar=mu, potential=pot, beta=beta,
-                             L=L, gamma=gamma, M_uv=M)
-        pts_file = _opt(args, "prop", "points", None, str)
-        if pts_file is None:
+        pot = _potential_from(o["potential"])
+        params = ModelParams(lam=0.0, mu_bar=o["mu"], potential=pot, beta=beta,
+                             L=o["L"], gamma=o["gamma"], M_uv=o["M"])
+        if o["points"] is None:
             points = [(x, 0.0) for x in range(9)] + [(x, 0.37 * beta) for x in range(5)]
         else:
-            if not os.path.exists(pts_file):
-                raise ConfigError("points file not found: %s" % pts_file)
-            points = []
-            with open(pts_file) as fh:
-                for line in fh:
-                    line = line.split("#")[0].strip()
-                    if line:
-                        x, x0 = line.split()
-                        points.append((int(float(x)), float(x0)))
+            points = [(int(x), float(x0)) for x, x0
+                      in np.loadtxt(o["points"], comments="#", ndmin=2)]
         for x, x0 in points:
             if not -beta < x0 < beta:
                 raise ConfigError("point (%d, %g) outside the x0 domain "
                                   "(-beta, beta)" % (x, x0))
 
-    csv_path, sum_path = _out_paths(args, "prop")
     rows, worst = [], 0.0
     for x, x0 in points:
         flagged = propagators.is_discontinuity_point(x, x0, beta)
@@ -207,44 +220,43 @@ def cmd_prop(args):
         if not flagged:
             worst = max(worst, diff)
         rows.append((x, x0, gk.real, gk.imag, gc.real, gc.imag, diff, int(flagged)))
-    _write_csv(csv_path, ("x", "x0", "kernel_re", "kernel_im", "cutoff_re",
-                          "cutoff_im", "abs_diff", "discontinuity"), rows)
-    _write_summary(sum_path, {
-        "mu": mu, "beta": beta, "L": L, "M": M, "gamma": gamma,
-        "points": len(points),
-        "max_equiv_diff": worst,
-        "gamma_minus_M": gamma ** -M,
-    })
-    return 0
+    return (("x", "x0", "kernel_re", "kernel_im", "cutoff_re", "cutoff_im",
+             "abs_diff", "discontinuity"), rows,
+            {"points": len(points), "max_equiv_diff": worst,
+             "gamma_minus_M": o["gamma"] ** -o["M"]}, None)
 
 
 # ----------------------------------------------------------------------
 # flow: coupling trajectories with inequality checks
 # ----------------------------------------------------------------------
 
+FLOW = (
+    SEED._replace(key="seed"),
+    Opt("lambda", float, 0.02, key="lambda"),
+    Opt("pF", float, math.pi / 3.0, key="p_F"),
+    Opt("beta", float, 1024.0),
+    Opt("L", int, 1024),
+    Opt("h", int, -5000, ("<=", 0), key="target_h", help="target scale (negative)"),
+    Opt("remainders", str, "none",
+        ("in", ("none", "theta_tail", "finite_size", "both")), key="remainders"),
+    Opt("a-mode", str, "exact_limit", ("in", ("exact_limit", "finite_scale"))),
+    Opt("h-lbeta", int, help="box scale (default: the target scale)"),
+    Opt("potential", str),
+)
 
-def cmd_flow(args):
+
+def cmd_flow(o):
+    target_h = o["h"]
     with _config_phase():
-        lam = _opt(args, "flow", "lambda", 0.02)
-        p_F = _opt(args, "flow", "pF", math.pi / 3.0)
-        beta = _opt(args, "flow", "beta", 1024.0)
-        L = int(_opt(args, "flow", "L", 1024, int))
-        target_h = int(_opt(args, "flow", "h", -5000, int))
-        remainders = _opt(args, "flow", "remainders", "none", str)
-        seed = _opt(args, "flow", "seed", None, int)
-        a_mode = _opt(args, "flow", "a-mode", "exact_limit", str)
-        h_lbeta = _opt(args, "flow", "h-lbeta", None, int)
-        pot = _potential_from(_opt(args, "flow", "potential", None, str))
-        if remainders not in ("none", "theta_tail", "finite_size", "both"):
-            raise ConfigError("remainders must be one of none, theta_tail, "
-                              "finite_size, both")
-        params = ModelParams.from_p_F(lam, p_F, pot, beta, L)
-        cfg = rgflow.BetaConfig(remainder_model=remainders, a_mode=a_mode,
-                                seed=seed,
-                                h_lbeta=target_h if h_lbeta is None else h_lbeta)
+        params = ModelParams.from_p_F(o["lambda"], o["pF"],
+                                      _potential_from(o["potential"]),
+                                      o["beta"], o["L"])
+        h_lbeta = target_h if o["h-lbeta"] is None else o["h-lbeta"]
+        cfg = rgflow.BetaConfig(remainder_model=o["remainders"],
+                                a_mode=o["a-mode"], seed=o["seed"],
+                                h_lbeta=h_lbeta)
 
     traj = rgflow.run_flow(params, cfg, target_h)
-    csv_path, sum_path = _out_paths(args, "flow")
     rows = []
     for i in range(traj.couplings.shape[0]):
         j = -i
@@ -253,12 +265,7 @@ def cmd_flow(args):
         rows.append((j, c[0].real, c[1].real, c[2].real, c[3].real, c[4].real,
                      traj.eps[i], traj.a_seq[i], gt.real,
                      abs(c[0] - gt)))
-    _write_csv(csv_path, ("j", "g1", "g2", "g4", "delta", "nu", "eps", "a_j",
-                          "g1_approx", "g1_approx_err"), rows)
-
     summary = {
-        "lambda": lam, "p_F": p_F, "target_h": target_h,
-        "remainders": remainders, "seed": seed,
         "a": traj.a, "j0": traj.j0, "h_star": traj.h_star,
         "h_lbeta": traj.h_lbeta, "escaped_at": traj.escaped_at,
         "scales": traj.couplings.shape[0],
@@ -268,22 +275,33 @@ def cmd_flow(args):
     checks["reached_target"] = (
         traj.escaped_at is None,
         0.0 if traj.escaped_at is None else float(traj.escaped_at - target_h))
-    ok = _check_lines(summary, checks)
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
+    return (("j", "g1", "g2", "g4", "delta", "nu", "eps", "a_j", "g1_approx",
+             "g1_approx_err"), rows, summary, checks)
 
 
 # ----------------------------------------------------------------------
 # exponents: lambda sweep of the critical-exponent table
 # ----------------------------------------------------------------------
 
+EXPONENTS = (
+    SEED,
+    Opt("lambda-grid", str, "0.01:0.05:0.01", key="lambda_grid",
+        help="start:stop:step"),
+    Opt("pF", float, math.pi / 3.0, key="p_F"),
+    Opt("beta", float, 4096.0),
+    Opt("L", int, 4096),
+    Opt("h", int, -400, ("<=", 0)),
+    Opt("potential", str, "hubbard", key="potential"),
+    Opt("jobs", int, 1),
+)
+
 
 def _exponents_point(task):
-    (lam, p_F, pot_spec, beta, L, target_h) = task
-    pot = _potential_from(pot_spec)
-    params = ModelParams.from_p_F(lam, p_F, pot, beta, L)
-    cfg = rgflow.BetaConfig(h_lbeta=target_h)
-    traj = rgflow.run_flow(params, cfg, target_h, with_checks=False)
+    lam, o = task
+    params = ModelParams.from_p_F(lam, o["pF"], _potential_from(o["potential"]),
+                                  o["beta"], o["L"])
+    cfg = rgflow.BetaConfig(h_lbeta=o["h"])
+    traj = rgflow.run_flow(params, cfg, o["h"], with_checks=False)
     limits = rgflow.fixed_point_values(traj, params)
     fermi = params.fermi()
     ex = renorm.exponents(params, limits, fermi)
@@ -293,132 +311,114 @@ def _exponents_point(task):
             ex.X_tilde_SC, ex.f_lambda, ex.c_coefficient, gap)
 
 
-def cmd_exponents(args):
+def cmd_exponents(o):
     with _config_phase():
-        grid = _opt(args, "exponents", "lambda-grid", "0.01:0.05:0.01", str)
-        lams = _parse_grid(grid)
-        p_F = _opt(args, "exponents", "pF", math.pi / 3.0)
-        beta = _opt(args, "exponents", "beta", 4096.0)
-        L = int(_opt(args, "exponents", "L", 4096, int))
-        target_h = int(_opt(args, "exponents", "h", -400, int))
-        pot_spec = _opt(args, "exponents", "potential", "hubbard", str)
-        _potential_from(pot_spec)   # validate before dispatching workers
-        jobs = int(_opt(args, "exponents", "jobs", 1, int))
+        lams = _parse_grid(o["lambda-grid"])
+        _potential_from(o["potential"])   # validate before dispatching workers
 
-    tasks = [(lam, p_F, pot_spec, beta, L, target_h) for lam in lams]
-    results = _map_jobs(_exponents_point, tasks, jobs)
+    tasks = [(lam, o) for lam in lams]
+    if o["jobs"] <= 1 or len(tasks) <= 1:
+        results = [_exponents_point(t) for t in tasks]
+    else:   # worker pool; results merge in submission order
+        with Pool(min(o["jobs"], len(tasks))) as pool:
+            results = pool.map(_exponents_point, tasks)
     results.sort(key=lambda r: r[0])
 
-    csv_path, sum_path = _out_paths(args, "exponents")
-    _write_csv(csv_path, ("lambda", "p_F", "eta_z", "eta_2C", "eta_2S",
-                          "eta_2SC", "eta_2TC", "X_C", "X_S", "X_SC", "X_TC",
-                          "X_tilde_SC", "f_lambda", "c_coefficient",
-                          "fixed_point_gap"), results)
     worst = max(r[-1] / max(abs(r[0]), 1e-300) ** 1.5 for r in results)
     summary = {
-        "lambda_grid": grid, "p_F": p_F, "potential": pot_spec,
         "points": len(results),
         "c_coefficient": results[0][13],
         "worst_fixed_point_gap_over_lam32": worst,
     }
-    ok = _check_lines(summary, {
-        "fixed_point_first_order": (worst <= 3.0, worst - 3.0)})
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
+    return (("lambda", "p_F", "eta_z", "eta_2C", "eta_2S", "eta_2SC",
+             "eta_2TC", "X_C", "X_S", "X_SC", "X_TC", "X_tilde_SC",
+             "f_lambda", "c_coefficient", "fixed_point_gap"), results, summary,
+            {"fixed_point_first_order": (worst <= 3.0, worst - 3.0)})
 
 
 # ----------------------------------------------------------------------
 # nu: counterterm fixed points and chemical-potential inversion
 # ----------------------------------------------------------------------
 
+NU = (
+    SEED,
+    Opt("lambda", float, 0.02),
+    Opt("lambda-grid", str, help="start:stop:step (default: --lambda alone)"),
+    Opt("mu", float, 0.5, key="mu_bar"),
+    Opt("h-box", int, -40, key="h_box"),
+    Opt("eps-scale", float, 2.0, key="eps_scale"),
+    Opt("c0", float, 0.25, key="c0"),
+    Opt("tol", float, 1e-12, (">", 0)),
+)
 
-def cmd_nu(args):
+
+def cmd_nu(o):
     with _config_phase():
-        grid = _opt(args, "nu", "lambda-grid", None, str)
-        lam = _opt(args, "nu", "lambda", 0.02)
-        lams = _parse_grid(grid) if grid else [lam]
-        mu_bar = _opt(args, "nu", "mu", 0.5)
-        h_box = int(_opt(args, "nu", "h-box", -40, int))
-        eps_scale = _opt(args, "nu", "eps-scale", 2.0)
-        c0 = _opt(args, "nu", "c0", 0.25)
-        tol = _opt(args, "nu", "tol", 1e-12)
+        grid = o["lambda-grid"]
+        lams = _parse_grid(grid) if grid else [o["lambda"]]
 
-    rows = nusolver.inversion_rows(lams, mu_bar, h_box, eps_scale=eps_scale,
-                                   c0=c0, tol=tol)
-    csv_path, sum_path = _out_paths(args, "nu")
-    _write_csv(csv_path, ("lambda", "mu_bar", "p_F", "nu1", "iterations",
-                          "contraction_ratio", "residual"), rows)
+    tol = o["tol"]
+    rows = nusolver.inversion_rows(lams, o["mu"], o["h-box"],
+                                   eps_scale=o["eps-scale"], c0=o["c0"], tol=tol)
     worst_ratio = max(r[5] for r in rows)
     worst_res = max(r[6] for r in rows)
-    summary = {
-        "mu_bar": mu_bar, "h_box": h_box, "eps_scale": eps_scale, "c0": c0,
-        "points": len(rows), "worst_contraction_ratio": worst_ratio,
-        "worst_residual": worst_res,
-    }
-    ok = _check_lines(summary, {
+    summary = {"points": len(rows), "worst_contraction_ratio": worst_ratio,
+               "worst_residual": worst_res}
+    return (("lambda", "mu_bar", "p_F", "nu1", "iterations",
+             "contraction_ratio", "residual"), rows, summary, {
         "contraction": (worst_ratio < 1.0, worst_ratio - 1.0),
         "residual": (worst_res <= 100.0 * tol, worst_res - 100.0 * tol),
     })
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
 
 
 # ----------------------------------------------------------------------
 # correlations: assembled response functions against closed forms
 # ----------------------------------------------------------------------
 
+CORRELATIONS = (
+    SEED._replace(default=0, key="seed"),
+    Opt("lambda", float, 0.0, key="lambda"),
+    Opt("pF", float, math.pi / 3.0, key="p_F"),
+    Opt("beta", float, 1e9),
+    Opt("L", int, 10 ** 9),
+    Opt("x-min", float, 10.0, (">=", 1)),
+    Opt("x-max", float, 400.0),
+    Opt("x-count", int, 40, (">=", 1)),
+    Opt("x-spacing", str, "log", ("in", ("log", "linear"))),
+    Opt("x0", float, 0.0, key="x0"),
+    Opt("alphas", _names, correlations.CHANNELS, ("in", correlations.CHANNELS)),
+    Opt("tail", float, 1e-3, (">", 0)),
+    Opt("residuals", str, "none", ("in", ("none", "envelope")), key="residuals"),
+    Opt("potential", str),
+)
 
-def cmd_correlations(args):
+
+def cmd_correlations(o):
+    lam, x0, alphas, tail = o["lambda"], o["x0"], o["alphas"], o["tail"]
     with _config_phase():
-        lam = _opt(args, "correlations", "lambda", 0.0)
-        p_F = _opt(args, "correlations", "pF", math.pi / 3.0)
-        beta = _opt(args, "correlations", "beta", 1e9)
-        L = int(_opt(args, "correlations", "L", 10 ** 9, int))
-        x_min = _opt(args, "correlations", "x-min", 10.0)
-        x_max = _opt(args, "correlations", "x-max", 400.0)
-        count = int(_opt(args, "correlations", "x-count", 40, int))
-        spacing = _opt(args, "correlations", "x-spacing", "log", str)
-        x0 = _opt(args, "correlations", "x0", 0.0)
-        alphas = _opt(args, "correlations", "alphas", "C,S,SC,TC", str).split(",")
-        tail = _opt(args, "correlations", "tail", 1e-3)
-        residuals = _opt(args, "correlations", "residuals", "none", str)
-        seed = int(_opt(args, "correlations", "seed", 0, int))
-        pot = _potential_from(_opt(args, "correlations", "potential", None, str))
-        if spacing not in ("log", "linear"):
-            raise ConfigError("x-spacing must be log or linear")
-        if residuals not in ("none", "envelope"):
-            raise ConfigError("residuals must be none or envelope")
-        for alpha in alphas:
-            if alpha not in correlations.CHANNELS:
-                raise ConfigError("unknown channel %r" % alpha)
-        params = ModelParams.from_p_F(lam, p_F, pot, beta, L)
+        params = ModelParams.from_p_F(lam, o["pF"],
+                                      _potential_from(o["potential"]),
+                                      o["beta"], o["L"])
 
     fermi = params.fermi()
-    if spacing == "log":
-        xs = np.unique(np.round(np.geomspace(x_min, x_max, count)).astype(int))
-    else:
-        xs = np.unique(np.round(np.linspace(x_min, x_max, count)).astype(int))
+    spread = np.geomspace if o["x-spacing"] == "log" else np.linspace
+    xs = np.unique(np.round(spread(o["x-min"], o["x-max"], o["x-count"])).astype(int))
     xt_max = math.hypot(float(xs.max()), fermi.v_F * x0)
     depth = int(math.ceil(math.log(xt_max / tail) / math.log(fermi.gamma))) + 4
     target_h = -depth
 
-    cfg = rgflow.BetaConfig(h_lbeta=target_h, seed=seed)
+    cfg = rgflow.BetaConfig(h_lbeta=target_h, seed=o["seed"])
     traj = rgflow.run_flow(params, cfg, target_h, with_checks=False)
     limits = rgflow.fixed_point_values(traj, params)
     ex = renorm.exponents(params, limits, fermi)
-    rset = renorm.z_flow(traj, limits, residual_mode=residuals, seed=seed)
+    rset = renorm.z_flow(traj, limits, residual_mode=o["residuals"],
+                         seed=o["seed"])
     ztab = correlations.z_tables(rset, ex, fermi.gamma)
     rows = correlations.correlation_rows(xs, alphas, ztab, ex, fermi, x0=x0,
                                          rset=rset, tail=tail)
 
-    csv_path, sum_path = _out_paths(args, "correlations")
-    _write_csv(csv_path, ("alpha", "x", "x0", "scale_sum_re", "scale_sum_im",
-                          "closed_re", "closed_im", "rel_err", "X_alpha",
-                          "zeta_est"), rows)
-
     summary = {
-        "lambda": lam, "p_F": p_F, "x0": x0, "points": len(xs),
-        "depth": depth, "residuals": residuals, "seed": seed,
+        "points": len(xs), "depth": depth,
         "X_C": ex.X["C"], "X_S": ex.X["S"], "X_SC": ex.X["SC"],
         "X_TC": ex.X["TC"], "f_lambda": ex.f_lambda,
     }
@@ -431,7 +431,7 @@ def cmd_correlations(args):
         budget = 10.0 * math.sqrt(lam)
         worst = max((summary.get("worst_rel_%s" % a, 0.0) for a in alphas))
         checks["closed_form_budget"] = (worst <= budget, worst - budget)
-    if spacing == "linear" and x0 == 0.0 and xs.size >= 16:
+    if o["x-spacing"] == "linear" and x0 == 0.0 and xs.size >= 16:
         step = np.diff(xs)
         if step.max() == step.min():
             vals = np.array([r[3] for r in rows if r[0] == alphas[0]])
@@ -441,101 +441,87 @@ def cmd_correlations(args):
             summary["two_p_F"] = 2.0 * fermi.p_F
             checks["peak_at_2pF"] = (abs(peak - 2.0 * fermi.p_F) <= width,
                                      abs(peak - 2.0 * fermi.p_F) - width)
-    ok = _check_lines(summary, checks)
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
+    return (("alpha", "x", "x0", "scale_sum_re", "scale_sum_im", "closed_re",
+             "closed_im", "rel_err", "X_alpha", "zeta_est"), rows, summary,
+            checks)
 
 
 # ----------------------------------------------------------------------
 # g1map: one perturbed quadratic-map trajectory
 # ----------------------------------------------------------------------
 
+G1MAP = (
+    SEED._replace(default=0, key="seed"),
+    Opt("g0-re", float, 0.01, key="g0_re"),
+    Opt("g0-im", float, 0.0, key="g0_im"),
+    Opt("a", float, 0.25, key="a"),
+    Opt("n", int, 10 ** 4, (">=", 1), key="n"),
+    Opt("model", str, "zero", ("in", g1map.SIGMA_MODELS), key="model"),
+    Opt("delta", float, math.pi / 4.0, key="delta"),
+    Opt("epsilon", float, key="epsilon", help="sector radius (default: 1.5 |g0|)"),
+    Opt("sigma-scale", float, key="sigma_scale",
+        help="perturbation size (default: from a, epsilon and |g0|)"),
+)
 
-def cmd_g1map(args):
+
+def cmd_g1map(o):
+    g0 = complex(o["g0-re"], o["g0-im"])
+    a, n = o["a"], o["n"]
+    if o["epsilon"] is None:
+        o["epsilon"] = 1.5 * abs(g0)
     with _config_phase():
-        g0 = complex(_opt(args, "g1map", "g0-re", 0.01),
-                     _opt(args, "g1map", "g0-im", 0.0))
-        a = _opt(args, "g1map", "a", 0.25)
-        n = int(_opt(args, "g1map", "n", 10 ** 4, int))
-        model_name = _opt(args, "g1map", "model", "zero", str)
-        delta = _opt(args, "g1map", "delta", math.pi / 4.0)
-        epsilon = _opt(args, "g1map", "epsilon", None)
-        scale = _opt(args, "g1map", "sigma-scale", None)
-        seed = int(_opt(args, "g1map", "seed", 0, int))
-        if model_name not in g1map.SIGMA_MODELS:
-            raise ConfigError("model must be one of %s" % (g1map.SIGMA_MODELS,))
-        if epsilon is None:
-            epsilon = 1.5 * abs(g0)
-        if scale is None:
-            scale = g1map.default_sigma_scale(a, epsilon) * abs(g0)
+        dom = g1map.SectorDomain(o["epsilon"], o["delta"])
+    if o["sigma-scale"] is None:
+        o["sigma-scale"] = g1map.default_sigma_scale(a, o["epsilon"]) * abs(g0)
 
-    sigma = g1map.sigma_sequence(model_name, n, scale, seed)
-    dom = g1map.SectorDomain(epsilon, delta)
+    sigma = g1map.sigma_sequence(o["model"], n, o["sigma-scale"], o["seed"])
     state = g1map.iterate(g0, a + sigma, n, dom)
     close = g1map.verify_closeness(state)
     sector = g1map.verify_sector(state)
-
-    csv_path, sum_path = _out_paths(args, "g1map")
-    _write_csv(csv_path, ("n", "re_g", "im_g", "re_gtilde", "im_gtilde",
-                          "err", "bound"), g1map.trajectory_rows(state))
-    summary = {
-        "g0_re": g0.real, "g0_im": g0.imag, "a": a, "n": n,
-        "model": model_name, "delta": delta, "epsilon": epsilon,
-        "sigma_scale": scale, "seed": seed,
-        "escape_index": state.escape_index,
-    }
-    ok = _check_lines(summary, {
+    return (("n", "re_g", "im_g", "re_gtilde", "im_gtilde", "err", "bound"),
+            g1map.trajectory_rows(state),
+            {"escape_index": state.escape_index}, {
         "closeness": (bool(close.ok), close.worst_margin),
         "sector": (bool(sector.ok), sector.worst_margin),
     })
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
 
 
 # ----------------------------------------------------------------------
 # borel: sector sweep over the analyticity domain
 # ----------------------------------------------------------------------
 
+BOREL = (
+    SEED._replace(default=0, key="seed"),
+    Opt("delta", float, math.pi / 4.0, key="delta"),
+    Opt("rays", int, 32, (">=", 1), key="rays"),
+    Opt("radii", int, 8, (">=", 1), key="radii"),
+    Opt("n", int, 10 ** 5, key="n_steps"),
+    Opt("a", float, 0.25, key="a"),
+    Opt("epsilon", float, key="epsilon",
+        help="sector radius (default: g1map.default_eps0(delta))"),
+    Opt("models", _names, g1map.SIGMA_MODELS, ("in", g1map.SIGMA_MODELS),
+        key="models"),
+)
 
-def cmd_borel(args):
-    with _config_phase():
-        delta = _opt(args, "borel", "delta", math.pi / 4.0)
-        rays = int(_opt(args, "borel", "rays", 32, int))
-        radii = int(_opt(args, "borel", "radii", 8, int))
-        n_steps = int(_opt(args, "borel", "n", 10 ** 5, int))
-        a = _opt(args, "borel", "a", 0.25)
-        epsilon = _opt(args, "borel", "epsilon", None)
-        models = tuple(_opt(args, "borel", "models",
-                            ",".join(g1map.SIGMA_MODELS), str).split(","))
-        seed = int(_opt(args, "borel", "seed", 0, int))
-        for m in models:
-            if m not in g1map.SIGMA_MODELS:
-                raise ConfigError("unknown perturbation model %r" % m)
-        if epsilon is None:
-            epsilon = g1map.default_eps0(delta)
 
-    report = g1map.sweep_sector(delta, epsilon, n_rays=rays, n_radii=radii,
-                                n_steps=n_steps, a=a, models=models, seed=seed)
-    csv_path, sum_path = _out_paths(args, "borel")
+def cmd_borel(o):
+    if o["epsilon"] is None:
+        o["epsilon"] = g1map.default_eps0(o["delta"])
+    report = g1map.sweep_sector(o["delta"], o["epsilon"], n_rays=o["rays"],
+                                n_radii=o["radii"], n_steps=o["n"], a=o["a"],
+                                models=o["models"], seed=o["seed"])
     rows = [(ln.model, ln.g0.real, ln.g0.imag, int(ln.contained),
              int(ln.close), ln.first_violation if ln.first_violation is not None
              else -1, ln.max_ratio) for ln in report.lanes]
-    _write_csv(csv_path, ("model", "g0_re", "g0_im", "contained", "close",
-                          "first_violation", "max_ratio"), rows)
-    summary = {
-        "delta": delta, "epsilon": epsilon, "rays": rays, "radii": radii,
-        "n_steps": n_steps, "a": a, "models": ",".join(models), "seed": seed,
-        "containment_fraction": report.containment_fraction,
-        "closeness_fraction": report.closeness_fraction,
-    }
-    ok = _check_lines(summary, {
+    summary = {"containment_fraction": report.containment_fraction,
+               "closeness_fraction": report.closeness_fraction}
+    return (("model", "g0_re", "g0_im", "contained", "close",
+             "first_violation", "max_ratio"), rows, summary, {
         "containment": (report.containment_fraction == 1.0,
                         report.containment_fraction - 1.0),
         "closeness": (report.closeness_fraction == 1.0,
                       report.closeness_fraction - 1.0),
     })
-    _write_summary(sum_path, summary)
-    return 0 if ok else 4
 
 
 # ----------------------------------------------------------------------
@@ -543,127 +529,139 @@ def cmd_borel(args):
 # ----------------------------------------------------------------------
 
 
-def cmd_oracle(args):
+def _oracle_bubble(o):
+    p_F, gamma, h_lo = o["pF"], o["gamma"], o["h-min"]
     with _config_phase():
-        what = _opt(args, "oracle", "what", "bubble", str)
-        if what not in ("bubble", "wick", "ed", "map"):
-            raise ConfigError("what must be bubble, wick, ed or map")
+        fermi = ModelParams.from_p_F(0.0, p_F, on_site_potential(1.0),
+                                     64.0, 256).fermi()
+    a = math.log(gamma) / (math.pi * fermi.v_F)
+    rows = []
+    for h in range(o["h-max"], h_lo - 1, -2):
+        v = oracle.bubble_quadrature(h, fermi, gamma)
+        rows.append((h, v.value, v.error, (v.value - a) * abs(h)))
+    rich = oracle.bubble_quadrature(h_lo, fermi, gamma, extrapolate=True)
+    return (("h", "value", "error", "dev_times_h"), rows, {
+        "a_exact": a, "richardson_value": rich.value,
+        "richardson_error": rich.error, "richardson_vs_a": abs(rich.value - a),
+    }, None)
 
-    csv_path, sum_path = _out_paths(args, "oracle")
 
-    if what == "bubble":
-        with _config_phase():
-            p_F = _opt(args, "oracle", "pF", math.pi / 3.0)
-            gamma = _opt(args, "oracle", "gamma", 2.0)
-            h_lo = int(_opt(args, "oracle", "h-min", -16, int))
-            h_hi = int(_opt(args, "oracle", "h-max", -8, int))
-            fermi = ModelParams.from_p_F(0.0, p_F, on_site_potential(1.0),
-                                         64.0, 256).fermi()
-        a = math.log(gamma) / (math.pi * fermi.v_F)
-        rows = []
-        for h in range(h_hi, h_lo - 1, -2):
-            v = oracle.bubble_quadrature(h, fermi, gamma)
-            rows.append((h, v.value, v.error, (v.value - a) * abs(h)))
-        _write_csv(csv_path, ("h", "value", "error", "dev_times_h"), rows)
-        rich = oracle.bubble_quadrature(h_lo, fermi, gamma, extrapolate=True)
-        _write_summary(sum_path, {
-            "what": what, "p_F": p_F, "gamma": gamma, "a_exact": a,
-            "richardson_value": rich.value, "richardson_error": rich.error,
-            "richardson_vs_a": abs(rich.value - a),
-        })
-        return 0
+def _oracle_wick(o):
+    L, x0 = o["L"], o["x0"]
+    with _config_phase():
+        params = ModelParams(lam=0.0, mu_bar=o["mu"],
+                             potential=on_site_potential(1.0),
+                             beta=o["beta"], L=L)
+    rows = []
+    for alpha in oracle.RESPONSE_CHANNELS:
+        for x in range(1, min(L // 2, 12)):
+            v = oracle.wick_free_response(x, alpha, params, x0=x0)
+            rows.append((alpha, x, x0, v.value, v.error))
+    return (("alpha", "x", "x0", "value", "error"), rows, {"rows": len(rows)},
+            None)
 
-    if what == "wick":
-        with _config_phase():
-            mu = _opt(args, "oracle", "mu", 0.5)
-            beta = _opt(args, "oracle", "beta", 32.0)
-            L = int(_opt(args, "oracle", "L", 64, int))
-            x0 = _opt(args, "oracle", "x0", 0.0)
-            params = ModelParams(lam=0.0, mu_bar=mu,
-                                 potential=on_site_potential(1.0),
-                                 beta=beta, L=L)
-        rows = []
-        for alpha in oracle.RESPONSE_CHANNELS:
-            for x in range(1, min(L // 2, 12)):
-                v = oracle.wick_free_response(x, alpha, params, x0=x0)
-                rows.append((alpha, x, x0, v.value, v.error))
-        _write_csv(csv_path, ("alpha", "x", "x0", "value", "error"), rows)
-        _write_summary(sum_path, {"what": what, "mu": mu, "beta": beta,
-                                  "L": L, "x0": x0, "rows": len(rows)})
-        return 0
 
-    if what == "ed":
-        with _config_phase():
-            L = int(_opt(args, "oracle", "L", 4, int))
-            beta = _opt(args, "oracle", "beta", 10.0)
-            lam = _opt(args, "oracle", "lambda", 0.0)
-            mu = _opt(args, "oracle", "mu", 0.3)
-            pot = _potential_from(_opt(args, "oracle", "potential", None, str))
-            params = ModelParams(lam=lam, mu_bar=mu, potential=pot,
-                                 beta=beta, L=L)
-        ed = oracle.ed_micro(L, beta, params)
-        free = params.with_(lam=0.0)
-        rows, worst_free = [], 0.0
-        taus = (0.0, 0.25 * beta, 0.7 * beta, -0.4 * beta)
-        for alpha in oracle.RESPONSE_CHANNELS:
-            for x in range(L):
-                for tau in taus:
-                    got = ed.response(x, tau, alpha)
-                    ref = oracle.wick_free_response(x, alpha, free, x0=tau).value
-                    rows.append((alpha, x, tau, got, ref, abs(got - ref)))
+def _oracle_ed(o):
+    L, beta, lam = o["L"], o["beta"], o["lambda"]
+    with _config_phase():
+        params = ModelParams(lam=lam, mu_bar=o["mu"],
+                             potential=_potential_from(o["potential"]),
+                             beta=beta, L=L)
+    ed = oracle.ed_micro(L, beta, params)
+    free = params.with_(lam=0.0)
+    rows, worst_free = [], 0.0
+    taus = (0.0, 0.25 * beta, 0.7 * beta, -0.4 * beta)
+    for alpha in oracle.RESPONSE_CHANNELS:
         for x in range(L):
             for tau in taus:
-                d = abs(ed.two_point(x, tau) - oracle.free_g(x, tau, free))
-                worst_free = max(worst_free, d) if lam == 0.0 else worst_free
-        _write_csv(csv_path, ("alpha", "x", "tau", "ed", "wick_free",
-                              "abs_diff"), rows)
-        summary = {
-            "what": what, "L": L, "beta": beta, "lambda": lam, "mu": mu,
-            "ground_energy": float(ed.spectrum()[0]), "filling": ed.filling(),
-            "two_point_vs_kernel": worst_free if lam == 0.0 else "n/a",
-        }
-        checks = {}
-        if lam == 0.0:
-            checks["free_kernel_match"] = (worst_free <= 1e-12,
-                                           worst_free - 1e-12)
-        if L % 2 == 0:
-            gap = oracle.particle_hole_gap(L, beta, params)
-            summary["particle_hole_gap"] = gap
-            checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
-        ok = _check_lines(summary, checks)
-        _write_summary(sum_path, summary)
-        return 0 if ok else 4
+                got = ed.response(x, tau, alpha)
+                ref = oracle.wick_free_response(x, alpha, free, x0=tau).value
+                rows.append((alpha, x, tau, got, ref, abs(got - ref)))
+    for x in range(L):
+        for tau in taus:
+            d = abs(ed.two_point(x, tau) - oracle.free_g(x, tau, free))
+            worst_free = max(worst_free, d) if lam == 0.0 else worst_free
+    summary = {
+        "ground_energy": float(ed.spectrum()[0]), "filling": ed.filling(),
+        "two_point_vs_kernel": worst_free if lam == 0.0 else "n/a",
+    }
+    checks = {}
+    if lam == 0.0:
+        checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
+    if L % 2 == 0:
+        gap = oracle.particle_hole_gap(L, beta, params)
+        summary["particle_hole_gap"] = gap
+        checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
+    return (("alpha", "x", "tau", "ed", "wick_free", "abs_diff"), rows,
+            summary, checks)
 
-    with _config_phase():   # what == "map"
-        g0 = complex(_opt(args, "oracle", "g0-re", 0.02),
-                     _opt(args, "oracle", "g0-im", 0.005))
-        a = _opt(args, "oracle", "a", 0.25)
-        n = int(_opt(args, "oracle", "n", 10 ** 4, int))
+
+def _oracle_map(o):
+    g0 = complex(o["g0-re"], o["g0-im"])
+    a, n = o["a"], o["n"]
     traj, val = oracle.mp_map_trajectory(g0, a, n)
     state = g1map.iterate(g0, a, n)
     drift = np.abs(state.trajectory - traj)
     stride = max(1, n // 32)
     rows = [(k, traj[k].real, traj[k].imag, float(drift[k]))
             for k in range(0, n + 1, stride)]
-    _write_csv(csv_path, ("n", "re_g_mp", "im_g_mp", "float_drift"), rows)
-    _write_summary(sum_path, {
-        "what": what, "g0_re": g0.real, "g0_im": g0.imag, "a": a, "n": n,
+    return (("n", "re_g_mp", "im_g_mp", "float_drift"), rows, {
         "final_drift": float(drift[-1]), "max_drift": float(drift.max()),
         "mp_error_bar": val.error,
-    })
-    return 0
+    }, None)
+
+
+# --what -> (run, option table)
+ORACLE_MODES = {
+    "bubble": (_oracle_bubble, (
+        Opt("pF", float, math.pi / 3.0, key="p_F"),
+        Opt("gamma", float, 2.0, key="gamma"),
+        # the Richardson estimate also evaluates scale ceil(h-min / 2)
+        Opt("h-min", int, -16, (("<=", "h-max"),
+                                ("<=", 2 * oracle.BUBBLE_MAX_H))),
+        Opt("h-max", int, -8, ("<=", oracle.BUBBLE_MAX_H)),
+    )),
+    "wick": (_oracle_wick, (
+        Opt("mu", float, 0.5, key="mu"),
+        Opt("beta", float, 32.0, key="beta"),
+        Opt("L", int, 64, key="L"),
+        Opt("x0", float, 0.0, key="x0"),
+    )),
+    "ed": (_oracle_ed, (
+        Opt("L", int, 4, ("<=", oracle.ED_MAX_SITES), key="L"),
+        Opt("beta", float, 10.0, ("<=", oracle.ED_MAX_BETA), key="beta"),
+        Opt("lambda", float, 0.0, key="lambda"),
+        Opt("mu", float, 0.3, key="mu"),
+        Opt("potential", str),
+    )),
+    "map": (_oracle_map, (
+        Opt("g0-re", float, 0.02, key="g0_re"),
+        Opt("g0-im", float, 0.005, key="g0_im"),
+        Opt("a", float, 0.25, key="a"),
+        Opt("n", int, 10 ** 4, (">=", 0), key="n"),
+    )),
+}
+
+ORACLE = (SEED, Opt("what", str, "bubble", ("in", tuple(ORACLE_MODES)),
+                   key="what"))
 
 
 # ----------------------------------------------------------------------
 # parser and dispatch
 # ----------------------------------------------------------------------
 
-
-def _add_common(sp):
-    sp.add_argument("--config", help="INI config file (flat key=value "
-                    "sections; flags override)")
-    sp.add_argument("--out-dir", help="output directory (default .)")
-    sp.add_argument("--seed", type=int, help="seed for any stochastic lanes")
+# name -> (help, option table, handler)
+COMMANDS = {
+    "prop": ("free-propagator tables", PROP, cmd_prop),
+    "flow": ("coupling flow with checks", FLOW, cmd_flow),
+    "exponents": ("exponent table over lambda", EXPONENTS, cmd_exponents),
+    "nu": ("counterterm fixed point and inversion", NU, cmd_nu),
+    "correlations": ("responses vs closed forms", CORRELATIONS, cmd_correlations),
+    "g1map": ("one perturbed quadratic-map run", G1MAP, cmd_g1map),
+    "borel": ("sector-boundedness sweep", BOREL, cmd_borel),
+    "oracle": ("brute-force reference runs", ORACLE,
+               lambda o: ORACLE_MODES[o["what"]][0](o)),
+}
 
 
 def build_parser():
@@ -671,128 +669,42 @@ def build_parser():
         prog="rg1d", description="renormalization-group engine for 1d "
         "interacting lattice fermions: batch tables and checks")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prop", help="free-propagator tables")
-    _add_common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--potential")
-    p.add_argument("--points", help="file of 'x x0' rows")
-
-    p = sub.add_parser("flow", help="coupling flow with checks")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--pF", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--h", type=int, help="target scale (negative)")
-    p.add_argument("--remainders")
-    p.add_argument("--a-mode")
-    p.add_argument("--h-lbeta", type=int)
-    p.add_argument("--potential")
-
-    p = sub.add_parser("exponents", help="exponent table over lambda")
-    _add_common(p)
-    p.add_argument("--lambda-grid", help="start:stop:step")
-    p.add_argument("--pF", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--potential")
-    p.add_argument("--jobs", type=int)
-
-    p = sub.add_parser("nu", help="counterterm fixed point and inversion")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--lambda-grid")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--h-box", type=int)
-    p.add_argument("--eps-scale", type=float)
-    p.add_argument("--c0", type=float)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("correlations", help="responses vs closed forms")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--pF", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-count", type=int)
-    p.add_argument("--x-spacing")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--alphas")
-    p.add_argument("--tail", type=float)
-    p.add_argument("--residuals")
-    p.add_argument("--potential")
-
-    p = sub.add_parser("g1map", help="one perturbed quadratic-map run")
-    _add_common(p)
-    p.add_argument("--g0-re", type=float)
-    p.add_argument("--g0-im", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--model")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--sigma-scale", type=float)
-
-    p = sub.add_parser("borel", help="sector-boundedness sweep")
-    _add_common(p)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--rays", type=int)
-    p.add_argument("--radii", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--models")
-
-    p = sub.add_parser("oracle", help="brute-force reference runs")
-    _add_common(p)
-    p.add_argument("--what", help="bubble | wick | ed | map")
-    p.add_argument("--pF", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--h-min", type=int)
-    p.add_argument("--h-max", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--potential")
-    p.add_argument("--g0-re", type=float)
-    p.add_argument("--g0-im", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--n", type=int)
-
+    for command, (text, table, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="INI config file (flat key=value "
+                       "sections; flags override)")
+        tables = [("", COMMON + table)]
+        if command == "oracle":
+            tables += [(" with --what " + mode, rows)
+                       for mode, (_, rows) in ORACLE_MODES.items()]
+        flags = {}   # name -> (type, help notes), over every table
+        for where, rows in tables:
+            for opt in rows:
+                notes = flags.setdefault(
+                    opt.name, (opt.type, [opt.help] if opt.help else []))[1]
+                notes += ["one of %s%s" % (_fmt(bound), where)
+                          for op, bound in _rules(opt) if op == "in"]
+                if opt.default is not None:
+                    notes.append("default %s%s" % (_fmt(opt.default), where))
+        for name, (kind, notes) in flags.items():
+            p.add_argument("--" + name, type=kind, help="; ".join(notes) or None)
     return ap
-
-
-_HANDLERS = {
-    "prop": cmd_prop,
-    "flow": cmd_flow,
-    "exponents": cmd_exponents,
-    "nu": cmd_nu,
-    "correlations": cmd_correlations,
-    "g1map": cmd_g1map,
-    "borel": cmd_borel,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    command = args.command
+    table = COMMON + COMMANDS[command][1]
     try:
-        args._cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[args.command](args)
+        with _config_phase():
+            cfg = _load_config(args.config)
+            opts = _resolve(table, args, cfg, command)
+            if command == "oracle":
+                mode_table = ORACLE_MODES[opts["what"]][1]
+                opts.update(_resolve(mode_table, args, cfg, command))
+                table += mode_table
+            os.makedirs(opts["out-dir"], exist_ok=True)
+        header, rows, summary, checks = COMMANDS[command][2](opts)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -800,6 +712,24 @@ def main(argv=None):
             ValueError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
+
+    summary.update((opt.key, opts[opt.name]) for opt in table if opt.key)
+    if checks is not None:
+        for name, (passed, margin) in checks.items():
+            summary["check_" + name] = "pass" if passed else "FAIL"
+            summary["check_" + name + "_margin"] = margin
+        summary["checks_ok"] = all(passed for passed, _ in checks.values())
+    stem = os.path.join(opts["out-dir"], command)
+    with open(stem + ".csv", "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = ["%s=%s" % (k, _fmt(v)) for k, v in sorted(summary.items())]
+    with open(stem + "_summary.txt", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
+    return 0 if summary.get("checks_ok", True) else 4
 
 
 if __name__ == "__main__":

@@ -146,30 +146,41 @@ def log_factor(x, x0, ex, fermi):
     return 1.0 + ex.f_lambda * math.log(tilde_norm(x, x0, fermi))
 
 
+def _first_order(rset):
+    """True when the zeta exponents take their first-order values: without a
+    flowed RenormSet, or for a free flow (g1_0 = 0), where q's denominator
+    log(1 + a g1_0 |h|) vanishes."""
+    return rset is None or rset.g1_0 == 0.0
+
+
+def _q_at(rset, t, x, x0, fermi):
+    """q_t interpolated at the scale h_x = -log_gamma |xtilde|."""
+    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
+    return rn.q_interpolated(rset, t, hx)
+
+
 def zeta_estimate(x, x0, alpha, ex, fermi, rset=None):
     """zeta_alpha(x) = 2 [q_{2,alpha} - q_z] interpolated at the scale
     h_x = -log_gamma |xtilde| (linear in log|x| between integer scales).
-    Without a flowed RenormSet the first-order value zeta_bar is used."""
-    if rset is None:
+    Without a flowed, interacting RenormSet the first-order value zeta_bar
+    is used."""
+    if _first_order(rset):
         return ex.zeta_bar[alpha]
-    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
-    return 2.0 * (rn.q_interpolated(rset, "2" + alpha, hx)
-                  - rn.q_interpolated(rset, "z", hx))
+    return 2.0 * (_q_at(rset, "2" + alpha, x, x0, fermi)
+                  - _q_at(rset, "z", x, x0, fermi))
 
 
 def _zeta_tilde_sc(x, x0, ex, fermi, rset):
-    if rset is None:
+    if _first_order(rset):
         return 0.0
-    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
-    return 2.0 * (rn.q_interpolated(rset, "1SC", hx)
-                  - rn.q_interpolated(rset, "z", hx))
+    return 2.0 * (_q_at(rset, "1SC", x, x0, fermi)
+                  - _q_at(rset, "z", x, x0, fermi))
 
 
 def _zeta_z(x, x0, fermi, rset):
-    if rset is None:
+    if _first_order(rset):
         return 0.0
-    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
-    return -rn.q_interpolated(rset, "z", hx)
+    return -_q_at(rset, "z", x, x0, fermi)
 
 
 def closed_components(x, x0, alpha, ex, fermi, rset=None):
@@ -307,17 +318,6 @@ def oscillation_peak(xs, values, flatten_power=2.0):
     k = 1 + int(np.argmax(amp[1:]))
     n = xs.size
     return TWO_PI * k / (n * dx), TWO_PI / (n * dx)
-
-
-def fitted_power(xs, values):
-    """Least-squares slope of log|values| vs log xs, negated: values ~
-    xs^{-p} gives p."""
-    xs = np.asarray(xs, dtype=float)
-    v = np.abs(np.asarray(values, dtype=float))
-    if np.any(v <= 0.0):
-        raise ValueError("fitted_power needs nonvanishing samples")
-    coef = np.polyfit(np.log(xs), np.log(v), 1)
-    return -float(coef[0])
 
 
 def correlation_rows(xs, alphas, ztab, ex, fermi, x0=0.0, rset=None,

@@ -93,7 +93,7 @@ def sigma_sequence(model, n, scale, seed=0):
 
 
 def quadratic_map_step(g, a_n):
-    """One step g - a_n g^2 (shared with the coupling-flow integrator)."""
+    """One step g - a_n g^2."""
     return g - a_n * g * g
 
 

@@ -53,10 +53,6 @@ class InteractionPotential:
     def v(self, x):
         return self.values.get(abs(int(x)), 0.0)
 
-    def support_radius(self):
-        nz = [x for x, vx in self.values.items() if vx != 0.0]
-        return max(nz) if nz else 0
-
     def fourier(self, p):
         """vhat(p) = sum_x v(x) e^{-ipx} = v(0) + 2 sum_{x>0} v(x) cos(px).
 
@@ -312,16 +308,3 @@ class MomentumGrids:
         n = np.arange(-nmax - 1, nmax + 1)
         return (TWO_PI / self.beta) * (n + 0.5)
 
-    def shift_spatial_to_quasi(self, n, n_F, sign):
-        """Integer index map of k -> k + sign * p_FL into the quasi grid.
-
-        k_n + sign p_FL = (2 pi / L)(n + sign n_F + sign/2); for sign = +1
-        this is quasi index m = n + n_F, for sign = -1 it is
-        m = n - n_F - 1.  Returned modulo L into the stored index range.
-        """
-        n = np.asarray(n)
-        if sign not in (+1, -1):
-            raise ValueError("sign must be +-1")
-        m = n + n_F if sign == +1 else n - n_F - 1
-        half = self.L // 2
-        return ((m + half) % self.L) - half

@@ -11,11 +11,10 @@ with |bcross|, |bdiag| <= c0 and the boundary value nu_{h_box} = 0.  The
 one-step beta coefficients are not available in closed form; the module
 ships the structural model with configurable bounded arrays (bdiag
 defaults to the first-order tadpole-like value c0 p_F / pi so that the
-counterterm tracks the filling) plus a coupled mode where the smallness
-sequence eps_j is read from a realized coupling trajectory.  T contracts
-on the weighted ball ||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi
-|lambda| once the measured operator norm is below 1, and Picard iteration
-from 0 converges geometrically.
+counterterm tracks the filling).  T contracts on the weighted ball
+||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi |lambda| once the
+measured operator norm is below 1, and Picard iteration from 0 converges
+geometrically.
 """
 
 import math
@@ -94,23 +93,6 @@ def default_model(h_box, p_F, eps_value, c0=0.25, theta=0.75,
                        np.full(n, c0 * p_F / math.pi),
                        np.full((n, n), c0),
                        np.full(n, float(eps_value)))
-
-
-def coupled_model(traj, p_F, c0=0.25, theta=0.75, theta_prime=0.9):
-    """Model with eps_j read from a realized coupling trajectory.
-
-    The trajectory must reach the box scale; eps at j = 1 reuses eps_0.
-    """
-    h_box = traj.h_lbeta
-    if traj.target_h > h_box:
-        raise ValueError("trajectory shallower than the box scale")
-    js = np.arange(h_box, 2)
-    eps = traj.eps[np.minimum(-np.minimum(js, 0), traj.eps.size - 1)]
-    n = 2 - h_box
-    return NuBetaModel(h_box, c0, theta, theta_prime, traj.cfg.gamma,
-                       np.full(n, c0 * p_F / math.pi),
-                       np.full((n, n), c0),
-                       np.asarray(eps, dtype=float))
 
 
 # ----------------------------------------------------------------------

@@ -53,10 +53,6 @@ class OracleValue:
     value: float
     error: float
 
-    def agrees_with(self, other, tol):
-        """|self - other| within tol plus the oracle's own bar."""
-        return abs(self.value - other) <= tol + self.error
-
 
 # roundoff bar for exact finite sums: eps times a term-count factor
 _EXACT = np.finfo(float).eps
@@ -608,6 +604,8 @@ def particle_hole_gap(L, beta, params):
 # bubble constant quadrature
 # ----------------------------------------------------------------------
 
+BUBBLE_MAX_H = -4
+
 
 def bubble_quadrature(h, fermi, gamma=None, cutoff=None, config=OracleConfig(),
                       extrapolate=False):
@@ -625,8 +623,9 @@ def bubble_quadrature(h, fermi, gamma=None, cutoff=None, config=OracleConfig(),
     boundary term by Richardson across the pair (h, ceil(h/2)) and is
     the recommended estimator of the limit itself.
     """
-    if h > -4:
-        raise ValueError("bubble oracle is for the asymptotic regime h <= -4")
+    if h > BUBBLE_MAX_H:
+        raise ValueError("bubble oracle is for the asymptotic regime h <= %d"
+                         % BUBBLE_MAX_H)
     gamma = float(fermi.gamma if gamma is None else gamma)
     chi = cutoff if cutoff is not None else CutoffFunction(gamma).chi0
     if extrapolate:

@@ -81,9 +81,6 @@ class CutoffFunction:
         """chi(k', k0) = chi0(|k'| / t0): support |k'| <= gamma t0 = a0 v_F."""
         return self.chi0(self.scaled_norm(k_prime, k0, fermi) / fermi.t0)
 
-    # 2d alias kept for callers that think of (k', k0) as one vector
-    chi2d = chi
-
     def f_h(self, h, k_prime, k0, fermi):
         """Infrared shell h <= 0: chi(gamma^-h k') - chi(gamma^-h+1 k')."""
         norm = self.scaled_norm(k_prime, k0, fermi)
@@ -307,41 +304,6 @@ def ir_single_scale(h, omega, x, x0, params, fermi=None, p_mode="grid"):
     return complex(val) / (params.beta * params.L)
 
 
-@dataclass(frozen=True)
-class ScalePropagator:
-    """One scale of the decomposition: metadata plus a point evaluator."""
-
-    h: int
-    kind: str          # "uv", "ir" or "dirac"
-    omega: int | None
-    evaluator: object  # callable (x:int, x0:float) -> complex
-    grid: object       # (L, beta) or None for continuum evaluators
-
-    def __call__(self, x, x0):
-        return self.evaluator(x, x0)
-
-
-def scale_propagator(kind, h, params, omega=None, Z=1.0, p_mode="grid",
-                     mode="grid"):
-    fermi = params.fermi()
-    if kind == "uv":
-        ev = lambda x, x0: uv_single_scale(h, x, x0, params, fermi, p_mode)
-        return ScalePropagator(h, "uv", None, ev, (params.L, params.beta))
-    if kind == "ir":
-        ev = lambda x, x0: ir_single_scale(h, omega, x, x0, params, fermi,
-                                           p_mode)
-        return ScalePropagator(h, "ir", omega, ev, (params.L, params.beta))
-    if kind == "dirac":
-        if mode == "grid":
-            ev = lambda x, x0: dirac_single_scale(h, omega, x, x0, Z, params,
-                                                  fermi, mode="grid")
-            return ScalePropagator(h, "dirac", omega, ev, (params.L, params.beta))
-        ev = lambda x, x0: dirac_single_scale(h, omega, x, x0, Z, params,
-                                              fermi, mode="continuum")
-        return ScalePropagator(h, "dirac", omega, ev, None)
-    raise ValueError("kind must be uv, ir or dirac")
-
-
 # ----------------------------------------------------------------------
 # relativistic (linear band) single scale
 # ----------------------------------------------------------------------
@@ -358,7 +320,16 @@ def _gl_nodes(n):
 
 def _dirac_radial(R, fermi, chi, n_nodes=256):
     """I0(R) = int du chibar0(u) J1(u R), shell u in [t0/gamma, t0*gamma],
-    chibar0(u) = chi0(u/t0) - chi0(u gamma/t0).  Vectorized over R."""
+    chibar0(u) = chi0(u/t0) - chi0(u gamma/t0).  Vectorized over R.
+
+    It is the radial profile of the continuum (beta, L -> infinity)
+    single-scale propagator with exactly linear band omega v_F k',
+
+        g^{(h)}(x, x0) = (x0 - i omega x / v_F) / (v_F r)
+                         * (gamma^h / (2 pi)) I0(gamma^h r),
+
+    r = sqrt(x0^2 + (x/v_F)^2), which is exactly scale covariant and sums
+    over h to (1/(2 pi)) / (v_F x0 + i omega x)."""
     g = fermi.gamma
     a, b = fermi.t0 / g, fermi.t0 * g
     xq, wq = _gl_nodes(n_nodes)
@@ -367,69 +338,6 @@ def _dirac_radial(R, fermi, chi, n_nodes=256):
     cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)
     R = np.asarray(R, dtype=float)
     return (w * cbar) @ bessel_j1(np.outer(u, R))
-
-
-def dirac_single_scale(h, omega, x, x0, Z, params, fermi=None, mode="continuum",
-                       n_nodes=256):
-    """Single-scale propagator with exactly linear band omega v_F k'.
-
-    mode="continuum" evaluates the beta, L -> infinity limit through the
-    radial Bessel representation
-
-        g^{(h)}(x, x0) = (1/Z) (x0 - i omega x / v_F) / (v_F r)
-                         * (gamma^h / (2 pi)) I0(gamma^h r),
-
-    r = sqrt(x0^2 + (x/v_F)^2).  It is exactly scale covariant,
-    g^{(h)}(x) = gamma^h g^{(0)}(gamma^h x), and the sum over all h
-    reproduces (1/(2 pi)) / (v_F x0 + i omega x).
-
-    mode="grid" does the finite (beta, L) momentum sum with the same shell
-    weight f_h and denominator -i k0 + omega v_F k'.
-    """
-    fermi = params.fermi() if fermi is None else fermi
-    chi = CutoffFunction(params.gamma)
-    if mode == "grid":
-        kp, k0 = _ir_support(h, params, fermi)
-        if kp.size == 0 or k0.size == 0:
-            return 0j
-        KP, K0 = np.meshgrid(kp, k0, indexing="ij")
-        w = chi.f_h(h, KP, K0, fermi)
-        ph = np.exp(-1j * (K0 * x0 + KP * x))
-        val = np.sum(ph * w / (-1j * K0 + omega * fermi.v_F * kp[:, None]))
-        return complex(val) / (params.beta * params.L * Z)
-    if mode != "continuum":
-        raise ValueError("mode must be continuum or grid")
-    r = math.sqrt(x0 ** 2 + (x / fermi.v_F) ** 2)
-    if r == 0.0:
-        raise ValueError("continuum evaluator needs (x, x0) != (0, 0)")
-    radial = float(_dirac_radial(np.array([fermi.gamma ** h * r]), fermi, chi,
-                                 n_nodes)[0])
-    pref = (x0 - 1j * omega * x / fermi.v_F) / (fermi.v_F * r)
-    return pref * (fermi.gamma ** h / TWO_PI) * radial / Z
-
-
-def dirac_scale_sum(omega, x, x0, params, h_top=None, h_bottom=None,
-                    fermi=None):
-    """sum_h g_D^{(h)} over enough scales to saturate (1/2pi)/(v_F x0 + i omega x).
-
-    Scales with gamma^h r outside [1e-3, 1024] contribute below ~1e-6 of
-    the total and are dropped; the defaults are overridable for budget
-    tests.  Past gamma^h r = 256 the radial quadrature runs with 512 nodes
-    to keep the oscillations resolved.
-    """
-    fermi = params.fermi() if fermi is None else fermi
-    r = math.sqrt(x0 ** 2 + (x / fermi.v_F) ** 2)
-    lg = math.log(fermi.gamma)
-    if h_top is None:
-        h_top = int(math.ceil(math.log(1024.0 / r) / lg))
-    if h_bottom is None:
-        h_bottom = int(math.floor(math.log(1e-3 / r) / lg))
-    acc = 0j
-    for h in range(h_bottom, h_top + 1):
-        n = 256 if fermi.gamma ** h * r <= 256.0 else 512
-        acc += dirac_single_scale(h, omega, x, x0, 1.0, params, fermi,
-                                  n_nodes=n)
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +389,11 @@ def gram_certify(h, kind, params, omega=1, fermi=None, p_mode="grid"):
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x)."""
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log(y) against log(x): y ~ x^s gives s."""
+    ys = np.asarray(ys, dtype=float)
+    if np.any(ys <= 0.0):
+        raise ValueError("fit_loglog_slope needs positive samples")
+    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)[0])
 
 
 def certify_gram_scaling(hs, kind, params, omega=1, rel_tol=0.10):

@@ -207,15 +207,3 @@ def exponents(params, limits, fermi=None, corrections=None):
                        X, 1.0, dict(ZETA_BAR), f_lam,
                        c_coefficient(params.potential, fermi))
 
-
-def exponent_rows(lams, build):
-    """Rows (lambda, p_F, eta_2C, eta_2SC, X_C, X_SC, f_lambda) for CSV;
-    build maps lambda -> (params, limits)."""
-    rows = []
-    for lam in lams:
-        params, limits = build(lam)
-        fermi = params.fermi()
-        ex = exponents(params, limits, fermi)
-        rows.append((lam, fermi.p_F, ex.eta_2C, ex.eta_2SC,
-                     ex.X["C"], ex.X["SC"], ex.f_lambda))
-    return rows

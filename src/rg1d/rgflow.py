@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 from .model import MomentumGrids, TWO_PI
 from .propagators import CutoffFunction, finite_size_scale
-from .g1map import quadratic_map_step
 
 # ----------------------------------------------------------------------
 # configuration and state
@@ -106,14 +105,6 @@ class FlowTrajectory:
 
     def g1_at(self, j):
         return self.couplings[self.scale_index(j), 0]
-
-    def g2_at(self, j):
-        return self.couplings[self.scale_index(j), 1]
-
-    def values_at(self, j):
-        i = self.scale_index(j)
-        c = self.couplings[i]
-        return RunningCouplings(c[0], c[1], c[2], c[3], c[4], j)
 
     def g1_approximant(self, j):
         """gtilde_{1,j} = g1_0 / (1 + a g1_0 |j|), the fixed-mean closed form."""
@@ -553,29 +544,3 @@ def borel_domain_probe(params_of_lam, cfg, rays=16, radius=0.02,
                               traj.escaped_at, float(traj.eps.max()),
                               smallness_chain_ok(lam, h, cfg.c_bar)))
     return pts
-
-
-# ----------------------------------------------------------------------
-# tables
-# ----------------------------------------------------------------------
-
-
-def trajectory_rows(traj):
-    """Rows (j, re/im couplings, eps_j, gtilde1, checks bitmask) for CSV."""
-    n = traj.couplings.shape[0]
-    names = ("vdiff1", "bej", "vdiff", "gerr", "bAj", "overstar")
-    mask = 0
-    for b, nm in enumerate(names):
-        res = traj.checks.get(nm)
-        if res is not None and res.ok:
-            mask |= 1 << b
-    rows = []
-    for i in range(n):
-        j = -i
-        c = traj.couplings[i]
-        gt = traj.g1_approximant(j)
-        rows.append((j, c[0].real, c[0].imag, c[1].real, c[1].imag,
-                     c[2].real, c[2].imag, c[3].real, c[3].imag,
-                     c[4].real, c[4].imag, float(traj.eps[i]),
-                     gt.real, gt.imag, mask))
-    return rows

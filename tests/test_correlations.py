@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rg1d import correlations, model, renorm, rgflow
+from rg1d import correlations, model, propagators, renorm, rgflow
 
 P_F = np.pi / 3.0
 
@@ -154,13 +154,6 @@ def test_oscillation_peak_requires_uniform_grid():
         correlations.oscillation_peak(xs, 1.0 / xs)
 
 
-def test_fitted_power_recovers_exponent():
-    xs = np.linspace(10.0, 200.0, 60)
-    assert correlations.fitted_power(xs, 3.0 / xs**2) == pytest.approx(2.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        correlations.fitted_power(xs, np.zeros_like(xs))
-
-
 def test_uniform_exponent_two_for_interacting_flow():
     # the non-oscillating part keeps exponent 2 independent of lambda
     for lam in (0.0, 0.03):
@@ -172,7 +165,7 @@ def test_uniform_exponent_two_for_interacting_flow():
                 float(x), "C", ztab, ex, fermi, rset=(rset if lam else None)
             )
             vals.append(abs(res.non_oscillating))
-        p = correlations.fitted_power(xs, np.array(vals))
+        p = -propagators.fit_loglog_slope(xs, vals)
         assert p == pytest.approx(2.0, abs=0.05), lam
 
 

@@ -154,6 +154,13 @@ def test_representations_converge_at_uv_rate():
     assert -1.2 <= slope <= -0.8
 
 
+def test_fit_loglog_slope_recovers_exponent():
+    xs = np.linspace(10.0, 200.0, 60)
+    assert propagators.fit_loglog_slope(xs, 3.0 / xs**2) == pytest.approx(-2.0, abs=1e-10)
+    with pytest.raises(ValueError):
+        propagators.fit_loglog_slope(xs, np.zeros_like(xs))
+
+
 def test_generic_points_converge_faster():
     # away from the equal-time slice the cutoff error is higher order and
     # oscillatory: it sits far below the nearest-neighbor equal-time gap

@@ -159,17 +159,3 @@ def test_exponents_linear_in_lambda():
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
     assert vals[1] == pytest.approx(vals[2], rel=1e-9)
 
-
-def test_exponent_rows_layout():
-    def build(lam):
-        params, traj = _traj(lam, target_h=-200)
-        limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
-        return params, limits
-
-    rows = renorm.exponent_rows([0.01, 0.02], build)
-    assert len(rows) == 2
-    lam, p_F, eta_2C, eta_2SC, X_C, X_SC, f_lambda = rows[0]
-    assert lam == 0.01
-    assert p_F == pytest.approx(P_F)
-    assert X_C == pytest.approx(1.0 - eta_2C)
-    assert X_SC == pytest.approx(1.0 - eta_2SC)
