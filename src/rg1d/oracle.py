@@ -32,18 +32,12 @@ from numpy.polynomial.legendre import leggauss
 from .propagators import CutoffFunction
 
 # ----------------------------------------------------------------------
-# config and result plumbing
+# result plumbing
 # ----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Shared quadrature plumbing: target precision, the two refinement
-    levels used for the error bar, and the rule identifier."""
-
-    precision: float = 1e-10
-    levels: tuple = (16, 32)
-    rule: str = "gauss-legendre"
+# Gauss-Legendre node counts of the two refinement levels behind every
+# quadrature error bar
+REFINEMENT_LEVELS = (16, 32)
 
 
 @dataclass(frozen=True)
@@ -312,7 +306,7 @@ def _combos(groups):
 # ----------------------------------------------------------------------
 
 
-def first_order_slope(x, tau, alpha, params, config=OracleConfig()):
+def first_order_slope(x, tau, alpha, params):
     """d Omega_alpha(x, tau) / d lambda at lambda = 0 by the Wick sum.
 
     The derivative of the connected response under the quartic weight is
@@ -327,7 +321,7 @@ def first_order_slope(x, tau, alpha, params, config=OracleConfig()):
     """
     beta, L = params.beta, params.L
     vals = []
-    for n_nodes in config.levels:
+    for n_nodes in REFINEMENT_LEVELS:
         nodes, weights = _panel_nodes(tau, beta, n_nodes)
         gtab = _GTable(params, nodes)
         rx = _density_monomials(alpha, x, tau, L)
@@ -607,8 +601,7 @@ def particle_hole_gap(L, beta, params):
 BUBBLE_MAX_H = -4
 
 
-def bubble_quadrature(h, fermi, gamma=None, cutoff=None, config=OracleConfig(),
-                      extrapolate=False):
+def bubble_quadrature(h, fermi, gamma=None, extrapolate=False):
     """Scale-averaged particle-hole bubble of the relativistic pair.
 
     Evaluates 2 (1/|h|) int dk/(2 pi)^2 |C_h(rho)|^2 / rho^2 in polar
@@ -627,19 +620,19 @@ def bubble_quadrature(h, fermi, gamma=None, cutoff=None, config=OracleConfig(),
         raise ValueError("bubble oracle is for the asymptotic regime h <= %d"
                          % BUBBLE_MAX_H)
     gamma = float(fermi.gamma if gamma is None else gamma)
-    chi = cutoff if cutoff is not None else CutoffFunction(gamma).chi0
     if extrapolate:
         h2 = -(-h // 2)
-        v1 = bubble_quadrature(h, fermi, gamma, chi, config)
-        v2 = bubble_quadrature(h2, fermi, gamma, chi, config)
+        v1 = bubble_quadrature(h, fermi, gamma)
+        v2 = bubble_quadrature(h2, fermi, gamma)
         num = abs(h) * v1.value - abs(h2) * v2.value
         return OracleValue(num / (abs(h) - abs(h2)),
                            (abs(h) * v1.error + abs(h2) * v2.error) / (abs(h) - abs(h2)))
 
+    chi = CutoffFunction(gamma).chi0
     t0, v_f = fermi.t0, fermi.v_F
     lo, hi = math.log(t0) + (h - 1) * math.log(gamma), math.log(t0) + math.log(gamma)
     vals = []
-    for n_nodes in config.levels:
+    for n_nodes in REFINEMENT_LEVELS:
         xg, wg = leggauss(n_nodes)
         phig, phiw = leggauss(8)
         phi_total = float(np.sum(phiw)) * math.pi   # maps to (0, 2 pi)

@@ -21,11 +21,19 @@ then slices f_uv into ultraviolet frequency shells H_h (1 <= h <= M) and
 each infrared sector into shells f_h (h <= 0) of width gamma^h around the
 Fermi points.  With mu_bar = cos(p) and p on the snapped grid the split is
 an exact finite-sum identity, tested to near machine precision.
+
+shell_grid is the one place where the (k, k0) grids of these pieces are
+built: it returns the momenta, frequencies, band and numerator weight of a
+uv shell, an ir or dirac shell, or the whole cutoff propagator.  Point
+values (single_scale, free_propagator's cutoff_sum), whole-lattice tables
+(propagator_table), Gram norms (gram_certify) and the lattice bubble of
+rgflow are all sums over that record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,14 +162,7 @@ def is_discontinuity_point(x, x0, beta):
     return int(x) == 0 and abs(math.remainder(x0, beta)) < 1e-12
 
 
-def compensated_sum(values):
-    """Exactly rounded sum of a complex array (reference summation path)."""
-    v = np.asarray(values).ravel()
-    return complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
-
-
-def free_propagator(x, x0, params, representation="kernel_sum", M=None,
-                    compensated=False):
+def free_propagator(x, x0, params, representation="kernel_sum", M=None):
     """g(x, x0) by either representation.  x integer, x0 in (-beta, beta).
 
     kernel_sum: (1/L) sum_k e^{-ikx} I(k, x0); exact for the finite system.
@@ -171,23 +172,17 @@ def free_propagator(x, x0, params, representation="kernel_sum", M=None,
     beta, L = params.beta, params.L
     if not -beta < x0 < beta:
         raise ValueError("x0 must lie in (-beta, beta)")
-    grids = MomentumGrids(L, beta)
-    k = grids.spatial()
     if representation == "kernel_sum":
-        terms = np.exp(-1j * k * x) * free_kernel(k, x0, params)
-        val = compensated_sum(terms) / L if compensated else complex(np.sum(terms)) / L
-        return val
+        k = MomentumGrids(L, beta).spatial()
+        return complex(np.sum(np.exp(-1j * k * x) * free_kernel(k, x0, params))) / L
     if representation == "cutoff_sum":
-        M = params.M_uv if M is None else M
-        chi = CutoffFunction(params.gamma)
-        k0 = grids.matsubara(params.gamma ** (M + 1))
-        w = chi.chi0(k0 / params.gamma ** M)
-        e = params.mu_bar - np.cos(k)
+        grid = shell_grid("cutoff", None, params, M=M)
+        k0 = grid.k0
+        ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
         acc = np.zeros((), dtype=complex)
-        ph0 = np.exp(-1j * k0 * x0) * w
         for i in range(L):  # k outer loop keeps memory flat
-            term = ph0 / (-1j * k0 + e[i])
-            acc = acc + np.exp(-1j * k[i] * x) * np.sum(term)
+            term = ph0 / (-1j * k0 + grid.band[i])
+            acc = acc + np.exp(-1j * grid.k[i] * x) * np.sum(term)
         return complex(acc) / (beta * L)
     raise ValueError("representation must be kernel_sum or cutoff_sum")
 
@@ -208,12 +203,10 @@ def high_frequency_tail(tau, M, k, params):
     beta = params.beta
     if abs(tau) > 0.5 * beta:
         raise ValueError("tail contract requires |tau| <= beta/2")
-    chi = CutoffFunction(params.gamma)
-    grids = MomentumGrids(params.L, beta)
-    k0 = grids.matsubara(params.gamma ** (M + 1))
+    grid = shell_grid("cutoff", None, params, M=M)
+    k0 = grid.k0
     e = float(params.mu_bar - math.cos(k))
-    w = chi.chi0(k0 / params.gamma ** M)
-    cut = np.sum(w * np.exp(-1j * k0 * tau) / (-1j * k0 + e)) / beta
+    cut = np.sum(grid.weight(None, k0) * np.exp(-1j * k0 * tau) / (-1j * k0 + e)) / beta
     ref = free_kernel_symmetric(k, params) if tau == 0.0 else free_kernel(k, tau, params)
     return complex(ref - cut)
 
@@ -237,70 +230,106 @@ def finite_size_scale(beta, L, fermi, t0=None):
 
 
 # ----------------------------------------------------------------------
-# single-scale evaluators
+# shell grids: the one place where (k, k0) meshes are built
 # ----------------------------------------------------------------------
 
-def _uv_weights(h, params, fermi, p_mode):
-    """Grid arrays (k, k0, weight, e) for one ultraviolet shell."""
+@dataclass(frozen=True)
+class ShellGrid:
+    """Support of one piece of the scale decomposition,
+
+        g(x, x0) = (1/(beta L)) sum_{k, k0} e^{-i(k0 x0 + k x)}
+                   weight(k, k0) / (-i k0 + band(k)).
+
+    k holds the momenta (k on D_L, or k' on D'_L when half_integer), kidx
+    their zone indices, k0 the Matsubara frequencies of the support and
+    band the denominator band of each momentum.  weight(K, K0) evaluates
+    the numerator on a mesh.
+    """
+
+    k: np.ndarray
+    kidx: np.ndarray
+    k0: np.ndarray
+    band: np.ndarray
+    half_integer: bool
+    weight: Callable
+
+    def mesh(self, cols=slice(None)):
+        """K, K0 and the weight on the k x k0[cols] mesh."""
+        K, K0 = np.meshgrid(self.k, self.k0[cols], indexing="ij")
+        return K, K0, self.weight(K, K0)
+
+
+def shell_support(top, L, beta, fermi):
+    """Quasi-momenta k' (with zone indices) and frequencies k0 in the box
+    v_F ||k'||_T <= top, |k0| <= top that carries an infrared shell.
+
+    Below the box scale h_{L,beta} one of the two is empty; both are then
+    returned empty, so every sum over the shell is zero and so is its
+    table.
+    """
+    grids = MomentumGrids(L, beta)
+    kp, kidx = grids.quasi(), grids.quasi_indices()
+    keep = fermi.v_F * np.abs((kp + math.pi) % TWO_PI - math.pi) <= top
+    k0 = grids.matsubara(top)
+    if k0.size == 0 or not keep.any():
+        keep[:] = False
+        k0 = k0[:0]
+    return kp[keep], kidx[keep], k0
+
+
+def shell_grid(kind, h, params, omega=None, M=None, fermi=None, p_mode="grid"):
+    """ShellGrid of one piece of the scale decomposition.
+
+    kind "uv": ultraviolet shell 1 <= h <= M, weight f_uv * H_h, band
+        cos(p) - cos(k) (chemical potential tuned to the Fermi point);
+    kind "cutoff": the whole smooth-cutoff propagator at ultraviolet
+        scale M (h unused), weight chi0(gamma^-M k0), band mu_bar - cos(k);
+    kind "ir": infrared shell h <= 0 around the omega Fermi point, weight
+        f_h on the scaled shell [t0 gamma^{h-1}, t0 gamma^{h+1}], band
+        E_omega(k') (model.ir_dispersion);
+    kind "dirac": the same shell with the linear band omega v_F k'.
+
+    M defaults to params.M_uv; p_mode picks p ("grid": p_FL, "exact": p_F).
+    """
+    fermi = params.fermi() if fermi is None else fermi
+    M = params.M_uv if M is None else M
     chi = CutoffFunction(params.gamma)
     grids = MomentumGrids(params.L, params.beta)
-    k = grids.spatial()
-    k0 = grids.matsubara(params.gamma ** (h + 1))
-    p = fermi.p_of(p_mode)
-    e = math.cos(p) - np.cos(k)
-    K, K0 = np.meshgrid(k, k0, indexing="ij")
-    w = chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0)
-    return k, k0, K, K0, w, e
-
-
-def uv_single_scale(h, x, x0, params, fermi=None, p_mode="grid"):
-    """Ultraviolet single-scale propagator g_uv^{(h)}, 1 <= h <= M.
-
-    Dispersion cos(p) - cos(k) (chemical potential tuned to the Fermi
-    point), numerator weight f_uv * H_h.  Exact finite double sum.
-    """
-    fermi = params.fermi() if fermi is None else fermi
-    if not 1 <= h <= params.M_uv:
-        raise ValueError("ultraviolet scale must satisfy 1 <= h <= M_uv")
-    k, k0, K, K0, w, e = _uv_weights(h, params, fermi, p_mode)
-    ph = np.exp(-1j * (K0 * x0 + K * x))
-    val = np.sum(ph * w / (-1j * K0 + e[:, None]))
-    return complex(val) / (params.beta * params.L)
-
-
-def _ir_support(h, params, fermi):
-    """Restricted (k', k0) grids covering the shell f_h support."""
-    grids = MomentumGrids(params.L, params.beta)
-    kp = grids.quasi()
-    top = fermi.t0 * fermi.gamma ** (h + 1)
-    k0 = grids.matsubara(top)
-    kt = np.abs((kp + math.pi) % TWO_PI - math.pi)
-    kp = kp[fermi.v_F * kt <= top]
-    return kp, k0
-
-
-def ir_single_scale(h, omega, x, x0, params, fermi=None, p_mode="grid"):
-    """Infrared single-scale propagator around the omega Fermi point:
-
-        g_ir^{(h)}_omega(x) = (1/(beta L)) sum_{k' in D'_L, k0}
-            e^{-i(k0 x0 + k' x)} f_h(k', k0) / (-i k0 + E_omega(k'))
-
-    h_{L,beta} <= h <= 0; support is the scaled shell
-    [t0 gamma^{h-1}, t0 gamma^{h+1}].  With p_mode "grid" and the chemical
-    potential tuned to cos(p_FL) the scale decomposition is an identity.
-    """
-    fermi = params.fermi() if fermi is None else fermi
+    if kind == "uv":
+        if not 1 <= h <= M:
+            raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
+        k = grids.spatial()
+        p = fermi.p_of(p_mode)
+        return ShellGrid(k, grids.spatial_indices(), grids.matsubara(params.gamma ** (h + 1)),
+                         math.cos(p) - np.cos(k), False,
+                         lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0))
+    if kind == "cutoff":
+        k = grids.spatial()
+        return ShellGrid(k, grids.spatial_indices(), grids.matsubara(params.gamma ** (M + 1)),
+                         params.mu_bar - np.cos(k), False,
+                         lambda K, K0: chi.chi0(K0 / params.gamma ** M))
+    if kind not in ("ir", "dirac"):
+        raise ValueError("kind must be uv, cutoff, ir or dirac")
     if h > 0:
         raise ValueError("infrared scales have h <= 0")
-    chi = CutoffFunction(params.gamma)
-    kp, k0 = _ir_support(h, params, fermi)
-    if kp.size == 0 or k0.size == 0:
-        return 0j
-    KP, K0 = np.meshgrid(kp, k0, indexing="ij")
-    w = chi.f_h(h, KP, K0, fermi)
-    Ew = ir_dispersion(kp, fermi, omega, p_mode)
-    ph = np.exp(-1j * (K0 * x0 + KP * x))
-    val = np.sum(ph * w / (-1j * K0 + Ew[:, None]))
+    kp, kidx, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
+    band = ir_dispersion(kp, fermi, omega, p_mode) if kind == "ir" else omega * fermi.v_F * kp
+    return ShellGrid(kp, kidx, k0, band, True, lambda K, K0: chi.f_h(h, K, K0, fermi))
+
+
+def single_scale(kind, h, x, x0, params, omega=None, fermi=None, p_mode="grid"):
+    """Single-scale propagator g^{(h)}(x, x0) of kind "uv", "ir" or "dirac"
+    as the exact finite double sum over its shell_grid.
+
+    The ir and dirac pieces are in quasi-momentum form: e^{-i omega p_FL x}
+    restores the Fermi phase.  With p_mode "grid" and mu_bar = cos(p_FL)
+    the uv shells 1..M plus both ir sectors h_{L,beta}..0 sum exactly to
+    the cutoff propagator at scale M.
+    """
+    grid = shell_grid(kind, h, params, omega, fermi=fermi, p_mode=p_mode)
+    K, K0, w = grid.mesh()
+    ph = np.exp(-1j * (K0 * x0 + K * x))
+    val = np.sum(ph * w / (-1j * K0 + grid.band[:, None]))
     return complex(val) / (params.beta * params.L)
 
 
@@ -362,30 +391,25 @@ class GramCertificate:
     bound_constant: float
 
 
+# |A|^2 ~ gamma^{pA h} and |B|^2 ~ gamma^{pB h}: kind -> (pA, pB)
+GRAM_POWERS = {"uv": (-3, 3), "ir": (-2, 4)}
+
+
 def gram_certify(h, kind, params, omega=1, fermi=None, p_mode="grid"):
-    fermi = params.fermi() if fermi is None else fermi
+    """GramCertificate of the uv or ir shell h (omega, p_mode as in
+    shell_grid); the norms are sums over its shell_grid."""
+    if kind not in GRAM_POWERS:
+        raise ValueError("kind must be uv or ir")
+    grid = shell_grid(kind, h, params, omega, fermi=fermi, p_mode=p_mode)
+    _, K0, w = grid.mesh()
+    d2 = K0 ** 2 + grid.band[:, None] ** 2
     vol = params.beta * params.L
-    if kind == "uv":
-        _, _, _, K0, w, e = _uv_weights(h, params, fermi, p_mode)
-        d2 = K0 ** 2 + (e[:, None]) ** 2
-        normA2 = float(np.sum(w / d2 ** 2)) / vol
-        normB2 = float(np.sum(w * d2)) / vol
-        g = params.gamma
-        c = max(normA2 * g ** (3 * h), normB2 * g ** (-3 * h))
-        return GramCertificate(h, "uv", None, normA2, normB2, c)
-    if kind == "ir":
-        chi = CutoffFunction(params.gamma)
-        kp, k0 = _ir_support(h, params, fermi)
-        KP, K0 = np.meshgrid(kp, k0, indexing="ij")
-        w = chi.f_h(h, KP, K0, fermi)
-        Ew = ir_dispersion(kp, fermi, omega, p_mode)
-        d2 = K0 ** 2 + (Ew[:, None]) ** 2
-        normA2 = float(np.sum(w / d2 ** 2)) / vol
-        normB2 = float(np.sum(w * d2)) / vol
-        g = params.gamma
-        c = max(normA2 * g ** (2 * h), normB2 * g ** (-4 * h))
-        return GramCertificate(h, "ir", omega, normA2, normB2, c)
-    raise ValueError("kind must be uv or ir")
+    normA2 = float(np.sum(w / d2 ** 2)) / vol
+    normB2 = float(np.sum(w * d2)) / vol
+    g = params.gamma
+    pa, pb = GRAM_POWERS[kind]
+    c = max(normA2 * g ** (-pa * h), normB2 * g ** (-pb * h))
+    return GramCertificate(h, kind, None if kind == "uv" else omega, normA2, normB2, c)
 
 
 def fit_loglog_slope(xs, ys):
@@ -404,7 +428,7 @@ def certify_gram_scaling(hs, kind, params, omega=1, rel_tol=0.10):
                           [c.normA2 for c in certs])
     lb = fit_loglog_slope([params.gamma ** c.h for c in certs],
                           [c.normB2 for c in certs])
-    ta, tb = (-3.0, 3.0) if kind == "uv" else (-2.0, 4.0)
+    ta, tb = GRAM_POWERS[kind]
     ok = abs(la - ta) <= rel_tol * abs(ta) and abs(lb - tb) <= rel_tol * abs(tb)
     return certs, la, lb, ok
 
@@ -426,55 +450,15 @@ def propagator_table(kind, h, params, n_tau, omega=None, M=None,
     kind: "uv", "ir", "dirac" (single scale h), or "cutoff" (full smooth-
     cutoff propagator at ultraviolet scale M, spatial grid integer k).
     """
-    fermi = (params.fermi() if fermi is None else fermi)
     beta, L = params.beta, params.L
-    chi = CutoffFunction(params.gamma)
-    grids = MomentumGrids(L, beta)
-    half_integer_k = kind in ("ir", "dirac")
-
-    if kind in ("uv", "cutoff"):
-        k = grids.spatial()
-        kidx = grids.spatial_indices()
-        if kind == "uv":
-            k0 = grids.matsubara(params.gamma ** (h + 1))
-        else:
-            M = params.M_uv if M is None else M
-            k0 = grids.matsubara(params.gamma ** (M + 1))
-        p = fermi.p_of(p_mode)
-        e = (math.cos(p) if kind == "uv" else params.mu_bar) - np.cos(k)
-        denom_k = e
-
-        def weights(K, K0):
-            if kind == "uv":
-                return chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0)
-            return chi.chi0(K0 / params.gamma ** M) * np.ones_like(K)
-    else:
-        full = grids.quasi()
-        kidx_full = grids.quasi_indices()
-        top = fermi.t0 * fermi.gamma ** (h + 1)
-        kt = np.abs((full + math.pi) % TWO_PI - math.pi)
-        mask = fermi.v_F * kt <= top
-        k = full[mask]
-        kidx = kidx_full[mask]
-        k0 = grids.matsubara(top)
-        if kind == "ir":
-            denom_k = ir_dispersion(k, fermi, omega, p_mode)
-        else:
-            denom_k = omega * fermi.v_F * k
-
-        def weights(K, K0):
-            return chi.f_h(h, K, K0, fermi)
-
-    nrows = k.size
-    folded = np.zeros((nrows, n_tau), dtype=complex)
-    n0 = int(round(k0[0] * beta / TWO_PI - 0.5))
-    chunk = max(n_tau, int(4e6) // max(1, nrows))  # keep chunks ~64 MB
-    j = 0
-    while j < k0.size:
-        cols = slice(j, min(j + chunk, k0.size))
-        K, K0 = np.meshgrid(k, k0[cols], indexing="ij")
-        F = weights(K, K0) / (-1j * K0 + denom_k[:, None])
-        b0 = (n0 + j) % n_tau
+    grid = shell_grid(kind, h, params, omega, M, fermi, p_mode)
+    k0 = grid.k0
+    folded = np.zeros((grid.k.size, n_tau), dtype=complex)
+    chunk = max(n_tau, int(4e6) // max(1, grid.k.size))  # keep chunks ~64 MB
+    for j in range(0, k0.size, chunk):
+        _, K0, w = grid.mesh(slice(j, j + chunk))
+        F = w / (-1j * K0 + grid.band[:, None])
+        b0 = int(round(k0[j] * beta / TWO_PI - 0.5)) % n_tau  # Matsubara index mod n_tau
         jj = 0
         width_total = F.shape[1]
         while jj < width_total:
@@ -482,16 +466,15 @@ def propagator_table(kind, h, params, n_tau, omega=None, M=None,
             folded[:, b0:b0 + width] += F[:, jj:jj + width]
             jj += width
             b0 = (b0 + width) % n_tau
-        j = cols.stop
 
     # spatial scatter: indices within one zone are unique modulo L
     spat = np.zeros((L, n_tau), dtype=complex)
-    spat[np.asarray(kidx) % L] = folded
+    spat[grid.kidx % L] = folded
 
     out = np.fft.fft2(spat)  # sum_{n,b} e^{-2pi i (n x / L + b m / n_tau)}
     m = np.arange(n_tau)
     out *= np.exp(-1j * math.pi * m / n_tau)[None, :]  # half-integer k0 twiddle
-    if half_integer_k:
+    if grid.half_integer:
         x = np.arange(L)
         out *= np.exp(-1j * math.pi * x / L)[:, None]  # half-integer k' twiddle
     return out / (beta * L)

@@ -17,7 +17,7 @@ exponents eta_t evaluated at first order from the fixed-point couplings.
 
 import math
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # channel -> (coefficient of a*g1_h, coefficient of a*(g2_h - g2_inf))
 Z2_COEFFS = {
@@ -153,9 +153,8 @@ class ExponentSet:
 
     X_alpha = 1 - eta_{2,alpha} - eta_z; the oscillating pair channel keeps
     X_tilde_SC = 1 at this order.  f_lambda is the coefficient of log|x| in
-    the logarithmic correction factor L(x) = 1 + f_lambda log|x|.
-    order_of_validity documents that every entry carries an O(lambda^2)
-    uncertainty; corrections (if configured) are added verbatim.
+    the logarithmic correction factor L(x) = 1 + f_lambda log|x|.  Every
+    entry is first order: it carries an O(lambda^2) uncertainty.
     """
 
     eta_z: float
@@ -168,8 +167,6 @@ class ExponentSet:
     zeta_bar: dict
     f_lambda: float
     c_coefficient: float
-    order_of_validity: str = "first"
-    q: dict = field(default_factory=dict)
 
     def eta_2(self, alpha):
         return {"C": self.eta_2C, "S": self.eta_2S,
@@ -183,23 +180,13 @@ def c_coefficient(potential, fermi):
     return (2.0 * vh0 - vh2p) / (2.0 * math.pi * fermi.v_F)
 
 
-def exponents(params, limits, fermi=None, corrections=None):
-    """First-order ExponentSet from the fixed-point couplings.
-
-    corrections: optional dict eta-name -> additive O(lambda^2) shift,
-    carried verbatim into the exponents (default all zero).
-    """
+def exponents(params, limits, fermi=None):
+    """First-order ExponentSet from the fixed-point couplings."""
     fermi = params.fermi() if fermi is None else fermi
-    corr = corrections or {}
     g2inf = limits.g2_inf.real
-    base = g2inf / (2.0 * math.pi * fermi.v_F)
-    eta = {
-        "z": 0.0 + corr.get("z", 0.0),
-        "C": base + corr.get("C", 0.0),
-        "S": base + corr.get("S", 0.0),
-        "SC": -base + corr.get("SC", 0.0),
-        "TC": -base + corr.get("TC", 0.0),
-    }
+    # + 0.0 and 0.0 - base: a vanishing coupling gives +0, never -0
+    base = g2inf / (2.0 * math.pi * fermi.v_F) + 0.0
+    eta = {"z": 0.0, "C": base, "S": base, "SC": 0.0 - base, "TC": 0.0 - base}
     X = {al: 1.0 - eta[al] - eta["z"] for al in CHANNELS}
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
     f_lam = 2.0 * params.lam.real * vh2p / (math.pi * fermi.v_F)

@@ -17,8 +17,8 @@ import math
 import numpy as np
 from dataclasses import dataclass, field, replace
 
-from .model import MomentumGrids, TWO_PI
-from .propagators import CutoffFunction, finite_size_scale
+from .model import TWO_PI
+from .propagators import CutoffFunction, ShellGrid, finite_size_scale, shell_support
 
 # ----------------------------------------------------------------------
 # configuration and state
@@ -145,25 +145,23 @@ def finite_scale_bubble(j, fermi, beta, L, gamma=None):
     """
     g = fermi.gamma if gamma is None else gamma
     chi = CutoffFunction(g)
-    grids = MomentumGrids(L, beta)
-    kp = grids.quasi()
-    kp = (kp + math.pi) % TWO_PI - math.pi
-    top = fermi.t0 * g ** (j + 2)   # support bound of C_j^2 - C_{j+1}^2
-    kt = np.abs(kp)
-    sel = fermi.v_F * kt <= top
-    kp = kp[sel]
-    k0 = grids.matsubara(top)
-    if kp.size == 0 or k0.size == 0:
+    # support of C_j^2 - C_{j+1}^2: the box of the h = j+1 shell
+    kp, kidx, k0 = shell_support(fermi.t0 * g ** (j + 2), L, beta, fermi)
+    if k0.size == 0:  # no shell: +0.0, where the empty sum below gives -0.0
         return 0.0
-    KP, K0 = np.meshgrid(kp, k0, indexing="ij")
-    norm = np.sqrt(K0 ** 2 + (fermi.v_F * KP) ** 2)
+    kp = (kp + math.pi) % TWO_PI - math.pi
 
-    def window(jj):
+    def window(norm, jj):
         return chi.chi0(norm / fermi.t0) - chi.chi0(norm / (fermi.t0 * g ** (jj - 1)))
 
-    w = window(j) ** 2 - window(j + 1) ** 2
-    denom = (-1j * K0 + fermi.v_F * KP) * (-1j * K0 - fermi.v_F * KP)
-    val = np.sum(w * np.real(1.0 / denom)) / (beta * L)
+    def weight(KP, K0):
+        norm = np.sqrt(K0 ** 2 + (fermi.v_F * KP) ** 2)
+        return window(norm, j) ** 2 - window(norm, j + 1) ** 2
+
+    grid = ShellGrid(kp, kidx, k0, fermi.v_F * kp, True, weight)
+    _, K0, w = grid.mesh()
+    band = grid.band[:, None]
+    val = np.sum(w * np.real(1.0 / ((-1j * K0 + band) * (-1j * K0 - band)))) / (beta * L)
     return -2.0 * float(val)
 
 

@@ -234,14 +234,6 @@ def test_discontinuity_predicate():
     assert not propagators.is_discontinuity_point(0, 0.5, 32.0)
 
 
-def test_compensated_sum_matches_fsum():
-    import math
-
-    rng = np.random.default_rng(3)
-    vals = list(rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, size=500))
-    assert propagators.compensated_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # single-scale pieces and scaling certificates
 # ---------------------------------------------------------------------------
@@ -256,12 +248,12 @@ def test_single_scale_pieces_sum_to_cutoff_representation():
     for x, x0 in [(3, 2.2), (7, 5.9)]:
         total = 0.0 + 0.0j
         for h in range(1, M + 1):
-            total += propagators.uv_single_scale(h, x, x0, params)
+            total += propagators.single_scale("uv", h, x, x0, params)
         for h in range(h_lbeta, 1):
             for omega in (1, -1):
                 # quasi-momentum evaluator: restore the Fermi phase
                 phase = np.exp(-1j * omega * fermi.p_FL * x)
-                total += phase * propagators.ir_single_scale(h, omega, x, x0, params)
+                total += phase * propagators.single_scale("ir", h, x, x0, params, omega)
         full = propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=M)
         assert total == pytest.approx(full, abs=1e-10)
 
@@ -279,7 +271,7 @@ def test_decay_bound_single_scale():
         for bx, bx0 in base:
             x = int(round(bx * s))
             x0 = bx0 * s
-            g = propagators.ir_single_scale(h, 1, x, x0, params)
+            g = propagators.single_scale("ir", h, x, x0, params, 1)
             vals.append(abs(g) / GAMMA**h)
         profiles.append(vals)
     profiles = np.array(profiles)
@@ -307,33 +299,48 @@ def test_gram_certificates_scaling():
     assert abs(slopeB - 4.0) < 0.4
     # Cauchy-Schwarz: |g^(h)| at a sample point is below |A| |B|
     c = certs[0]
-    g = propagators.ir_single_scale(-1, 1, 3, 1.0, ir_params)
+    g = propagators.single_scale("ir", -1, 3, 1.0, ir_params, 1)
     assert abs(g) <= np.sqrt(c.normA2 * c.normB2)
 
 
-def test_propagator_table_matches_pointwise():
+@pytest.mark.parametrize("kind, h, omega", [
+    pytest.param("uv", 3, None, id="uv"),
+    pytest.param("cutoff", None, None, id="cutoff"),
+    pytest.param("ir", -1, 1, id="ir+"),
+    pytest.param("ir", -1, -1, id="ir-"),
+    pytest.param("dirac", -1, 1, id="dirac+"),
+    pytest.param("dirac", -1, -1, id="dirac-"),
+])
+def test_propagator_table_matches_pointwise(kind, h, omega):
     params = _grid_params(beta=16.0, L=32)
     n_tau = 8
-    table = propagators.propagator_table("cutoff", 0, params, n_tau, M=6)
+    table = propagators.propagator_table(kind, h, params, n_tau, omega=omega, M=6)
     taus = params.beta * np.arange(n_tau) / n_tau
     for x in (0, 1, 5, 17):
         for m in (1, 3, 6):
-            direct = propagators.free_propagator(
-                x, taus[m], params, representation="cutoff_sum", M=6
-            )
+            if kind == "cutoff":
+                direct = propagators.free_propagator(
+                    x, taus[m], params, representation="cutoff_sum", M=6
+                )
+            else:
+                direct = propagators.single_scale(kind, h, x, taus[m], params, omega)
             assert table[x, m] == pytest.approx(direct, abs=1e-10)
 
 
-def test_ir_table_matches_single_scale():
-    params = _grid_params(beta=64.0, L=64)
-    n_tau = 8
-    h = -1
-    table = propagators.propagator_table("ir", h, params, n_tau, omega=1)
-    taus = params.beta * np.arange(n_tau) / n_tau
-    for x in (0, 3, 11):
-        for m in (1, 5):
-            direct = propagators.ir_single_scale(h, 1, x, taus[m], params)
-            assert table[x, m] == pytest.approx(direct, abs=1e-10)
+@pytest.mark.parametrize("kind", ["ir", "dirac"])
+def test_empty_shell_is_zero(kind):
+    # below the box scale the shell holds no frequency: the table, the point
+    # value and the Gram norms all vanish
+    params = _grid_params(beta=16.0, L=32)
+    h = propagators.finite_size_scale(params.beta, params.L, params.fermi()) - 1
+    table = propagators.propagator_table(kind, h, params, 8, omega=1)
+    assert table.shape == (params.L, 8)
+    assert not table.any()
+    assert propagators.shell_grid(kind, h, params, 1).k0.size == 0
+    assert propagators.single_scale(kind, h, 3, 2.2, params, 1) == 0j
+    if kind == "ir":
+        cert = propagators.gram_certify(h, "ir", params)
+        assert cert.normA2 == cert.normB2 == 0.0
 
 
 def test_l1_norm_scaling_slope():
