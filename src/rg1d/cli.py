@@ -239,7 +239,8 @@ FLOW = (
     Opt("h", int, -5000, ("<=", 0), key="target_h", help="target scale (negative)"),
     Opt("remainders", str, "none",
         ("in", ("none", "theta_tail", "finite_size", "both")), key="remainders"),
-    Opt("a-mode", str, "exact_limit", ("in", ("exact_limit", "finite_scale"))),
+    Opt("a-mode", str, "exact_limit", ("in", ("exact_limit", "finite_scale")),
+        help="finite_scale needs --h >= the box scale h_{L,beta}"),
     Opt("h-lbeta", int, help="box scale (default: the target scale)"),
     Opt("potential", str),
 )
@@ -251,6 +252,11 @@ def cmd_flow(o):
         params = ModelParams.from_p_F(o["lambda"], o["pF"],
                                       _potential_from(o["potential"]),
                                       o["beta"], o["L"])
+        # below the box scale no shell is left: a_j = 0 and bAj fails
+        h_box = propagators.finite_size_scale(o["beta"], o["L"], params.fermi())
+        if o["a-mode"] == "finite_scale" and target_h < h_box:
+            raise ConfigError("h must be >= the box scale h_{L,beta} = %d with "
+                              "--a-mode finite_scale, got %d" % (h_box, target_h))
         h_lbeta = target_h if o["h-lbeta"] is None else o["h-lbeta"]
         cfg = rgflow.BetaConfig(remainder_model=o["remainders"],
                                 a_mode=o["a-mode"], seed=o["seed"],
@@ -324,7 +330,8 @@ def cmd_exponents(o):
             results = pool.map(_exponents_point, tasks)
     results.sort(key=lambda r: r[0])
 
-    worst = max(r[-1] / max(abs(r[0]), 1e-300) ** 1.5 for r in results)
+    # the gap is exactly 0 at lambda = 0, which the ratio skips
+    worst = max((r[-1] / abs(r[0]) ** 1.5 for r in results if r[0]), default=0.0)
     summary = {
         "points": len(results),
         "c_coefficient": results[0][13],

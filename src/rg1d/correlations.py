@@ -97,19 +97,19 @@ def scale_window(x, x0, fermi, tail=1e-3):
     return np.arange(h_min, 1)
 
 
-def dirac_profiles(hs, x, x0, fermi, n_nodes=256):
+def dirac_profiles(hs, x, x0, fermi):
     """g_{D,+}^{(h)}(x, x0) for every h in hs (the omega = -1 branch is the
     conjugate).  Scales with gamma^h r > 1024 are dropped: the radial
     profile is below 1e-10 there and the dropped share of the full sum is
-    under 1e-9.  Node count doubles past gamma^h r = 256 to keep the
-    oscillatory quadrature resolved."""
+    under 1e-9.  The radial quadrature takes 256 nodes, 512 past
+    gamma^h r = 256 to keep the oscillatory integrand resolved."""
     chi = props.CutoffFunction(fermi.gamma)
     r = math.sqrt(float(x0) ** 2 + (float(x) / fermi.v_F) ** 2)
     R = fermi.gamma ** np.asarray(hs, dtype=float) * r
     keep = R <= 1024.0
     rad = np.zeros_like(R)
     if np.any(keep):
-        n = n_nodes if R[keep].max() <= 256.0 else max(2 * n_nodes, 512)
+        n = 256 if R[keep].max() <= 256.0 else 512
         rad[keep] = props._dirac_radial(R[keep], fermi, chi, n)
     pref = (float(x0) - 1j * float(x) / fermi.v_F) / (fermi.v_F * r)
     return pref * (fermi.gamma ** np.asarray(hs, dtype=float) / TWO_PI) * rad
@@ -236,14 +236,14 @@ class CorrelationResult:
 
 
 def assemble_response(x, alpha, ztab, ex, fermi, x0=0.0, rset=None,
-                      tail=1e-3, n_nodes=256):
+                      tail=1e-3):
     """Scale-sum response Omega_alpha(x, x0) and its closed form.
 
     The third (correction) class of terms is modeled as zero inside its
     error budget; rel_error compares scale sum and closed form.
     """
     hs = scale_window(x, x0, fermi, tail)
-    gp = dirac_profiles(hs, x, x0, fermi, n_nodes)
+    gp = dirac_profiles(hs, x, x0, fermi)
     cos2 = math.cos(2.0 * fermi.p_F * float(x))
     if alpha in ("C", "S"):
         Wu = _weight_matrix(ztab, ztab.Z1[alpha], hs)
@@ -270,7 +270,7 @@ def assemble_response(x, alpha, ztab, ex, fermi, x0=0.0, rset=None,
                              uni, osc, ucf, ocf, rel, ex, int(hs[0]))
 
 
-def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3, n_nodes=256):
+def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3):
     """Dressed two-point function and its closed form.
 
     Scale sum sum_w e^{-i w p_F x} sum_h g_w^{(h)}/Z_h; closed form
@@ -279,7 +279,7 @@ def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3, n_nodes=256):
     Returns (scale_sum, closed_form).
     """
     hs = scale_window(x, x0, fermi, tail)
-    gp = dirac_profiles(hs, x, x0, fermi, n_nodes)
+    gp = dirac_profiles(hs, x, x0, fermi)
     ii = (-hs).astype(int)
     if ii.max() > ztab.depth:
         raise ValueError("renormalization tables shallower than the scale "
@@ -300,10 +300,10 @@ def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3, n_nodes=256):
 # ----------------------------------------------------------------------
 
 
-def oscillation_peak(xs, values, flatten_power=2.0):
+def oscillation_peak(xs, values):
     """Dominant oscillation frequency of a correlation sample.
 
-    values on the uniform integer grid xs are flattened by |x|^p to undo the
+    values on the uniform integer grid xs are flattened by |x|^2 to undo the
     leading decay, de-meaned, and Fourier transformed; returns (omega_peak,
     bin_width).  The uniform part survives only in the removed mean and the
     lowest bins, so the peak lands on the 2 p_F line.
@@ -312,7 +312,7 @@ def oscillation_peak(xs, values, flatten_power=2.0):
     dx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), dx):
         raise ValueError("oscillation_peak needs a uniform grid")
-    w = np.asarray(values, dtype=float) * np.abs(xs) ** flatten_power
+    w = np.asarray(values, dtype=float) * np.abs(xs) ** 2.0
     w = w - w.mean()
     amp = np.abs(np.fft.rfft(w))
     k = 1 + int(np.argmax(amp[1:]))

@@ -197,12 +197,11 @@ def verify_closeness(state):
                        "closeness")
 
 
-def verify_sector(state, inner=None):
+def verify_sector(state):
     """Check gtilde_n in the (2eps/sin d, d/2) domain and g_n in the
     (3eps/sin d, d/4) domain for the whole horizon."""
-    dom = state.domain if inner is None else inner
-    d1 = dom.approximant_enlargement()
-    d2 = dom.trajectory_enlargement()
+    d1 = state.domain.approximant_enlargement()
+    d2 = state.domain.trajectory_enlargement()
     gt = approximant_path(state)
     bad_t = ~d2.contains(state.trajectory)
     bad_a = ~d1.contains(gt)
@@ -228,10 +227,10 @@ def verify_denominator_bound(state):
                        "denominator")
 
 
-def square_sum_estimate(g0, a, n, n_quad=20000):
+def square_sum_estimate(g0, a, n):
     """Quadrature of int_0^n |g0 / (1 + g0 a s)|^2 ds, the continuum estimate
-    of sum |g_k|^2 (finite for every g0 in a sector)."""
-    s = np.linspace(0.0, float(n), n_quad)
+    of sum |g_k|^2 (finite for every g0 in a sector), on 20000 nodes."""
+    s = np.linspace(0.0, float(n), 20000)
     vals = np.abs(g0 / (1.0 + g0 * a * s)) ** 2
     return float(np.trapezoid(vals, s))
 

@@ -20,11 +20,16 @@ momentum grids shared by every other module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# decay exponents 0 < theta < theta' < 1 of the multiscale bounds, fixed once
+# for the whole construction (remainder envelopes, counterterm kernel)
+THETA = 0.75
+THETA_PRIME = 0.9
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +232,14 @@ def check_positivity(params, fermi=None, strict=False):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full parameter set for one run.
+    """Full parameter set for one run: the model (lam, mu_bar, potential,
+    beta, L) and the scale geometry (gamma, M_uv).
 
     lam may be complex (flow-domain probes); physical correlation assembly
-    expects real lam >= 0 unless allow_complex is set.  M_uv is the
-    ultraviolet scale count, theta the remainder decay exponent.
+    expects real lam >= 0 unless allow_complex is set.  gamma is the one
+    source of the scale parameter for every stage, the coupling flow
+    included; M_uv is the ultraviolet scale count.  The decay exponents
+    are the module constants THETA and THETA_PRIME.
     """
 
     lam: complex
@@ -241,7 +249,6 @@ class ModelParams:
     L: int
     gamma: float = 2.0
     M_uv: int = 10
-    theta: float = 0.75
     allow_complex: bool = False
 
     def __post_init__(self):
@@ -251,8 +258,6 @@ class ModelParams:
             raise ValueError("beta and L must be positive")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
         lam = complex(self.lam)
         if lam.imag != 0.0 and not self.allow_complex:
             raise ValueError("complex lam requires allow_complex=True")

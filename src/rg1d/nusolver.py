@@ -9,9 +9,11 @@ satisfy nu = T(nu) with
 
 with |bcross|, |bdiag| <= c0 and the boundary value nu_{h_box} = 0.  The
 one-step beta coefficients are not available in closed form; the module
-ships the structural model with configurable bounded arrays (bdiag
-defaults to the first-order tadpole-like value c0 p_F / pi so that the
-counterterm tracks the filling).  T contracts on the weighted ball
+ships the structural model with bounded arrays (bdiag defaults to the
+first-order tadpole-like value c0 p_F / pi so that the counterterm tracks
+the filling).  A NuBetaModel keeps the box scale, c0, gamma and those
+arrays; the exponents theta < theta' are model.THETA and
+model.THETA_PRIME.  T contracts on the weighted ball
 ||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi |lambda| once the
 measured operator norm is below 1, and Picard iteration from 0 converges
 geometrically.
@@ -21,19 +23,20 @@ import math
 import numpy as np
 from dataclasses import dataclass, field, replace
 
+from .model import THETA, THETA_PRIME
+
 
 @dataclass
 class NuSequence:
     """Counterterm values on scales j = h_box .. 1 (ascending index)."""
 
     h_box: int
-    theta: float
     gamma: float
     values: np.ndarray
 
     @classmethod
-    def zero(cls, h_box, theta=0.75, gamma=2.0):
-        return cls(h_box, theta, gamma, np.zeros(2 - h_box, dtype=complex))
+    def zero(cls, h_box, gamma):
+        return cls(h_box, gamma, np.zeros(2 - h_box, dtype=complex))
 
     def scales(self):
         return np.arange(self.h_box, 2)
@@ -48,11 +51,11 @@ class NuSequence:
         return self.values[-1]
 
     def norm(self):
-        w = self.gamma ** (-self.theta * self.scales())
+        w = self.gamma ** (-THETA * self.scales())
         return float(np.max(w * np.abs(self.values)))
 
     def diff_norm(self, other):
-        w = self.gamma ** (-self.theta * self.scales())
+        w = self.gamma ** (-THETA * self.scales())
         return float(np.max(w * np.abs(self.values - other.values)))
 
 
@@ -62,13 +65,11 @@ class NuBetaModel:
 
     bdiag[j] and bcross[j, i] (used for i >= j) are bounded by c0; eps is
     the per-scale smallness factor on j = h_box+1 .. 1, either constant or
-    read from a coupling trajectory.  theta < theta_prime < 1.
+    read from a coupling trajectory.
     """
 
     h_box: int
     c0: float
-    theta: float
-    theta_prime: float
     gamma: float
     bdiag: np.ndarray      # index j - h_box, scales h_box .. 1
     bcross: np.ndarray     # [j - h_box, i - h_box], applied for i >= j
@@ -83,13 +84,12 @@ class NuBetaModel:
         return np.arange(self.h_box, 2)
 
 
-def default_model(h_box, p_F, eps_value, c0=0.25, theta=0.75,
-                  theta_prime=0.9, gamma=2.0):
-    """Constant-envelope model: bcross = c0, bdiag = c0 p_F / pi, eps
-    constant.  c0 = 1 would not contract at the default scales; 0.25 keeps
-    the measured operator norm safely below 1/2 for |lambda| <= 0.02."""
+def default_model(h_box, p_F, eps_value, c0=0.25):
+    """Constant-envelope model at gamma = 2: bcross = c0, bdiag = c0 p_F / pi,
+    eps constant.  c0 = 1 would not contract at the default scales; 0.25
+    keeps the measured operator norm safely below 1/2 for |lambda| <= 0.02."""
     n = 2 - h_box
-    return NuBetaModel(h_box, c0, theta, theta_prime, gamma,
+    return NuBetaModel(h_box, c0, 2.0,
                        np.full(n, c0 * p_F / math.pi),
                        np.full((n, n), c0),
                        np.full(n, float(eps_value)))
@@ -106,9 +106,9 @@ def beta_sequence(nu, model):
     i_minus_j = js[None, :] - js[:, None]
     # weights gamma^{-theta'(i-j)} on the upper triangle i >= j
     w = np.where(i_minus_j >= 0,
-                 model.gamma ** (-model.theta_prime * i_minus_j), 0.0)
+                 model.gamma ** (-THETA_PRIME * i_minus_j), 0.0)
     cross = (model.bcross * w) @ nu.values
-    forcing = model.gamma ** (model.theta_prime * js) * model.bdiag
+    forcing = model.gamma ** (THETA_PRIME * js) * model.bdiag
     return model.eps * (cross + forcing)
 
 
@@ -122,7 +122,7 @@ def T_operator(nu, model):
     out = np.zeros_like(nu.values)
     for k in range(1, out.size):
         out[k] = (out[k - 1] - b[k]) / model.gamma
-    return NuSequence(model.h_box, model.theta, model.gamma, out)
+    return NuSequence(model.h_box, model.gamma, out)
 
 
 def operator_matrix(model):
@@ -131,7 +131,7 @@ def operator_matrix(model):
     n = js.size
     i_minus_j = js[None, :] - js[:, None]
     w = np.where(i_minus_j >= 0,
-                 model.gamma ** (-model.theta_prime * i_minus_j), 0.0)
+                 model.gamma ** (-THETA_PRIME * i_minus_j), 0.0)
     dB = model.eps[:, None] * model.bcross * w
     A = np.zeros((n, n))
     for k in range(1, n):
@@ -143,8 +143,8 @@ def operator_norm(model):
     """Weighted norm max_h gamma^{-theta h} sum_i |A_{h,i}| gamma^{theta i}."""
     A = operator_matrix(model)
     js = model.scales().astype(float)
-    row = np.abs(A) @ model.gamma ** (model.theta * js)
-    return float(np.max(model.gamma ** (-model.theta * js) * row))
+    row = np.abs(A) @ model.gamma ** (THETA * js)
+    return float(np.max(model.gamma ** (-THETA * js) * row))
 
 
 # ----------------------------------------------------------------------
@@ -162,16 +162,17 @@ class SolveReport:
     contracting: bool = True
 
 
-def solve_fixed_point(model, tol=1e-12, max_iter=400):
+def solve_fixed_point(model, tol=1e-12):
     """Picard iteration from nu = 0; geometric convergence expected.
 
-    Raises on a measured successive-difference ratio >= 1 (the map is then
-    not a contraction at these parameters).
+    Reports a measured successive-difference ratio >= 1 as not contracting
+    (the map is then not a contraction at these parameters); raises if 400
+    iterations do not reach tol.
     """
-    nu = NuSequence.zero(model.h_box, model.theta, model.gamma)
+    nu = NuSequence.zero(model.h_box, model.gamma)
     prev_diff = None
     ratios = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, 401):
         nxt = T_operator(nu, model)
         diff = nxt.diff_norm(nu)
         if prev_diff is not None and prev_diff > 0.0:
@@ -185,25 +186,24 @@ def solve_fixed_point(model, tol=1e-12, max_iter=400):
             ratio = max(ratios) if ratios else 0.0
             return SolveReport(nu, it, resid, ratio, ratios, True)
         prev_diff = diff
-    raise RuntimeError("fixed point not reached within max_iter")
+    raise RuntimeError("fixed point not reached within 400 iterations")
 
 
-def ball_check(model, xi_lam, n_samples=100, seed=0):
+def ball_check(model, xi_lam, seed=0):
     """T maps the ball ||nu||_theta <= xi_lam into itself, and contracts
-    on random pairs.  Returns (worst output norm / xi_lam, worst pair
-    ratio)."""
+    on random pairs, over 100 random points.  Returns (worst output norm /
+    xi_lam, worst pair ratio)."""
     rng = np.random.default_rng(seed)
     js = np.arange(model.h_box, 2)
-    w = model.gamma ** (model.theta * js)
+    w = model.gamma ** (THETA * js)
     worst_norm = 0.0
     worst_ratio = 0.0
     prev = None
-    for _ in range(n_samples):
+    for _ in range(100):
         u = rng.uniform(-1.0, 1.0, js.size) \
             + 1j * rng.uniform(-1.0, 1.0, js.size)
         u *= rng.uniform(0.0, 1.0) / np.max(np.abs(u))
-        nu = NuSequence(model.h_box, model.theta, model.gamma,
-                        xi_lam * w * u)
+        nu = NuSequence(model.h_box, model.gamma, xi_lam * w * u)
         nu.values[0] = 0.0
         out = T_operator(nu, model)
         worst_norm = max(worst_norm, out.norm() / xi_lam)
@@ -250,8 +250,9 @@ class InversionReport:
     residual: float
 
 
-def invert_pF(mu_bar, model, tol=1e-12, max_iter=100, damping=1.0):
-    """Solve mu_bar = mu + nu1(mu) by damped fixed-point iteration.
+def invert_pF(mu_bar, model, tol=1e-12):
+    """Solve mu_bar = mu + nu1(mu) by fixed-point iteration (at most 100
+    steps).
 
     Contraction needs |d nu1 / d mu| < 1/2; the measured finite-difference
     derivative is reported and enforced.
@@ -263,8 +264,8 @@ def invert_pF(mu_bar, model, tol=1e-12, max_iter=100, damping=1.0):
         raise RuntimeError("d nu1/d mu = %.3f outside the contraction "
                            "regime" % deriv)
     mu = mu_bar
-    for it in range(1, max_iter + 1):
-        nxt = mu + damping * ((mu_bar - nu1_of_mu(mu, model, tol)) - mu)
+    for it in range(1, 101):
+        nxt = mu_bar - nu1_of_mu(mu, model, tol)
         if abs(nxt - mu) < tol:
             mu = nxt
             break

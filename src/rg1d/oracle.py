@@ -654,12 +654,12 @@ def bubble_quadrature(h, fermi, gamma=None, extrapolate=False):
 # ----------------------------------------------------------------------
 
 
-def mp_map_trajectory(g0, a_seq, n, dps=40):
-    """Iterate g -> g - a_k g^2 in dps-digit arithmetic.
+def mp_map_trajectory(g0, a_seq, n):
+    """Iterate g -> g - a_k g^2 in 40-digit arithmetic.
 
     Returns (trajectory as complex128 array, OracleValue of g_n) where
-    the bar is the difference against a rerun at dps + 20 digits; this
-    bounds the float iteration's roundoff drift in the closeness tests.
+    the bar is the difference against a rerun at 60 digits; this bounds
+    the float iteration's roundoff drift in the closeness tests.
     """
     import mpmath
 
@@ -676,6 +676,6 @@ def mp_map_trajectory(g0, a_seq, n, dps=40):
                 traj.append(complex(g))
         return np.asarray(traj, dtype=complex)
 
-    base = run(dps)
-    check = run(dps + 20)
+    base = run(40)
+    check = run(60)
     return base, OracleValue(abs(base[-1]), float(abs(base[-1] - check[-1])))

@@ -215,10 +215,10 @@ def high_frequency_tail(tau, M, k, params):
 # infrared scale bookkeeping
 # ----------------------------------------------------------------------
 
-def finite_size_scale(beta, L, fermi, t0=None):
+def finite_size_scale(beta, L, fermi):
     """Deepest infrared scale h_{L,beta}: the smallest h such that
     t0 gamma^{h+1} > |k_m| with k_m = (pi/beta, pi/L) in the scaled norm."""
-    t0 = fermi.t0 if t0 is None else t0
+    t0 = fermi.t0
     km = math.sqrt((math.pi / beta) ** 2 + (fermi.v_F * math.pi / L) ** 2)
     h = int(math.floor(math.log(km / t0, fermi.gamma)))
     while t0 * fermi.gamma ** (h + 1) <= km:
@@ -347,7 +347,7 @@ def _gl_nodes(n):
     return _GL_CACHE[n]
 
 
-def _dirac_radial(R, fermi, chi, n_nodes=256):
+def _dirac_radial(R, fermi, chi, n_nodes):
     """I0(R) = int du chibar0(u) J1(u R), shell u in [t0/gamma, t0*gamma],
     chibar0(u) = chi0(u/t0) - chi0(u gamma/t0).  Vectorized over R.
 
@@ -420,16 +420,16 @@ def fit_loglog_slope(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)[0])
 
 
-def certify_gram_scaling(hs, kind, params, omega=1, rel_tol=0.10):
+def certify_gram_scaling(hs, kind, params, omega=1):
     """Fit the scaling of |A|^2, |B|^2 across scales hs and compare with the
-    certified exponents.  Returns (certs, slopeA, slopeB, ok)."""
+    certified exponents to 10%.  Returns (certs, slopeA, slopeB, ok)."""
     certs = [gram_certify(h, kind, params, omega) for h in hs]
     la = fit_loglog_slope([params.gamma ** c.h for c in certs],
                           [c.normA2 for c in certs])
     lb = fit_loglog_slope([params.gamma ** c.h for c in certs],
                           [c.normB2 for c in certs])
     ta, tb = GRAM_POWERS[kind]
-    ok = abs(la - ta) <= rel_tol * abs(ta) and abs(lb - tb) <= rel_tol * abs(tb)
+    ok = abs(la - ta) <= 0.10 * abs(ta) and abs(lb - tb) <= 0.10 * abs(tb)
     return certs, la, lb, ok
 
 

@@ -19,6 +19,8 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
+from .model import THETA
+
 # channel -> (coefficient of a*g1_h, coefficient of a*(g2_h - g2_inf))
 Z2_COEFFS = {
     "C": (-1.0, +0.5),
@@ -77,10 +79,10 @@ class RenormSet:
         return float((1.0 - t_frac) * arr[i0] + t_frac * arr[i0 + 1])
 
 
-def _residuals(mode, lam, depth, theta, gamma, scale, seed):
+def _residuals(mode, lam, depth, gamma, seed):
     """Per-scale residual sequence r_h with sum_h |r_h| <= C |lam|^2.
 
-    "none": zeros; "envelope": scale * |lam|^2 gamma^{theta h} with signs
+    "none": zeros; "envelope": |lam|^2 gamma^{theta h} with signs
     +1 (worst case) or seeded uniform in [-1, 1].
     """
     if mode == "none":
@@ -91,10 +93,10 @@ def _residuals(mode, lam, depth, theta, gamma, scale, seed):
     if seed is not None:
         mods = np.random.default_rng(seed).uniform(-1.0, 1.0, depth)
     hs = -np.arange(depth, dtype=float)
-    return scale * abs(lam) ** 2 * gamma ** (theta * hs) * mods
+    return abs(lam) ** 2 * gamma ** (THETA * hs) * mods
 
 
-def z_flow(traj, limits, residual_mode="none", residual_scale=1.0, seed=None):
+def z_flow(traj, limits, residual_mode="none", seed=None):
     """Integrate the Zhat ratios along a coupling trajectory.
 
     Ratio at scale h (step h -> h-1), with d2_h = g2_h - g2_inf:
@@ -109,11 +111,10 @@ def z_flow(traj, limits, residual_mode="none", residual_scale=1.0, seed=None):
     depth = g1.size - 1
     a = traj.a
     d2 = g2 - limits.g2_inf.real
-    cfg = traj.cfg
     out = {}
     for ki, key in enumerate(HAT_KEYS):
-        r = _residuals(residual_mode, traj.lam, depth, cfg.theta, cfg.gamma,
-                       residual_scale, None if seed is None else seed + ki)
+        r = _residuals(residual_mode, traj.lam, depth, traj.gamma,
+                       None if seed is None else seed + ki)
         if key.startswith("2"):
             cg1, cd2 = Z2_COEFFS[key[1:]]
             ratios = 1.0 + a * (cg1 * g1[:-1] + cd2 * d2[:-1]) + r

@@ -15,10 +15,19 @@ and probes boundedness over complex sectors and shrinking disks.
 
 import math
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .model import TWO_PI
+from .model import THETA, TWO_PI
 from .propagators import CutoffFunction, ShellGrid, finite_size_scale, shell_support
+
+# constants of the inductive bounds, fixed for the whole construction
+B1 = 1.0     # remainder envelope b1 eps_j |g1_j|^2 on each coupling
+B2 = 1.0     # g1 tail envelope b2 eps_j |g1_j| (theta_tail, finite_size); vdiff1
+C_BAR = 1.0  # vdiff1 transient 2 c_bar eps0 gamma^{theta j/2}; disk-chain growth
+C2 = 2.0     # bAj: |a_j - a| <= c2 |g1_{j0}|
+C3 = 2.0     # bej: eps_j <= c3 eps0; the flow escapes past 2 c3 eps0
+C4 = 1.0     # threshold scale j0 = -ceil(1 / (c4 |g1_0|^{1/2}))
+EPS0 = 0.1   # smallness scale eps0 of bej, vdiff1 and the escape bound
 
 # ----------------------------------------------------------------------
 # configuration and state
@@ -42,7 +51,8 @@ class RunningCouplings:
 
 @dataclass(frozen=True)
 class BetaConfig:
-    """Flow configuration: bubble-constant mode, remainder model, constants.
+    """The per-run flow settings: bubble-constant mode, remainder model,
+    box scale and seed.
 
     a_mode "exact_limit" uses a = log(gamma)/(pi v_F) at every scale;
     "finite_scale" evaluates the lattice bubble increment a^{(j)} (within
@@ -50,30 +60,14 @@ class BetaConfig:
     terms are added: "none", "theta_tail" (gamma^{theta j} transients),
     "finite_size" (gamma^{-(j-h_lbeta)} tails), or "both".  seed None means
     deterministic worst-case remainders at full envelope magnitude.
+    gamma comes from the model (ModelParams.gamma), theta is model.THETA
+    and the bound constants are the module constants above.
     """
 
-    gamma: float = 2.0
     a_mode: str = "exact_limit"
     remainder_model: str = "none"
-    theta: float = 0.75
-    theta_prime: float = 0.9
-    b1: float = 1.0
-    b2: float = 1.0
-    b3: float = 1.0
-    c_bar: float = 1.0
-    c0: float = 0.25
-    c4: float = 1.0
-    c5: float = 1.0
-    xi: float = 1.0
-    c1: float | None = None     # default 4a, resolved at run time
-    c2: float = 2.0
-    c3: float = 2.0
-    eps0: float = 0.1
     h_lbeta: int | None = None  # resolved from (beta, L) when None
     seed: int | None = None
-
-    def resolved_c1(self, a):
-        return 4.0 * a if self.c1 is None else self.c1
 
 
 @dataclass
@@ -83,6 +77,7 @@ class FlowTrajectory:
     Arrays are indexed by scale offset i = -j, i.e. position 0 holds j=0.
     checks maps check name -> CheckResult.  escaped_at is the first scale
     where eps_j exceeded 2 c3 eps0 (flow stopped there), else None.
+    gamma is the scale parameter of the model the flow ran on.
     """
 
     lam: complex
@@ -94,7 +89,7 @@ class FlowTrajectory:
     h_star: int | None
     h_lbeta: int
     target_h: int
-    cfg: BetaConfig
+    gamma: float
     checks: dict = field(default_factory=dict)
     escaped_at: int | None = None
 
@@ -126,13 +121,12 @@ class CheckResult:
 # ----------------------------------------------------------------------
 
 
-def bubble_constant(fermi, gamma=None):
+def bubble_constant(fermi):
     """Asymptotic one-loop bubble per scale: a = log(gamma) / (pi v_F)."""
-    g = fermi.gamma if gamma is None else gamma
-    return math.log(g) / (math.pi * fermi.v_F)
+    return math.log(fermi.gamma) / (math.pi * fermi.v_F)
 
 
-def finite_scale_bubble(j, fermi, beta, L, gamma=None):
+def finite_scale_bubble(j, fermi, beta, L):
     """Lattice bubble increment a^{(j)} at scale j <= 0.
 
     a^{(j)} = -2 (1/(beta L)) sum_{k' in D'_L, k0} [C_j^2 - C_{j+1}^2]
@@ -143,7 +137,7 @@ def finite_scale_bubble(j, fermi, beta, L, gamma=None):
     bubble_constant as j - h_lbeta -> infinity, within the
     C gamma^{-(j-h_lbeta)} envelope.
     """
-    g = fermi.gamma if gamma is None else gamma
+    g = fermi.gamma
     chi = CutoffFunction(g)
     # support of C_j^2 - C_{j+1}^2: the box of the h = j+1 shell
     kp, kidx, k0 = shell_support(fermi.t0 * g ** (j + 2), L, beta, fermi)
@@ -183,7 +177,7 @@ def _remainder_draws(rng, n):
     return rng.uniform(-1.0, 1.0, n)
 
 
-def flow_step(v, cfg, a_j, eps_j, h_lbeta, rng=None, nu_next=None):
+def flow_step(v, cfg, gamma, a_j, eps_j, h_lbeta, rng):
     """One scale step j -> j-1.  Returns the new RunningCouplings.
 
     Remainders are added inside their envelopes:
@@ -191,35 +185,31 @@ def flow_step(v, cfg, a_j, eps_j, h_lbeta, rng=None, nu_next=None):
                unless remainder_model is none),
       extra on g1: b2 eps_j |g1| gamma^{theta j} (theta_tail) and/or
                    b2 eps_j |g1| gamma^{-(j - h_lbeta)} (finite_size).
-    nu_next overrides the nu recursion (externally solved sequences).
     """
     dg1, dg2, dg4, dd = beta_second_order(v.g1, a_j)
-    g = cfg.gamma
     r = np.zeros(5, dtype=complex)
     if cfg.remainder_model != "none":
-        base = cfg.b1 * eps_j * abs(v.g1) ** 2
+        base = B1 * eps_j * abs(v.g1) ** 2
         mods = _remainder_draws(rng, 5)
         r[:4] = base * mods[:4]
         tail = 0.0
         if cfg.remainder_model in ("theta_tail", "both"):
-            tail += g ** (cfg.theta * v.j)
+            tail += gamma ** (THETA * v.j)
         if cfg.remainder_model in ("finite_size", "both"):
-            tail += g ** (-(v.j - h_lbeta))
-        r[0] += cfg.b2 * eps_j * abs(v.g1) * tail * mods[4]
-    nu = g * v.nu if nu_next is None else nu_next
+            tail += gamma ** (-(v.j - h_lbeta))
+        r[0] += B2 * eps_j * abs(v.g1) * tail * mods[4]
     return RunningCouplings(v.g1 + dg1 + r[0], v.g2 + dg2 + r[1],
                             v.g4 + dg4 + r[2], v.delta + dd + r[3],
-                            nu, v.j - 1)
+                            gamma * v.nu, v.j - 1)
 
 
-def initial_couplings(params, fermi=None, nu0=0.0):
+def initial_couplings(params, fermi):
     """First-order initial data: g1 = 2 lam vhat(2 p_F), g2 = g4 = 2 lam vhat(0)."""
-    fermi = params.fermi() if fermi is None else fermi
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
     vh0 = params.potential.fourier(0.0)
     lam = params.lam
     return RunningCouplings(2.0 * lam * vh2p, 2.0 * lam * vh0,
-                            2.0 * lam * vh0, 0.0, nu0, 0)
+                            2.0 * lam * vh0, 0.0, 0.0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -227,20 +217,20 @@ def initial_couplings(params, fermi=None, nu0=0.0):
 # ----------------------------------------------------------------------
 
 
-def _threshold_j0(g1_0, c4):
+def _threshold_j0(g1_0):
     mag = abs(g1_0)
     if mag == 0.0:
         return -1
-    return -int(math.ceil(1.0 / (c4 * math.sqrt(mag))))
+    return -int(math.ceil(1.0 / (C4 * math.sqrt(mag))))
 
 
-def run_flow(params, cfg, target_h, fermi=None, nu_sequence=None,
-             with_checks=True):
+def run_flow(params, cfg, target_h, with_checks=True):
     """Integrate the flow from j=0 down to target_h and check Lemma-style
     inequalities along the way.  Stops early (escaped_at set) if the
-    smallness variable exceeds 2 c3 eps0."""
-    fermi = params.fermi() if fermi is None else fermi
-    a = bubble_constant(fermi, cfg.gamma)
+    smallness variable exceeds 2 c3 eps0.  gamma is the model's."""
+    fermi = params.fermi()
+    gamma = fermi.gamma
+    a = bubble_constant(fermi)
     if cfg.h_lbeta is not None:
         h_lbeta = cfg.h_lbeta
     else:
@@ -248,8 +238,6 @@ def run_flow(params, cfg, target_h, fermi=None, nu_sequence=None,
     rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
     v = initial_couplings(params, fermi)
-    if nu_sequence is not None:
-        v = replace(v, nu=complex(nu_sequence[0]))
     n = -target_h + 1
     coup = np.empty((n, 5), dtype=complex)
     eps = np.empty(n)
@@ -258,31 +246,27 @@ def run_flow(params, cfg, target_h, fermi=None, nu_sequence=None,
     lam_mag = abs(params.lam)
     run_max = max(abs(v.g1), abs(v.g2), abs(v.g4), abs(v.delta))
     eps[0] = max(lam_mag, run_max)
-    j0 = _threshold_j0(v.g1, cfg.c4)
+    j0 = _threshold_j0(v.g1)
     h_star = None
     escaped = None
 
     for i in range(n - 1):
         j = -i
         if cfg.a_mode == "finite_scale":
-            a_j = finite_scale_bubble(j, fermi, params.beta, params.L,
-                                      cfg.gamma)
+            a_j = finite_scale_bubble(j, fermi, params.beta, params.L)
         else:
             a_j = a
         a_seq[i] = a_j
-        nu_next = None
-        if nu_sequence is not None and i + 1 < len(nu_sequence):
-            nu_next = complex(nu_sequence[i + 1])
-        v = flow_step(v, cfg, a_j, eps[i], h_lbeta, rng, nu_next)
+        v = flow_step(v, cfg, gamma, a_j, eps[i], h_lbeta, rng)
         coup[i + 1] = v.as_array()
         run_max = max(run_max, abs(v.g1), abs(v.g2), abs(v.g4), abs(v.delta))
         eps[i + 1] = max(lam_mag, run_max)
         if h_star is None and v.j < j0 and abs(v.g1) > 0.0:
             # gamma^{-(j - h_lbeta)} <= |g1|^2, compared in logs
-            if -(v.j - h_lbeta) * math.log(cfg.gamma) <= \
+            if -(v.j - h_lbeta) * math.log(gamma) <= \
                     2.0 * math.log(abs(v.g1)):
                 h_star = v.j
-        if eps[i + 1] > 2.0 * cfg.c3 * cfg.eps0:
+        if eps[i + 1] > 2.0 * C3 * EPS0:
             escaped = v.j
             coup[i + 2:] = coup[i + 1]
             eps[i + 2:] = eps[i + 1]
@@ -291,7 +275,7 @@ def run_flow(params, cfg, target_h, fermi=None, nu_sequence=None,
     a_seq[n - 1] = a_seq[n - 2] if n > 1 else a
 
     traj = FlowTrajectory(params.lam, coup, eps, a_seq, a, j0, h_star,
-                          h_lbeta, target_h, cfg, {}, escaped)
+                          h_lbeta, target_h, gamma, {}, escaped)
     if with_checks and escaped is None:
         traj.checks = flow_checks(traj)
     return traj
@@ -314,12 +298,12 @@ def flow_checks(traj):
     vdiff1: |v_{j-1} - v_j| <= 2a|g1_j|^2 + 2 c_bar eps0 gamma^{theta j/2}
             + 2 b2 eps_j^2 gamma^{-(j-h_lbeta)}           (j0 <= j <= 0)
     bej:    eps_j <= c3 eps0                              (j >= h_star)
-    vdiff:  |v_{j-1} - v_j| <= c1 |g1_j|^2                (h* <= j <= j0)
+    vdiff:  |v_{j-1} - v_j| <= 4a |g1_j|^2                (h* <= j <= j0)
     gerr:   |g1_j - gtilde_{1,j}| <= |gtilde_{1,j}|^{3/2} (j >= h_star)
     bAj:    |a_j - a| <= c2 |g1_{j0}|                     (all j)
     overstar: |g1_j| <= 2|g1_{h*}| and eps_j <= 2 c3 eps0 (j < h*)
     """
-    cfg = traj.cfg
+    gamma = traj.gamma
     n = traj.couplings.shape[0]
     js = -np.arange(n)
     g1 = traj.couplings[:, 0]
@@ -333,21 +317,20 @@ def flow_checks(traj):
     sel = (js[:-1] >= j0)
     jsel = js[:-1][sel]
     env = (2.0 * a * np.abs(g1[:-1][sel]) ** 2
-           + 2.0 * cfg.c_bar * cfg.eps0 * cfg.gamma ** (0.5 * cfg.theta * jsel)
-           + 2.0 * cfg.b2 * traj.eps[:-1][sel] ** 2
-           * cfg.gamma ** (-(jsel - traj.h_lbeta)))
+           + 2.0 * C_BAR * EPS0 * gamma ** (0.5 * THETA * jsel)
+           + 2.0 * B2 * traj.eps[:-1][sel] ** 2
+           * gamma ** (-(jsel - traj.h_lbeta)))
     out["vdiff1"] = _check_from_margins("vdiff1", jsel, diffs[sel] - env)
 
     # bej for j >= h_star
     sel = js >= h_star
     out["bej"] = _check_from_margins(
-        "bej", js[sel], traj.eps[sel] - cfg.c3 * cfg.eps0,
-        constants=traj.eps[sel] / cfg.eps0)
+        "bej", js[sel], traj.eps[sel] - C3 * EPS0,
+        constants=traj.eps[sel] / EPS0)
 
     # vdiff for h_star <= j <= j0
-    c1 = cfg.resolved_c1(a)
     sel = (js[:-1] <= j0) & (js[:-1] >= h_star)
-    ref = c1 * np.abs(g1[:-1]) ** 2
+    ref = 4.0 * a * np.abs(g1[:-1]) ** 2
     meas = diffs / np.maximum(np.abs(g1[:-1]) ** 2, 1e-300)
     out["vdiff"] = _check_from_margins("vdiff", js[:-1][sel],
                                        (diffs - ref)[sel],
@@ -365,14 +348,14 @@ def flow_checks(traj):
     # bAj at every integrated scale
     g1j0 = abs(traj.g1_at(j0)) if j0 >= traj.target_h else abs(g1[-1])
     out["bAj"] = _check_from_margins(
-        "bAj", js[:-1], np.abs(traj.a_seq[:-1] - a) - cfg.c2 * g1j0)
+        "bAj", js[:-1], np.abs(traj.a_seq[:-1] - a) - C2 * g1j0)
 
     # overstar below h_star
     sel = js < h_star
     if traj.h_star is not None and sel.any():
         g1hs = abs(traj.g1_at(traj.h_star))
         m1 = np.abs(g1[sel]) - 2.0 * g1hs
-        m2 = traj.eps[sel] - 2.0 * cfg.c3 * cfg.eps0
+        m2 = traj.eps[sel] - 2.0 * C3 * EPS0
         out["overstar"] = _check_from_margins(
             "overstar", js[sel], np.maximum(m1, m2))
     else:
@@ -396,12 +379,13 @@ class FixedPointValues:
     trailing_diff: float
 
 
-def fixed_point_values(traj, params, fermi=None, tol=1e-9, window=16):
+def fixed_point_values(traj, params, tol=1e-9):
     """Limits of (g2, g4, delta).  g2 uses the conserved combination
-    g2_j - g1_j/2 (exact on the truncated flow, estimate otherwise)."""
-    fermi = params.fermi() if fermi is None else fermi
+    g2_j - g1_j/2 (exact on the truncated flow, estimate otherwise);
+    converged means the last 16 scales moved by less than tol."""
+    fermi = params.fermi()
     c = traj.couplings
-    tail = np.abs(np.diff(c[-window:], axis=0)).max() if c.shape[0] > window \
+    tail = np.abs(np.diff(c[-16:], axis=0)).max() if c.shape[0] > 16 \
         else math.inf
     g2_inf = c[-1, 1] - 0.5 * c[-1, 0]
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
@@ -430,7 +414,7 @@ def _log_model(a, g1j0, j0, h, factor):
     return (1.0 / (factor * a)) * math.log(1.0 + a * g1j0 * (j0 - h))
 
 
-def log_sum_lemma(traj, h, params=None, fermi=None):
+def log_sum_lemma(traj, h):
     """Compare sum_{j=h}^{j0} g1_j with (1/a) log(1 + a g1_{j0}(j0 - h)) and
     the g2 analogue with (1/(2a)).
 
@@ -495,38 +479,37 @@ class ProbePoint:
     chain_ok: bool | None    # disk-chain recursion verdict (None off-chain)
 
 
-def derived_disk_constant(cfg):
+def derived_disk_constant():
     """c0 for the shrinking-disk chain |lam| < c0/(1+|h|): the largest value
     keeping lambda-bar_j <= 2 lambda-bar_0 through |h| quadratic-growth steps
     (lambda-bar_{j-1} = lambda-bar_j + c_bar lambda-bar_j^2)."""
-    return min(0.5 * cfg.eps0, 0.25 / cfg.c_bar) / cfg.c3
+    return min(0.5 * EPS0, 0.25 / C_BAR) / C3
 
 
-def smallness_chain_ok(lam0, h, c_bar):
+def smallness_chain_ok(lam0, h):
     """Iterate lambda-bar_{j-1} = lambda-bar_j + c_bar lambda-bar_j^2 from
     |lam0| for |h| steps; True iff it stays <= 2 |lam0|."""
     lb = abs(lam0)
     bound = 2.0 * abs(lam0)
     for _ in range(-h):
-        lb = lb + c_bar * lb * lb
+        lb = lb + C_BAR * lb * lb
         if lb > bound:
             return False
     return True
 
 
-def borel_domain_probe(params_of_lam, cfg, rays=16, radius=0.02,
-                       delta=math.pi / 4, h_sector=-5000,
-                       disk_hs=(-50, -500, -5000), disk_frac=0.9):
-    """Boundedness map over the sector boundary and the shrinking disks.
+def flow_sector_probe(params_of_lam, cfg, rays=16, radius=0.02, h_sector=-5000,
+                      disk_hs=(-50, -500, -5000)):
+    """Boundedness map of the flow over a complex sector and shrinking disks.
 
     params_of_lam: callable lam -> ModelParams (fixes potential, mu, grids).
-    Sector part: rays at |Arg lam| <= pi - delta, fixed |lam| = radius,
+    Sector part: rays at |Arg lam| <= 3 pi/4, fixed |lam| = radius,
     flow run down to h_sector; bounded means no escape and eps within
-    2 c3 eps0.  Disk part: real lam = disk_frac * c0 / (1 + |h|) per h, with
+    2 c3 eps0.  Disk part: real lam = 0.9 c0 / (1 + |h|) per h, with
     both the flow run and the scalar smallness chain checked.
     """
     pts = []
-    angles = np.linspace(-(math.pi - delta), math.pi - delta, rays)
+    angles = np.linspace(-3 * math.pi / 4, 3 * math.pi / 4, rays)
     for th in angles:
         lam = radius * np.exp(1j * th)
         traj = run_flow(params_of_lam(complex(lam)), cfg, h_sector,
@@ -534,11 +517,11 @@ def borel_domain_probe(params_of_lam, cfg, rays=16, radius=0.02,
         pts.append(ProbePoint(complex(lam), h_sector,
                               traj.escaped_at is None,
                               traj.escaped_at, float(traj.eps.max()), None))
-    c0 = derived_disk_constant(cfg)
+    c0 = derived_disk_constant()
     for h in disk_hs:
-        lam = disk_frac * c0 / (1.0 + abs(h))
+        lam = 0.9 * c0 / (1.0 + abs(h))
         traj = run_flow(params_of_lam(lam), cfg, h, with_checks=False)
         pts.append(ProbePoint(lam, h, traj.escaped_at is None,
                               traj.escaped_at, float(traj.eps.max()),
-                              smallness_chain_ok(lam, h, cfg.c_bar)))
+                              smallness_chain_ok(lam, h)))
     return pts

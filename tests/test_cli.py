@@ -105,3 +105,25 @@ def test_bad_config_value_exits_2(config, tmp_path, capsys):
     path.write_text(config)
     assert _run(["flow", "--config", str(path)], tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_exponents_ratio_skips_lambda_zero(tmp_path):
+    key = "worst_fixed_point_gap_over_lam32"
+    assert _run(["exponents", "--lambda-grid", "0:0.02:0.01"], tmp_path / "a") == 0
+    assert _run(["exponents", "--lambda-grid", "0.01:0.02:0.01"], tmp_path / "b") == 0
+    assert _summary(tmp_path / "a", "exponents")[key] == \
+        _summary(tmp_path / "b", "exponents")[key]
+    assert _run(["exponents", "--lambda-grid", "0:0:0.01"], tmp_path / "c") == 0
+    assert _summary(tmp_path / "c", "exponents")[key] == "0"
+
+
+def test_finite_scale_flow_stops_at_the_box_scale(tmp_path, capsys):
+    # h_{L,beta} = -2 on the L = beta = 64 box: no shell is left below it
+    box = ["flow", "--a-mode", "finite_scale", "--L", "64", "--beta", "64"]
+    assert _run(box + ["--h", "-2"], tmp_path) == 0
+    assert _summary(tmp_path, "flow")["check_bAj"] == "pass"
+    capsys.readouterr()
+    assert _run(box + ["--h", "-3"], tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "h_{L,beta} = -2" in err[0]

@@ -169,8 +169,6 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         model.ModelParams(lam=0.1, mu_bar=0.5, potential=pot, beta=16.0, L=32, gamma=1.0)
     with pytest.raises(ValueError):
-        model.ModelParams(lam=0.1, mu_bar=0.5, potential=pot, beta=16.0, L=32, theta=1.0)
-    with pytest.raises(ValueError):
         model.ModelParams(lam=0.1j, mu_bar=0.5, potential=pot, beta=16.0, L=32)
     # allowed when opted in
     p = model.ModelParams(

@@ -22,13 +22,13 @@ def test_operator_affine_in_nu():
     m = _model(0.02)
     rng = np.random.default_rng(0)
     n = 2 - m.h_box
-    zero = nusolver.NuSequence.zero(m.h_box, m.theta, m.gamma)
-    x = nusolver.NuSequence(m.h_box, m.theta, m.gamma, rng.normal(size=n) + 0j)
-    y = nusolver.NuSequence(m.h_box, m.theta, m.gamma, rng.normal(size=n) + 0j)
+    zero = nusolver.NuSequence.zero(m.h_box, m.gamma)
+    x = nusolver.NuSequence(m.h_box, m.gamma, rng.normal(size=n) + 0j)
+    y = nusolver.NuSequence(m.h_box, m.gamma, rng.normal(size=n) + 0j)
     t0 = nusolver.T_operator(zero, m).values
     tx = nusolver.T_operator(x, m).values
     ty = nusolver.T_operator(y, m).values
-    combo = nusolver.NuSequence(m.h_box, m.theta, m.gamma, 2.0 * x.values + y.values)
+    combo = nusolver.NuSequence(m.h_box, m.gamma, 2.0 * x.values + y.values)
     tc = nusolver.T_operator(combo, m).values
     assert np.max(np.abs((tc - t0) - (2.0 * (tx - t0) + (ty - t0)))) < 1e-12
     A = nusolver.operator_matrix(m)

@@ -1,5 +1,7 @@
 """Running couplings: truncated flow identities, envelopes, flow checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,15 @@ def test_initial_couplings_values():
 
 def test_bubble_constant_value():
     fermi = model.FermiPoint.from_p_F(P_F, L=4096)
-    a = rgflow.bubble_constant(fermi, 2.0)
+    a = rgflow.bubble_constant(fermi)
     assert a == pytest.approx(np.log(2.0) / (np.pi * np.sin(P_F)), abs=1e-15)
+
+
+def test_flow_takes_gamma_from_the_model():
+    params = _params(0.02).with_(gamma=3.0)
+    traj = rgflow.run_flow(params, _cfg(), target_h=-50)
+    assert traj.gamma == 3.0
+    assert traj.a == math.log(3.0) / (math.pi * params.fermi().v_F)
 
 
 def test_finite_scale_bubble_window():
@@ -46,17 +55,17 @@ def test_finite_scale_bubble_window():
     # but above the box scale; empties when the shell holds no modes
     params = _params(0.02)
     fermi = params.fermi()
-    a = rgflow.bubble_constant(fermi, 2.0)
-    v1 = rgflow.finite_scale_bubble(-1, fermi, params.beta, params.L, 2.0)
+    a = rgflow.bubble_constant(fermi)
+    v1 = rgflow.finite_scale_bubble(-1, fermi, params.beta, params.L)
     assert abs(v1 - a) < 1e-9
     for j in (-2, -3, -4):
-        vj = rgflow.finite_scale_bubble(j, fermi, params.beta, params.L, 2.0)
+        vj = rgflow.finite_scale_bubble(j, fermi, params.beta, params.L)
         assert abs(vj - a) < 1e-5
     # j = 0 carries the band-edge boundary term
-    v0 = rgflow.finite_scale_bubble(0, fermi, params.beta, params.L, 2.0)
+    v0 = rgflow.finite_scale_bubble(0, fermi, params.beta, params.L)
     assert abs(v0 - a) > 0.01
     # far below the box scale the shell is empty
-    v_deep = rgflow.finite_scale_bubble(-11, fermi, params.beta, params.L, 2.0)
+    v_deep = rgflow.finite_scale_bubble(-11, fermi, params.beta, params.L)
     assert v_deep == 0.0
 
 
@@ -157,7 +166,7 @@ def test_log_sum_lemma_budget():
     traj = rgflow.run_flow(params, _cfg(), target_h=-30000)
     budget = 2.0 * np.sqrt(0.03)
     for h in (-1000, -10000, -30000):
-        rep = rgflow.log_sum_lemma(traj, h, params=params)
+        rep = rgflow.log_sum_lemma(traj, h)
         assert abs(rep.sum1 - rep.model1) <= budget
         assert abs(rep.sum2 - rep.model2) <= budget
 
@@ -228,7 +237,7 @@ def test_escape_for_excluded_direction():
 
 def test_nu_rescaling_default():
     params = _params(0.02)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-40, nu_sequence=None)
+    traj = rgflow.run_flow(params, _cfg(), target_h=-40)
     nu = traj.couplings[:, 4]
     # nu_{j-1} = gamma * nu_j with nu_0 = 0 stays identically zero
     assert np.max(np.abs(nu)) == 0.0
@@ -240,17 +249,16 @@ def test_nu_rescaling_default():
 
 
 def test_derived_disk_constant_default():
-    assert rgflow.derived_disk_constant(rgflow.BetaConfig()) == pytest.approx(0.025)
+    assert rgflow.derived_disk_constant() == pytest.approx(0.025)
 
 
 def test_smallness_chain():
-    cfg = rgflow.BetaConfig()
-    c0 = rgflow.derived_disk_constant(cfg)
+    c0 = rgflow.derived_disk_constant()
     h = -100
     lam_ok = 0.9 * c0 / (1.0 + abs(h))
-    assert rgflow.smallness_chain_ok(lam_ok, h, cfg.c_bar)
+    assert rgflow.smallness_chain_ok(lam_ok, h)
     # the chain doubles (and fails) once lam |h| c_bar reaches order one
-    assert not rgflow.smallness_chain_ok(0.011, h, cfg.c_bar)
+    assert not rgflow.smallness_chain_ok(0.011, h)
 
 
 def test_sector_probe_small():
@@ -265,7 +273,7 @@ def test_sector_probe_small():
         )
 
     cfg = _cfg(h_lbeta=-300)
-    pts = rgflow.borel_domain_probe(
+    pts = rgflow.flow_sector_probe(
         params_of_lam, cfg, rays=6, radius=0.02, h_sector=-300, disk_hs=(-30, -300)
     )
     assert len(pts) == 6 + 2
