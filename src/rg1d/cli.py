@@ -320,7 +320,7 @@ def _exponents_point(task):
 def cmd_exponents(o):
     with _config_phase():
         lams = _parse_grid(o["lambda-grid"])
-        _potential_from(o["potential"])   # validate before dispatching workers
+        pot = _potential_from(o["potential"])   # validate before dispatching workers
 
     tasks = [(lam, o) for lam in lams]
     if o["jobs"] <= 1 or len(tasks) <= 1:
@@ -330,8 +330,14 @@ def cmd_exponents(o):
             results = pool.map(_exponents_point, tasks)
     results.sort(key=lambda r: r[0])
 
-    # the gap is exactly 0 at lambda = 0, which the ratio skips
-    worst = max((r[-1] / abs(r[0]) ** 1.5 for r in results if r[0]), default=0.0)
+    # The gap |g2_inf - g2_first_order| is the difference of two O(lambda)
+    # numbers, so its roundoff bar is 4 eps |lambda| (2 |vhat(0)| + |vhat(2 p_F)|).
+    # The ratio is taken only where the gate's 3 |lambda|^{3/2} clears that
+    # bar, which leaves out lambda = 0 and the |lambda| whose gap is roundoff.
+    bar = [4.0 * np.finfo(float).eps * abs(r[0]) * (
+        2.0 * abs(pot.fourier(0.0)) + abs(pot.fourier(2.0 * r[1]))) for r in results]
+    worst = max((r[-1] / abs(r[0]) ** 1.5 for r, b in zip(results, bar)
+                 if 3.0 * abs(r[0]) ** 1.5 > b), default=0.0)
     summary = {
         "points": len(results),
         "c_coefficient": results[0][13],
@@ -352,7 +358,7 @@ NU = (
     Opt("lambda", float, 0.02),
     Opt("lambda-grid", str, help="start:stop:step (default: --lambda alone)"),
     Opt("mu", float, 0.5, key="mu_bar"),
-    Opt("h-box", int, -40, key="h_box"),
+    Opt("h-box", int, -40, ("<=", 1), key="h_box"),
     Opt("eps-scale", float, 2.0, key="eps_scale"),
     Opt("c0", float, 0.25, key="c0"),
     Opt("tol", float, 1e-12, (">", 0)),
@@ -512,8 +518,10 @@ BOREL = (
 
 
 def cmd_borel(o):
-    if o["epsilon"] is None:
-        o["epsilon"] = g1map.default_eps0(o["delta"])
+    with _config_phase():
+        if o["epsilon"] is None:
+            o["epsilon"] = g1map.default_eps0(o["delta"])
+        g1map.SectorDomain(o["epsilon"], o["delta"])
     report = g1map.sweep_sector(o["delta"], o["epsilon"], n_rays=o["rays"],
                                 n_radii=o["radii"], n_steps=o["n"], a=o["a"],
                                 models=o["models"], seed=o["seed"])
@@ -574,7 +582,7 @@ def _oracle_ed(o):
         params = ModelParams(lam=lam, mu_bar=o["mu"],
                              potential=_potential_from(o["potential"]),
                              beta=beta, L=L)
-    ed = oracle.ed_micro(L, beta, params)
+    ed = oracle.ed_micro(params)
     free = params.with_(lam=0.0)
     rows, worst_free = [], 0.0
     taus = (0.0, 0.25 * beta, 0.7 * beta, -0.4 * beta)
@@ -595,8 +603,9 @@ def _oracle_ed(o):
     checks = {}
     if lam == 0.0:
         checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
-    if L % 2 == 0:
-        gap = oracle.particle_hole_gap(L, beta, params)
+    # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams asks
+    if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
+        gap = oracle.particle_hole_gap(params)
         summary["particle_hole_gap"] = gap
         checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
     return (("alpha", "x", "tau", "ed", "wick_free", "abs_diff"), rows,

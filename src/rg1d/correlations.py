@@ -55,10 +55,10 @@ class ZTables:
     Z2: dict
 
 
-def free_tables(depth, gamma=2.0):
+def free_tables(depth):
     """lambda = 0 tables: every constant identically 1."""
     ones = np.ones(depth + 1)
-    return ZTables(gamma, depth, ones,
+    return ZTables(2.0, depth, ones,
                    {al: ones for al in ("C", "S", "SC")},
                    {al: ones.copy() for al in CHANNELS})
 
@@ -177,12 +177,6 @@ def _zeta_tilde_sc(x, x0, ex, fermi, rset):
                   - _q_at(rset, "z", x, x0, fermi))
 
 
-def _zeta_z(x, x0, fermi, rset):
-    if _first_order(rset):
-        return 0.0
-    return -_q_at(rset, "z", x, x0, fermi)
-
-
 def closed_components(x, x0, alpha, ex, fermi, rset=None):
     """(non-oscillating, oscillating) closed-form parts of Omega_alpha."""
     x = float(x)
@@ -270,15 +264,16 @@ def assemble_response(x, alpha, ztab, ex, fermi, x0=0.0, rset=None,
                              uni, osc, ucf, ocf, rel, ex, int(hs[0]))
 
 
-def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3):
+def two_point(x, x0, ztab, ex, fermi):
     """Dressed two-point function and its closed form.
 
     Scale sum sum_w e^{-i w p_F x} sum_h g_w^{(h)}/Z_h; closed form
-    (1/pi) S0bar(x) L^{zeta_z} / |xtilde|^{1+eta_z} with the oscillating
-    envelope S0bar = (v_F x0 cos(p_F x) - x sin(p_F x))/|xtilde|.
+    (1/pi) S0bar(x) / |xtilde|^{1+eta_z} with the oscillating envelope
+    S0bar = (v_F x0 cos(p_F x) - x sin(p_F x))/|xtilde| (the first-order
+    log exponent zeta_z is 0, so no L(x) factor).
     Returns (scale_sum, closed_form).
     """
-    hs = scale_window(x, x0, fermi, tail)
+    hs = scale_window(x, x0, fermi)
     gp = dirac_profiles(hs, x, x0, fermi)
     ii = (-hs).astype(int)
     if ii.max() > ztab.depth:
@@ -289,9 +284,7 @@ def two_point(x, x0, ztab, ex, fermi, rset=None, tail=1e-3):
     xt = tilde_norm(x, x0, fermi)
     s0 = (fermi.v_F * float(x0) * math.cos(fermi.p_F * float(x))
           - float(x) * math.sin(fermi.p_F * float(x))) / xt
-    L = log_factor(x, x0, ex, fermi)
-    closed = s0 * L ** _zeta_z(x, x0, fermi, rset) \
-        / (math.pi * xt ** (1.0 + ex.eta_z))
+    closed = s0 / (math.pi * xt ** (1.0 + ex.eta_z))
     return total, closed
 
 

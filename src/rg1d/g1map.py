@@ -266,8 +266,7 @@ class SweepReport:
 
 
 def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
-                 a=0.25, c0=None, models=SIGMA_MODELS, seed=0,
-                 radii=None):
+                 a=0.25, models=SIGMA_MODELS, seed=0):
     """Vectorized verification sweep over g0 = r e^{i theta} in D_{eps,delta}.
 
     All (ray, radius, model) lanes are iterated simultaneously; containment
@@ -275,14 +274,9 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
     and the closeness bound are checked online at every step, so the memory
     cost is O(lanes) independent of n_steps.
     """
-    if c0 is None:
-        c0 = default_sigma_scale(a, epsilon)
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
-    if radii is None:
-        radii = epsilon * np.array([0.999, 0.7, 0.5, 0.3, 0.2, 0.1,
-                                    0.05, 0.01])[:n_radii]
-    else:
-        radii = np.asarray(radii, dtype=float)
+    radii = epsilon * np.array([0.999, 0.7, 0.5, 0.3, 0.2, 0.1,
+                                0.05, 0.01])[:n_radii]
     g0 = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()
     n_pts = g0.size
     models = tuple(models)
@@ -292,7 +286,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
     dom = SectorDomain(epsilon, delta)
     d1 = dom.approximant_enlargement()
     d2 = dom.trajectory_enlargement()
-    sig_scale = c0 * np.abs(g0)
+    sig_scale = default_sigma_scale(a, epsilon) * np.abs(g0)
     rng = np.random.default_rng(seed)
     disk = np.where(np.array(models) == "disk")[0]
     disk_mask = np.isin(model_of, disk)

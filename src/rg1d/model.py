@@ -202,15 +202,14 @@ class FermiPoint:
         raise ValueError("p mode must be 'grid' or 'exact'")
 
 
-def fermi_point_admissible(fermi, L=None):
+def fermi_point_admissible(fermi):
     """Reject Fermi momenta too close to 0, pi/2 or pi.
 
     The scaling analysis needs p_F away from the band edges (0, pi) and
     from half filling (pi/2, where 2 p_F umklapp becomes resonant).  The
     window is 10 grid spacings.
     """
-    L = fermi.L if L is None else L
-    window = 10.0 * TWO_PI / L
+    window = 10.0 * TWO_PI / fermi.L
     dist = min(fermi.p_F, abs(fermi.p_F - 0.5 * math.pi), math.pi - fermi.p_F)
     return bool(dist >= window)
 

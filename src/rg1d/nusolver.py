@@ -189,11 +189,11 @@ def solve_fixed_point(model, tol=1e-12):
     raise RuntimeError("fixed point not reached within 400 iterations")
 
 
-def ball_check(model, xi_lam, seed=0):
+def ball_check(model, xi_lam):
     """T maps the ball ||nu||_theta <= xi_lam into itself, and contracts
     on random pairs, over 100 random points.  Returns (worst output norm /
     xi_lam, worst pair ratio)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     js = np.arange(model.h_box, 2)
     w = model.gamma ** (THETA * js)
     worst_norm = 0.0

@@ -9,6 +9,12 @@ tautology.  The only shared objects are the model data themselves (the
 interaction potential, the Fermi point, the cutoff shape), which both
 routes consume by definition.
 
+The Wick engine and exact diagonalization (ED) share one table of the
+four channel densities (DENSITIES) and one field language, (dag, site,
+spin, time).  wick_free_response is written from closed channel
+reductions instead, so test_free_ed_matches_wick_responses (ED at
+lambda = 0 against it) checks the table.
+
 Error-bar convention: quadrature-based oracles return an OracleValue
 whose bar is a two-level refinement difference; exact finite sums (Wick
 sums, exact diagonalization) carry a machine-roundoff bound instead.
@@ -24,7 +30,7 @@ modules instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -92,7 +98,19 @@ def free_g(x, tau, params):
 # Wick free responses
 # ----------------------------------------------------------------------
 
-RESPONSE_CHANNELS = ("C", "S", "SC", "TC")
+# The four channel densities at site x, one table for the Wick engine and
+# ED alike: (coeff, fields) monomials with fields (dag, dx, spin) in
+# written order, dag = 1 for a^+, dx the site offset from x (the TC bond
+# pairs x with x + 1) and spin 0 = up, 1 = down.
+DENSITIES = {
+    "C": ((1.0, ((1, 0, 0), (0, 0, 0))), (1.0, ((1, 0, 1), (0, 0, 1)))),
+    "S": ((1.0, ((1, 0, 0), (0, 0, 0))), (-1.0, ((1, 0, 1), (0, 0, 1)))),
+    "SC": ((1.0, ((1, 0, 0), (1, 0, 1))), (1.0, ((0, 0, 0), (0, 0, 1)))),
+    "TC": ((0.5, ((1, 0, 0), (1, 1, 1))), (0.5, ((1, 0, 1), (1, 1, 0))),
+           (0.5, ((0, 0, 0), (0, 1, 1))), (0.5, ((0, 0, 1), (0, 1, 0)))),
+}
+
+RESPONSE_CHANNELS = tuple(DENSITIES)
 
 
 def wick_free_response(x, alpha, params, x0=0.0):
@@ -129,8 +147,9 @@ def wick_free_response(x, alpha, params, x0=0.0):
 # generic time-ordered Wick engine
 # ----------------------------------------------------------------------
 #
-# Fields are tuples (dag, site, spin, time); time None stands for the
-# quadrature variable s, so pair values may be vectors over the s nodes.
+# Fields are tuples (dag, site, spin, time), the language exact
+# diagonalization reads too; time None stands for the quadrature
+# variable s, so pair values may be vectors over the s nodes.
 # The written order of the field list is the operator order inside the
 # time-ordered product; equal-time pairs resolve by that written order.
 
@@ -243,21 +262,10 @@ def _wick(fields, gtab, L):
 
 def _density_monomials(alpha, x, t, L):
     """Channel density at site x, time t, as (coeff, fields) monomials."""
-    x = x % L
-    xe = (x + 1) % L
-    if alpha == "C":
-        return [(1.0, ((1, x, s, t), (0, x, s, t))) for s in (0, 1)]
-    if alpha == "S":
-        return [(s3, ((1, x, s, t), (0, x, s, t))) for s, s3 in ((0, 1.0), (1, -1.0))]
-    if alpha == "SC":
-        return [(1.0, ((1, x, 0, t), (1, x, 1, t))),
-                (1.0, ((0, x, 0, t), (0, x, 1, t)))]
-    if alpha == "TC":
-        return [(0.5, ((1, x, 0, t), (1, xe, 1, t))),
-                (0.5, ((1, x, 1, t), (1, xe, 0, t))),
-                (0.5, ((0, x, 0, t), (0, xe, 1, t))),
-                (0.5, ((0, x, 1, t), (0, xe, 0, t)))]
-    raise ValueError("unknown channel %r" % (alpha,))
+    if alpha not in DENSITIES:
+        raise ValueError("unknown channel %r" % (alpha,))
+    return [(c, tuple((dag, (x + dx) % L, s, t) for dag, dx, s in ops))
+            for c, ops in DENSITIES[alpha]]
 
 
 def _interaction_monomials(params):
@@ -361,10 +369,10 @@ def _panel_nodes(tau, beta, n_nodes):
 # exact diagonalization on small chains
 # ----------------------------------------------------------------------
 #
-# Fock encoding: 2L fermion modes, bit x = up occupation at site x,
-# bit L + x = down occupation; operator strings use the standard
-# lower-bit sign convention.  The Hilbert space is handled sector by
-# sector in the conserved pair (N_up, N_down).
+# Fock encoding: 2L fermion modes, the field (dag, site, spin, time) acts
+# on bit spin * L + site (the time slot is unused); operator strings use
+# the standard lower-bit sign convention.  The Hilbert space is handled
+# sector by sector in the conserved pair (N_up, N_down).
 
 ED_MAX_SITES = 8
 ED_MAX_BETA = 20.0
@@ -389,17 +397,37 @@ def _sector_key(state, L):
     return (up.bit_count(), (state >> L).bit_count())
 
 
+def _op_blocks(monomials, basis, index, L):
+    """Dense sector-to-sector blocks of sum coeff * fields, keyed (src,
+    dest); sectors outer, monomials inner, which fixes the block order."""
+    strings = [(coeff, tuple((dag, spin * L + site) for dag, site, spin, _ in fields),
+                [sum(2 * dag - 1 for dag, _, s, _ in fields if s == spin) for spin in (0, 1)])
+               for coeff, fields in monomials]
+    blocks = {}
+    for key, states in basis.items():
+        for coeff, ops, (dn_up, dn_dn) in strings:
+            dest = (key[0] + dn_up, key[1] + dn_dn)
+            if dest not in basis:
+                continue
+            mat = blocks.setdefault((key, dest),
+                                    np.zeros((len(basis[dest]), len(states))))
+            idx = index[dest]
+            for col, s in enumerate(states):
+                hit = _apply_string(s, ops)
+                if hit is not None:
+                    mat[idx[hit[0]], col] += coeff * hit[1]
+    return blocks
+
+
 @dataclass
 class EDSystem:
-    """Exact thermal data for one small chain.
+    """Exact thermal data for one small chain of the model params.
 
     energies/vectors are per-sector eigendecompositions; e0 is the global
     ground energy used to keep all Boltzmann exponents nonpositive.
     roundoff is the documented machine-precision bar for its exact sums.
     """
 
-    L: int
-    beta: float
     params: object
     basis: dict
     index: dict
@@ -407,33 +435,15 @@ class EDSystem:
     vectors: dict
     e0: float
     z: float
-    roundoff: float = field(default=0.0)
+    roundoff: float
 
     # -- operator plumbing -------------------------------------------
 
-    def _op_blocks(self, monomials):
-        """Dense sector-to-sector blocks of sum coeff * string."""
-        blocks = {}
-        for key, states in self.basis.items():
-            for coeff, ops in monomials:
-                dn_up = sum((1 if dag else -1) for dag, b in ops if b < self.L)
-                dn_dn = sum((1 if dag else -1) for dag, b in ops if b >= self.L)
-                dest = (key[0] + dn_up, key[1] + dn_dn)
-                if dest not in self.basis:
-                    continue
-                mat = blocks.setdefault((key, dest),
-                                        np.zeros((len(self.basis[dest]), len(states))))
-                idx = self.index[dest]
-                for col, s in enumerate(states):
-                    hit = _apply_string(s, ops)
-                    if hit is not None:
-                        mat[idx[hit[0]], col] += coeff * hit[1]
-        return blocks
-
-    def _eig_blocks(self, monomials):
-        """Operator blocks rotated to the eigenbases."""
+    def eig_blocks(self, monomials):
+        """Blocks of a monomial sum rotated to the eigenbases."""
         out = {}
-        for (src, dest), mat in self._op_blocks(monomials).items():
+        for (src, dest), mat in _op_blocks(monomials, self.basis, self.index,
+                                           self.params.L).items():
             out[(src, dest)] = self.vectors[dest].T @ mat @ self.vectors[src]
         return out
 
@@ -443,7 +453,7 @@ class EDSystem:
         tau in (-beta, beta); tau = 0 resolves to the B A product
         (the 0^- convention for fermions, plain product for densities).
         """
-        beta = self.beta
+        beta = self.params.beta
         total = 0.0
         for (src, dest), a in a_blocks.items():
             pair = b_blocks.get((dest, src))
@@ -460,13 +470,14 @@ class EDSystem:
                 total += sgn * float(np.sum(pair * w * a.T))
         return total / self.z
 
-    def expectation(self, monomials):
-        """Thermal average of a (sector-diagonal part of a) string sum."""
+    def expectation(self, blocks):
+        """Thermal average of an operator from its eig_blocks (only the
+        sector-diagonal blocks contribute)."""
         total = 0.0
-        for (src, dest), blk in self._eig_blocks(monomials).items():
+        for (src, dest), blk in blocks.items():
             if src != dest:
                 continue
-            w = np.exp(-self.beta * (self.energies[src] - self.e0))
+            w = np.exp(-self.params.beta * (self.energies[src] - self.e0))
             total += float(np.dot(np.diag(blk), w))
         return total / self.z
 
@@ -477,53 +488,37 @@ class EDSystem:
 
     def two_point(self, x, tau, spin=0):
         """<T a^-_{x,s}(tau) a^+_{0,s}(0)>, the ED twin of the kernel sum."""
-        b = self.L * spin
-        a_blocks = self._eig_blocks([(1.0, ((0, (x % self.L) + b),))])
-        b_blocks = self._eig_blocks([(1.0, ((1, 0 + b),))])
+        a_blocks = self.eig_blocks([(1.0, ((0, x % self.params.L, spin, None),))])
+        b_blocks = self.eig_blocks([(1.0, ((1, 0, spin, None),))])
         return self._thermal_pair(a_blocks, b_blocks, tau, fermionic=True)
 
-    def density_monomials(self, alpha, x):
-        """Channel density as (coeff, (dag, bit) string) monomials."""
-        L = self.L
-        x = x % L
-        xe = (x + 1) % L
-        up, dn = x, L + x
-        upe, dne = xe, L + xe
-        if alpha == "C":
-            return [(1.0, ((1, up), (0, up))), (1.0, ((1, dn), (0, dn)))]
-        if alpha == "S":
-            return [(1.0, ((1, up), (0, up))), (-1.0, ((1, dn), (0, dn)))]
-        if alpha == "SC":
-            return [(1.0, ((1, up), (1, dn))), (1.0, ((0, up), (0, dn)))]
-        if alpha == "TC":
-            return [(0.5, ((1, up), (1, dne))), (0.5, ((1, dn), (1, upe))),
-                    (0.5, ((0, up), (0, dne))), (0.5, ((0, dn), (0, upe)))]
-        raise ValueError("unknown channel %r" % (alpha,))
+    def _density_blocks(self, alpha, x):
+        return self.eig_blocks(_density_monomials(alpha, x, None, self.params.L))
 
     def response(self, x, tau, alpha):
         """Connected <T rho_x(tau) rho_0(0)> - <rho_x><rho_0>."""
-        a_blocks = self._eig_blocks(self.density_monomials(alpha, x))
-        b_blocks = self._eig_blocks(self.density_monomials(alpha, 0))
+        a_blocks = self._density_blocks(alpha, x)
+        b_blocks = self._density_blocks(alpha, 0)
         raw = self._thermal_pair(a_blocks, b_blocks, tau, fermionic=False)
-        mean_a = self.expectation(self.density_monomials(alpha, x))
-        mean_b = self.expectation(self.density_monomials(alpha, 0))
-        return raw - mean_a * mean_b
+        return raw - self.expectation(a_blocks) * self.expectation(b_blocks)
 
     def filling(self):
         """Mean total density on one site (the C-channel expectation)."""
-        return self.expectation(self.density_monomials("C", 0))
+        return self.expectation(self._density_blocks("C", 0))
 
 
-def ed_micro(L, beta, params):
+def ed_micro(params):
     """Sector-resolved exact diagonalization of the interacting chain.
 
     H = -(1/2) sum_{x,s} (a^+_{x,s} a^-_{x+1,s} + h.c.)
         + mu_bar sum n + lambda sum_{x,y,s,s'} v(x-y) n_{x,s} n_{y,s'}
 
-    on a periodic ring of L sites; the momentum-space band is then
-    mu_bar - cos k on k = 2 pi n / L, matching the kernel conventions.
+    on a periodic ring of params.L sites at inverse temperature
+    params.beta; the momentum-space band is then mu_bar - cos k on
+    k = 2 pi n / L, matching the kernel conventions.
     Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
     """
+    L, beta = params.L, params.beta
     if L > ED_MAX_SITES:
         raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
                          "Fock space" % (ED_MAX_SITES, 4 ** L))
@@ -535,15 +530,17 @@ def ed_micro(L, beta, params):
         basis.setdefault(_sector_key(s, L), []).append(s)
     index = {k: {s: i for i, s in enumerate(v)} for k, v in basis.items()}
 
+    hopping = [(-0.5, ((1, p, spin, None), (0, q, spin, None)))
+               for spin in (0, 1) for x in range(L)
+               for p, q in ((x, (x + 1) % L), ((x + 1) % L, x))]
+    blocks = _op_blocks(hopping, basis, index, L)
     vp = params.potential.periodized(L)
     lam = params.lam
     mu = params.mu_bar
 
     energies, vectors = {}, {}
     for key, states in basis.items():
-        dim = len(states)
-        h = np.zeros((dim, dim))
-        idx = index[key]
+        h = blocks.pop((key, key))
         for col, s in enumerate(states):
             # diagonal: chemical potential + interaction on total densities
             occ = np.array([((s >> x) & 1) + ((s >> (L + x)) & 1) for x in range(L)],
@@ -558,39 +555,36 @@ def ed_micro(L, beta, params):
                         acc += vp[(x - y) % L] * occ[x] * occ[y]
                 diag += lam * acc
             h[col, col] += diag
-            # hopping
-            for b0 in range(2 * L):
-                x = b0 % L
-                spin_base = b0 - x
-                b1 = spin_base + (x + 1) % L
-                for p, q in ((b0, b1), (b1, b0)):
-                    hit = _apply_string(s, ((1, p), (0, q)))
-                    if hit is not None:
-                        h[idx[hit[0]], col] += -0.5 * hit[1]
         evals, evecs = np.linalg.eigh(h)
         energies[key], vectors[key] = evals, evecs
 
     e0 = min(float(v.min()) for v in energies.values())
     z = sum(float(np.exp(-beta * (v - e0)).sum()) for v in energies.values())
-    system = EDSystem(L, beta, params, basis, index, energies, vectors, e0, z)
-    system.roundoff = 4 ** L * 64.0 * _EXACT
-    return system
+    return EDSystem(params, basis, index, energies, vectors, e0, z,
+                    4 ** L * 64.0 * _EXACT)
 
 
-def particle_hole_gap(L, beta, params):
-    """Spectral mismatch under the particle-hole map a_{x,s} -> (-1)^x a^+.
+def particle_hole_mirror(params):
+    """(mu_bar', shift) of the particle-hole map a_{x,s} -> (-1)^x a^+.
 
-    The map sends H(mu_bar, lambda) to H(-(mu_bar + 4 lambda vhat(0)),
-    lambda) plus the constant 2L(mu_bar + 2 lambda vhat(0)); on even
-    rings the two sorted spectra must coincide after the shift.
+    The map sends H(mu_bar, lambda) to H(mu_bar', lambda) + shift with
+    mu_bar' = -(mu_bar + 4 lambda vhat(0)) and shift = 2L(mu_bar +
+    2 lambda vhat(0)); ModelParams admits mu_bar' only inside (-1, 1).
     """
-    if L % 2:
+    vbar = float(np.sum(params.potential.periodized(params.L)))
+    return (-(params.mu_bar + 4.0 * params.lam * vbar),
+            2.0 * params.L * (params.mu_bar + 2.0 * params.lam * vbar))
+
+
+def particle_hole_gap(params):
+    """Spectral mismatch under the particle-hole map: on even rings the
+    sorted spectra of H and of its particle_hole_mirror coincide after
+    the shift."""
+    if params.L % 2:
         raise ValueError("the staggered sign needs an even ring")
-    vbar = float(np.sum(params.potential.periodized(L)))
-    mirror = params.with_(mu_bar=-(params.mu_bar + 4.0 * params.lam * vbar))
-    s1 = ed_micro(L, beta, params).spectrum()
-    s2 = ed_micro(L, beta, mirror).spectrum()
-    shift = 2.0 * L * (params.mu_bar + 2.0 * params.lam * vbar)
+    mu_mirror, shift = particle_hole_mirror(params)
+    s1 = ed_micro(params).spectrum()
+    s2 = ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
     return float(np.max(np.abs(s1 - (s2 + shift))))
 
 

@@ -277,7 +277,7 @@ def shell_support(top, L, beta, fermi):
     return kp[keep], kidx[keep], k0
 
 
-def shell_grid(kind, h, params, omega=None, M=None, fermi=None, p_mode="grid"):
+def shell_grid(kind, h, params, omega=None, M=None):
     """ShellGrid of one piece of the scale decomposition.
 
     kind "uv": ultraviolet shell 1 <= h <= M, weight f_uv * H_h, band
@@ -289,9 +289,10 @@ def shell_grid(kind, h, params, omega=None, M=None, fermi=None, p_mode="grid"):
         E_omega(k') (model.ir_dispersion);
     kind "dirac": the same shell with the linear band omega v_F k'.
 
-    M defaults to params.M_uv; p_mode picks p ("grid": p_FL, "exact": p_F).
+    M defaults to params.M_uv.  The Fermi point is params.fermi() at its
+    grid momentum p_FL, so the pieces sum exactly on the lattice.
     """
-    fermi = params.fermi() if fermi is None else fermi
+    fermi = params.fermi()
     M = params.M_uv if M is None else M
     chi = CutoffFunction(params.gamma)
     grids = MomentumGrids(params.L, params.beta)
@@ -299,7 +300,7 @@ def shell_grid(kind, h, params, omega=None, M=None, fermi=None, p_mode="grid"):
         if not 1 <= h <= M:
             raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
         k = grids.spatial()
-        p = fermi.p_of(p_mode)
+        p = fermi.p_FL
         return ShellGrid(k, grids.spatial_indices(), grids.matsubara(params.gamma ** (h + 1)),
                          math.cos(p) - np.cos(k), False,
                          lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0))
@@ -313,20 +314,19 @@ def shell_grid(kind, h, params, omega=None, M=None, fermi=None, p_mode="grid"):
     if h > 0:
         raise ValueError("infrared scales have h <= 0")
     kp, kidx, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
-    band = ir_dispersion(kp, fermi, omega, p_mode) if kind == "ir" else omega * fermi.v_F * kp
+    band = ir_dispersion(kp, fermi, omega, "grid") if kind == "ir" else omega * fermi.v_F * kp
     return ShellGrid(kp, kidx, k0, band, True, lambda K, K0: chi.f_h(h, K, K0, fermi))
 
 
-def single_scale(kind, h, x, x0, params, omega=None, fermi=None, p_mode="grid"):
+def single_scale(kind, h, x, x0, params, omega=None):
     """Single-scale propagator g^{(h)}(x, x0) of kind "uv", "ir" or "dirac"
     as the exact finite double sum over its shell_grid.
 
     The ir and dirac pieces are in quasi-momentum form: e^{-i omega p_FL x}
-    restores the Fermi phase.  With p_mode "grid" and mu_bar = cos(p_FL)
-    the uv shells 1..M plus both ir sectors h_{L,beta}..0 sum exactly to
+    restores the Fermi phase.  With mu_bar = cos(p_FL) the uv shells 1..M plus both ir sectors h_{L,beta}..0 sum exactly to
     the cutoff propagator at scale M.
     """
-    grid = shell_grid(kind, h, params, omega, fermi=fermi, p_mode=p_mode)
+    grid = shell_grid(kind, h, params, omega)
     K, K0, w = grid.mesh()
     ph = np.exp(-1j * (K0 * x0 + K * x))
     val = np.sum(ph * w / (-1j * K0 + grid.band[:, None]))
@@ -395,12 +395,12 @@ class GramCertificate:
 GRAM_POWERS = {"uv": (-3, 3), "ir": (-2, 4)}
 
 
-def gram_certify(h, kind, params, omega=1, fermi=None, p_mode="grid"):
-    """GramCertificate of the uv or ir shell h (omega, p_mode as in
-    shell_grid); the norms are sums over its shell_grid."""
+def gram_certify(h, kind, params, omega=1):
+    """GramCertificate of the uv or ir shell h (omega as in shell_grid);
+    the norms are sums over its shell_grid."""
     if kind not in GRAM_POWERS:
         raise ValueError("kind must be uv or ir")
-    grid = shell_grid(kind, h, params, omega, fermi=fermi, p_mode=p_mode)
+    grid = shell_grid(kind, h, params, omega)
     _, K0, w = grid.mesh()
     d2 = K0 ** 2 + grid.band[:, None] ** 2
     vol = params.beta * params.L
@@ -420,10 +420,10 @@ def fit_loglog_slope(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)[0])
 
 
-def certify_gram_scaling(hs, kind, params, omega=1):
+def certify_gram_scaling(hs, kind, params):
     """Fit the scaling of |A|^2, |B|^2 across scales hs and compare with the
     certified exponents to 10%.  Returns (certs, slopeA, slopeB, ok)."""
-    certs = [gram_certify(h, kind, params, omega) for h in hs]
+    certs = [gram_certify(h, kind, params) for h in hs]
     la = fit_loglog_slope([params.gamma ** c.h for c in certs],
                           [c.normA2 for c in certs])
     lb = fit_loglog_slope([params.gamma ** c.h for c in certs],
@@ -437,8 +437,7 @@ def certify_gram_scaling(hs, kind, params, omega=1):
 # whole-lattice tables (exact FFT reordering of the direct sums)
 # ----------------------------------------------------------------------
 
-def propagator_table(kind, h, params, n_tau, omega=None, M=None,
-                     fermi=None, p_mode="grid"):
+def propagator_table(kind, h, params, n_tau, omega=None, M=None):
     """Values of a propagator on the full grid x = 0..L-1, x0 = beta*m/n_tau.
 
     Returns a complex array of shape (L, n_tau).  The construction folds
@@ -451,7 +450,7 @@ def propagator_table(kind, h, params, n_tau, omega=None, M=None,
     cutoff propagator at ultraviolet scale M, spatial grid integer k).
     """
     beta, L = params.beta, params.L
-    grid = shell_grid(kind, h, params, omega, M, fermi, p_mode)
+    grid = shell_grid(kind, h, params, omega, M)
     k0 = grid.k0
     folded = np.zeros((grid.k.size, n_tau), dtype=complex)
     chunk = max(n_tau, int(4e6) // max(1, grid.k.size))  # keep chunks ~64 MB
@@ -486,12 +485,12 @@ def l1_norm_table(table, beta):
     return float(np.sum(np.abs(table)) * (beta / n_tau))
 
 
-def l1_scaling_report(kind, hs, params, n_tau=512, omega=1):
+def l1_scaling_report(kind, hs, params, n_tau=512):
     """Measured L1 norms across scales plus fitted decay rate (target
     gamma^{-h}, i.e. log-slope -1 in units of log gamma)."""
     norms = []
     for h in hs:
-        t = propagator_table(kind, h, params, n_tau, omega=omega)
+        t = propagator_table(kind, h, params, n_tau, omega=1)
         norms.append(l1_norm_table(t, params.beta))
     slope = fit_loglog_slope([params.gamma ** h for h in hs], norms)
     return norms, slope

@@ -65,6 +65,10 @@ def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
     ["nu", "--tol", "0"],
     ["borel", "--rays", "0", "--n", "10"],
     ["borel", "--radii", "0", "--n", "10"],
+    ["borel", "--delta", "2"],
+    ["borel", "--delta", "0"],
+    ["borel", "--epsilon", "-1"],
+    ["nu", "--h-box", "2"],
     ["flow", "--a-mode", "bogus"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -115,6 +119,29 @@ def test_exponents_ratio_skips_lambda_zero(tmp_path):
         _summary(tmp_path / "b", "exponents")[key]
     assert _run(["exponents", "--lambda-grid", "0:0:0.01"], tmp_path / "c") == 0
     assert _summary(tmp_path / "c", "exponents")[key] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda-grid", "1e-250:1e-250:1"],
+    ["--lambda-grid", "1e-200:1e-200:1", "--potential", "uv:1:0.5"],
+], ids=" ".join)
+def test_exponents_ratio_skips_lambda_below_roundoff(argv, tmp_path):
+    # the gap of a tiny lambda is roundoff: no ratio is taken, and 0 is reported
+    assert _run(["exponents", *argv], tmp_path) == 0
+    assert _summary(tmp_path, "exponents")["worst_fixed_point_gap_over_lam32"] == "0"
+
+
+def test_nu_runs_at_the_largest_box_scale(tmp_path):
+    assert _run(["nu", "--h-box", "1"], tmp_path) == 0
+
+
+def test_ed_oracle_drops_particle_hole_check_without_mirror_model(tmp_path):
+    # mu_bar' = -(0.3 + 4 * 0.3 * vhat(0)) = -1.5 lies outside the band
+    assert _run(["oracle", "--what", "ed", "--lambda", "0.3"], tmp_path) == 0
+    summary = _summary(tmp_path, "oracle")
+    assert summary["checks_ok"] == "true"
+    assert "particle_hole_gap" not in summary
+    assert "check_particle_hole" not in summary
 
 
 def test_finite_scale_flow_stops_at_the_box_scale(tmp_path, capsys):

@@ -17,7 +17,7 @@ def ed_ladder():
     ring with beta = 4, mu_bar = 0.3 and the uv:1:0.5 potential."""
     params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
                                beta=4.0, L=4)
-    return params, {s: oracle.ed_micro(4, 4.0, params.with_(lam=s * D_LAMBDA))
+    return params, {s: oracle.ed_micro(params.with_(lam=s * D_LAMBDA))
                     for s in (-2, -1, 1, 2)}
 
 
@@ -62,5 +62,19 @@ def test_bubble_quadrature_extrapolates_to_bubble_constant():
                          ids=["hubbard", "uv:1:0.5"])
 def test_particle_hole_spectra_coincide(potential):
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=potential, beta=4.0, L=4)
-    gap = oracle.particle_hole_gap(4, 4.0, params)
-    assert gap <= oracle.ed_micro(4, 4.0, params).roundoff
+    gap = oracle.particle_hole_gap(params)
+    assert gap <= oracle.ed_micro(params).roundoff
+
+
+def test_free_ed_matches_wick_responses():
+    # ED builds each channel density from the shared oracle.DENSITIES table,
+    # wick_free_response from its own closed channel reductions, so a wrong
+    # table entry shows here; each side carries its own roundoff bar
+    params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.on_site_potential(1.0),
+                               beta=4.0, L=4)
+    ed = oracle.ed_micro(params)
+    for alpha in oracle.RESPONSE_CHANNELS:
+        for x in range(params.L):
+            for tau in (0.7, -1.3, 2.9):
+                ref = oracle.wick_free_response(x, alpha, params, x0=tau)
+                assert abs(ed.response(x, tau, alpha) - ref.value) <= ed.roundoff + ref.error
