@@ -53,7 +53,7 @@ class Opt(NamedTuple):
 
     rule is one (op, bound) pair or a tuple of them; op is "in" with a
     tuple of choices (every item of a comma list must be one), or a
-    comparison "<=", ">", ">=" against a number or another option's
+    comparison "<", "<=", ">", ">=" against a number or another option's
     name.  None values (derived defaults) skip the rule."""
 
     name: str
@@ -64,8 +64,8 @@ class Opt(NamedTuple):
     help: str | None = None
 
 
-_COMPARE = {"<=": operator.le, ">": operator.gt, ">=": operator.ge,
-            "in": lambda item, choices: item in choices}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "in": lambda item, choices: item in choices}
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +177,9 @@ def _potential_from(spec):
 
 COMMON = (Opt("out-dir", str, ".", help="output directory"),)
 SEED = Opt("seed", int, help="seed for any stochastic lanes")
+# argparse reads a value that starts with "-" as a flag
+GRID_HELP = ("start:stop:step; a negative start needs the = form, "
+             "--lambda-grid=-0.02:0.02:0.01")
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +295,7 @@ def cmd_flow(o):
 EXPONENTS = (
     SEED,
     Opt("lambda-grid", str, "0.01:0.05:0.01", key="lambda_grid",
-        help="start:stop:step"),
+        help=GRID_HELP),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
     Opt("beta", float, 4096.0),
     Opt("L", int, 4096),
@@ -303,26 +306,25 @@ EXPONENTS = (
 
 
 def _exponents_point(task):
-    lam, o = task
-    params = ModelParams.from_p_F(lam, o["pF"], _potential_from(o["potential"]),
-                                  o["beta"], o["L"])
-    cfg = rgflow.BetaConfig(h_lbeta=o["h"])
-    traj = rgflow.run_flow(params, cfg, o["h"], with_checks=False)
+    params, h = task
+    cfg = rgflow.BetaConfig(h_lbeta=h)
+    traj = rgflow.run_flow(params, cfg, h, with_checks=False)
     limits = rgflow.fixed_point_values(traj, params)
     fermi = params.fermi()
     ex = renorm.exponents(params, limits, fermi)
     gap = abs(limits.g2_inf - limits.g2_first_order)
-    return (lam, fermi.p_F, ex.eta_z, ex.eta_2C, ex.eta_2S, ex.eta_2SC,
+    return (params.lam, fermi.p_F, ex.eta_z, ex.eta_2C, ex.eta_2S, ex.eta_2SC,
             ex.eta_2TC, ex.X["C"], ex.X["S"], ex.X["SC"], ex.X["TC"],
             ex.X_tilde_SC, ex.f_lambda, ex.c_coefficient, gap)
 
 
 def cmd_exponents(o):
     with _config_phase():
-        lams = _parse_grid(o["lambda-grid"])
-        pot = _potential_from(o["potential"])   # validate before dispatching workers
+        pot = _potential_from(o["potential"])
+        # every model is built here, so a bad one exits 2 before any numeric work
+        tasks = [(ModelParams.from_p_F(lam, o["pF"], pot, o["beta"], o["L"]), o["h"])
+                 for lam in _parse_grid(o["lambda-grid"])]
 
-    tasks = [(lam, o) for lam in lams]
     if o["jobs"] <= 1 or len(tasks) <= 1:
         results = [_exponents_point(t) for t in tasks]
     else:   # worker pool; results merge in submission order
@@ -356,8 +358,8 @@ def cmd_exponents(o):
 NU = (
     SEED,
     Opt("lambda", float, 0.02),
-    Opt("lambda-grid", str, help="start:stop:step (default: --lambda alone)"),
-    Opt("mu", float, 0.5, key="mu_bar"),
+    Opt("lambda-grid", str, help=GRID_HELP + " (default: --lambda alone)"),
+    Opt("mu", float, 0.5, ((">", -1.0), ("<", 1.0)), key="mu_bar"),
     Opt("h-box", int, -40, ("<=", 1), key="h_box"),
     Opt("eps-scale", float, 2.0, key="eps_scale"),
     Opt("c0", float, 0.25, key="c0"),
@@ -508,7 +510,7 @@ BOREL = (
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("rays", int, 32, (">=", 1), key="rays"),
     Opt("radii", int, 8, (">=", 1), key="radii"),
-    Opt("n", int, 10 ** 5, key="n_steps"),
+    Opt("n", int, 10 ** 5, (">=", 1), key="n_steps"),
     Opt("a", float, 0.25, key="a"),
     Opt("epsilon", float, key="epsilon",
         help="sector radius (default: g1map.default_eps0(delta))"),
@@ -587,14 +589,15 @@ def _oracle_ed(o):
     rows, worst_free = [], 0.0
     taus = (0.0, 0.25 * beta, 0.7 * beta, -0.4 * beta)
     for alpha in oracle.RESPONSE_CHANNELS:
+        table = ed.response(alpha, taus)
         for x in range(L):
-            for tau in taus:
-                got = ed.response(x, tau, alpha)
+            for tau, got in zip(taus, table[x].tolist()):
                 ref = oracle.wick_free_response(x, alpha, free, x0=tau).value
                 rows.append((alpha, x, tau, got, ref, abs(got - ref)))
+    two_point = ed.two_point(taus)
     for x in range(L):
-        for tau in taus:
-            d = abs(ed.two_point(x, tau) - oracle.free_g(x, tau, free))
+        for tau, g in zip(taus, two_point[x].tolist()):
+            d = abs(g - oracle.free_g(x, tau, free))
             worst_free = max(worst_free, d) if lam == 0.0 else worst_free
     summary = {
         "ground_energy": float(ed.spectrum()[0]), "filling": ed.filling(),
@@ -605,7 +608,7 @@ def _oracle_ed(o):
         checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
     # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams asks
     if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
-        gap = oracle.particle_hole_gap(params)
+        gap = oracle.particle_hole_gap(ed)
         summary["particle_hole_gap"] = gap
         checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
     return (("alpha", "x", "tau", "ed", "wick_free", "abs_diff"), rows,

@@ -378,28 +378,35 @@ ED_MAX_SITES = 8
 ED_MAX_BETA = 20.0
 
 
-def _apply_string(state, ops):
-    """Apply a creation/annihilation string (written order, rightmost
-    acts first) to a Fock state; returns (state', sign) or None."""
-    sign = 1
-    for dag, b in reversed(ops):
-        occ = (state >> b) & 1
-        if dag == occ:
-            return None
-        if (state & ((1 << b) - 1)).bit_count() & 1:
-            sign = -sign
-        state = (state | (1 << b)) if dag else (state & ~(1 << b))
-    return state, sign
+def _sector_basis(L):
+    """Fock states by sector (N_up, N_down), each an increasing int64 array.
+
+    Sectors come in order of first appearance as the state grows (N_down
+    outer, N_up inner); that order fixes every block order downstream.
+    """
+    states = np.arange(4 ** L, dtype=np.int64)
+    n_up = np.bitwise_count(states & ((1 << L) - 1))
+    n_dn = np.bitwise_count(states >> L)
+    return {(up, dn): states[(n_up == up) & (n_dn == dn)]
+            for dn in range(L + 1) for up in range(L + 1)}
 
 
-def _sector_key(state, L):
-    up = state & ((1 << L) - 1)
-    return (up.bit_count(), (state >> L).bit_count())
+def _hopping_monomials(L):
+    """The hopping term -(1/2) sum_{x,s} (a^+_{x,s} a^-_{x+1,s} + h.c.)."""
+    return [(-0.5, ((1, p, spin, None), (0, q, spin, None)))
+            for spin in (0, 1) for x in range(L)
+            for p, q in ((x, (x + 1) % L), ((x + 1) % L, x))]
 
 
-def _op_blocks(monomials, basis, index, L):
+def _op_blocks(monomials, basis, L):
     """Dense sector-to-sector blocks of sum coeff * fields, keyed (src,
-    dest); sectors outer, monomials inner, which fixes the block order."""
+    dest); sectors outer, monomials inner, which fixes the block order.
+
+    Each string (written order, rightmost acts first) is applied to all
+    states of a sector at once.  A string maps each state to at most one
+    state and no two states to the same one, so every entry receives its
+    terms one monomial at a time, in monomial order.
+    """
     strings = [(coeff, tuple((dag, spin * L + site) for dag, site, spin, _ in fields),
                 [sum(2 * dag - 1 for dag, _, s, _ in fields if s == spin) for spin in (0, 1)])
                for coeff, fields in monomials]
@@ -411,11 +418,15 @@ def _op_blocks(monomials, basis, index, L):
                 continue
             mat = blocks.setdefault((key, dest),
                                     np.zeros((len(basis[dest]), len(states))))
-            idx = index[dest]
-            for col, s in enumerate(states):
-                hit = _apply_string(s, ops)
-                if hit is not None:
-                    mat[idx[hit[0]], col] += coeff * hit[1]
+            out, hit, odd = states, np.ones(len(states), dtype=bool), 0
+            for dag, b in reversed(ops):
+                bit = np.int64(1 << b)
+                hit &= ((out & bit) != 0) != bool(dag)
+                odd = odd ^ (np.bitwise_count(out & (bit - 1)) & 1)
+                out = (out | bit) if dag else (out & ~bit)
+            sign = np.where(odd[hit] == 1, -1.0, 1.0)
+            rows = np.searchsorted(basis[dest], out[hit])
+            np.add.at(mat, (rows, np.flatnonzero(hit)), coeff * sign)
     return blocks
 
 
@@ -423,14 +434,20 @@ def _op_blocks(monomials, basis, index, L):
 class EDSystem:
     """Exact thermal data for one small chain of the model params.
 
-    energies/vectors are per-sector eigendecompositions; e0 is the global
-    ground energy used to keep all Boltzmann exponents nonpositive.
-    roundoff is the documented machine-precision bar for its exact sums.
+    basis maps each sector (N_up, N_down) to its increasing int64 Fock
+    states; energies/vectors are the per-sector eigendecompositions; e0
+    is the global ground energy used to keep all Boltzmann exponents
+    nonpositive.  roundoff is the documented machine-precision bar for
+    its exact sums.
+
+    response and two_point return (L, len(taus)) tables over x = 0..L-1.
+    Each builds and rotates the fixed operator at site 0 once and each
+    operator at site x once, releasing it before the next is built, so at
+    most two rotated operators are alive.
     """
 
     params: object
     basis: dict
-    index: dict
     energies: dict
     vectors: dict
     e0: float
@@ -442,7 +459,7 @@ class EDSystem:
     def eig_blocks(self, monomials):
         """Blocks of a monomial sum rotated to the eigenbases."""
         out = {}
-        for (src, dest), mat in _op_blocks(monomials, self.basis, self.index,
+        for (src, dest), mat in _op_blocks(monomials, self.basis,
                                            self.params.L).items():
             out[(src, dest)] = self.vectors[dest].T @ mat @ self.vectors[src]
         return out
@@ -470,6 +487,24 @@ class EDSystem:
                 total += sgn * float(np.sum(pair * w * a.T))
         return total / self.z
 
+    def _pair_table(self, a_at, b, taus, fermionic):
+        """T[x, j] = <T A_x(taus[j]) B(0)> over x = 0..L-1 for the monomial
+        lists A_x = a_at(x) and B = b, plus the means <A_x> for densities
+        (fermionic = False; else None).  An A_x equal to B reuses B's
+        blocks."""
+        b_blocks = self.eig_blocks(b)
+        table = np.empty((self.params.L, len(taus)))
+        means = None if fermionic else np.empty(self.params.L)
+        for x in range(self.params.L):
+            a = a_at(x)
+            a_blocks = b_blocks if a == b else self.eig_blocks(a)
+            table[x] = [self._thermal_pair(a_blocks, b_blocks, tau, fermionic)
+                        for tau in taus]
+            if means is not None:
+                means[x] = self.expectation(a_blocks)
+            del a_blocks    # release A_x before A_{x+1} is built
+        return table, means
+
     def expectation(self, blocks):
         """Thermal average of an operator from its eig_blocks (only the
         sector-diagonal blocks contribute)."""
@@ -486,25 +521,26 @@ class EDSystem:
     def spectrum(self):
         return np.sort(np.concatenate(list(self.energies.values())))
 
-    def two_point(self, x, tau, spin=0):
-        """<T a^-_{x,s}(tau) a^+_{0,s}(0)>, the ED twin of the kernel sum."""
-        a_blocks = self.eig_blocks([(1.0, ((0, x % self.params.L, spin, None),))])
-        b_blocks = self.eig_blocks([(1.0, ((1, 0, spin, None),))])
-        return self._thermal_pair(a_blocks, b_blocks, tau, fermionic=True)
+    def two_point(self, taus, spin=0):
+        """(L, len(taus)) table of <T a^-_{x,s}(tau) a^+_{0,s}(0)> over
+        x = 0..L-1, the ED twin of the kernel sum."""
+        table, _ = self._pair_table(lambda x: [(1.0, ((0, x, spin, None),))],
+                                    [(1.0, ((1, 0, spin, None),))], taus, True)
+        return table
 
-    def _density_blocks(self, alpha, x):
-        return self.eig_blocks(_density_monomials(alpha, x, None, self.params.L))
-
-    def response(self, x, tau, alpha):
-        """Connected <T rho_x(tau) rho_0(0)> - <rho_x><rho_0>."""
-        a_blocks = self._density_blocks(alpha, x)
-        b_blocks = self._density_blocks(alpha, 0)
-        raw = self._thermal_pair(a_blocks, b_blocks, tau, fermionic=False)
-        return raw - self.expectation(a_blocks) * self.expectation(b_blocks)
+    def response(self, alpha, taus):
+        """(L, len(taus)) table of the connected <T rho_x(tau) rho_0(0)> -
+        <rho_x><rho_0> of channel alpha over x = 0..L-1."""
+        L = self.params.L
+        table, means = self._pair_table(
+            lambda x: _density_monomials(alpha, x, None, L),
+            _density_monomials(alpha, 0, None, L), taus, False)
+        return table - (means * means[0])[:, None]
 
     def filling(self):
         """Mean total density on one site (the C-channel expectation)."""
-        return self.expectation(self._density_blocks("C", 0))
+        return self.expectation(self.eig_blocks(
+            _density_monomials("C", 0, None, self.params.L)))
 
 
 def ed_micro(params):
@@ -525,42 +561,33 @@ def ed_micro(params):
     if beta > ED_MAX_BETA:
         raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
                          "is for the flow modules" % ED_MAX_BETA)
-    basis = {}
-    for s in range(4 ** L):
-        basis.setdefault(_sector_key(s, L), []).append(s)
-    index = {k: {s: i for i, s in enumerate(v)} for k, v in basis.items()}
+    basis = _sector_basis(L)
+    blocks = _op_blocks(_hopping_monomials(L), basis, L)
 
-    hopping = [(-0.5, ((1, p, spin, None), (0, q, spin, None)))
-               for spin in (0, 1) for x in range(L)
-               for p, q in ((x, (x + 1) % L), ((x + 1) % L, x))]
-    blocks = _op_blocks(hopping, basis, index, L)
-    vp = params.potential.periodized(L)
-    lam = params.lam
-    mu = params.mu_bar
+    # diagonal over every Fock state: chemical potential + interaction on
+    # the total site densities, summed x outer, y inner (an empty site x
+    # adds +-0.0, which leaves the sum unchanged)
+    states = np.arange(4 ** L, dtype=np.int64)
+    diag = params.mu_bar * np.bitwise_count(states).astype(float)
+    if params.lam != 0.0:
+        vp = params.potential.periodized(L)
+        occ = [(((states >> x) & 1) + ((states >> (L + x)) & 1)).astype(float)
+               for x in range(L)]
+        acc = np.zeros(4 ** L)
+        for x in range(L):
+            for y in range(L):
+                acc += vp[(x - y) % L] * occ[x] * occ[y]
+        diag += params.lam * acc
 
     energies, vectors = {}, {}
-    for key, states in basis.items():
+    for key, sector in basis.items():
         h = blocks.pop((key, key))
-        for col, s in enumerate(states):
-            # diagonal: chemical potential + interaction on total densities
-            occ = np.array([((s >> x) & 1) + ((s >> (L + x)) & 1) for x in range(L)],
-                           dtype=float)
-            diag = mu * float(occ.sum())
-            if lam != 0.0:
-                acc = 0.0
-                for x in range(L):
-                    if occ[x] == 0.0:
-                        continue
-                    for y in range(L):
-                        acc += vp[(x - y) % L] * occ[x] * occ[y]
-                diag += lam * acc
-            h[col, col] += diag
-        evals, evecs = np.linalg.eigh(h)
-        energies[key], vectors[key] = evals, evecs
+        h[np.diag_indices_from(h)] += diag[sector]
+        energies[key], vectors[key] = np.linalg.eigh(h)
 
     e0 = min(float(v.min()) for v in energies.values())
     z = sum(float(np.exp(-beta * (v - e0)).sum()) for v in energies.values())
-    return EDSystem(params, basis, index, energies, vectors, e0, z,
+    return EDSystem(params, basis, energies, vectors, e0, z,
                     4 ** L * 64.0 * _EXACT)
 
 
@@ -576,16 +603,17 @@ def particle_hole_mirror(params):
             2.0 * params.L * (params.mu_bar + 2.0 * params.lam * vbar))
 
 
-def particle_hole_gap(params):
-    """Spectral mismatch under the particle-hole map: on even rings the
-    sorted spectra of H and of its particle_hole_mirror coincide after
-    the shift."""
+def particle_hole_gap(ed):
+    """Spectral mismatch of the built system ed under the particle-hole
+    map: on even rings the sorted spectra of H and of its
+    particle_hole_mirror coincide after the shift.  Only the mirror is
+    diagonalized here."""
+    params = ed.params
     if params.L % 2:
         raise ValueError("the staggered sign needs an even ring")
     mu_mirror, shift = particle_hole_mirror(params)
-    s1 = ed_micro(params).spectrum()
     s2 = ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
-    return float(np.max(np.abs(s1 - (s2 + shift))))
+    return float(np.max(np.abs(ed.spectrum() - (s2 + shift))))
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,16 @@ import pytest
 
 from rg1d import cli
 
-REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "benchmarks", "reference", "defaults.json.gz")
+REFERENCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "benchmarks", "reference")
 
-with gzip.open(REFERENCE, "rt") as _fh:
-    DEFAULTS = json.load(_fh)["invocations"]
+
+def _invocations(workload):
+    with gzip.open(os.path.join(REFERENCES, workload + ".json.gz"), "rt") as fh:
+        return json.load(fh)["invocations"]
+
+
+DEFAULTS = _invocations("defaults")
 
 # default runs whose reference captured a defect that is fixed since: they
 # now exit 0 with every check passing
@@ -29,24 +34,34 @@ def _summary(out_dir, command):
         return dict(line.split("=", 1) for line in fh.read().splitlines())
 
 
-@pytest.mark.parametrize("ref", DEFAULTS, ids=lambda ref: "-".join(ref["argv"]))
-def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
-    code = _run(ref["argv"], tmp_path)
-    if ref["argv"] in FIXED:
-        assert ref["exit"] == 3
-        assert code == 0
-        assert _summary(tmp_path, ref["argv"][0])["checks_ok"] == "true"
-        return
-    assert code == ref["exit"]
+def _assert_golden(ref, out_dir, capsys):
+    assert _run(ref["argv"], out_dir) == ref["exit"]
     written = {}
-    for name in sorted(os.listdir(tmp_path)):
-        with open(os.path.join(tmp_path, name)) as fh:
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name)) as fh:
             written[name] = fh.read()
     assert written.keys() == ref["files"].keys()
     for name, text in ref["files"].items():
         assert written[name] == text, name
     summary = ref["files"][ref["argv"][0] + "_summary.txt"]
     assert capsys.readouterr().out == summary
+
+
+@pytest.mark.parametrize("ref", DEFAULTS, ids=lambda ref: "-".join(ref["argv"]))
+def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
+    if ref["argv"] in FIXED:
+        assert ref["exit"] == 3
+        assert _run(ref["argv"], tmp_path) == 0
+        assert _summary(tmp_path, ref["argv"][0])["checks_ok"] == "true"
+        return
+    _assert_golden(ref, tmp_path, capsys)
+
+
+def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
+    # the ed_l6 benchmark run: L = 6, lambda = 0.1, uv:1:0.5, with the
+    # particle-hole check
+    (ref,) = _invocations("ed_l6")
+    _assert_golden(ref, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -68,6 +83,10 @@ def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
     ["borel", "--delta", "2"],
     ["borel", "--delta", "0"],
     ["borel", "--epsilon", "-1"],
+    ["borel", "--n", "-1"],
+    ["borel", "--n", "0"],
+    ["nu", "--mu", "1.5"],
+    ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
     ["flow", "--a-mode", "bogus"],
 ], ids=" ".join)

@@ -1,6 +1,7 @@
 """Two-route checks between the oracles and the fast modules, and between
 the Wick-sum oracles and exact diagonalization."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_first_order_slope_matches_ed_difference(ed_ladder, x, tau, alpha):
     #     more in the truncation estimate.
     params, eds = ed_ladder
     slope = oracle.first_order_slope(x, tau, alpha, params)
-    r = {s: ed.response(x, tau, alpha) for s, ed in eds.items()}
+    r = {s: ed.response(alpha, [tau])[x, 0] for s, ed in eds.items()}
     d1 = (r[1] - r[-1]) / (2.0 * D_LAMBDA)
     d2 = (r[2] - r[-2]) / (4.0 * D_LAMBDA)
     roundoff = eds[1].roundoff
@@ -62,8 +63,9 @@ def test_bubble_quadrature_extrapolates_to_bubble_constant():
                          ids=["hubbard", "uv:1:0.5"])
 def test_particle_hole_spectra_coincide(potential):
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=potential, beta=4.0, L=4)
-    gap = oracle.particle_hole_gap(params)
-    assert gap <= oracle.ed_micro(params).roundoff
+    ed = oracle.ed_micro(params)
+    gap = oracle.particle_hole_gap(ed)
+    assert gap <= ed.roundoff
 
 
 def test_free_ed_matches_wick_responses():
@@ -73,8 +75,52 @@ def test_free_ed_matches_wick_responses():
     params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.on_site_potential(1.0),
                                beta=4.0, L=4)
     ed = oracle.ed_micro(params)
+    taus = (0.7, -1.3, 2.9)
     for alpha in oracle.RESPONSE_CHANNELS:
+        table = ed.response(alpha, taus)
         for x in range(params.L):
-            for tau in (0.7, -1.3, 2.9):
+            for j, tau in enumerate(taus):
                 ref = oracle.wick_free_response(x, alpha, params, x0=tau)
-                assert abs(ed.response(x, tau, alpha) - ref.value) <= ed.roundoff + ref.error
+                assert abs(table[x, j] - ref.value) <= ed.roundoff + ref.error
+
+
+JW_L = 3
+
+
+def _jw_field(dag, bit, n_modes):
+    """a_bit (dag = 0) or a^+_bit on the full Fock space as a Kronecker
+    product: bit 0 is the last factor, and the Jordan-Wigner string of
+    diag(1, -1) factors covers every lower bit."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])    # |1> -> |0>
+    factors = ([np.eye(2)] * (n_modes - 1 - bit) + [lower.T if dag else lower]
+               + [np.diag([1.0, -1.0])] * bit)
+    return functools.reduce(np.kron, factors)
+
+
+def _jw_dense(monomials, L):
+    total = np.zeros((4 ** L, 4 ** L))
+    for coeff, fields in monomials:
+        total += coeff * functools.reduce(np.matmul, [
+            _jw_field(dag, spin * L + site, 2 * L) for dag, site, spin, _ in fields])
+    return total
+
+
+_JW_CASES = {"%s[%d]@x=%d" % (alpha, i, x): [oracle._density_monomials(alpha, x, None, JW_L)[i]]
+             for alpha, rows in oracle.DENSITIES.items()
+             for i in range(len(rows)) for x in range(JW_L)}
+_JW_CASES["hopping"] = oracle._hopping_monomials(JW_L)
+
+
+@pytest.mark.parametrize("name", sorted(_JW_CASES))
+def test_op_blocks_match_dense_jordan_wigner(name):
+    # every coefficient and matrix entry is dyadic, so both routes are exact
+    monomials = _JW_CASES[name]
+    basis = oracle._sector_basis(JW_L)
+    assert np.array_equal(np.sort(np.concatenate(list(basis.values()))),
+                          np.arange(4 ** JW_L))
+    full = np.zeros((4 ** JW_L, 4 ** JW_L))
+    for (src, dest), blk in oracle._op_blocks(monomials, basis, JW_L).items():
+        full[np.ix_(basis[dest], basis[src])] = blk
+    dense = _jw_dense(monomials, JW_L)
+    assert np.any(dense != 0.0)
+    assert np.array_equal(full, dense)
