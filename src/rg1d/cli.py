@@ -13,8 +13,7 @@ its row's rule (a choice list or a bound).
 Every run writes <out-dir>/<command>.csv plus <out-dir>/<command>_summary.txt,
 a flat sorted key=value file that is also echoed to stdout.  Identical
 (config, seed) pairs produce byte-identical outputs: numbers print with a
-fixed %.12g format, summaries are key-sorted, and sweep workers merge in
-deterministic order.
+fixed %.12g format and summaries are key-sorted.
 
 Exit codes: 0 ok; 2 config error (a bad flag, config entry or input file,
 or a value that breaks its rule), with one "config error:" line on stderr;
@@ -31,7 +30,6 @@ import math
 import operator
 import os
 import sys
-from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
@@ -176,7 +174,7 @@ def _potential_from(spec):
 # name -> (passed, margin), or is None for a command without checks.
 
 COMMON = (Opt("out-dir", str, ".", help="output directory"),)
-SEED = Opt("seed", int, help="seed for any stochastic lanes")
+SEED = Opt("seed", int, key="seed", help="seed for any stochastic lanes")
 # argparse reads a value that starts with "-" as a flag
 GRID_HELP = ("start:stop:step; a negative start needs the = form, "
              "--lambda-grid=-0.02:0.02:0.01")
@@ -187,13 +185,11 @@ GRID_HELP = ("start:stop:step; a negative start needs the = form, "
 # ----------------------------------------------------------------------
 
 PROP = (
-    SEED,
     Opt("mu", float, 0.5, key="mu"),
     Opt("beta", float, 64.0, key="beta"),
     Opt("L", int, 256, key="L"),
     Opt("M", int, 10, key="M"),
     Opt("gamma", float, 2.0, key="gamma"),
-    Opt("potential", str),
     Opt("points", str, help="file of 'x x0' rows"),
 )
 
@@ -201,8 +197,8 @@ PROP = (
 def cmd_prop(o):
     beta = o["beta"]
     with _config_phase():
-        pot = _potential_from(o["potential"])
-        params = ModelParams(lam=0.0, mu_bar=o["mu"], potential=pot, beta=beta,
+        params = ModelParams(lam=0.0, mu_bar=o["mu"],
+                             potential=on_site_potential(1.0), beta=beta,
                              L=o["L"], gamma=o["gamma"], M_uv=o["M"])
         if o["points"] is None:
             points = [(x, 0.0) for x in range(9)] + [(x, 0.37 * beta) for x in range(5)]
@@ -234,7 +230,7 @@ def cmd_prop(o):
 # ----------------------------------------------------------------------
 
 FLOW = (
-    SEED._replace(key="seed"),
+    SEED,
     Opt("lambda", float, 0.02, key="lambda"),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
     Opt("beta", float, 1024.0),
@@ -293,7 +289,6 @@ def cmd_flow(o):
 # ----------------------------------------------------------------------
 
 EXPONENTS = (
-    SEED,
     Opt("lambda-grid", str, "0.01:0.05:0.01", key="lambda_grid",
         help=GRID_HELP),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
@@ -301,35 +296,34 @@ EXPONENTS = (
     Opt("L", int, 4096),
     Opt("h", int, -400, ("<=", 0)),
     Opt("potential", str, "hubbard", key="potential"),
-    Opt("jobs", int, 1),
 )
 
 
-def _exponents_point(task):
-    params, h = task
-    cfg = rgflow.BetaConfig(h_lbeta=h)
-    traj = rgflow.run_flow(params, cfg, h, with_checks=False)
+def _fixed_point(params, h):
+    """Flow without remainders down to scale h, taken as the box scale, then
+    its fixed-point limits and first-order exponents."""
+    traj = rgflow.run_flow(params, rgflow.BetaConfig(h_lbeta=h), h,
+                           with_checks=False)
     limits = rgflow.fixed_point_values(traj, params)
-    fermi = params.fermi()
-    ex = renorm.exponents(params, limits, fermi)
-    gap = abs(limits.g2_inf - limits.g2_first_order)
-    return (params.lam, fermi.p_F, ex.eta_z, ex.eta_2C, ex.eta_2S, ex.eta_2SC,
-            ex.eta_2TC, ex.X["C"], ex.X["S"], ex.X["SC"], ex.X["TC"],
-            ex.X_tilde_SC, ex.f_lambda, ex.c_coefficient, gap)
+    return traj, limits, renorm.exponents(params, limits)
 
 
 def cmd_exponents(o):
     with _config_phase():
         pot = _potential_from(o["potential"])
         # every model is built here, so a bad one exits 2 before any numeric work
-        tasks = [(ModelParams.from_p_F(lam, o["pF"], pot, o["beta"], o["L"]), o["h"])
-                 for lam in _parse_grid(o["lambda-grid"])]
+        models = [ModelParams.from_p_F(lam, o["pF"], pot, o["beta"], o["L"])
+                  for lam in _parse_grid(o["lambda-grid"])]
 
-    if o["jobs"] <= 1 or len(tasks) <= 1:
-        results = [_exponents_point(t) for t in tasks]
-    else:   # worker pool; results merge in submission order
-        with Pool(min(o["jobs"], len(tasks))) as pool:
-            results = pool.map(_exponents_point, tasks)
+    results = []
+    for params in models:
+        _, limits, ex = _fixed_point(params, o["h"])
+        results.append((params.lam, params.fermi().p_F, ex.eta_z, ex.eta_2C,
+                        ex.eta_2S, ex.eta_2SC, ex.eta_2TC, ex.X["C"], ex.X["S"],
+                        ex.X["SC"], ex.X["TC"], ex.X_tilde_SC, ex.f_lambda,
+                        ex.c_coefficient,
+                        abs(limits.g2_inf - limits.g2_first_order)))
+    # a negative-step grid still prints in ascending lambda
     results.sort(key=lambda r: r[0])
 
     # The gap |g2_inf - g2_first_order| is the difference of two O(lambda)
@@ -356,7 +350,6 @@ def cmd_exponents(o):
 # ----------------------------------------------------------------------
 
 NU = (
-    SEED,
     Opt("lambda", float, 0.02),
     Opt("lambda-grid", str, help=GRID_HELP + " (default: --lambda alone)"),
     Opt("mu", float, 0.5, ((">", -1.0), ("<", 1.0)), key="mu_bar"),
@@ -391,7 +384,7 @@ def cmd_nu(o):
 # ----------------------------------------------------------------------
 
 CORRELATIONS = (
-    SEED._replace(default=0, key="seed"),
+    SEED._replace(default=0),
     Opt("lambda", float, 0.0, key="lambda"),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
     Opt("beta", float, 1e9),
@@ -420,12 +413,9 @@ def cmd_correlations(o):
     xs = np.unique(np.round(spread(o["x-min"], o["x-max"], o["x-count"])).astype(int))
     xt_max = math.hypot(float(xs.max()), fermi.v_F * x0)
     depth = int(math.ceil(math.log(xt_max / tail) / math.log(fermi.gamma))) + 4
-    target_h = -depth
 
-    cfg = rgflow.BetaConfig(h_lbeta=target_h, seed=o["seed"])
-    traj = rgflow.run_flow(params, cfg, target_h, with_checks=False)
-    limits = rgflow.fixed_point_values(traj, params)
-    ex = renorm.exponents(params, limits, fermi)
+    # the flow draws no remainders: the seed reaches only the Zhat residuals
+    traj, limits, ex = _fixed_point(params, -depth)
     rset = renorm.z_flow(traj, limits, residual_mode=o["residuals"],
                          seed=o["seed"])
     ztab = correlations.z_tables(rset, ex, fermi.gamma)
@@ -466,7 +456,7 @@ def cmd_correlations(o):
 # ----------------------------------------------------------------------
 
 G1MAP = (
-    SEED._replace(default=0, key="seed"),
+    SEED._replace(default=0),
     Opt("g0-re", float, 0.01, key="g0_re"),
     Opt("g0-im", float, 0.0, key="g0_im"),
     Opt("a", float, 0.25, key="a"),
@@ -506,7 +496,7 @@ def cmd_g1map(o):
 # ----------------------------------------------------------------------
 
 BOREL = (
-    SEED._replace(default=0, key="seed"),
+    SEED._replace(default=0),
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("rays", int, 32, (">=", 1), key="rays"),
     Opt("radii", int, 8, (">=", 1), key="radii"),
@@ -547,16 +537,16 @@ def cmd_borel(o):
 
 
 def _oracle_bubble(o):
-    p_F, gamma, h_lo = o["pF"], o["gamma"], o["h-min"]
+    h_lo = o["h-min"]
     with _config_phase():
-        fermi = ModelParams.from_p_F(0.0, p_F, on_site_potential(1.0),
-                                     64.0, 256).fermi()
-    a = math.log(gamma) / (math.pi * fermi.v_F)
+        fermi = ModelParams.from_p_F(0.0, o["pF"], on_site_potential(1.0),
+                                     64.0, 256, gamma=o["gamma"]).fermi()
+    a = rgflow.bubble_constant(fermi)
     rows = []
     for h in range(o["h-max"], h_lo - 1, -2):
-        v = oracle.bubble_quadrature(h, fermi, gamma)
+        v = oracle.bubble_quadrature(h, fermi)
         rows.append((h, v.value, v.error, (v.value - a) * abs(h)))
-    rich = oracle.bubble_quadrature(h_lo, fermi, gamma, extrapolate=True)
+    rich = oracle.bubble_quadrature(h_lo, fermi, extrapolate=True)
     return (("h", "value", "error", "dev_times_h"), rows, {
         "a_exact": a, "richardson_value": rich.value,
         "richardson_error": rich.error, "richardson_vs_a": abs(rich.value - a),
@@ -569,6 +559,8 @@ def _oracle_wick(o):
         params = ModelParams(lam=0.0, mu_bar=o["mu"],
                              potential=on_site_potential(1.0),
                              beta=o["beta"], L=L)
+        if not -params.beta < x0 < params.beta:
+            raise ConfigError("x0 must lie in (-beta, beta), got %s" % _fmt(x0))
     rows = []
     for alpha in oracle.RESPONSE_CHANNELS:
         for x in range(1, min(L // 2, 12)):
@@ -586,7 +578,7 @@ def _oracle_ed(o):
                              beta=beta, L=L)
     ed = oracle.ed_micro(params)
     free = params.with_(lam=0.0)
-    rows, worst_free = [], 0.0
+    rows = []
     taus = (0.0, 0.25 * beta, 0.7 * beta, -0.4 * beta)
     for alpha in oracle.RESPONSE_CHANNELS:
         table = ed.response(alpha, taus)
@@ -594,17 +586,14 @@ def _oracle_ed(o):
             for tau, got in zip(taus, table[x].tolist()):
                 ref = oracle.wick_free_response(x, alpha, free, x0=tau).value
                 rows.append((alpha, x, tau, got, ref, abs(got - ref)))
-    two_point = ed.two_point(taus)
-    for x in range(L):
-        for tau, g in zip(taus, two_point[x].tolist()):
-            d = abs(g - oracle.free_g(x, tau, free))
-            worst_free = max(worst_free, d) if lam == 0.0 else worst_free
-    summary = {
-        "ground_energy": float(ed.spectrum()[0]), "filling": ed.filling(),
-        "two_point_vs_kernel": worst_free if lam == 0.0 else "n/a",
-    }
+    summary = {"ground_energy": float(ed.spectrum()[0]), "filling": ed.filling(),
+               "two_point_vs_kernel": "n/a"}
     checks = {}
-    if lam == 0.0:
+    if lam == 0.0:   # the kernel is the free propagator only at lambda = 0
+        two_point = ed.two_point(taus)
+        worst_free = max(abs(g - oracle.free_g(x, tau, free)) for x in range(L)
+                         for tau, g in zip(taus, two_point[x].tolist()))
+        summary["two_point_vs_kernel"] = worst_free
         checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
     # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams asks
     if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
@@ -661,8 +650,7 @@ ORACLE_MODES = {
     )),
 }
 
-ORACLE = (SEED, Opt("what", str, "bubble", ("in", tuple(ORACLE_MODES)),
-                   key="what"))
+ORACLE = (Opt("what", str, "bubble", ("in", tuple(ORACLE_MODES)), key="what"),)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,11 @@ the logarithmic factor L(x) = 1 + f log|xtilde|:
 Obar0 = ((v_F x0)^2 - x^2)/|xt|^2 and Qbar0 = 2 v_F x0 x/|xt|^2 carry the
 free-case angular structure; on the time or space axis Qbar0 drops and the
 oscillating SC factor reduces to -Obar0 cos(2 p_F x).  The free case (all
-Z = 1) reproduces the Wick values exactly up to scale-sum truncation.
+Z = 1) reproduces the Wick values up to the truncation of the scale sum,
+which stops at h = 0, so the claim holds at long distance only: at
+p_F = pi/3 on the space axis the relative error is 0.87 at x = 10 and
+4e-3 at x = 100, stays below 1e-5 from x = 316 on and below 1.7e-6 for
+400 <= x <= 1200.
 """
 
 import math
@@ -55,15 +59,7 @@ class ZTables:
     Z2: dict
 
 
-def free_tables(depth):
-    """lambda = 0 tables: every constant identically 1."""
-    ones = np.ones(depth + 1)
-    return ZTables(2.0, depth, ones,
-                   {al: ones for al in ("C", "S", "SC")},
-                   {al: ones.copy() for al in CHANNELS})
-
-
-def z_tables(rset, ex, gamma=2.0):
+def z_tables(rset, ex, gamma):
     """Build ZTables from a flow of the hat constants and the exponents."""
     i = np.arange(rset.depth + 1, dtype=float)
     zz = gamma ** (ex.eta_z * i) * np.exp(rset.log_zhat["z"])

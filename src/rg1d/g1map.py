@@ -259,11 +259,6 @@ class SweepReport:
     containment_fraction: float
     closeness_fraction: float
 
-    @property
-    def all_pass(self):
-        return self.containment_fraction == 1.0 and \
-            self.closeness_fraction == 1.0
-
 
 def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
                  a=0.25, models=SIGMA_MODELS, seed=0):

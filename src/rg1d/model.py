@@ -266,6 +266,9 @@ class ModelParams:
 
     @classmethod
     def from_p_F(cls, lam, p_F, potential, beta, L, **kw):
+        # cos would fold any other p_F onto a different model in (0, pi)
+        if not 0.0 < p_F < math.pi:
+            raise ValueError("p_F must lie in (0, pi)")
         return cls(lam=lam, mu_bar=math.cos(p_F), potential=potential,
                    beta=beta, L=L, **kw)
 

@@ -21,7 +21,7 @@ geometrically.
 
 import math
 import numpy as np
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .model import THETA, THETA_PRIME
 
@@ -158,7 +158,6 @@ class SolveReport:
     iterations: int
     residual: float
     contraction_ratio: float
-    ratios: list = field(default_factory=list)
     contracting: bool = True
 
 
@@ -179,12 +178,12 @@ def solve_fixed_point(model, tol=1e-12):
             r = diff / prev_diff
             ratios.append(r)
             if r >= 1.0:
-                return SolveReport(nxt, it, diff, r, ratios, False)
+                return SolveReport(nxt, it, diff, r, False)
         nu = nxt
         if diff < tol:
             resid = T_operator(nu, model).diff_norm(nu)
             ratio = max(ratios) if ratios else 0.0
-            return SolveReport(nu, it, resid, ratio, ratios, True)
+            return SolveReport(nu, it, resid, ratio, True)
         prev_diff = diff
     raise RuntimeError("fixed point not reached within 400 iterations")
 

@@ -177,10 +177,6 @@ class _GTable:
     def __init__(self, params, s_nodes):
         self.params = params
         self.s_nodes = np.asarray(s_nodes, dtype=float)
-        L = params.L
-        k = 2.0 * math.pi * np.arange(L) / L
-        self._k = k
-        self._e = params.mu_bar - np.cos(k)
         self._scalar = {}
         self._shifted = {}
 
@@ -196,10 +192,7 @@ class _GTable:
         if key in self._shifted:
             return self._shifted[key]
         dts = (self.s_nodes - t_fixed) if node_first else (t_fixed - self.s_nodes)
-        phase = np.cos(self._k * dx)
-        out = np.empty(dts.size, dtype=float)
-        for i, dt in enumerate(dts):
-            out[i] = float(np.sum(phase * thermal_weight(self._e, dt, self.params.beta))) / self.params.L
+        out = np.array([free_g(dx, dt, self.params) for dt in dts])
         self._shifted[key] = out
         return out
 
@@ -623,7 +616,7 @@ def particle_hole_gap(ed):
 BUBBLE_MAX_H = -4
 
 
-def bubble_quadrature(h, fermi, gamma=None, extrapolate=False):
+def bubble_quadrature(h, fermi, extrapolate=False):
     """Scale-averaged particle-hole bubble of the relativistic pair.
 
     Evaluates 2 (1/|h|) int dk/(2 pi)^2 |C_h(rho)|^2 / rho^2 in polar
@@ -641,11 +634,11 @@ def bubble_quadrature(h, fermi, gamma=None, extrapolate=False):
     if h > BUBBLE_MAX_H:
         raise ValueError("bubble oracle is for the asymptotic regime h <= %d"
                          % BUBBLE_MAX_H)
-    gamma = float(fermi.gamma if gamma is None else gamma)
+    gamma = fermi.gamma
     if extrapolate:
         h2 = -(-h // 2)
-        v1 = bubble_quadrature(h, fermi, gamma)
-        v2 = bubble_quadrature(h2, fermi, gamma)
+        v1 = bubble_quadrature(h, fermi)
+        v2 = bubble_quadrature(h2, fermi)
         num = abs(h) * v1.value - abs(h2) * v2.value
         return OracleValue(num / (abs(h) - abs(h2)),
                            (abs(h) * v1.error + abs(h2) * v2.error) / (abs(h) - abs(h2)))
@@ -681,7 +674,8 @@ def mp_map_trajectory(g0, a_seq, n):
 
     Returns (trajectory as complex128 array, OracleValue of g_n) where
     the bar is the difference against a rerun at 60 digits; this bounds
-    the float iteration's roundoff drift in the closeness tests.
+    the float iteration's roundoff drift in the closeness tests.  Raises
+    ArithmeticError at the first step that no complex128 can hold.
     """
     import mpmath
 
@@ -699,5 +693,9 @@ def mp_map_trajectory(g0, a_seq, n):
         return np.asarray(traj, dtype=complex)
 
     base = run(40)
+    escaped = np.flatnonzero(~np.isfinite(base))
+    if escaped.size:
+        raise ArithmeticError("map trajectory leaves the float range at step %d"
+                              % escaped[0])
     check = run(60)
     return base, OracleValue(abs(base[-1]), float(abs(base[-1] - check[-1])))

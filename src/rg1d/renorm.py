@@ -36,13 +36,6 @@ ZETA_BAR = {"z": 0.0, "C": -1.5, "S": 0.5, "SC": -1.5, "TC": 0.5}
 HAT_KEYS = ("z", "1C", "1S", "1SC", "2C", "2S", "2SC", "2TC")
 
 
-def linear_coefficient_identity():
-    """The exact first-order relation between channels on the g1 coefficient:
-    coeff(C) + coeff(TC) - 2 coeff(S) = coeff(SC).  Returns (lhs, rhs)."""
-    lhs = Z2_COEFFS["C"][0] + Z2_COEFFS["TC"][0] - 2.0 * Z2_COEFFS["S"][0]
-    return lhs, Z2_COEFFS["SC"][0]
-
-
 # ----------------------------------------------------------------------
 # renormalization-constant flow
 # ----------------------------------------------------------------------
@@ -127,16 +120,9 @@ def z_flow(traj, limits, residual_mode="none", seed=None):
     return RenormSet(traj.lam, depth, a, float(g1[0]), out, residual_mode)
 
 
-def q_coefficient(rset, t, h):
-    """q^{(h)}_t = log Zhat^{(t)}_h / log(1 + a g1_0 |h|)."""
-    if h >= 0:
-        raise ValueError("q is defined for h < 0")
-    den = math.log1p(rset.a * rset.g1_0 * (-h))
-    return rset.log_zhat_at(t, h) / den
-
-
 def q_interpolated(rset, t, h_real):
-    """q at a real-valued scale via linear interpolation of log Zhat."""
+    """q^{(h)}_t = log Zhat^{(t)}_h / log(1 + a g1_0 |h|) at a real-valued
+    scale h, with log Zhat interpolated linearly between integer scales."""
     if h_real >= 0.0:
         return 0.0
     den = math.log1p(rset.a * rset.g1_0 * (-h_real))

@@ -2,6 +2,7 @@
 option precedence."""
 
 import gzip
+import inspect
 import json
 import os
 
@@ -89,6 +90,12 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
     ["flow", "--a-mode", "bogus"],
+    ["flow", "--pF", "4"],
+    ["correlations", "--pF", "-1"],
+    ["exponents", "--pF", "4"],
+    ["oracle", "--what", "bubble", "--pF", "4"],
+    ["oracle", "--what", "bubble", "--gamma", "1"],
+    ["oracle", "--what", "wick", "--x0", "40"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -96,6 +103,35 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def test_escaping_map_oracle_exits_3_with_one_line(tmp_path, capsys):
+    # g -> g - 100 g^2 from g0 = 0.02 + 0.005i overflows a complex128
+    assert _run(["oracle", "--what", "map", "--a", "100", "--n", "50"], tmp_path) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+    assert "step" in lines[0]
+
+
+# every command's table and handler (oracle's handler is the --what
+# dispatch), then every --what mode's
+HANDLED = [pytest.param(table, handler, id=command)
+           for command, (_, table, handler) in cli.COMMANDS.items()] + [
+    pytest.param(table, handler, id="oracle-" + mode)
+    for mode, (handler, table) in cli.ORACLE_MODES.items()]
+
+
+@pytest.mark.parametrize("table,handler", HANDLED)
+def test_every_option_is_read_by_its_handler(table, handler):
+    source = inspect.getsource(handler)
+    assert [opt.name for opt in table if 'o["%s"]' % opt.name not in source] == []
+
+
+def test_common_options_are_read_by_main():
+    source = inspect.getsource(cli.main)
+    assert [opt.name for opt in cli.COMMON if 'opts["%s"]' % opt.name not in source] == []
 
 
 def _flow_summary(tmp_path, config, *flags):

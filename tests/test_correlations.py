@@ -21,8 +21,8 @@ def _setup(lam, depth=24, residuals="none", seed=None):
     limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
     ex = renorm.exponents(params, limits)
     rset = renorm.z_flow(traj, limits, residual_mode=residuals, seed=seed)
-    ztab = correlations.z_tables(rset, ex)
-    return params.fermi(), ex, rset, ztab
+    fermi = params.fermi()
+    return fermi, ex, rset, correlations.z_tables(rset, ex, fermi.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,24 @@ def test_interacting_assembly_within_budget():
             assert res.rel_error <= budget, (alpha, x, res.rel_error)
 
 
-def test_free_tables_match_z_tables_at_zero_coupling():
+def test_z_tables_are_one_at_zero_coupling():
+    # the free case: every constant identically 1
     fermi, ex, rset, ztab = _setup(0.0, depth=20)
-    free = correlations.free_tables(20)
-    for key in ztab.Z2:
-        assert np.allclose(ztab.Z2[key], free.Z2[key], atol=1e-12)
+    ones = np.ones(21)
+    assert np.array_equal(ztab.Z, ones)
+    for table in (ztab.Z1, ztab.Z2):
+        for key in table:
+            assert np.array_equal(table[key], ones), key
+
+
+def test_free_assembly_reproduces_wick_values_at_long_distance():
+    # the scale sum stops at h = 0, so the free case matches the closed
+    # (Wick) form only far out; 1.7e-6 is the worst measured on [400, 1200]
+    fermi, ex, rset, ztab = _setup(0.0, depth=26)
+    for x in np.linspace(400.0, 1200.0, 21):
+        for alpha in correlations.CHANNELS:
+            res = correlations.assemble_response(x, alpha, ztab, ex, fermi)
+            assert res.rel_error <= 1e-5, (alpha, x, res.rel_error)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ def _traj(lam, target_h=-2000, potential=None, seed=None, residuals="none"):
 
 
 def test_linear_coefficient_identity():
-    lhs, rhs = renorm.linear_coefficient_identity()
-    assert lhs == rhs
-    assert lhs == pytest.approx(-0.5)
+    # first order, on the g1 coefficient: C + TC - 2 S = SC
+    c = {al: renorm.Z2_COEFFS[al][0] for al in renorm.CHANNELS}
+    assert c["C"] + c["TC"] - 2.0 * c["S"] == c["SC"] == -0.5
 
 
 def test_zeta_bar_table():
@@ -85,7 +85,7 @@ def test_q_coefficients_trend_toward_half_zeta():
     rset = renorm.z_flow(traj, limits)
     targets = {"2C": -0.75, "2S": 0.25, "2SC": -0.75, "2TC": 0.25}
     for key, target in targets.items():
-        errs = [abs(renorm.q_coefficient(rset, key, h) - target)
+        errs = [abs(renorm.q_interpolated(rset, key, float(h)) - target)
                 for h in (-200, -2000, -20000)]
         assert errs[2] < errs[0]
         assert errs[2] < 0.3
@@ -98,7 +98,7 @@ def test_q_bands_survive_envelope_residuals():
     for seed in (0, 1, 2):
         rset = renorm.z_flow(traj, limits, residual_mode="envelope", seed=seed)
         for key, target in targets.items():
-            q = renorm.q_coefficient(rset, key, -20000)
+            q = renorm.q_interpolated(rset, key, -20000.0)
             assert abs(q - target) <= 5.0 * 0.05
 
 
