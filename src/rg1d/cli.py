@@ -632,7 +632,8 @@ ORACLE_MODES = {
     "wick": (_oracle_wick, (
         Opt("mu", float, 0.5, key="mu"),
         Opt("beta", float, 32.0, key="beta"),
-        Opt("L", int, 64, key="L"),
+        # x runs over 1 .. min(L // 2, 12) - 1: L < 4 leaves no row
+        Opt("L", int, 64, (">=", 4), key="L"),
         Opt("x0", float, 0.0, key="x0"),
     )),
     "ed": (_oracle_ed, (

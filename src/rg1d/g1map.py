@@ -240,6 +240,9 @@ def square_sum_estimate(g0, a, n):
 # ----------------------------------------------------------------------
 
 
+_BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
+
+
 @dataclass(frozen=True)
 class SweepLaneReport:
     model: str
@@ -264,10 +267,11 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
                  a=0.25, models=SIGMA_MODELS, seed=0):
     """Vectorized verification sweep over g0 = r e^{i theta} in D_{eps,delta}.
 
-    All (ray, radius, model) lanes are iterated simultaneously; containment
-    (trajectory in the 3eps/sin d sector, approximant in the 2eps/sin d one)
-    and the closeness bound are checked online at every step, so the memory
-    cost is O(lanes) independent of n_steps.
+    All (ray, radius, model) lanes are iterated simultaneously, _BLOCK steps
+    at a time; containment (trajectory in the 3eps/sin d sector, approximant
+    in the 2eps/sin d one) and the closeness bound are then checked on every
+    row of the block at once, so the memory cost is O(lanes x _BLOCK)
+    independent of n_steps.  A lane is frozen at its first failing row.
     """
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
     radii = epsilon * np.array([0.999, 0.7, 0.5, 0.3, 0.2, 0.1,
@@ -277,55 +281,65 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
     models = tuple(models)
     g0 = np.tile(g0, len(models))
     model_of = np.repeat(np.arange(len(models)), n_pts)
+    kind = np.array(models)[model_of]
 
     dom = SectorDomain(epsilon, delta)
     d1 = dom.approximant_enlargement()
     d2 = dom.trajectory_enlargement()
     sig_scale = default_sigma_scale(a, epsilon) * np.abs(g0)
     rng = np.random.default_rng(seed)
-    disk = np.where(np.array(models) == "disk")[0]
-    disk_mask = np.isin(model_of, disk)
-    n_disk = int(disk_mask.sum())
+    disk = kind == "disk"
+    n_disk = int(disk.sum())
+    # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
+    # disk columns are drawn anew for every block
+    drift = np.where((kind == "constant") | (kind == "alternating"),
+                     sig_scale, 0.0)
+    sign = np.where(kind == "alternating", -1.0, 1.0)
+    a_n = (a + drift * sign ** np.arange(_BLOCK)[:, None]).astype(complex)
 
-    g = g0.astype(complex)
-    S = np.zeros_like(g)            # prefix sum of a_k
+    G = np.empty((_BLOCK + 1, g0.size), dtype=complex)   # g_n of the block
+    S = np.empty_like(G)                                 # prefix sums of a_k
+    G[0], S[0] = g0, 0.0
     ok_contain = np.ones(g0.size, dtype=bool)
     ok_close = np.ones(g0.size, dtype=bool)
     first_bad = np.full(g0.size, -1, dtype=np.int64)
     max_ratio = np.zeros(g0.size)
     alive = np.ones(g0.size, dtype=bool)
-    sgn = 1.0
+    rows = np.arange(_BLOCK)[:, None]
 
-    for n in range(n_steps + 1):
-        gt = g0 / (1.0 + g0 * S)
-        agt = np.abs(gt)
-        err = np.abs(g - gt)
-        ratio = err / np.maximum(agt, 1e-300) ** 1.5
-        max_ratio = np.maximum(max_ratio, np.where(alive, ratio, 0.0))
-        bad_close = alive & (ratio > 1.0)
-        bad_cont = alive & ~(d2.contains(g) & d1.contains(gt))
-        newly = (bad_close | bad_cont) & (first_bad < 0)
-        first_bad[newly] = n
-        ok_close &= ~bad_close
-        ok_contain &= ~bad_cont
-        alive &= ~(bad_close | bad_cont)   # freeze failed lanes
-        if n == n_steps:
-            break
-        sig = np.zeros(g0.size, dtype=complex)
-        for mi, m in enumerate(models):
-            sel = model_of == mi
-            if m == "constant":
-                sig[sel] = sig_scale[sel]
-            elif m == "alternating":
-                sig[sel] = sgn * sig_scale[sel]
+    for start in range(0, n_steps + 1, _BLOCK):
+        k = min(_BLOCK, n_steps + 1 - start)     # rows n = start .. start+k-1
+        steps = min(k, n_steps - start)
         if n_disk:
-            r = np.sqrt(rng.random(n_disk))
-            th = 2.0 * math.pi * rng.random(n_disk)
-            sig[disk_mask] = sig_scale[disk_mask] * r * np.exp(1j * th)
-        sgn = -sgn
-        a_n = a + sig
-        g = np.where(alive, g - a_n * g * g, g)
-        S = np.where(alive, S + a_n, S)
+            u = rng.random((steps, 2, n_disk))
+            a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0]) * \
+                np.exp(1j * (2.0 * math.pi * u[:, 1]))
+        for j in range(steps):
+            # a live lane has |g| < d2.epsilon; a lane past its failing row
+            # steps from 0 instead, so no discarded value can overflow
+            g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
+            G[j + 1] = g - a_n[j] * g * g
+            S[j + 1] = S[j] + a_n[j]
+
+        g, s = G[:k], S[:k]
+        gt = g0 / (1.0 + g0 * s)
+        ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
+        bad_close = ratio > 1.0
+        bad_cont = ~(d2.contains(g) & d1.contains(gt))
+        bad = (bad_close | bad_cont) & alive
+        hit = np.flatnonzero(bad.any(axis=0))
+        last = np.full(g0.size, k - 1)
+        last[hit] = bad[:, hit].argmax(axis=0)
+        counted = (rows[:k] <= last) & alive
+        max_ratio = np.maximum(max_ratio,
+                               np.where(counted, ratio, 0.0).max(axis=0))
+        first_bad[hit] = start + last[hit]
+        ok_close[hit] = ~bad_close[last[hit], hit]
+        ok_contain[hit] = ~bad_cont[last[hit], hit]
+        alive[hit] = False
+        if not alive.any():
+            break
+        G[0], S[0] = G[k], S[k]
 
     lanes = []
     for i in range(g0.size):

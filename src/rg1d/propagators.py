@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j1 as bessel_j1
 
 from .model import MomentumGrids, TWO_PI, ir_dispersion
 
@@ -359,6 +358,7 @@ def _dirac_radial(R, fermi, chi, n_nodes):
 
     r = sqrt(x0^2 + (x/v_F)^2), which is exactly scale covariant and sums
     over h to (1/(2 pi)) / (v_F x0 + i omega x)."""
+    from scipy.special import j1   # on use: importing it doubles import time
     g = fermi.gamma
     a, b = fermi.t0 / g, fermi.t0 * g
     xq, wq = _gl_nodes(n_nodes)
@@ -366,7 +366,7 @@ def _dirac_radial(R, fermi, chi, n_nodes):
     w = 0.5 * (b - a) * wq
     cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)
     R = np.asarray(R, dtype=float)
-    return (w * cbar) @ bessel_j1(np.outer(u, R))
+    return (w * cbar) @ j1(np.outer(u, R))
 
 
 # ----------------------------------------------------------------------

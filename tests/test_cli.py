@@ -2,9 +2,13 @@
 option precedence."""
 
 import gzip
+import hashlib
 import inspect
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -96,6 +100,7 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["oracle", "--what", "bubble", "--pF", "4"],
     ["oracle", "--what", "bubble", "--gamma", "1"],
     ["oracle", "--what", "wick", "--x0", "40"],
+    ["oracle", "--what", "wick", "--L", "3"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -209,3 +214,30 @@ def test_finite_scale_flow_stops_at_the_box_scale(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert "h_{L,beta} = -2" in err[0]
+
+
+def test_borel_sweep_past_failed_lanes_does_not_warn(tmp_path):
+    # at epsilon = 1e100 every lane fails at n = 1; the 39 steps after it
+    # must not overflow (pytest makes a RuntimeWarning an error)
+    argv = ["borel", "--epsilon", "1e100", "--n", "40", "--rays", "4", "--radii", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(argv, tmp_path) == 4
+    assert caught == []
+    with open(os.path.join(tmp_path, "borel.csv"), "rb") as fh:
+        data = fh.read()
+    rows = data.decode().splitlines()[1:]
+    assert len(rows) == 32
+    assert all(row.split(",")[3:6] == ["0", "0", "1"] for row in rows)
+    # sha256 of borel.csv as the per-step sweep wrote it
+    assert hashlib.sha256(data).hexdigest() == \
+        "edf7ef5987d0bf2c3feba05ad942f4f989bece24aaaba3066915cb2d0065c372"
+
+
+def test_import_does_not_load_scipy():
+    # scipy.special loads on first use of the Dirac profiles, not at import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, rg1d.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,5 +1,7 @@
 """Quadratic map g -> g - a_n g^2: trajectories, approximants, sector checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,6 +151,48 @@ def test_sweep_deterministic():
     for l1, l2 in zip(r1.lanes, r2.lanes):
         assert l1.g0 == l2.g0
         assert l1.max_ratio == l2.max_ratio
+
+
+# sha256 of every lane's (model, g0, contained, close, first_violation,
+# max_ratio.hex()) and of both fractions, as the per-step sweep gave them;
+# 8 rays x 8 radii x 4 models at delta = pi/4, default epsilon and seed 3
+# unless the case says otherwise.  The n_steps values sit on the edges of
+# the 32-step blocks; the failing cases put first violations on rows 31-33
+# and 63-65 and fail both checks on one row.
+SWEEP_DIGESTS = [
+    (dict(n_steps=1), "2a47fbab5f4675d6a149a5fb540f7b7b970a429619f37bdf2ffa137c417d0bc9"),
+    (dict(n_steps=31), "612636c684578674328f01e87f0cffd7fd3f1f3bbd4b96cf785c464d511ea5e9"),
+    (dict(n_steps=32), "606f2a85e930f1e75dc04ad3143944684bebd06777a78ddbf5a47499e407eae2"),
+    (dict(n_steps=33), "7a0a512c5824ce8f0da6be0066b943e4aa0c7f1976bd0028effecab8cce090ad"),
+    (dict(n_steps=64), "dd530ccf48b0f54280980235b801dcc31df8955aae2b03c21991c88d925f5f7a"),
+    (dict(n_steps=65), "cad4985e0b0559601ed7c502ee441bab8d1104a4b35c75e653a4ab20ac587dc0"),
+    (dict(a=-0.3, epsilon=0.05, n_steps=300, seed=1),
+     "6bf0c60ea8d2ccc879982c6ec72efa8b0cd2ccc8d81fefa2d6a60ff299dea546"),
+    (dict(a=2.0, epsilon=0.3, n_steps=65, seed=2),
+     "73bb6fff4f1ead5fbcf2668e412c4ea573880aecf7be941a6023cf7e15b13391"),
+    (dict(a=-1.0, epsilon=0.3, n_steps=100),
+     "a547d63a679d675fe9d67383ffb5f7dd83060be88ffc5390fe0246264e604544"),
+    (dict(delta=1.5, a=-0.3, epsilon=0.3, n_steps=100),
+     "a2fd926882042766e5f3d40ef1c01a488ed5376bf9e7f5b3ff0e2afaa8fb3ab3"),
+    (dict(delta=0.1, a=-1.0, epsilon=0.05, n_steps=130),
+     "b160bfe0f32576c6930e5a25968ac4cd0151af1be767d2df7cdcc90815b79b3c"),
+]
+
+
+@pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
+                         ids=[str(case) for case, _ in SWEEP_DIGESTS])
+def test_sweep_is_bit_identical_to_the_per_step_sweep(case, expected):
+    kw = dict(delta=DELTA, n_rays=8, n_radii=8, seed=3)
+    kw.update(case)
+    kw.setdefault("epsilon", g1map.default_eps0(kw["delta"]))
+    rep = g1map.sweep_sector(**kw)
+    h = hashlib.sha256()
+    for ln in rep.lanes:
+        h.update(repr((ln.model, ln.g0, ln.contained, ln.close,
+                       ln.first_violation, ln.max_ratio.hex())).encode())
+    h.update(repr((rep.containment_fraction.hex(),
+                   rep.closeness_fraction.hex())).encode())
+    assert h.hexdigest() == expected
 
 
 @given(st.floats(0.002, 0.012), st.integers(0, 7))
