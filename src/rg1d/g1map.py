@@ -280,8 +280,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
     n_pts = g0.size
     models = tuple(models)
     g0 = np.tile(g0, len(models))
-    model_of = np.repeat(np.arange(len(models)), n_pts)
-    kind = np.array(models)[model_of]
+    kind = np.repeat(models, n_pts)
 
     dom = SectorDomain(epsilon, delta)
     d1 = dom.approximant_enlargement()
@@ -343,7 +342,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
 
     lanes = []
     for i in range(g0.size):
-        lanes.append(SweepLaneReport(models[model_of[i]], complex(g0[i]),
+        lanes.append(SweepLaneReport(str(kind[i]), complex(g0[i]),
                                      bool(ok_contain[i]), bool(ok_close[i]),
                                      int(first_bad[i]) if first_bad[i] >= 0
                                      else None, float(max_ratio[i])))

@@ -158,7 +158,7 @@ def test_sweep_deterministic():
 # 8 rays x 8 radii x 4 models at delta = pi/4, default epsilon and seed 3
 # unless the case says otherwise.  The n_steps values sit on the edges of
 # the 32-step blocks; the failing cases put first violations on rows 31-33
-# and 63-65 and fail both checks on one row.
+# and 95-96 and fail both checks on one row.
 SWEEP_DIGESTS = [
     (dict(n_steps=1), "2a47fbab5f4675d6a149a5fb540f7b7b970a429619f37bdf2ffa137c417d0bc9"),
     (dict(n_steps=31), "612636c684578674328f01e87f0cffd7fd3f1f3bbd4b96cf785c464d511ea5e9"),
