@@ -30,6 +30,7 @@ import math
 import operator
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -203,8 +204,13 @@ def cmd_prop(o):
         if o["points"] is None:
             points = [(x, 0.0) for x in range(9)] + [(x, 0.37 * beta) for x in range(5)]
         else:
-            points = [(int(x), float(x0)) for x, x0
-                      in np.loadtxt(o["points"], comments="#", ndmin=2)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)   # a file with no rows
+                try:
+                    table = np.loadtxt(o["points"], comments="#", ndmin=2)
+                except UserWarning as exc:
+                    raise ConfigError(str(exc))
+            points = [(int(x), float(x0)) for x, x0 in table]
         for x, x0 in points:
             if not -beta < x0 < beta:
                 raise ConfigError("point (%d, %g) outside the x0 domain "
@@ -499,7 +505,8 @@ BOREL = (
     SEED._replace(default=0),
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("rays", int, 32, (">=", 1), key="rays"),
-    Opt("radii", int, 8, (">=", 1), key="radii"),
+    Opt("radii", int, len(g1map.RADII), ((">=", 1), ("<=", len(g1map.RADII))),
+        key="radii"),
     Opt("n", int, 10 ** 5, (">=", 1), key="n_steps"),
     Opt("a", float, 0.25, key="a"),
     Opt("epsilon", float, key="epsilon",

@@ -140,12 +140,17 @@ def iterate(g0, a_seq, n, domain=None):
     traj[0] = g0
     g = complex(g0)
     escape = None if big.contains(g0) else 0
-    for k in range(n):
-        if escape is None:
-            g = quadratic_map_step(g, a_arr[k])
-            if not big.contains(g):
-                escape = k + 1
-        traj[k + 1] = g
+    with np.errstate(over="raise"):
+        for k in range(n):
+            if escape is None:
+                try:
+                    g = quadratic_map_step(g, a_arr[k])
+                except FloatingPointError:
+                    raise ArithmeticError("map trajectory leaves the float "
+                                          "range at step %d" % (k + 1)) from None
+                if not big.contains(g):
+                    escape = k + 1
+            traj[k + 1] = g
     csum = np.concatenate(([0.0 + 0.0j], np.cumsum(a_arr)))
     A = np.empty(n + 1, dtype=complex)
     A[0] = a
@@ -241,6 +246,8 @@ def square_sum_estimate(g0, a, n):
 
 
 _BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
+# radii of the swept g0, as fractions of epsilon; a sweep takes the first n_radii
+RADII = (0.999, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
 
 
 @dataclass(frozen=True)
@@ -263,8 +270,8 @@ class SweepReport:
     closeness_fraction: float
 
 
-def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
-                 a=0.25, models=SIGMA_MODELS, seed=0):
+def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
+                 n_steps=10 ** 5, a=0.25, models=SIGMA_MODELS, seed=0):
     """Vectorized verification sweep over g0 = r e^{i theta} in D_{eps,delta}.
 
     All (ray, radius, model) lanes are iterated simultaneously, _BLOCK steps
@@ -274,8 +281,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
     independent of n_steps.  A lane is frozen at its first failing row.
     """
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
-    radii = epsilon * np.array([0.999, 0.7, 0.5, 0.3, 0.2, 0.1,
-                                0.05, 0.01])[:n_radii]
+    radii = epsilon * np.array(RADII[:n_radii])
     g0 = (radii[:, None] * np.exp(1j * thetas[None, :])).ravel()
     n_pts = g0.size
     models = tuple(models)
@@ -313,12 +319,17 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=8, n_steps=10 ** 5,
             u = rng.random((steps, 2, n_disk))
             a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0]) * \
                 np.exp(1j * (2.0 * math.pi * u[:, 1]))
-        for j in range(steps):
-            # a live lane has |g| < d2.epsilon; a lane past its failing row
-            # steps from 0 instead, so no discarded value can overflow
-            g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
-            G[j + 1] = g - a_n[j] * g * g
-            S[j + 1] = S[j] + a_n[j]
+        # a live lane has |g| < d2.epsilon; a lane past its failing row
+        # steps from 0 instead, so only a live lane can overflow
+        with np.errstate(over="raise"):
+            for j in range(steps):
+                g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
+                try:
+                    G[j + 1] = g - a_n[j] * g * g
+                except FloatingPointError:
+                    raise ArithmeticError("sweep leaves the float range at "
+                                          "step %d" % (start + j + 1)) from None
+                S[j + 1] = S[j] + a_n[j]
 
         g, s = G[:k], S[:k]
         gt = g0 / (1.0 + g0 * s)

@@ -16,9 +16,11 @@ reductions instead, so test_free_ed_matches_wick_responses (ED at
 lambda = 0 against it) checks the table.
 
 Error-bar convention: quadrature-based oracles return an OracleValue
-whose bar is a two-level refinement difference; exact finite sums (Wick
-sums, exact diagonalization) carry a machine-roundoff bound instead.
-Downstream tests should consume value +- error, never the bare value.
+whose bar is the two-level refinement difference alone; exact finite sums
+(wick_free_response, exact diagonalization) carry a machine-roundoff bound
+instead.  first_order_slope is both: its bar leaves out the roundoff of
+its Wick sums, measured at up to 1.8e-12 for L <= 32.  Downstream tests
+should consume value +- error, never the bare value.
 
 Scope guard: exact diagonalization is a micro oracle.  It validates the
 noninteracting kernels and the first-order response slopes on chains of
@@ -29,6 +31,7 @@ modules instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,10 +151,12 @@ def wick_free_response(x, alpha, params, x0=0.0):
 # ----------------------------------------------------------------------
 #
 # Fields are tuples (dag, site, spin, time), the language exact
-# diagonalization reads too; time None stands for the quadrature
-# variable s, so pair values may be vectors over the s nodes.
-# The written order of the field list is the operator order inside the
-# time-ordered product; equal-time pairs resolve by that written order.
+# diagonalization reads too.  A site may be the column Y + d over the
+# summed interaction site Y = 0..L-1, and time None stands for the
+# quadrature variable s, so pair values are arrays over (y, s-node) of
+# shape (1 or L, 1 or n_nodes).  The written order of the field list is
+# the operator order inside the time-ordered product; equal-time pairs
+# resolve by that written order.
 
 
 def _pairings(indices):
@@ -172,84 +177,61 @@ _PAIRINGS = {n: _pairings(tuple(range(n))) for n in (2, 4, 6, 8)}
 
 
 class _GTable:
-    """Memoized kernel sums g(dx, dt) for scalar and node-vector dt."""
+    """Kernel sums g(d, dt) for every ring distance d at once, memoized per
+    time difference and per node shift."""
 
     def __init__(self, params, s_nodes):
         self.params = params
         self.s_nodes = np.asarray(s_nodes, dtype=float)
-        self._scalar = {}
-        self._shifted = {}
+        self.bands = params.mu_bar - np.cos(2.0 * math.pi * np.arange(params.L) / params.L)
+        self._memo = {}
 
-    def scalar(self, dx, dt):
-        key = (dx % self.params.L, round(float(dt), 15))
-        if key not in self._scalar:
-            self._scalar[key] = free_g(dx, dt, self.params)
-        return self._scalar[key]
+    def __call__(self, tm, tp):
+        """(L, m) table of g(d, tm - tp) over d = 0..L-1: a time None is the
+        node time s, giving one column per node, else m = 1."""
+        if tm is None and tp is None:
+            tm = tp = 0.0
+        key = (tm, tp) if tm is None or tp is None else tm - tp
+        if key not in self._memo:
+            s, beta = self.s_nodes, self.params.beta
+            dts = np.atleast_1d((s if tm is None else tm) - (s if tp is None else tp))
+            if np.any(np.abs(dts) >= beta):
+                raise ValueError("tau must lie in (-beta, beta)")
+            w = np.stack([thermal_weight(self.bands, dt, beta) for dt in dts], axis=1)
+            self._memo[key] = np.fft.fft(w, axis=0).real / self.params.L
+        return self._memo[key]
 
-    def versus_nodes(self, dx, t_fixed, node_first):
-        """Vector of g(dx, s - t_fixed) (node_first) or g(dx, t_fixed - s)."""
-        key = (dx % self.params.L, round(float(t_fixed), 15), node_first)
-        if key in self._shifted:
-            return self._shifted[key]
-        dts = (self.s_nodes - t_fixed) if node_first else (t_fixed - self.s_nodes)
-        out = np.array([free_g(dx, dt, self.params) for dt in dts])
-        self._shifted[key] = out
-        return out
 
-
-def _pair_value(fi, fj, gtab, L):
-    """<T phi_i phi_j> for two fields in written order i < j."""
+def _pair_value(fi, fj, gtab):
+    """<T phi_i phi_j> for two fields in written order i < j, as an array
+    over (y, s-node); None for a pair that spin or charge forbids."""
     di, xi, si, ti = fi
     dj, xj, sj, tj = fj
     if si != sj or di == dj:
-        return 0.0
+        return None
     if di == 0:
         sgn, dx, tm, tp = 1.0, xi - xj, ti, tj     # a^- before a^+
     else:
         sgn, dx, tm, tp = -1.0, xj - xi, tj, ti    # a^+ before a^-
-    if tm is None and tp is None:
-        dt = 0.0
-    elif tm is None:
-        return sgn * gtab.versus_nodes(dx, tp, True)
-    elif tp is None:
-        return sgn * gtab.versus_nodes(dx, tm, False)
-    else:
-        dt = tm - tp
-    if dt == 0.0:
-        base = gtab.scalar(dx, 0.0)
-        if di == 0 and dx % L == 0:
-            base += 1.0    # equal-time a^- a^+ as written: 0^+ side
-        return sgn * base
-    return sgn * gtab.scalar(dx, dt)
+    d = np.ravel(dx) % gtab.params.L
+    val = gtab(tm, tp)[d]
+    if di == 0 and tm == tp:
+        val = val + (d == 0)[:, None]    # equal-time a^- a^+ as written: 0^+ side
+    return sgn * val
 
 
-def _wick(fields, gtab, L):
-    """Time-ordered free expectation of an even product of fields.
-
-    Returns a scalar, or a vector over the s nodes when any field sits
-    at the quadrature time.  Sum over complete pairings with crossing
-    signs; spin and charge selection rules prune most of them.
-    """
+def _wick(fields, gtab):
+    """Time-ordered free expectation of an even product of fields, as an
+    array over (y, s-node), or 0.0 when spin and charge forbid every
+    pairing.  Sum over complete pairings with crossing signs."""
     n = len(fields)
-    vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals[(i, j)] = _pair_value(fields[i], fields[j], gtab, L)
+    vals = {(i, j): _pair_value(fields[i], fields[j], gtab)
+            for i in range(n) for j in range(i + 1, n)}
     total = 0.0
     for sign, pairs in _PAIRINGS[n]:
-        prod = float(sign)
-        for ij in pairs:
-            v = vals[ij]
-            if isinstance(v, float):
-                if v == 0.0:
-                    prod = 0.0
-                    break
-                prod = prod * v
-            else:
-                prod = prod * v
-        if isinstance(prod, float) and prod == 0.0:
-            continue
-        total = total + prod
+        factors = [vals[ij] for ij in pairs]
+        if all(f is not None for f in factors):
+            total = total + math.prod(factors, start=float(sign))
     return total
 
 
@@ -262,44 +244,26 @@ def _density_monomials(alpha, x, t, L):
 
 
 def _interaction_monomials(params):
-    """lambda-free interaction sum_{x,y,s,s'} v(x-y) n_{x,s} n_{y,s'} at
-    the quadrature time, dropping zero-weight site pairs."""
-    L = params.L
-    vp = params.potential.periodized(L)
-    out = []
-    for x in range(L):
-        for y in range(L):
-            v = vp[(x - y) % L]
-            if v == 0.0:
-                continue
-            for s in (0, 1):
-                for sp in (0, 1):
-                    out.append((float(v), ((1, x, s, None), (0, x, s, None),
-                                           (1, y, sp, None), (0, y, sp, None))))
-    return out
+    """lambda-free interaction sum_{y,d,s,s'} v_L(d) n_{y+d,s} n_{y,s'} at
+    the quadrature time: one monomial per range d with v_L(d) != 0 and per
+    spin pair, on the site column y = 0..L-1."""
+    y = np.arange(params.L)[:, None]
+    vp = params.potential.periodized(params.L)
+    return [(float(vp[d]), ((1, y + d, s, None), (0, y + d, s, None),
+                            (1, y, sp, None), (0, y, sp, None)))
+            for d in np.flatnonzero(vp) for s in (0, 1) for sp in (0, 1)]
 
 
-def _product_expectation(groups, gtab, L):
-    """<T prod(groups)> where each group is a monomial expansion of one
-    composite operator; distributes coefficients over the outer product."""
-    total = 0.0
-    for combo in _combos(groups):
-        coeff = 1.0
-        fields = ()
-        for c, f in combo:
-            coeff *= c
-            fields = fields + f
-        total = total + coeff * _wick(fields, gtab, L)
-    return total
-
-
-def _combos(groups):
-    if not groups:
-        yield ()
-        return
-    for head in groups[0]:
-        for rest in _combos(groups[1:]):
-            yield (head,) + rest
+def _product_expectation(groups, gtab):
+    """<T prod(groups)> summed over the interaction site, as an array over
+    the s nodes (one entry when no field sits at the node time).  Each
+    group is the monomial expansion of one composite operator; the
+    coefficients distribute over the outer product."""
+    total = np.zeros((1, 1))
+    for combo in itertools.product(*groups):
+        coeff = math.prod(c for c, _ in combo)
+        total = total + coeff * _wick(sum((f for _, f in combo), ()), gtab)
+    return total.sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -318,30 +282,25 @@ def first_order_slope(x, tau, alpha, params):
 
     with W the lambda-free interaction.  All expectations are free Wick
     sums; the s integral runs over Gauss-Legendre panels split at the
-    kink s = tau, and the bar is the two-level refinement difference.
+    kink s = tau.  The bar is the two-level refinement difference alone.
+    Roundoff is left out of it: the kernel subtracts disconnected products
+    of size |<T rho rho><W>| ~ L, and two summation orders of the same
+    sums differ by up to 1.8e-12 (160 values at L <= 32, beta = 8), which
+    can exceed the refinement bar by a factor of a few hundred.
     """
-    beta, L = params.beta, params.L
+    rx = _density_monomials(alpha, x, tau, params.L)
+    r0 = _density_monomials(alpha, 0, 0.0, params.L)
+    w1 = _interaction_monomials(params)
     vals = []
     for n_nodes in REFINEMENT_LEVELS:
-        nodes, weights = _panel_nodes(tau, beta, n_nodes)
+        nodes, weights = _panel_nodes(tau, params.beta, n_nodes)
         gtab = _GTable(params, nodes)
-        rx = _density_monomials(alpha, x, tau, L)
-        r0 = _density_monomials(alpha, 0, 0.0, L)
-        w1 = _interaction_monomials(params)
-        mean_w = float(_product_expectation([w1], gtab, L))
-        rr = _product_expectation([rx, r0], gtab, L)
-        mx = _product_expectation([rx], gtab, L)
-        m0 = _product_expectation([r0], gtab, L)
-        rrw = _product_expectation([rx, r0, w1], gtab, L)
-        rxw = _product_expectation([rx, w1], gtab, L)
-        r0w = _product_expectation([r0, w1], gtab, L)
-        kern = (np.asarray(rrw) - rr * mean_w
-                - mx * (np.asarray(r0w) - m0 * mean_w)
-                - m0 * (np.asarray(rxw) - mx * mean_w))
-        kern = np.asarray(kern, dtype=float)
-        if kern.ndim == 0:    # fully disconnected channel: flat integrand
-            kern = np.full_like(weights, float(kern))
-        vals.append(-float(np.dot(weights, kern)))
+        mean_w, rr, mx, m0, rrw, rxw, r0w = (
+            _product_expectation(groups, gtab) for groups in
+            ([w1], [rx, r0], [rx], [r0], [rx, r0, w1], [rx, w1], [r0, w1]))
+        kern = (rrw - rr * mean_w - mx * (r0w - m0 * mean_w)
+                - m0 * (rxw - mx * mean_w))
+        vals.append(-float(np.sum(weights * kern)))
     return OracleValue(vals[-1], abs(vals[-1] - vals[0]))
 
 

@@ -85,6 +85,7 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["nu", "--tol", "0"],
     ["borel", "--rays", "0", "--n", "10"],
     ["borel", "--radii", "0", "--n", "10"],
+    ["borel", "--radii", "9", "--n", "10"],
     ["borel", "--delta", "2"],
     ["borel", "--delta", "0"],
     ["borel", "--epsilon", "-1"],
@@ -110,15 +111,32 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
-def test_escaping_map_oracle_exits_3_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
     # g -> g - 100 g^2 from g0 = 0.02 + 0.005i overflows a complex128
-    assert _run(["oracle", "--what", "map", "--a", "100", "--n", "50"], tmp_path) == 3
+    ["oracle", "--what", "map", "--a", "100", "--n", "50"],
+    # the first float step g - a g^2 overflows at |g| ~ 1e200
+    ["borel", "--epsilon", "1e200", "--n", "5"],
+    ["g1map", "--g0-re", "1e200", "--n", "5"],
+], ids=" ".join)
+def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
+    assert _run(argv, tmp_path) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
     assert "step" in lines[0]
 
+
+
+@pytest.mark.parametrize("text", ["", "# x x0\n"], ids=["empty", "comment-only"])
+def test_prop_points_file_without_rows_exits_2_with_one_line(text, tmp_path, capsys):
+    points = tmp_path / "points.txt"
+    points.write_text(text)
+    assert _run(["prop", "--points", str(points)], tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's

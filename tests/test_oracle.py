@@ -2,6 +2,7 @@
 the Wick-sum oracles and exact diagonalization."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,69 @@ def test_first_order_slope_matches_ed_difference(ed_ladder, x, tau, alpha):
     roundoff = eds[1].roundoff
     budget = slope.error + abs(d2 - d1) / 3.0 + 1.5 * roundoff / D_LAMBDA
     assert abs(d1 - slope.value) <= budget
+
+
+# first_order_slope values of the per-site Wick engine that the site-array
+# engine replaced (mu_bar = 0.3, beta = 8), channels in RESPONSE_CHANNELS
+# order, keyed (L, potential, x, tau)
+CAPTURED_SLOPES = {
+    (8, "hubbard", 1, 0.7): (0.1504463514091936, -0.009261694048508635, 0.11388234555649523, 0.049415953202844615),
+    (8, "hubbard", 2, 5.3): (-0.11375438204953733, -0.10792272020086657, 0.12924203147800176, 0.034988143878480635),
+    (8, "uv:1:0.5", 1, 0.7): (0.09005232541948022, 0.026453238073351284, 0.12564459303731534, 0.09340043765064623),
+    (8, "uv:1:0.5", 2, 5.3): (-0.1506689394425142, -0.15543085767529657, 0.17027270934674316, 0.05767500456248091),
+    (16, "hubbard", 1, 0.7): (0.22875258399154474, 0.06398115363425086, 0.1821589644858303, 0.04486673367192037),
+    (16, "hubbard", 2, 5.3): (-0.08125808181770189, -0.06331525400462437, 0.08174177173124987, 0.0036178350435182582),
+    (16, "uv:1:0.5", 1, 0.7): (0.18823113358824076, 0.13104446216546, 0.22176920100993894, 0.08794355638158008),
+    (16, "uv:1:0.5", 2, 5.3): (-0.10304477617320243, -0.09404315410473804, 0.10330650578175225, 0.014012255872788593),
+}
+POTENTIALS = {"hubbard": model.on_site_potential(1.0), "uv:1:0.5": model.u_v_potential(1.0, 0.5)}
+
+
+def _slope_roundoff(x, tau, alpha, params):
+    """L eps times the s integral of the slope kernel's magnitude.
+
+    Each of the kernel's seven expectations is sized monomial product by
+    monomial product, sum |coeff <T fields>|, so the +- coefficients of the
+    S and TC densities cannot cancel in it, and the kernel's six products
+    add in absolute value: its subtractions cancel terms of size
+    |<T rho rho><W>| ~ L.  L eps is the roundoff of one L-term k sum behind
+    each propagator.
+    """
+    nodes, weights = oracle._panel_nodes(tau, params.beta, oracle.REFINEMENT_LEVELS[-1])
+    gtab = oracle._GTable(params, nodes)
+    rx = oracle._density_monomials(alpha, x, tau, params.L)
+    r0 = oracle._density_monomials(alpha, 0, 0.0, params.L)
+    w1 = oracle._interaction_monomials(params)
+
+    def size(*groups):
+        return sum(abs(math.prod(c for c, _ in combo)) * np.abs(oracle._product_expectation(
+            [[(1.0, sum((f for _, f in combo), ()))]], gtab))
+            for combo in itertools.product(*groups))
+
+    w, rr, mx, m0 = size(w1), size(rx, r0), size(rx), size(r0)
+    mag = (size(rx, r0, w1) + rr * w + mx * (size(r0, w1) + m0 * w)
+           + m0 * (size(rx, w1) + mx * w))
+    return params.L * np.finfo(float).eps * float(np.sum(weights * mag))
+
+
+@pytest.mark.parametrize("key", sorted(CAPTURED_SLOPES), ids=str)
+def test_first_order_slope_matches_captured_values(key):
+    # the two engines sum the same terms in different orders, so they may
+    # differ by roundoff, which the refinement bar leaves out
+    L, potential, x, tau = key
+    params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=POTENTIALS[potential],
+                               beta=8.0, L=L)
+    for alpha, ref in zip(oracle.RESPONSE_CHANNELS, CAPTURED_SLOPES[key]):
+        got = oracle.first_order_slope(x, tau, alpha, params).value
+        assert abs(got - ref) <= _slope_roundoff(x, tau, alpha, params), alpha
+
+
+def test_first_order_slope_rejects_times_outside_the_window():
+    # at tau = -0.5 the nodes run up to beta, so s - tau leaves (-beta, beta)
+    params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.on_site_potential(1.0),
+                               beta=4.0, L=4)
+    with pytest.raises(ValueError):
+        oracle.first_order_slope(1, -0.5, "C", params)
 
 
 def test_free_g_matches_kernel_sum():
