@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import correlations, g1map, nusolver, oracle, propagators, renorm, rgflow
-from .model import (InteractionPotential, ModelParams, on_site_potential,
+from .model import (TWO_PI, InteractionPotential, ModelParams, on_site_potential,
                     u_v_potential)
 
 _FMT = "%.12g"
@@ -185,11 +185,12 @@ GRID_HELP = ("start:stop:step; a negative start needs the = form, "
 # prop: free-propagator tables and representation equivalence
 # ----------------------------------------------------------------------
 
+PROP_MAX_K0 = 2 ** 22   # cutoff-grid frequency cap, about 100x the default 41722
 PROP = (
     Opt("mu", float, 0.5, key="mu"),
     Opt("beta", float, 64.0, key="beta"),
     Opt("L", int, 256, key="L"),
-    Opt("M", int, 10, key="M"),
+    Opt("M", int, 10, (">=", 1), key="M"),
     Opt("gamma", float, 2.0, key="gamma"),
     Opt("points", str, help="file of 'x x0' rows"),
 )
@@ -215,12 +216,23 @@ def cmd_prop(o):
             if not -beta < x0 < beta:
                 raise ConfigError("point (%d, %g) outside the x0 domain "
                                   "(-beta, beta)" % (x, x0))
+        with np.errstate(over="ignore"):   # MomentumGrids.matsubara's count, or inf
+            n_k0 = 2 * (np.floor(np.float64(o["gamma"]) ** (o["M"] + 1) * beta / TWO_PI - 0.5) + 1)
+        if n_k0 > PROP_MAX_K0:
+            raise ConfigError("the cutoff grid at M = %d has %s frequencies, over the cap %d"
+                              % (o["M"], _fmt(n_k0), PROP_MAX_K0))
 
+    by_x0 = {}   # x0 bits (-0.0 apart from 0.0) -> indices of its points
+    for i, (_, x0) in enumerate(points):
+        by_x0.setdefault(x0.hex(), []).append(i)
+    g = np.empty((len(points), 2), dtype=complex)   # kernel_sum, cutoff_sum
+    for idx in by_x0.values():
+        xs, x0 = np.array([points[i][0] for i in idx]), points[idx[0]][1]
+        for j, rep in enumerate(("kernel_sum", "cutoff_sum")):
+            g[idx, j] = propagators.free_propagator(xs, x0, params, representation=rep)
     rows, worst = [], 0.0
-    for x, x0 in points:
+    for (x, x0), (gk, gc) in zip(points, g.tolist()):
         flagged = propagators.is_discontinuity_point(x, x0, beta)
-        gk = propagators.free_propagator(x, x0, params)
-        gc = propagators.free_propagator(x, x0, params, representation="cutoff_sum")
         diff = abs(gk - gc)
         if not flagged:
             worst = max(worst, diff)

@@ -333,7 +333,8 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
 
         g, s = G[:k], S[:k]
         gt = g0 / (1.0 + g0 * s)
-        ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
+        with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio raises below
+            ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
         bad_close = ratio > 1.0
         bad_cont = ~(d2.contains(g) & d1.contains(gt))
         bad = (bad_close | bad_cont) & alive
@@ -341,8 +342,10 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
         last = np.full(g0.size, k - 1)
         last[hit] = bad[:, hit].argmax(axis=0)
         counted = (rows[:k] <= last) & alive
-        max_ratio = np.maximum(max_ratio,
-                               np.where(counted, ratio, 0.0).max(axis=0))
+        max_ratio = np.maximum(max_ratio, np.where(counted, ratio, 0.0).max(axis=0))
+        if not np.isfinite(max_ratio).all():   # a nan ratio is not > 1, so it would pass as close
+            raise ArithmeticError("closeness ratio is not finite at step %d" % (
+                start + (counted & ~np.isfinite(ratio)).any(axis=1).argmax()))
         first_bad[hit] = start + last[hit]
         ok_close[hit] = ~bad_close[last[hit], hit]
         ok_contain[hit] = ~bad_cont[last[hit], hit]

@@ -25,9 +25,9 @@ an exact finite-sum identity, tested to near machine precision.
 shell_grid is the one place where the (k, k0) grids of these pieces are
 built: it returns the momenta, frequencies, band and numerator weight of a
 uv shell, an ir or dirac shell, or the whole cutoff propagator.  Point
-values (single_scale, free_propagator's cutoff_sum), whole-lattice tables
-(propagator_table), Gram norms (gram_certify) and the lattice bubble of
-rgflow are all sums over that record.
+values (single_scale; free_propagator's cutoff_sum, one frequency sum per
+k row for all x at one x0), whole-lattice tables (propagator_table), Gram
+norms (gram_certify) and the lattice bubble of rgflow are all sums over it.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ def is_discontinuity_point(x, x0, beta):
 
 
 def free_propagator(x, x0, params, representation="kernel_sum", M=None):
-    """g(x, x0) by either representation.  x integer, x0 in (-beta, beta).
+    """g(x, x0) by either representation: x an integer or a 1-D integer
+    array (one value per entry), x0 in (-beta, beta) shared by all.
 
     kernel_sum: (1/L) sum_k e^{-ikx} I(k, x0); exact for the finite system.
     cutoff_sum: smooth frequency cutoff at scale gamma^M; differs from
@@ -171,19 +172,23 @@ def free_propagator(x, x0, params, representation="kernel_sum", M=None):
     beta, L = params.beta, params.L
     if not -beta < x0 < beta:
         raise ValueError("x0 must lie in (-beta, beta)")
+    xs = np.atleast_1d(x)
     if representation == "kernel_sum":
         k = MomentumGrids(L, beta).spatial()
-        return complex(np.sum(np.exp(-1j * k * x) * free_kernel(k, x0, params))) / L
-    if representation == "cutoff_sum":
+        ker = free_kernel(k, x0, params)
+        out = [complex(np.sum(np.exp(-1j * k * xi) * ker)) / L for xi in xs]
+    elif representation == "cutoff_sum":
         grid = shell_grid("cutoff", None, params, M=M)
         k0 = grid.k0
         ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
-        acc = np.zeros((), dtype=complex)
+        acc = [np.zeros((), dtype=complex)] * xs.size  # scalar per x: numpy's vector product rounds apart
         for i in range(L):  # k outer loop keeps memory flat
-            term = ph0 / (-1j * k0 + grid.band[i])
-            acc = acc + np.exp(-1j * grid.k[i] * x) * np.sum(term)
-        return complex(acc) / (beta * L)
-    raise ValueError("representation must be kernel_sum or cutoff_sum")
+            row = np.sum(ph0 / (-1j * k0 + grid.band[i]))
+            acc = [a + np.exp(-1j * grid.k[i] * xi) * row for a, xi in zip(acc, xs)]
+        out = [complex(a) / (beta * L) for a in acc]
+    else:
+        raise ValueError("representation must be kernel_sum or cutoff_sum")
+    return out[0] if np.ndim(x) == 0 else np.array(out)
 
 
 def high_frequency_tail(tau, M, k, params):

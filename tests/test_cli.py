@@ -1,6 +1,7 @@
 """The rg1d command line, run in-process: golden outputs, exit codes and
 option precedence."""
 
+import collections
 import gzip
 import hashlib
 import inspect
@@ -12,7 +13,7 @@ import warnings
 
 import pytest
 
-from rg1d import cli
+from rg1d import cli, propagators
 
 REFERENCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks", "reference")
@@ -102,6 +103,10 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["oracle", "--what", "bubble", "--gamma", "1"],
     ["oracle", "--what", "wick", "--x0", "40"],
     ["oracle", "--what", "wick", "--L", "3"],
+    ["prop", "--M", "0"],
+    ["prop", "--M", "-3"],
+    # 4.5e13 cutoff-grid frequencies, over the 2^22 cap
+    ["prop", "--M", "40"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -117,6 +122,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     # the first float step g - a g^2 overflows at |g| ~ 1e200
     ["borel", "--epsilon", "1e200", "--n", "5"],
     ["g1map", "--g0-re", "1e200", "--n", "5"],
+    # |gtilde|^{3/2} underflows to 0 at step 0: the closeness ratio is nan
+    ["borel", "--epsilon", "1e-250", "--n", "5"],
 ], ids=" ".join)
 def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 3
@@ -137,6 +144,45 @@ def test_prop_points_file_without_rows_exits_2_with_one_line(text, tmp_path, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+def test_prop_points_rows_keep_file_order(tmp_path):
+    # x0 interleaved and repeated, 0 and -0 apart, a repeated point and a comment
+    rows = [(0, "0"), (3, "12.5"), (1, "0"), (3, "12.5"), (0, "-0"), (2, "-12.5"),
+            (1, "0"), (5, "19.5")]
+    points = tmp_path / "points.txt"
+    points.write_text("".join("%d %s\n" % row for row in rows[:7]) + "# x x0\n5 19.5\n")
+    out = tmp_path / "out"
+    assert _run(["prop", "--L", "33", "--beta", "20", "--M", "7",
+                 "--points", str(points)], out) == 0
+    with open(os.path.join(out, "prop.csv"), "rb") as fh:
+        data = fh.read()
+    assert [tuple(line.split(",")[:2]) for line in data.decode().splitlines()[1:]] == \
+        [(str(x), x0) for x, x0 in rows]
+    # sha256 of prop.csv and prop_summary.txt as the one-point-per-call code wrote them
+    assert hashlib.sha256(data).hexdigest() == \
+        "ac46b89eb9ded549d69d98f6c154d86b962043bfd113cc5abcc8cc15e42e025d"
+    with open(os.path.join(out, "prop_summary.txt"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            "338838627fb95b78c65275346885a84eeb03a01e2eec8660fbfaf21914bf65a7"
+
+
+def test_default_prop_calls_each_representation_once_per_x0(tmp_path, monkeypatch):
+    # the benchmark traces free_propagator per representation: its call
+    # counts and times are per-x0 work, 2 distinct x0 at the defaults
+    inner = propagators.free_propagator
+    signature = inspect.signature(inner)
+    calls = collections.Counter()
+
+    def counted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls[bound.arguments["representation"]] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(propagators, "free_propagator", counted)
+    assert _run(["prop"], tmp_path) == 0
+    assert calls == {"kernel_sum": 2, "cutoff_sum": 2}
+
 
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's

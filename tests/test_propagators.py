@@ -1,5 +1,7 @@
 """Propagator layer: cutoff algebra, representation equivalence, scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,54 @@ def test_free_propagator_rejects_out_of_range_time():
         propagators.free_propagator(1, 16.0, params)
     with pytest.raises(ValueError):
         propagators.free_propagator(1, -16.0, params)
+
+
+# free_propagator point by point, as the one-point-per-call code computed it:
+# (model params, points (x, x0), sha256 of every value's float.hex pair in
+# point order per representation).  The mixed cases cover odd L, small M,
+# gamma = 1.5, negative x0, x0 near +-beta, repeated x0 and both 0.0 and -0.0.
+POINT_CASES = {
+    "defaults": (
+        dict(mu_bar=0.5, beta=64.0, L=256, gamma=2.0, M_uv=10),
+        [(x, 0.0) for x in range(9)] + [(x, 0.37 * 64.0) for x in range(5)],
+        {"kernel_sum": "7d6e499aa8d90dbaa67768e4176282f46ce1e931c71ab44e9c89c63fab576e61",
+         "cutoff_sum": "f8a2a247a2bee617825fd119bf4e75c0bda9a80ad868fc6a52f64987f6d62046"}),
+    "odd_L": (
+        dict(mu_bar=0.5, beta=20.0, L=33, gamma=2.0, M_uv=7),
+        [(0, 0.0), (3, -0.0), (0, -0.0), (5, 7.4), (32, -7.4), (-3, 19.5),
+         (40, -19.5), (1, 19.999), (5, 7.4), (0, -19.999), (2, 0.0)],
+        {"kernel_sum": "831275d614421977e553c0092fe3adf0f7406969f4e214acef41b827147eeee2",
+         "cutoff_sum": "b438a70bbf2bcad7e68336865199ed3004722d33f7b34d3a34dda2cbc8bf3ea9"}),
+    "gamma_1.5": (
+        dict(mu_bar=0.2, beta=8.0, L=17, gamma=1.5, M_uv=3),
+        [(0, 0.0), (1, -0.0), (4, 2.5), (-2, -7.9), (16, 7.9), (4, 2.5), (0, -2.5)],
+        {"kernel_sum": "d92ca616fc580cbffde6cacba33a3724000337dd5d3279d992d712dad60598f1",
+         "cutoff_sum": "06591b3ee3702583072b563e8428c5306ed726074470c11d4b8dea836f456c7d"}),
+}
+
+
+def _hex_digest(values):
+    text = " ".join(v.real.hex() + "," + v.imag.hex() for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("rep", ["kernel_sum", "cutoff_sum"])
+@pytest.mark.parametrize("case", sorted(POINT_CASES))
+def test_array_x_reproduces_the_pointwise_values(case, rep):
+    kwargs, points, digests = POINT_CASES[case]
+    params = model.ModelParams(lam=0.0, potential=model.on_site_potential(1.0), **kwargs)
+    scalar = [propagators.free_propagator(x, x0, params, representation=rep)
+              for x, x0 in points]
+    assert all(type(v) is complex for v in scalar)
+    assert _hex_digest(scalar) == digests[rep]
+    by_x0 = {}   # keyed by the bits, so -0.0 gets its own call
+    for i, (_, x0) in enumerate(points):
+        by_x0.setdefault(x0.hex(), []).append(i)
+    for idx in by_x0.values():
+        xs = np.array([points[i][0] for i in idx])
+        out = propagators.free_propagator(xs, points[idx[0]][1], params, representation=rep)
+        assert out.dtype == complex and out.shape == xs.shape
+        assert out.tobytes() == np.array([scalar[i] for i in idx]).tobytes()
 
 
 def test_high_frequency_tail_rate():
