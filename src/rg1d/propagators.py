@@ -181,7 +181,7 @@ def free_propagator(x, x0, params, representation="kernel_sum", M=None):
         grid = shell_grid("cutoff", None, params, M=M)
         k0 = grid.k0
         ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
-        acc = [np.zeros((), dtype=complex)] * xs.size  # scalar per x: numpy's vector product rounds apart
+        acc = [np.zeros((), dtype=complex)] * xs.size  # scalar products: an array one rounds apart
         for i in range(L):  # k outer loop keeps memory flat
             row = np.sum(ph0 / (-1j * k0 + grid.band[i]))
             acc = [a + np.exp(-1j * grid.k[i] * xi) * row for a, xi in zip(acc, xs)]
