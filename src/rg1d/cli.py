@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import correlations, g1map, nusolver, oracle, propagators, renorm, rgflow
-from .model import (TWO_PI, InteractionPotential, ModelParams, on_site_potential,
+from .model import (InteractionPotential, ModelParams, MomentumGrids, on_site_potential,
                     u_v_potential)
 
 _FMT = "%.12g"
@@ -216,8 +216,9 @@ def cmd_prop(o):
             if not -beta < x0 < beta:
                 raise ConfigError("point (%d, %g) outside the x0 domain "
                                   "(-beta, beta)" % (x, x0))
-        with np.errstate(over="ignore"):   # MomentumGrids.matsubara's count, or inf
-            n_k0 = 2 * (np.floor(np.float64(o["gamma"]) ** (o["M"] + 1) * beta / TWO_PI - 0.5) + 1)
+        with np.errstate(over="ignore"):   # gamma^(M+1) is inf past the float range
+            top = np.float64(o["gamma"]) ** (o["M"] + 1)
+        n_k0 = MomentumGrids(params.L, beta).matsubara_count(top)
         if n_k0 > PROP_MAX_K0:
             raise ConfigError("the cutoff grid at M = %d has %s frequencies, over the cap %d"
                               % (o["M"], _fmt(n_k0), PROP_MAX_K0))
@@ -477,7 +478,7 @@ G1MAP = (
     SEED._replace(default=0),
     Opt("g0-re", float, 0.01, key="g0_re"),
     Opt("g0-im", float, 0.0, key="g0_im"),
-    Opt("a", float, 0.25, key="a"),
+    Opt("a", float, 0.25, (">", 0), key="a"),
     Opt("n", int, 10 ** 4, (">=", 1), key="n"),
     Opt("model", str, "zero", ("in", g1map.SIGMA_MODELS), key="model"),
     Opt("delta", float, math.pi / 4.0, key="delta"),
@@ -520,7 +521,7 @@ BOREL = (
     Opt("radii", int, len(g1map.RADII), ((">=", 1), ("<=", len(g1map.RADII))),
         key="radii"),
     Opt("n", int, 10 ** 5, (">=", 1), key="n_steps"),
-    Opt("a", float, 0.25, key="a"),
+    Opt("a", float, 0.25, (">", 0), key="a"),
     Opt("epsilon", float, key="epsilon",
         help="sector radius (default: g1map.default_eps0(delta))"),
     Opt("models", _names, g1map.SIGMA_MODELS, ("in", g1map.SIGMA_MODELS),

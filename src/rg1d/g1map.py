@@ -177,10 +177,17 @@ def approximant(g0, A_n, n, delta=None):
 
 
 def approximant_path(state):
-    """gtilde_k for k = 0..n from the recorded Cesaro averages."""
+    """gtilde_k for k = 0..n from the recorded Cesaro averages.  A pole
+    on the horizon (1 + g0 k A_k = 0) raises ArithmeticError."""
     n = state.trajectory.size - 1
     ks = np.arange(n + 1)
-    return state.g0 / (1.0 + state.g0 * ks * state.A)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a pole raises below
+        gt = state.g0 / (1.0 + state.g0 * ks * state.A)
+    finite = np.isfinite(gt)
+    if not finite.all():
+        raise ArithmeticError("approximant denominator vanishes at step %d"
+                              % np.argmin(finite))
+    return gt
 
 
 @dataclass(frozen=True)

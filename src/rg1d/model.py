@@ -309,9 +309,14 @@ class MomentumGrids:
         """D'_L: k' = (2 pi / L)(m + 1/2)."""
         return (TWO_PI / self.L) * (self.quasi_indices() + 0.5)
 
+    def matsubara_count(self, k0_max):
+        """Number of k0 in D_beta with |k0| <= k0_max, as a float: inf
+        once the count leaves the float range."""
+        return 2.0 * (np.floor(k0_max * self.beta / TWO_PI - 0.5) + 1.0)
+
     def matsubara(self, k0_max):
         """D_beta restricted to |k0| <= k0_max: k0 = (2 pi / beta)(n + 1/2)."""
-        nmax = int(math.floor(k0_max * self.beta / TWO_PI - 0.5))
-        n = np.arange(-nmax - 1, nmax + 1)
+        half = int(self.matsubara_count(k0_max)) // 2
+        n = np.arange(-half, half)
         return (TWO_PI / self.beta) * (n + 0.5)
 

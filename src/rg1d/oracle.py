@@ -581,9 +581,9 @@ def bubble_quadrature(h, fermi, extrapolate=False):
     Evaluates 2 (1/|h|) int dk/(2 pi)^2 |C_h(rho)|^2 / rho^2 in polar
     coordinates (rho, phi), rho^2 = k0^2 + (v_F k')^2, where C_h is the
     cumulative cutoff of scales h..0 built from the concrete chi0.  The
-    angular integral is done on its own Gauss-Legendre grid (the scaled
-    integrand is isotropic, so this is a consistency burn-in), the radial
-    one on per-octave panels in log rho at the two refinement levels.
+    integrand is isotropic, so the angular integral is 2 pi; the radial
+    one is done on per-octave panels in log rho at the two refinement
+    levels.
 
     Converges to log(gamma)/(pi v_F) from above at an O(1/|h|) rate set
     by the two transition octaves of C_h; extrapolate=True removes that
@@ -608,8 +608,6 @@ def bubble_quadrature(h, fermi, extrapolate=False):
     vals = []
     for n_nodes in REFINEMENT_LEVELS:
         xg, wg = leggauss(n_nodes)
-        phig, phiw = leggauss(8)
-        phi_total = float(np.sum(phiw)) * math.pi   # maps to (0, 2 pi)
         n_panels = 1 - h
         edges = np.linspace(lo, hi, n_panels + 1)
         acc = 0.0
@@ -619,7 +617,7 @@ def bubble_quadrature(h, fermi, extrapolate=False):
             rho = np.exp(u)
             c = chi(rho / t0) - chi(rho / (t0 * gamma ** (h - 1)))
             acc += half * float(np.dot(wg, c * c))
-        vals.append(2.0 * acc * phi_total / (4.0 * math.pi ** 2 * v_f * abs(h)))
+        vals.append(2.0 * acc * (2.0 * math.pi) / (4.0 * math.pi ** 2 * v_f * abs(h)))
     return OracleValue(vals[-1], abs(vals[-1] - vals[0]))
 
 

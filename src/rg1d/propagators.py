@@ -24,10 +24,11 @@ an exact finite-sum identity, tested to near machine precision.
 
 shell_grid is the one place where the (k, k0) grids of these pieces are
 built: it returns the momenta, frequencies, band and numerator weight of a
-uv shell, an ir or dirac shell, or the whole cutoff propagator.  Point
-values (single_scale; free_propagator's cutoff_sum, one frequency sum per
-k row for all x at one x0), whole-lattice tables (propagator_table), Gram
-norms (gram_certify) and the lattice bubble of rgflow are all sums over it.
+uv shell, an ir or dirac shell, or the whole cutoff propagator.  Values
+and tables (single_scale: the double sum as two matrix products, for
+points or for an x by x0 grid; free_propagator's cutoff_sum, one frequency
+sum per k row for all x at one x0), Gram norms (gram_certify) and the
+lattice bubble of rgflow are all sums over it.
 """
 
 from __future__ import annotations
@@ -244,17 +245,15 @@ class ShellGrid:
         g(x, x0) = (1/(beta L)) sum_{k, k0} e^{-i(k0 x0 + k x)}
                    weight(k, k0) / (-i k0 + band(k)).
 
-    k holds the momenta (k on D_L, or k' on D'_L when half_integer), kidx
-    their zone indices, k0 the Matsubara frequencies of the support and
-    band the denominator band of each momentum.  weight(K, K0) evaluates
-    the numerator on a mesh.
+    k holds the momenta (k on D_L for the uv and cutoff pieces, k' on D'_L
+    for the ir and dirac shells), k0 the Matsubara frequencies of the
+    support and band the denominator band of each momentum.  weight(K, K0)
+    evaluates the numerator on a mesh.
     """
 
     k: np.ndarray
-    kidx: np.ndarray
     k0: np.ndarray
     band: np.ndarray
-    half_integer: bool
     weight: Callable
 
     def mesh(self, cols=slice(None)):
@@ -264,21 +263,20 @@ class ShellGrid:
 
 
 def shell_support(top, L, beta, fermi):
-    """Quasi-momenta k' (with zone indices) and frequencies k0 in the box
+    """Quasi-momenta k' and frequencies k0 in the box
     v_F ||k'||_T <= top, |k0| <= top that carries an infrared shell.
 
     Below the box scale h_{L,beta} one of the two is empty; both are then
-    returned empty, so every sum over the shell is zero and so is its
-    table.
+    returned empty, so every sum over the shell is zero.
     """
     grids = MomentumGrids(L, beta)
-    kp, kidx = grids.quasi(), grids.quasi_indices()
+    kp = grids.quasi()
     keep = fermi.v_F * np.abs((kp + math.pi) % TWO_PI - math.pi) <= top
     k0 = grids.matsubara(top)
     if k0.size == 0 or not keep.any():
         keep[:] = False
         k0 = k0[:0]
-    return kp[keep], kidx[keep], k0
+    return kp[keep], k0
 
 
 def shell_grid(kind, h, params, omega=None, M=None):
@@ -305,36 +303,48 @@ def shell_grid(kind, h, params, omega=None, M=None):
             raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
         k = grids.spatial()
         p = fermi.p_FL
-        return ShellGrid(k, grids.spatial_indices(), grids.matsubara(params.gamma ** (h + 1)),
-                         math.cos(p) - np.cos(k), False,
+        return ShellGrid(k, grids.matsubara(params.gamma ** (h + 1)), math.cos(p) - np.cos(k),
                          lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0))
     if kind == "cutoff":
         k = grids.spatial()
-        return ShellGrid(k, grids.spatial_indices(), grids.matsubara(params.gamma ** (M + 1)),
-                         params.mu_bar - np.cos(k), False,
+        return ShellGrid(k, grids.matsubara(params.gamma ** (M + 1)), params.mu_bar - np.cos(k),
                          lambda K, K0: chi.chi0(K0 / params.gamma ** M))
     if kind not in ("ir", "dirac"):
         raise ValueError("kind must be uv, cutoff, ir or dirac")
     if h > 0:
         raise ValueError("infrared scales have h <= 0")
-    kp, kidx, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
+    kp, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
     band = ir_dispersion(kp, fermi, omega, "grid") if kind == "ir" else omega * fermi.v_F * kp
-    return ShellGrid(kp, kidx, k0, band, True, lambda K, K0: chi.f_h(h, K, K0, fermi))
+    return ShellGrid(kp, k0, band, lambda K, K0: chi.f_h(h, K, K0, fermi))
 
 
-def single_scale(kind, h, x, x0, params, omega=None):
-    """Single-scale propagator g^{(h)}(x, x0) of kind "uv", "ir" or "dirac"
-    as the exact finite double sum over its shell_grid.
+def single_scale(kind, h, x, x0, params, omega=None, M=None):
+    """Single-scale propagator g^{(h)}(x, x0) of kind "uv", "ir" or "dirac",
+    or with kind "cutoff" the whole smooth-cutoff propagator at scale M, as
+    the exact finite double sum over its shell_grid:
+
+        exp(-i x k) @ [w / (-i k0 + band)] @ exp(-i k0 x0) / (beta L).
+
+    x and x0 are scalars or 1-D arrays; two scalars give a complex, else
+    the result has shape shape(x) + shape(x0).  Frequencies are summed in
+    chunks of about 4e6 mesh points, so memory stays flat for large M.
 
     The ir and dirac pieces are in quasi-momentum form: e^{-i omega p_FL x}
-    restores the Fermi phase.  With mu_bar = cos(p_FL) the uv shells 1..M plus both ir sectors h_{L,beta}..0 sum exactly to
-    the cutoff propagator at scale M.
+    restores the Fermi phase.  With mu_bar = cos(p_FL) the uv shells 1..M
+    plus both ir sectors h_{L,beta}..0 sum exactly to the cutoff
+    propagator at scale M.
     """
-    grid = shell_grid(kind, h, params, omega)
-    K, K0, w = grid.mesh()
-    ph = np.exp(-1j * (K0 * x0 + K * x))
-    val = np.sum(ph * w / (-1j * K0 + grid.band[:, None]))
-    return complex(val) / (params.beta * params.L)
+    grid = shell_grid(kind, h, params, omega, M)
+    x0s = np.atleast_1d(x0)
+    acc = np.zeros((grid.k.size, x0s.size), dtype=complex)
+    chunk = max(1, int(4e6) // max(1, grid.k.size))
+    for j in range(0, grid.k0.size, chunk):
+        cols = slice(j, j + chunk)
+        _, K0, w = grid.mesh(cols)
+        acc += (w / (-1j * K0 + grid.band[:, None])) @ np.exp(-1j * np.outer(grid.k0[cols], x0s))
+    out = np.exp(-1j * np.outer(np.atleast_1d(x), grid.k)) @ acc / (params.beta * params.L)
+    out = out.reshape(np.shape(x) + np.shape(x0))
+    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -378,31 +388,19 @@ def _dirac_radial(R, fermi, chi, n_nodes):
 # Gram certificates
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramCertificate:
-    """Square norms of the Gram vectors A, B with g^{(h)}(x-y) = <A_x, B_y>.
-
-    For the ultraviolet shells |A|^2 ~ gamma^{-3h}, |B|^2 ~ gamma^{3h}; for
-    the infrared shells |A|^2 ~ gamma^{-2h}, |B|^2 ~ gamma^{4h}.  The
-    product |A||B| dominates sup|g^{(h)}| pointwise (Cauchy-Schwarz).
-    bound_constant stores the larger of the two scale-normalized norms.
-    """
-
-    h: int
-    kind: str
-    omega: int | None
-    normA2: float
-    normB2: float
-    bound_constant: float
-
-
 # |A|^2 ~ gamma^{pA h} and |B|^2 ~ gamma^{pB h}: kind -> (pA, pB)
 GRAM_POWERS = {"uv": (-3, 3), "ir": (-2, 4)}
 
 
 def gram_certify(h, kind, params, omega=1):
-    """GramCertificate of the uv or ir shell h (omega as in shell_grid);
-    the norms are sums over its shell_grid."""
+    """Square norms (|A|^2, |B|^2) of the Gram vectors with
+    g^{(h)}(x-y) = <A_x, B_y> for the uv or ir shell h (omega as in
+    shell_grid), as sums over its shell_grid.
+
+    For the ultraviolet shells |A|^2 ~ gamma^{-3h}, |B|^2 ~ gamma^{3h}; for
+    the infrared shells |A|^2 ~ gamma^{-2h}, |B|^2 ~ gamma^{4h}.  The
+    product |A||B| dominates sup|g^{(h)}| pointwise (Cauchy-Schwarz).
+    """
     if kind not in GRAM_POWERS:
         raise ValueError("kind must be uv or ir")
     grid = shell_grid(kind, h, params, omega)
@@ -411,10 +409,7 @@ def gram_certify(h, kind, params, omega=1):
     vol = params.beta * params.L
     normA2 = float(np.sum(w / d2 ** 2)) / vol
     normB2 = float(np.sum(w * d2)) / vol
-    g = params.gamma
-    pa, pb = GRAM_POWERS[kind]
-    c = max(normA2 * g ** (-pa * h), normB2 * g ** (-pb * h))
-    return GramCertificate(h, kind, None if kind == "uv" else omega, normA2, normB2, c)
+    return normA2, normB2
 
 
 def fit_loglog_slope(xs, ys):
@@ -427,75 +422,23 @@ def fit_loglog_slope(xs, ys):
 
 def certify_gram_scaling(hs, kind, params):
     """Fit the scaling of |A|^2, |B|^2 across scales hs and compare with the
-    certified exponents to 10%.  Returns (certs, slopeA, slopeB, ok)."""
-    certs = [gram_certify(h, kind, params) for h in hs]
-    la = fit_loglog_slope([params.gamma ** c.h for c in certs],
-                          [c.normA2 for c in certs])
-    lb = fit_loglog_slope([params.gamma ** c.h for c in certs],
-                          [c.normB2 for c in certs])
+    certified exponents to 10%.  Returns (norms, slopeA, slopeB, ok), with
+    norms the gram_certify pair of each scale."""
+    norms = [gram_certify(h, kind, params) for h in hs]
+    scales = [params.gamma ** h for h in hs]
+    la = fit_loglog_slope(scales, [a2 for a2, _ in norms])
+    lb = fit_loglog_slope(scales, [b2 for _, b2 in norms])
     ta, tb = GRAM_POWERS[kind]
     ok = abs(la - ta) <= 0.10 * abs(ta) and abs(lb - tb) <= 0.10 * abs(tb)
-    return certs, la, lb, ok
-
-
-# ----------------------------------------------------------------------
-# whole-lattice tables (exact FFT reordering of the direct sums)
-# ----------------------------------------------------------------------
-
-def propagator_table(kind, h, params, n_tau, omega=None, M=None):
-    """Values of a propagator on the full grid x = 0..L-1, x0 = beta*m/n_tau.
-
-    Returns a complex array of shape (L, n_tau).  The construction folds
-    the Matsubara index modulo n_tau with the half-integer twiddle factor
-    and applies FFTs; it is an exact regrouping of the direct double sum
-    (no approximation beyond rounding), which the tests verify pointwise.
-    Frequencies are processed in chunks so memory stays flat for large M.
-
-    kind: "uv", "ir", "dirac" (single scale h), or "cutoff" (full smooth-
-    cutoff propagator at ultraviolet scale M, spatial grid integer k).
-    """
-    beta, L = params.beta, params.L
-    grid = shell_grid(kind, h, params, omega, M)
-    k0 = grid.k0
-    folded = np.zeros((grid.k.size, n_tau), dtype=complex)
-    chunk = max(n_tau, int(4e6) // max(1, grid.k.size))  # keep chunks ~64 MB
-    for j in range(0, k0.size, chunk):
-        _, K0, w = grid.mesh(slice(j, j + chunk))
-        F = w / (-1j * K0 + grid.band[:, None])
-        b0 = int(round(k0[j] * beta / TWO_PI - 0.5)) % n_tau  # Matsubara index mod n_tau
-        jj = 0
-        width_total = F.shape[1]
-        while jj < width_total:
-            width = min(n_tau - b0, width_total - jj)
-            folded[:, b0:b0 + width] += F[:, jj:jj + width]
-            jj += width
-            b0 = (b0 + width) % n_tau
-
-    # spatial scatter: indices within one zone are unique modulo L
-    spat = np.zeros((L, n_tau), dtype=complex)
-    spat[grid.kidx % L] = folded
-
-    out = np.fft.fft2(spat)  # sum_{n,b} e^{-2pi i (n x / L + b m / n_tau)}
-    m = np.arange(n_tau)
-    out *= np.exp(-1j * math.pi * m / n_tau)[None, :]  # half-integer k0 twiddle
-    if grid.half_integer:
-        x = np.arange(L)
-        out *= np.exp(-1j * math.pi * x / L)[:, None]  # half-integer k' twiddle
-    return out / (beta * L)
-
-
-def l1_norm_table(table, beta):
-    """Riemann L1 norm int dx0 sum_x |g| from a (L, n_tau) table."""
-    n_tau = table.shape[1]
-    return float(np.sum(np.abs(table)) * (beta / n_tau))
+    return norms, la, lb, ok
 
 
 def l1_scaling_report(kind, hs, params, n_tau=512):
-    """Measured L1 norms across scales plus fitted decay rate (target
-    gamma^{-h}, i.e. log-slope -1 in units of log gamma)."""
-    norms = []
-    for h in hs:
-        t = propagator_table(kind, h, params, n_tau, omega=1)
-        norms.append(l1_norm_table(t, params.beta))
+    """Measured L1 norms int dx0 sum_x |g^{(h)}| across scales, as Riemann
+    sums over x = 0..L-1 and x0 = beta m / n_tau, plus the fitted decay
+    rate (target gamma^{-h}, i.e. log-slope -1 in units of log gamma)."""
+    x, x0 = np.arange(params.L), params.beta * np.arange(n_tau) / n_tau
+    norms = [float(np.sum(np.abs(single_scale(kind, h, x, x0, params, omega=1)))
+                   * (params.beta / n_tau)) for h in hs]
     slope = fit_loglog_slope([params.gamma ** h for h in hs], norms)
     return norms, slope

@@ -140,7 +140,7 @@ def finite_scale_bubble(j, fermi, beta, L):
     g = fermi.gamma
     chi = CutoffFunction(g)
     # support of C_j^2 - C_{j+1}^2: the box of the h = j+1 shell
-    kp, kidx, k0 = shell_support(fermi.t0 * g ** (j + 2), L, beta, fermi)
+    kp, k0 = shell_support(fermi.t0 * g ** (j + 2), L, beta, fermi)
     if k0.size == 0:  # no shell: +0.0, where the empty sum below gives -0.0
         return 0.0
     kp = (kp + math.pi) % TWO_PI - math.pi
@@ -152,7 +152,7 @@ def finite_scale_bubble(j, fermi, beta, L):
         norm = np.sqrt(K0 ** 2 + (fermi.v_F * KP) ** 2)
         return window(norm, j) ** 2 - window(norm, j + 1) ** 2
 
-    grid = ShellGrid(kp, kidx, k0, fermi.v_F * kp, True, weight)
+    grid = ShellGrid(kp, k0, fermi.v_F * kp, weight)
     _, K0, w = grid.mesh()
     band = grid.band[:, None]
     val = np.sum(w * np.real(1.0 / ((-1j * K0 + band) * (-1j * K0 - band)))) / (beta * L)

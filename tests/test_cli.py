@@ -82,6 +82,7 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["g1map", "--g0-re", "0", "--g0-im", "0"],
     ["g1map", "--n", "-5"],
     ["g1map", "--n", "0"],
+    ["g1map", "--a", "-1"],
     ["nu", "--tol", "-1"],
     ["nu", "--tol", "0"],
     ["borel", "--rays", "0", "--n", "10"],
@@ -92,6 +93,7 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["borel", "--epsilon", "-1"],
     ["borel", "--n", "-1"],
     ["borel", "--n", "0"],
+    ["borel", "--a", "0"],
     ["nu", "--mu", "1.5"],
     ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
@@ -124,6 +126,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     ["g1map", "--g0-re", "1e200", "--n", "5"],
     # |gtilde|^{3/2} underflows to 0 at step 0: the closeness ratio is nan
     ["borel", "--epsilon", "1e-250", "--n", "5"],
+    # 1 + g0 n a = 1 - 0.0025 n vanishes at n = 400: a pole of the approximant
+    ["g1map", "--g0-re", "-0.01"],
 ], ids=" ".join)
 def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 3

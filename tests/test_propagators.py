@@ -1,5 +1,6 @@
 """Propagator layer: cutoff algebra, representation equivalence, scaling."""
 
+import cmath
 import hashlib
 
 import numpy as np
@@ -291,21 +292,24 @@ def test_discontinuity_predicate():
 
 def test_single_scale_pieces_sum_to_cutoff_representation():
     # UV scales + IR scales + Dirac split reassemble the cutoff propagator
+    # on the whole (x, tau) table, tau in [-beta/2, beta/2)
     params = _grid_params(beta=16.0, L=32)
     fermi = params.fermi()
     M = 8
     h_lbeta = propagators.finite_size_scale(params.beta, params.L, fermi)
-    for x, x0 in [(3, 2.2), (7, 5.9)]:
-        total = 0.0 + 0.0j
-        for h in range(1, M + 1):
-            total += propagators.single_scale("uv", h, x, x0, params)
-        for h in range(h_lbeta, 1):
-            for omega in (1, -1):
-                # quasi-momentum evaluator: restore the Fermi phase
-                phase = np.exp(-1j * omega * fermi.p_FL * x)
-                total += phase * propagators.single_scale("ir", h, x, x0, params, omega)
-        full = propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=M)
-        assert total == pytest.approx(full, abs=1e-10)
+    x = np.arange(params.L)
+    taus = params.beta * (np.arange(16) / 16.0 - 0.5)
+    total = np.zeros((x.size, taus.size), dtype=complex)
+    for h in range(1, M + 1):
+        total += propagators.single_scale("uv", h, x, taus, params, M=M)
+    for h in range(h_lbeta, 1):
+        for omega in (1, -1):
+            # quasi-momentum evaluator: restore the Fermi phase
+            phase = np.exp(-1j * omega * fermi.p_FL * x)[:, None]
+            total += phase * propagators.single_scale("ir", h, x, taus, params, omega)
+    full = np.stack([propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=M)
+                     for x0 in taus], axis=1)
+    assert np.max(np.abs(total - full)) <= 1e-10
 
 
 def test_decay_bound_single_scale():
@@ -348,33 +352,63 @@ def test_gram_certificates_scaling():
     assert abs(slopeA - (-2.0)) < 0.2
     assert abs(slopeB - 4.0) < 0.4
     # Cauchy-Schwarz: |g^(h)| at a sample point is below |A| |B|
-    c = certs[0]
+    normA2, normB2 = certs[0]
     g = propagators.single_scale("ir", -1, 3, 1.0, ir_params, 1)
-    assert abs(g) <= np.sqrt(c.normA2 * c.normB2)
+    assert abs(g) <= np.sqrt(normA2 * normB2)
+
+
+def _double_loop(grid, x, x0, params):
+    """The defining double sum term by term over grid's support: one
+    value per (x, x0) pair."""
+    out = np.zeros((len(x), len(x0)), dtype=complex)
+    for k, band in zip(grid.k, grid.band):
+        for k0 in grid.k0:
+            term = grid.weight(k, k0) / (-1j * k0 + band)
+            for i, xi in enumerate(x):
+                for j, x0j in enumerate(x0):
+                    out[i, j] += cmath.exp(-1j * (k0 * x0j + k * xi)) * term
+    return out / (params.beta * params.L)
 
 
 @pytest.mark.parametrize("kind, h, omega", [
     pytest.param("uv", 3, None, id="uv"),
     pytest.param("cutoff", None, None, id="cutoff"),
-    pytest.param("ir", -1, 1, id="ir+"),
-    pytest.param("ir", -1, -1, id="ir-"),
-    pytest.param("dirac", -1, 1, id="dirac+"),
-    pytest.param("dirac", -1, -1, id="dirac-"),
+    pytest.param("ir", 0, 1, id="ir+"),
+    pytest.param("ir", 0, -1, id="ir-"),
+    pytest.param("dirac", 0, 1, id="dirac+"),
+    pytest.param("dirac", 0, -1, id="dirac-"),
 ])
 def test_propagator_table_matches_pointwise(kind, h, omega):
-    params = _grid_params(beta=16.0, L=32)
-    n_tau = 8
-    table = propagators.propagator_table(kind, h, params, n_tau, omega=omega, M=6)
-    taus = params.beta * np.arange(n_tau) / n_tau
-    for x in (0, 1, 5, 17):
-        for m in (1, 3, 6):
-            if kind == "cutoff":
-                direct = propagators.free_propagator(
-                    x, taus[m], params, representation="cutoff_sum", M=6
-                )
-            else:
-                direct = propagators.single_scale(kind, h, x, taus[m], params, omega)
-            assert table[x, m] == pytest.approx(direct, abs=1e-10)
+    # the table against independent point values: free_propagator's cutoff
+    # sum, and for the single scales the double sum written out term by term
+    params = _grid_params(beta=64.0, L=8)
+    x = np.arange(params.L)
+    taus = params.beta * np.arange(8) / 8.0
+    table = propagators.single_scale(kind, h, x, taus, params, omega, M=6)
+    assert table.shape == (x.size, taus.size)
+    if kind == "cutoff":
+        direct = np.stack([propagators.free_propagator(x, x0, params, "cutoff_sum", M=6)
+                           for x0 in taus], axis=1)
+    else:
+        grid = propagators.shell_grid(kind, h, params, omega, M=6)
+        assert grid.k.size and grid.k0.size
+        direct = _double_loop(grid, x, taus, params)
+    assert np.abs(direct).max() > 1e-6
+    assert np.max(np.abs(table - direct)) <= 1e-10
+
+
+def test_single_scale_shapes():
+    # two scalars give a complex; each array argument adds its axis
+    params = _grid_params(beta=16.0, L=8)
+    x, taus = np.arange(5), np.array([0.5, 2.0, 7.5])
+    point = propagators.single_scale("uv", 2, 3, 2.0, params)
+    assert type(point) is complex
+    row = propagators.single_scale("uv", 2, x, 2.0, params)
+    assert row.shape == (5,) and row[3] == pytest.approx(point, abs=1e-15)
+    col = propagators.single_scale("uv", 2, 3, taus, params)
+    assert col.shape == (3,) and col[1] == pytest.approx(point, abs=1e-15)
+    table = propagators.single_scale("uv", 2, x, taus, params)
+    assert table.shape == (5, 3) and table[3, 1] == pytest.approx(point, abs=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["ir", "dirac"])
@@ -383,14 +417,14 @@ def test_empty_shell_is_zero(kind):
     # value and the Gram norms all vanish
     params = _grid_params(beta=16.0, L=32)
     h = propagators.finite_size_scale(params.beta, params.L, params.fermi()) - 1
-    table = propagators.propagator_table(kind, h, params, 8, omega=1)
+    x, taus = np.arange(params.L), params.beta * np.arange(8) / 8.0
+    table = propagators.single_scale(kind, h, x, taus, params, 1)
     assert table.shape == (params.L, 8)
     assert not table.any()
     assert propagators.shell_grid(kind, h, params, 1).k0.size == 0
     assert propagators.single_scale(kind, h, 3, 2.2, params, 1) == 0j
     if kind == "ir":
-        cert = propagators.gram_certify(h, "ir", params)
-        assert cert.normA2 == cert.normB2 == 0.0
+        assert propagators.gram_certify(h, "ir", params) == (0.0, 0.0)
 
 
 def test_l1_norm_scaling_slope():
