@@ -8,7 +8,7 @@ argument parser, and an option's flag name is also its config key.  A
 value comes from the command-line flag, else from the INI config file
 (flat key=value under a section named after the subcommand, then the
 shared [model] section), else from the table default, and must then pass
-its row's rule (a choice list or a bound).
+its row's rule (a choice list or a bound); a float value must be finite.
 
 Every run writes <out-dir>/<command>.csv plus <out-dir>/<command>_summary.txt,
 a flat sorted key=value file that is also echoed to stdout.  Identical
@@ -103,7 +103,7 @@ def _rules(opt):
 def _resolve(table, args, cfg, section):
     """Option values by precedence: command-line flag, then [section] and
     [model] in the config file, then the table default; each value is then
-    checked against its row's rule."""
+    checked against its row's rule, and every float value must be finite."""
     values = {}
     for opt in table:
         val = getattr(args, opt.name.replace("-", "_"))
@@ -119,6 +119,8 @@ def _resolve(table, args, cfg, section):
         values[opt.name] = val
     for opt in table:
         val = values[opt.name]
+        if opt.type is float and val is not None and not math.isfinite(val):
+            raise ConfigError("%s must be finite, got %s" % (opt.name, _fmt(val)))
         for op, bound in _rules(opt) if val is not None else ():
             limit = values[bound] if isinstance(bound, str) else bound
             items = val if isinstance(val, tuple) else (val,)
@@ -150,6 +152,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ConfigError("grid must be start:stop:step, got %r" % text)
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("grid start, stop and step must be finite, got %r" % text)
     if step == 0.0:
         raise ConfigError("grid step must be nonzero")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -666,7 +670,7 @@ ORACLE_MODES = {
     "map": (_oracle_map, (
         Opt("g0-re", float, 0.02, key="g0_re"),
         Opt("g0-im", float, 0.005, key="g0_im"),
-        Opt("a", float, 0.25, key="a"),
+        Opt("a", float, 0.25, (">", 0), key="a"),
         Opt("n", int, 10 ** 4, (">=", 0), key="n"),
     )),
 }

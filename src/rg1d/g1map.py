@@ -32,7 +32,7 @@ class SectorDomain:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5 * math.pi:
             raise ValueError("delta must lie in (0, pi/2)")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
     def contains(self, z):
@@ -163,22 +163,10 @@ def iterate(g0, a_seq, n, domain=None):
 # ----------------------------------------------------------------------
 
 
-def approximant(g0, A_n, n, delta=None):
-    """Closed form gtilde_n = g0 / (1 + g0 n A_n).
-
-    With delta given, a denominator below (1/4) sin delta violates the
-    guaranteed lower bound |ztilde_n| >= (1/2) sin delta and is raised as a
-    precondition failure.
-    """
-    z = 1.0 + g0 * n * A_n
-    if delta is not None and abs(z) < 0.25 * math.sin(delta):
-        raise ValueError("approximant denominator below the sector bound")
-    return g0 / z
-
-
 def approximant_path(state):
-    """gtilde_k for k = 0..n from the recorded Cesaro averages.  A pole
-    on the horizon (1 + g0 k A_k = 0) raises ArithmeticError."""
+    """Closed form gtilde_k = g0 / (1 + g0 k A_k) for k = 0..n from the
+    recorded Cesaro averages A_k.  A pole on the horizon raises
+    ArithmeticError."""
     n = state.trajectory.size - 1
     ks = np.arange(n + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):   # a pole raises below

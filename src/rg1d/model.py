@@ -19,6 +19,7 @@ momentum grids shared by every other module.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -52,6 +53,8 @@ class InteractionPotential:
     def __post_init__(self):
         if any(x < 0 for x in self.values):
             raise ValueError("store displacements x >= 0 only")
+        if not all(map(math.isfinite, self.values.values())):
+            raise ValueError("potential values must be finite")
         if self.kappa <= 0:
             raise ValueError("decay rate must be positive")
 
@@ -184,7 +187,7 @@ class FermiPoint:
     def from_p_F(cls, p_F, L, gamma=2.0):
         if not 0.0 < p_F < math.pi:
             raise ValueError("p_F must lie in (0, pi)")
-        if gamma <= 1.0:
+        if not gamma > 1.0:
             raise ValueError("scaling parameter gamma must exceed 1")
         n_F = int(round(p_F * L / TWO_PI - 0.5))
         p_FL = (TWO_PI / L) * (n_F + 0.5)
@@ -253,11 +256,13 @@ class ModelParams:
     def __post_init__(self):
         if not -1.0 < self.mu_bar < 1.0:
             raise ValueError("mu_bar must lie in (-1, 1)")
-        if self.beta <= 0 or self.L <= 0:
+        if not (self.beta > 0 and self.L > 0):
             raise ValueError("beta and L must be positive")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise ValueError("lam must be finite")
         if lam.imag != 0.0 and not self.allow_complex:
             raise ValueError("complex lam requires allow_complex=True")
 

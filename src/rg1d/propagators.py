@@ -12,15 +12,19 @@ conditionally convergent; the two concrete representations are
         I(k, tau) =  e^{-tau e} / (1 + e^{-beta e})   for 0 < tau < beta
         I(k, tau) = -e^{-tau e} / (1 + e^{+beta e})   for -beta < tau <= 0
     (equal time resolved as tau = 0^-), then the k sum;
-  * cutoff_sum(M): both sums done with the smooth frequency weight
-    chi0(gamma^-M k0), which converges to kernel_sum pointwise away from
-    x = (0, n beta) and to the half-sum of the two one-sided limits there.
+  * cutoff_sum: both sums done with the smooth frequency weight
+    chi0(gamma^-M k0), M = params.M_uv, which converges to kernel_sum
+    pointwise away from x = (0, n beta) and to the half-sum of the two
+    one-sided limits there.
 
 The scale decomposition splits 1 = f_uv + sum_omega chi(k - omega p, k0) and
 then slices f_uv into ultraviolet frequency shells H_h (1 <= h <= M) and
 each infrared sector into shells f_h (h <= 0) of width gamma^h around the
 Fermi points.  With mu_bar = cos(p) and p on the snapped grid the split is
-an exact finite-sum identity, tested to near machine precision.
+an exact finite-sum identity, tested to near machine precision.  A uv shell
+h >= 2 carries H_h alone: H_h vanishes for |k0| <= gamma^{h-1}, which is
+above 1, and chi(k -+ p, k0) vanishes for |k0| >= a0 v_F, which is at most
+pi/4, so f_uv is exactly 1 wherever H_h is not 0.
 
 shell_grid is the one place where the (k, k0) grids of these pieces are
 built: it returns the momenta, frequencies, band and numerator weight of a
@@ -36,11 +40,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import MomentumGrids, TWO_PI, ir_dispersion
+from .model import MomentumGrids, TWO_PI, dispersion, ir_dispersion
 
 # ----------------------------------------------------------------------
 # smooth cutoff
@@ -128,7 +133,7 @@ def free_kernel(k, tau, params):
     beta = params.beta
     if not -beta < tau < beta:
         raise ValueError("tau must lie in (-beta, beta)")
-    e = np.asarray(params.mu_bar - np.cos(k), dtype=float)
+    e = np.asarray(dispersion(k, params.mu_bar), dtype=float)
     out = np.empty_like(e)
     pos = e >= 0.0
     neg = ~pos
@@ -145,30 +150,19 @@ def free_kernel(k, tau, params):
     return out if out.shape else float(out)
 
 
-def free_kernel_symmetric(k, params):
-    """Equal-time even part (I(k,0+) + I(k,0-))/2 = 1/2 - f(e(k))."""
-    e = np.asarray(params.mu_bar - np.cos(k), dtype=float)
-    # 1/2 - 1/(1+e^{beta e}) written overflow safe for both signs
-    be = params.beta * e
-    out = np.where(be >= 0,
-                   0.5 - np.exp(-np.clip(be, 0, None)) / (1.0 + np.exp(-np.clip(be, 0, None))),
-                   -(0.5 - np.exp(np.clip(be, None, 0)) / (1.0 + np.exp(np.clip(be, None, 0)))))
-    return out if out.shape else float(out)
-
-
 def is_discontinuity_point(x, x0, beta):
     """True at the equal-time points x = (0, n beta) where the cutoff
     representation converges to the half-sum instead of the kernel value."""
     return int(x) == 0 and abs(math.remainder(x0, beta)) < 1e-12
 
 
-def free_propagator(x, x0, params, representation="kernel_sum", M=None):
+def free_propagator(x, x0, params, representation="kernel_sum"):
     """g(x, x0) by either representation: x an integer or a 1-D integer
     array (one value per entry), x0 in (-beta, beta) shared by all.
 
     kernel_sum: (1/L) sum_k e^{-ikx} I(k, x0); exact for the finite system.
-    cutoff_sum: smooth frequency cutoff at scale gamma^M; differs from
-    kernel_sum by O(gamma^-M) away from the discontinuity points.
+    cutoff_sum: smooth frequency cutoff at scale gamma^M_uv; differs from
+    kernel_sum by O(gamma^-M_uv) away from the discontinuity points.
     """
     beta, L = params.beta, params.L
     if not -beta < x0 < beta:
@@ -179,7 +173,7 @@ def free_propagator(x, x0, params, representation="kernel_sum", M=None):
         ker = free_kernel(k, x0, params)
         out = [complex(np.sum(np.exp(-1j * k * xi) * ker)) / L for xi in xs]
     elif representation == "cutoff_sum":
-        grid = shell_grid("cutoff", None, params, M=M)
+        grid = shell_grid("cutoff", None, params)
         k0 = grid.k0
         ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
         acc = [np.zeros((), dtype=complex)] * xs.size  # scalar products: an array one rounds apart
@@ -190,30 +184,6 @@ def free_propagator(x, x0, params, representation="kernel_sum", M=None):
     else:
         raise ValueError("representation must be kernel_sum or cutoff_sum")
     return out[0] if np.ndim(x) == 0 else np.array(out)
-
-
-def high_frequency_tail(tau, M, k, params):
-    """Frequency tail left out by the smooth cutoff at scale gamma^M:
-
-        Delta(tau) = (1/beta) sum_{k0} (1 - chi0(gamma^-M k0))
-                     e^{-i k0 tau} / (-i k0 + e(k))
-
-    computed as the closed-form kernel minus the finite cutoff sum (the
-    weight 1 - chi0 vanishes for |k0| <= gamma^M, so this is the same
-    object).  Requires |tau| <= beta/2.  At tau = 0 the kernel value is the
-    symmetric half-sum, which matches the distributional limit of the
-    cutoff representation; the tail is then real (odd part cancels).
-    Decays like gamma^-M with an oscillating tau-dependent profile.
-    """
-    beta = params.beta
-    if abs(tau) > 0.5 * beta:
-        raise ValueError("tail contract requires |tau| <= beta/2")
-    grid = shell_grid("cutoff", None, params, M=M)
-    k0 = grid.k0
-    e = float(params.mu_bar - math.cos(k))
-    cut = np.sum(grid.weight(None, k0) * np.exp(-1j * k0 * tau) / (-1j * k0 + e)) / beta
-    ref = free_kernel_symmetric(k, params) if tau == 0.0 else free_kernel(k, tau, params)
-    return complex(ref - cut)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +218,7 @@ class ShellGrid:
     k holds the momenta (k on D_L for the uv and cutoff pieces, k' on D'_L
     for the ir and dirac shells), k0 the Matsubara frequencies of the
     support and band the denominator band of each momentum.  weight(K, K0)
-    evaluates the numerator on a mesh.
+    evaluates the numerator on a mesh of broadcast axes.
     """
 
     k: np.ndarray
@@ -257,8 +227,8 @@ class ShellGrid:
     weight: Callable
 
     def mesh(self, cols=slice(None)):
-        """K, K0 and the weight on the k x k0[cols] mesh."""
-        K, K0 = np.meshgrid(self.k, self.k0[cols], indexing="ij")
+        """K, K0 (broadcast axes) and the weight on the k x k0[cols] mesh."""
+        K, K0 = self.k[:, None], self.k0[None, cols]
         return K, K0, self.weight(K, K0)
 
 
@@ -279,11 +249,12 @@ def shell_support(top, L, beta, fermi):
     return kp[keep], k0
 
 
-def shell_grid(kind, h, params, omega=None, M=None):
+def shell_grid(kind, h, params, omega=None):
     """ShellGrid of one piece of the scale decomposition.
 
-    kind "uv": ultraviolet shell 1 <= h <= M, weight f_uv * H_h, band
-        cos(p) - cos(k) (chemical potential tuned to the Fermi point);
+    kind "uv": ultraviolet shell 1 <= h <= M, weight f_uv * H_h (H_h alone
+        for h >= 2, see the module docstring), band cos(p) - cos(k)
+        (chemical potential tuned to the Fermi point);
     kind "cutoff": the whole smooth-cutoff propagator at ultraviolet
         scale M (h unused), weight chi0(gamma^-M k0), band mu_bar - cos(k);
     kind "ir": infrared shell h <= 0 around the omega Fermi point, weight
@@ -291,23 +262,23 @@ def shell_grid(kind, h, params, omega=None, M=None):
         E_omega(k') (model.ir_dispersion);
     kind "dirac": the same shell with the linear band omega v_F k'.
 
-    M defaults to params.M_uv.  The Fermi point is params.fermi() at its
-    grid momentum p_FL, so the pieces sum exactly on the lattice.
+    M is params.M_uv.  The Fermi point is params.fermi() at its grid
+    momentum p_FL, so the pieces sum exactly on the lattice.
     """
-    fermi = params.fermi()
-    M = params.M_uv if M is None else M
+    fermi, M = params.fermi(), params.M_uv
     chi = CutoffFunction(params.gamma)
     grids = MomentumGrids(params.L, params.beta)
+    k = grids.spatial()
     if kind == "uv":
         if not 1 <= h <= M:
             raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
-        k = grids.spatial()
         p = fermi.p_FL
-        return ShellGrid(k, grids.matsubara(params.gamma ** (h + 1)), math.cos(p) - np.cos(k),
-                         lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0))
+        weight = ((lambda K, K0: chi.H_h(h, K0)) if h >= 2 else   # f_uv is 1 there
+                  (lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0)))
+        return ShellGrid(k, grids.matsubara(params.gamma ** (h + 1)), dispersion(k, math.cos(p)),
+                         weight)
     if kind == "cutoff":
-        k = grids.spatial()
-        return ShellGrid(k, grids.matsubara(params.gamma ** (M + 1)), params.mu_bar - np.cos(k),
+        return ShellGrid(k, grids.matsubara(params.gamma ** (M + 1)), dispersion(k, params.mu_bar),
                          lambda K, K0: chi.chi0(K0 / params.gamma ** M))
     if kind not in ("ir", "dirac"):
         raise ValueError("kind must be uv, cutoff, ir or dirac")
@@ -318,10 +289,10 @@ def shell_grid(kind, h, params, omega=None, M=None):
     return ShellGrid(kp, k0, band, lambda K, K0: chi.f_h(h, K, K0, fermi))
 
 
-def single_scale(kind, h, x, x0, params, omega=None, M=None):
+def single_scale(kind, h, x, x0, params, omega=None):
     """Single-scale propagator g^{(h)}(x, x0) of kind "uv", "ir" or "dirac",
-    or with kind "cutoff" the whole smooth-cutoff propagator at scale M, as
-    the exact finite double sum over its shell_grid:
+    or with kind "cutoff" the whole smooth-cutoff propagator at scale
+    M = params.M_uv, as the exact finite double sum over its shell_grid:
 
         exp(-i x k) @ [w / (-i k0 + band)] @ exp(-i k0 x0) / (beta L).
 
@@ -334,7 +305,7 @@ def single_scale(kind, h, x, x0, params, omega=None, M=None):
     plus both ir sectors h_{L,beta}..0 sum exactly to the cutoff
     propagator at scale M.
     """
-    grid = shell_grid(kind, h, params, omega, M)
+    grid = shell_grid(kind, h, params, omega)
     x0s = np.atleast_1d(x0)
     acc = np.zeros((grid.k.size, x0s.size), dtype=complex)
     chunk = max(1, int(4e6) // max(1, grid.k.size))
@@ -351,14 +322,7 @@ def single_scale(kind, h, x, x0, params, omega=None, M=None):
 # relativistic (linear band) single scale
 # ----------------------------------------------------------------------
 
-_GL_CACHE = {}
-
-
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+_gl_nodes = cache(leggauss)   # (nodes, weights) of each order, built once
 
 
 def _dirac_radial(R, fermi, chi, n_nodes):
@@ -392,10 +356,10 @@ def _dirac_radial(R, fermi, chi, n_nodes):
 GRAM_POWERS = {"uv": (-3, 3), "ir": (-2, 4)}
 
 
-def gram_certify(h, kind, params, omega=1):
+def gram_certify(h, kind, params):
     """Square norms (|A|^2, |B|^2) of the Gram vectors with
-    g^{(h)}(x-y) = <A_x, B_y> for the uv or ir shell h (omega as in
-    shell_grid), as sums over its shell_grid.
+    g^{(h)}(x-y) = <A_x, B_y> for the uv or ir shell h (the ir shell at
+    omega = 1), as sums over its shell_grid.
 
     For the ultraviolet shells |A|^2 ~ gamma^{-3h}, |B|^2 ~ gamma^{3h}; for
     the infrared shells |A|^2 ~ gamma^{-2h}, |B|^2 ~ gamma^{4h}.  The
@@ -403,7 +367,7 @@ def gram_certify(h, kind, params, omega=1):
     """
     if kind not in GRAM_POWERS:
         raise ValueError("kind must be uv or ir")
-    grid = shell_grid(kind, h, params, omega)
+    grid = shell_grid(kind, h, params, 1)
     _, K0, w = grid.mesh()
     d2 = K0 ** 2 + grid.band[:, None] ** 2
     vol = params.beta * params.L
@@ -433,12 +397,12 @@ def certify_gram_scaling(hs, kind, params):
     return norms, la, lb, ok
 
 
-def l1_scaling_report(kind, hs, params, n_tau=512):
+def l1_scaling_report(kind, hs, params):
     """Measured L1 norms int dx0 sum_x |g^{(h)}| across scales, as Riemann
-    sums over x = 0..L-1 and x0 = beta m / n_tau, plus the fitted decay
+    sums over x = 0..L-1 and x0 = beta m / 512, plus the fitted decay
     rate (target gamma^{-h}, i.e. log-slope -1 in units of log gamma)."""
-    x, x0 = np.arange(params.L), params.beta * np.arange(n_tau) / n_tau
+    x, x0 = np.arange(params.L), params.beta * np.arange(512) / 512
     norms = [float(np.sum(np.abs(single_scale(kind, h, x, x0, params, omega=1)))
-                   * (params.beta / n_tau)) for h in hs]
+                   * (params.beta / 512)) for h in hs]
     slope = fit_loglog_slope([params.gamma ** h for h in hs], norms)
     return norms, slope

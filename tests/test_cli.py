@@ -109,9 +109,39 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["prop", "--M", "-3"],
     # 4.5e13 cutoff-grid frequencies, over the 2^22 cap
     ["prop", "--M", "40"],
+    ["oracle", "--what", "map", "--a", "-1"],
+    ["oracle", "--what", "map", "--a", "0"],
+    # non-finite values: every float option must be finite
+    ["flow", "--lambda", "inf"],
+    ["flow", "--beta", "inf"],
+    ["correlations", "--lambda", "inf"],
+    ["correlations", "--x0", "inf"],
+    ["oracle", "--what", "ed", "--lambda", "inf"],
+    ["g1map", "--epsilon", "inf"],
+    ["exponents", "--lambda-grid", "0.01:inf:0.01"],
+    ["nu", "--lambda-grid", "0.01:inf:0.01"],
+    ["oracle", "--what", "ed", "--potential", "hubbard:nan"],
+    ["exponents", "--potential", "hubbard:inf"],
+    ["flow", "--potential", "uv:1:nan"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# every float option of every table, the --what modes included
+FLOAT_OPTIONS = [[command, "--" + opt.name] for command, (_, table, _) in cli.COMMANDS.items()
+                 for opt in table if opt.type is float] + [
+    ["oracle", "--what", mode, "--" + opt.name] for mode, (_, table) in cli.ORACLE_MODES.items()
+    for opt in table if opt.type is float]
+
+
+@pytest.mark.parametrize("argv", FLOAT_OPTIONS, ids=" ".join)
+def test_nan_float_option_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert _run(argv + ["nan"], tmp_path) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -231,6 +261,7 @@ def test_flag_beats_command_section_beats_model_section_beats_default(tmp_path):
     "[flow]\na-mode = bogus\n",
     "[model]\nh = 5\n",
     "[flow]\nh = abc\n",
+    "[flow]\nbeta = inf\n",
 ])
 def test_bad_config_value_exits_2(config, tmp_path, capsys):
     path = tmp_path / "run.ini"

@@ -23,21 +23,16 @@ def test_single_step_value():
 
 def test_approximant_real_closed_form():
     # g0 / (1 + g0 n A): 0.01 / (1 + 0.01 * 400 * 0.25) = 0.005
-    assert g1map.approximant(0.01, 0.25, 400) == pytest.approx(0.005, abs=1e-15)
+    path = g1map.approximant_path(g1map.iterate(0.01, 0.25, 400))
+    assert path[400] == pytest.approx(0.005, abs=1e-15)
 
 
 def test_approximant_complex_value():
     g0 = 0.01 * np.exp(1j * np.pi / 2.0)
     # denominator 1 + i: modulus sqrt 2, angle pi/4
-    val = g1map.approximant(g0, 0.25, 400)
+    val = g1map.approximant_path(g1map.iterate(g0, 0.25, 400))[400]
     expected = g0 / (1.0 + 1.0j)
     assert val == pytest.approx(expected, abs=1e-15)
-
-
-def test_approximant_raises_near_zero_denominator():
-    # g0 n A = -1 exactly
-    with pytest.raises(ValueError):
-        g1map.approximant(-0.01, 0.25, 400, delta=DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +225,6 @@ def test_trajectory_rows_layout():
     assert n == 10
     assert re_g == pytest.approx(state.trajectory[10].real)
     # err column is |g - gtilde|, bound is |gtilde|^{3/2}
-    gt = g1map.approximant(0.01, state.A[10], 10)
+    gt = 0.01 / (1.0 + 0.01 * 10 * state.A[10])
     assert re_gt == pytest.approx(gt.real)
     assert err <= bound

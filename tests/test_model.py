@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rg1d import model
+from rg1d import g1map, model
 
 # ---------------------------------------------------------------------------
 # interaction potentials
@@ -175,6 +175,24 @@ def test_model_params_validation():
         lam=0.1j, mu_bar=0.5, potential=pot, beta=16.0, L=32, allow_complex=True
     )
     assert p.lam == 0.1j
+
+
+@pytest.mark.parametrize("build", [
+    lambda pot: model.ModelParams(lam=0.1, mu_bar=0.5, potential=pot, beta=np.nan, L=32),
+    lambda pot: model.ModelParams(lam=0.1, mu_bar=0.5, potential=pot, beta=16.0, L=32,
+                                  gamma=np.nan),
+    lambda pot: model.ModelParams(lam=np.inf, mu_bar=0.5, potential=pot, beta=16.0, L=32),
+    lambda pot: model.ModelParams(lam=complex(0.0, -np.inf), mu_bar=0.5, potential=pot,
+                                  beta=16.0, L=32, allow_complex=True),
+    lambda pot: model.FermiPoint.from_p_F(1.0, 32, gamma=np.nan),
+    lambda pot: g1map.SectorDomain(np.nan, np.pi / 4.0),
+    lambda pot: model.u_v_potential(1.0, np.inf),
+], ids=["beta nan", "gamma nan", "lam inf", "lam imag -inf", "fermi gamma nan",
+        "sector epsilon nan", "potential inf"])
+def test_non_finite_parameters_are_rejected(build):
+    # each guard is written so that a nan fails it
+    with pytest.raises(ValueError):
+        build(model.on_site_potential(1.0))
 
 
 def test_from_p_F_sets_consistent_mu():

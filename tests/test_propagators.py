@@ -106,6 +106,23 @@ def test_uv_complement_plus_windows_is_one():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p_F", [np.pi / 6.0, np.pi / 3.0, 5.0 * np.pi / 6.0],
+                         ids=["pi/6", "pi/3", "5pi/6"])
+def test_uv_shells_above_one_carry_H_h_alone(p_F, gamma):
+    # H_h vanishes for |k0| <= gamma^{h-1} > 1 and both chi windows for
+    # |k0| >= a0 v_F <= pi/4, so on every shell h >= 2 the weight f_uv * H_h
+    # is H_h bit for bit, one row for all momenta
+    params = model.ModelParams.from_p_F(lam=0.0, p_F=p_F, potential=model.on_site_potential(1.0),
+                                        beta=16.0, L=32, gamma=gamma, M_uv=6)
+    fermi, cut = params.fermi(), propagators.CutoffFunction(gamma)
+    for h in range(2, params.M_uv + 1):
+        K, K0, w = propagators.shell_grid("uv", h, params).mesh()
+        full = cut.f_uv(K, K0, fermi, fermi.p_FL) * cut.H_h(h, K0)
+        assert w.shape == (1, K0.size) and full.shape == (params.L, K0.size)
+        assert full.tobytes() == np.broadcast_to(w, full.shape).tobytes()
+
+
 def test_finite_size_scale_brackets_smallest_mode():
     params = _params(beta=128.0, L=512)
     fermi = params.fermi()
@@ -129,12 +146,10 @@ def test_kernel_sum_antiperiodic_in_time():
 
 
 def test_cutoff_sum_antiperiodic_in_time():
-    params = _params(beta=32.0, L=64)
+    params = _params(beta=32.0, L=64, M_uv=8)
     for x, x0 in [(3, 5.0), (1, 7.3)]:
-        g1 = propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=8)
-        g2 = propagators.free_propagator(
-            x, x0 - params.beta, params, representation="cutoff_sum", M=8
-        )
+        g1 = propagators.free_propagator(x, x0, params, representation="cutoff_sum")
+        g2 = propagators.free_propagator(x, x0 - params.beta, params, representation="cutoff_sum")
         assert g2 == pytest.approx(-g1, abs=1e-10)
 
 
@@ -149,7 +164,8 @@ def test_representations_converge_at_uv_rate():
         diffs = []
         for x in (1, 2, 3, 5, 9, 63):
             gk = propagators.free_propagator(x, 0.0, params)
-            gc = propagators.free_propagator(x, 0.0, params, representation="cutoff_sum", M=M)
+            gc = propagators.free_propagator(x, 0.0, params.with_(M_uv=M),
+                                             representation="cutoff_sum")
             diffs.append(abs(gk - gc))
         worst.append(max(diffs))
     slope = propagators.fit_loglog_slope(GAMMA ** np.array(Ms, dtype=float), np.array(worst))
@@ -171,11 +187,12 @@ def test_generic_points_converge_faster():
     for M in (6, 8, 10):
         lead = abs(
             propagators.free_propagator(1, 0.0, params)
-            - propagators.free_propagator(1, 0.0, params, representation="cutoff_sum", M=M)
+            - propagators.free_propagator(1, 0.0, params.with_(M_uv=M), representation="cutoff_sum")
         )
         for x, x0 in [(3, 2.7), (11, 9.1), (40, 17.3), (0, 0.5)]:
             gk = propagators.free_propagator(x, x0, params)
-            gc = propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=M)
+            gc = propagators.free_propagator(x, x0, params.with_(M_uv=M),
+                                             representation="cutoff_sum")
             assert abs(gk - gc) < 0.01 * lead
 
 
@@ -199,16 +216,6 @@ def test_equal_time_kernel_matches_filling_form():
         g = propagators.free_propagator(x, 0.0, params)
         assert g.real == pytest.approx(-np.sin(p_F * x) / (np.pi * x), abs=2e-3)
         assert abs(g.imag) < 1e-12
-
-
-def test_free_kernel_symmetric_midpoint():
-    params = _params(beta=32.0, L=64)
-    ks = model.MomentumGrids(params.L, params.beta).quasi()
-    e = model.dispersion(ks, params.mu_bar)
-    sym = propagators.free_kernel_symmetric(ks, params)
-    # overflow-protected evaluation of 1/2 - f(e) where f is the thermal factor
-    ref = 0.5 - 1.0 / (np.exp(np.clip(params.beta * e, -500, 500)) + 1.0)
-    assert np.max(np.abs(sym - ref)) < 1e-12
 
 
 def test_free_propagator_rejects_out_of_range_time():
@@ -267,17 +274,6 @@ def test_array_x_reproduces_the_pointwise_values(case, rep):
         assert out.tobytes() == np.array([scalar[i] for i in idx]).tobytes()
 
 
-def test_high_frequency_tail_rate():
-    params = _params(beta=32.0, L=64)
-    k = params.fermi().p_FL
-    tails = [abs(propagators.high_frequency_tail(0.37, M, k, params)) for M in (6, 8, 10)]
-    assert tails[0] > tails[1] > tails[2]
-    # one power of gamma per unit M, locally
-    assert tails[1] / tails[0] < 0.75
-    with pytest.raises(ValueError):
-        propagators.high_frequency_tail(17.0, 8, k, params)
-
-
 def test_discontinuity_predicate():
     assert propagators.is_discontinuity_point(0, 0.0, 32.0)
     assert propagators.is_discontinuity_point(0, 32.0 - 32.0, 32.0)
@@ -293,21 +289,21 @@ def test_discontinuity_predicate():
 def test_single_scale_pieces_sum_to_cutoff_representation():
     # UV scales + IR scales + Dirac split reassemble the cutoff propagator
     # on the whole (x, tau) table, tau in [-beta/2, beta/2)
-    params = _grid_params(beta=16.0, L=32)
-    fermi = params.fermi()
     M = 8
+    params = _grid_params(beta=16.0, L=32).with_(M_uv=M)
+    fermi = params.fermi()
     h_lbeta = propagators.finite_size_scale(params.beta, params.L, fermi)
     x = np.arange(params.L)
     taus = params.beta * (np.arange(16) / 16.0 - 0.5)
     total = np.zeros((x.size, taus.size), dtype=complex)
     for h in range(1, M + 1):
-        total += propagators.single_scale("uv", h, x, taus, params, M=M)
+        total += propagators.single_scale("uv", h, x, taus, params)
     for h in range(h_lbeta, 1):
         for omega in (1, -1):
             # quasi-momentum evaluator: restore the Fermi phase
             phase = np.exp(-1j * omega * fermi.p_FL * x)[:, None]
             total += phase * propagators.single_scale("ir", h, x, taus, params, omega)
-    full = np.stack([propagators.free_propagator(x, x0, params, representation="cutoff_sum", M=M)
+    full = np.stack([propagators.free_propagator(x, x0, params, representation="cutoff_sum")
                      for x0 in taus], axis=1)
     assert np.max(np.abs(total - full)) <= 1e-10
 
@@ -381,16 +377,16 @@ def _double_loop(grid, x, x0, params):
 def test_propagator_table_matches_pointwise(kind, h, omega):
     # the table against independent point values: free_propagator's cutoff
     # sum, and for the single scales the double sum written out term by term
-    params = _grid_params(beta=64.0, L=8)
+    params = _grid_params(beta=64.0, L=8).with_(M_uv=6)
     x = np.arange(params.L)
     taus = params.beta * np.arange(8) / 8.0
-    table = propagators.single_scale(kind, h, x, taus, params, omega, M=6)
+    table = propagators.single_scale(kind, h, x, taus, params, omega)
     assert table.shape == (x.size, taus.size)
     if kind == "cutoff":
-        direct = np.stack([propagators.free_propagator(x, x0, params, "cutoff_sum", M=6)
+        direct = np.stack([propagators.free_propagator(x, x0, params, "cutoff_sum")
                            for x0 in taus], axis=1)
     else:
-        grid = propagators.shell_grid(kind, h, params, omega, M=6)
+        grid = propagators.shell_grid(kind, h, params, omega)
         assert grid.k.size and grid.k0.size
         direct = _double_loop(grid, x, taus, params)
     assert np.abs(direct).max() > 1e-6
@@ -429,6 +425,6 @@ def test_empty_shell_is_zero(kind):
 
 def test_l1_norm_scaling_slope():
     params = _grid_params(beta=2048.0, L=2048)
-    norms, slope = propagators.l1_scaling_report("ir", [-1, -2, -3, -4], params, n_tau=512)
+    norms, slope = propagators.l1_scaling_report("ir", [-1, -2, -3, -4], params)
     # L1 mass of a single scale grows like gamma^-h
     assert abs(slope - (-1.0)) < 0.1
