@@ -341,8 +341,8 @@ def cmd_exponents(o):
     results = []
     for params in models:
         _, limits, ex = _fixed_point(params, o["h"])
-        results.append((params.lam, params.fermi().p_F, ex.eta_z, ex.eta_2C,
-                        ex.eta_2S, ex.eta_2SC, ex.eta_2TC, ex.X["C"], ex.X["S"],
+        results.append((params.lam, params.fermi().p_F, ex.eta["z"], ex.eta["C"],
+                        ex.eta["S"], ex.eta["SC"], ex.eta["TC"], ex.X["C"], ex.X["S"],
                         ex.X["SC"], ex.X["TC"], ex.X_tilde_SC, ex.f_lambda,
                         ex.c_coefficient,
                         abs(limits.g2_inf - limits.g2_first_order)))
@@ -377,8 +377,8 @@ NU = (
     Opt("lambda-grid", str, help=GRID_HELP + " (default: --lambda alone)"),
     Opt("mu", float, 0.5, ((">", -1.0), ("<", 1.0)), key="mu_bar"),
     Opt("h-box", int, -40, ("<=", 1), key="h_box"),
-    Opt("eps-scale", float, 2.0, key="eps_scale"),
-    Opt("c0", float, 0.25, key="c0"),
+    Opt("eps-scale", float, 2.0, (">", 0), key="eps_scale"),
+    Opt("c0", float, 0.25, (">", 0), key="c0"),
     Opt("tol", float, 1e-12, (">", 0)),
 )
 
@@ -413,12 +413,12 @@ CORRELATIONS = (
     Opt("beta", float, 1e9),
     Opt("L", int, 10 ** 9),
     Opt("x-min", float, 10.0, (">=", 1)),
-    Opt("x-max", float, 400.0),
+    Opt("x-max", float, 400.0, (">=", "x-min")),
     Opt("x-count", int, 40, (">=", 1)),
     Opt("x-spacing", str, "log", ("in", ("log", "linear"))),
     Opt("x0", float, 0.0, key="x0"),
     Opt("alphas", _names, correlations.CHANNELS, ("in", correlations.CHANNELS)),
-    Opt("tail", float, 1e-3, (">", 0)),
+    Opt("tail", float, 1e-3, ((">", 0), ("<", 1))),
     Opt("residuals", str, "none", ("in", ("none", "envelope")), key="residuals"),
     Opt("potential", str),
 )

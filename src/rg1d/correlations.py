@@ -23,7 +23,8 @@ Z = 1) reproduces the Wick values up to the truncation of the scale sum,
 which stops at h = 0, so the claim holds at long distance only: at
 p_F = pi/3 on the space axis the relative error is 0.87 at x = 10 and
 4e-3 at x = 100, stays below 1e-5 from x = 316 on and below 1.7e-6 for
-400 <= x <= 1200.
+400 <= x <= 1200.  One scale window and one set of Dirac profiles serve
+every channel of a point.
 """
 
 import math
@@ -52,7 +53,6 @@ class ZTables:
     oscillating part: Z^{(t)}_h = gamma^{-eta_t h} Zhat^{(t)}_h.
     """
 
-    gamma: float
     depth: int
     Z: np.ndarray
     Z1: dict
@@ -62,12 +62,12 @@ class ZTables:
 def z_tables(rset, ex, gamma):
     """Build ZTables from a flow of the hat constants and the exponents."""
     i = np.arange(rset.depth + 1, dtype=float)
-    zz = gamma ** (ex.eta_z * i) * np.exp(rset.log_zhat["z"])
-    z1 = {al: gamma ** (ex.eta_z * i) * np.exp(rset.log_zhat["1" + al])
+    zz = gamma ** (ex.eta["z"] * i) * np.exp(rset.log_zhat["z"])
+    z1 = {al: gamma ** (ex.eta["z"] * i) * np.exp(rset.log_zhat["1" + al])
           for al in ("C", "S", "SC")}
-    z2 = {al: gamma ** (ex.eta_2(al) * i) * np.exp(rset.log_zhat["2" + al])
+    z2 = {al: gamma ** (ex.eta[al] * i) * np.exp(rset.log_zhat["2" + al])
           for al in CHANNELS}
-    return ZTables(gamma, rset.depth, zz, z1, z2)
+    return ZTables(rset.depth, zz, z1, z2)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +80,7 @@ def tilde_norm(x, x0, fermi):
     return math.hypot(float(x), fermi.v_F * float(x0))
 
 
-def scale_window(x, x0, fermi, tail=1e-3):
+def scale_window(x, x0, fermi, tail):
     """Scales h_min..0 with the tail budget gamma^{h_min} |xtilde| <= tail.
 
     The budget is quadratic: dropped scales contribute O((gamma^{h_min} r)^2)
@@ -111,25 +111,21 @@ def dirac_profiles(hs, x, x0, fermi):
     return pref * (fermi.gamma ** np.asarray(hs, dtype=float) / TWO_PI) * rad
 
 
-def _weight_matrix(ztab, znum, hs):
-    """W_{hh'} = znum[h v h']^2 / (Z_h Z_{h'}) on the window, h v h' = max."""
-    ii = (-np.asarray(hs)).astype(int)
+def _window_profiles(x, x0, ztab, fermi, tail):
+    """Table indices i = -h of the scale window and the profiles on it."""
+    hs = scale_window(x, x0, fermi, tail)
+    ii = (-hs).astype(int)
     if ii.max() > ztab.depth:
         raise ValueError("renormalization tables shallower than the scale "
                          "window; run the coupling flow deeper")
+    return ii, dirac_profiles(hs, x, x0, fermi)
+
+
+def _weight_matrix(ztab, znum, ii):
+    """W_{hh'} = znum[h v h']^2 / (Z_h Z_{h'}) on the window, h v h' = max."""
     num = znum[np.minimum.outer(ii, ii)] ** 2
     den = np.outer(ztab.Z[ii], ztab.Z[ii])
     return num / den
-
-
-def same_branch_sum(gp, W):
-    """sum_{h,h'} W_{hh'} g_+^{(h)} g_+^{(h')} (complex bilinear)."""
-    return gp @ W @ gp
-
-
-def cross_branch_sum(gp, W):
-    """sum_{h,h'} W_{hh'} g_+^{(h)} g_-^{(h')}; real by symmetry of W."""
-    return float((gp @ W @ np.conj(gp)).real)
 
 
 # ----------------------------------------------------------------------
@@ -142,41 +138,22 @@ def log_factor(x, x0, ex, fermi):
     return 1.0 + ex.f_lambda * math.log(tilde_norm(x, x0, fermi))
 
 
-def _first_order(rset):
-    """True when the zeta exponents take their first-order values: without a
-    flowed RenormSet, or for a free flow (g1_0 = 0), where q's denominator
-    log(1 + a g1_0 |h|) vanishes."""
-    return rset is None or rset.g1_0 == 0.0
-
-
-def _q_at(rset, t, x, x0, fermi):
-    """q_t interpolated at the scale h_x = -log_gamma |xtilde|."""
-    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
-    return rn.q_interpolated(rset, t, hx)
-
-
-def zeta_estimate(x, x0, alpha, ex, fermi, rset=None):
-    """zeta_alpha(x) = 2 [q_{2,alpha} - q_z] interpolated at the scale
+def zeta_estimate(key, x, x0, fermi, rset, first_order):
+    """Log exponent 2 [q_key - q_z], q interpolated at the scale
     h_x = -log_gamma |xtilde| (linear in log|x| between integer scales).
-    Without a flowed, interacting RenormSet the first-order value zeta_bar
-    is used."""
-    if _first_order(rset):
-        return ex.zeta_bar[alpha]
-    return 2.0 * (_q_at(rset, "2" + alpha, x, x0, fermi)
-                  - _q_at(rset, "z", x, x0, fermi))
-
-
-def _zeta_tilde_sc(x, x0, ex, fermi, rset):
-    if _first_order(rset):
-        return 0.0
-    return 2.0 * (_q_at(rset, "1SC", x, x0, fermi)
-                  - _q_at(rset, "z", x, x0, fermi))
+    Without a flowed RenormSet, or for a free flow (g1_0 = 0: q's
+    denominator log(1 + a g1_0 |h|) vanishes), it is first_order."""
+    if rset is None or rset.g1_0 == 0.0:
+        return first_order
+    hx = -math.log(tilde_norm(x, x0, fermi)) / math.log(fermi.gamma)
+    return 2.0 * (rn.q_interpolated(rset, key, hx)
+                  - rn.q_interpolated(rset, "z", hx))
 
 
 def closed_components(x, x0, alpha, ex, fermi, rset=None):
-    """(non-oscillating, oscillating) closed-form parts of Omega_alpha."""
-    x = float(x)
-    x0 = float(x0)
+    """(non-oscillating, oscillating) closed-form parts of Omega_alpha and
+    the log exponent zeta_alpha of L(x) they use."""
+    x, x0 = float(x), float(x0)
     xt2 = (fermi.v_F * x0) ** 2 + x ** 2
     xt = math.sqrt(xt2)
     obar = ((fermi.v_F * x0) ** 2 - x ** 2) / xt2
@@ -185,23 +162,21 @@ def closed_components(x, x0, alpha, ex, fermi, rset=None):
     cos2 = math.cos(2.0 * fermi.p_F * x)
     sin2 = math.sin(2.0 * fermi.p_F * x)
     pi2 = math.pi ** 2
+    if alpha not in CHANNELS:
+        raise ValueError("unknown channel " + repr(alpha))
+    zeta = zeta_estimate("2" + alpha, x, x0, fermi, rset, rn.ZETA_BAR[alpha])
     if alpha in ("C", "S"):
         uni = obar / (pi2 * xt2)
-        zeta = zeta_estimate(x, x0, alpha, ex, fermi, rset)
         osc = cos2 * L ** zeta / (pi2 * xt ** (2.0 * ex.X[alpha]))
-        return uni, osc
-    if alpha == "SC":
-        zeta = zeta_estimate(x, x0, alpha, ex, fermi, rset)
+    elif alpha == "SC":
         uni = -(L ** zeta) / (pi2 * xt ** (2.0 * ex.X["SC"]))
-        zt = _zeta_tilde_sc(x, x0, ex, fermi, rset)
+        zt = zeta_estimate("1SC", x, x0, fermi, rset, 0.0)
         osc = -(obar * cos2 + qbar * sin2) * L ** zt \
             / (pi2 * xt ** (2.0 * ex.X_tilde_SC))
-        return uni, osc
-    if alpha == "TC":
-        zeta = zeta_estimate(x, x0, alpha, ex, fermi, rset)
+    else:
         uni = -fermi.v_F ** 2 * L ** zeta / (pi2 * xt ** (2.0 * ex.X["TC"]))
-        return uni, 0.0
-    raise ValueError("unknown channel " + repr(alpha))
+        osc = 0.0
+    return uni, osc, zeta
 
 
 # ----------------------------------------------------------------------
@@ -210,54 +185,47 @@ def closed_components(x, x0, alpha, ex, fermi, rset=None):
 
 
 @dataclass(frozen=True)
-class CorrelationResult:
-    x: float
-    x0: float
-    alpha: str
+class Response:
     scale_sum: float
     closed_form: float
-    non_oscillating: float
-    oscillating: float
-    closed_non_osc: float
-    closed_osc: float
     rel_error: float
-    exponents_used: object
-    h_min: int
+    non_oscillating: float
+    zeta: float
 
 
-def assemble_response(x, alpha, ztab, ex, fermi, x0=0.0, rset=None,
+def assemble_response(x, alphas, ztab, ex, fermi, x0=0.0, rset=None,
                       tail=1e-3):
-    """Scale-sum response Omega_alpha(x, x0) and its closed form.
-
-    The third (correction) class of terms is modeled as zero inside its
-    error budget; rel_error compares scale sum and closed form.
+    """{alpha: Response} of the scale-sum Omega_alpha(x, x0) and its closed
+    form for every channel in alphas, all from one window and one set of
+    profiles.  The third (correction) class of terms is modeled as zero
+    inside its error budget; rel_error compares scale sum and closed form.
     """
-    hs = scale_window(x, x0, fermi, tail)
-    gp = dirac_profiles(hs, x, x0, fermi)
+    ii, gp = _window_profiles(x, x0, ztab, fermi, tail)
+    gm = np.conj(gp)   # g_-; g_+ W g_- is real because W is symmetric
     cos2 = math.cos(2.0 * fermi.p_F * float(x))
-    if alpha in ("C", "S"):
-        Wu = _weight_matrix(ztab, ztab.Z1[alpha], hs)
-        Wo = _weight_matrix(ztab, ztab.Z2[alpha], hs)
-        uni = 4.0 * same_branch_sum(gp, Wu).real
-        osc = cos2 * 4.0 * cross_branch_sum(gp, Wo)
-    elif alpha == "SC":
-        Wu = _weight_matrix(ztab, ztab.Z2["SC"], hs)
-        Wo = _weight_matrix(ztab, ztab.Z1["SC"], hs)
-        uni = -4.0 * cross_branch_sum(gp, Wu)
-        phase = np.exp(2j * fermi.p_F * float(x))
-        osc = -4.0 * (phase * same_branch_sum(gp, Wo)).real
-    elif alpha == "TC":
-        Wu = _weight_matrix(ztab, ztab.Z2["TC"], hs)
-        uni = -4.0 * fermi.v_F ** 2 * cross_branch_sum(gp, Wu)
-        osc = 0.0
-    else:
-        raise ValueError("unknown channel " + repr(alpha))
-    ucf, ocf = closed_components(x, x0, alpha, ex, fermi, rset)
-    total = uni + osc
-    closed = ucf + ocf
-    rel = abs(total - closed) / max(abs(closed), 1e-300)
-    return CorrelationResult(float(x), float(x0), alpha, total, closed,
-                             uni, osc, ucf, ocf, rel, ex, int(hs[0]))
+    out = {}
+    for alpha in alphas:
+        ucf, ocf, zeta = closed_components(x, x0, alpha, ex, fermi, rset)
+        if alpha in ("C", "S"):
+            Wu = _weight_matrix(ztab, ztab.Z1[alpha], ii)
+            Wo = _weight_matrix(ztab, ztab.Z2[alpha], ii)
+            uni = 4.0 * (gp @ Wu @ gp).real
+            osc = cos2 * 4.0 * (gp @ Wo @ gm).real
+        elif alpha == "SC":
+            Wu = _weight_matrix(ztab, ztab.Z2["SC"], ii)
+            Wo = _weight_matrix(ztab, ztab.Z1["SC"], ii)
+            uni = -4.0 * (gp @ Wu @ gm).real
+            phase = np.exp(2j * fermi.p_F * float(x))
+            osc = -4.0 * (phase * (gp @ Wo @ gp)).real
+        else:   # TC; closed_components rejects any other channel
+            Wu = _weight_matrix(ztab, ztab.Z2["TC"], ii)
+            uni = -4.0 * fermi.v_F ** 2 * (gp @ Wu @ gm).real
+            osc = 0.0
+        total = uni + osc
+        closed = ucf + ocf
+        rel = abs(total - closed) / max(abs(closed), 1e-300)
+        out[alpha] = Response(total, closed, rel, uni, zeta)
+    return out
 
 
 def two_point(x, x0, ztab, ex, fermi):
@@ -269,18 +237,13 @@ def two_point(x, x0, ztab, ex, fermi):
     log exponent zeta_z is 0, so no L(x) factor).
     Returns (scale_sum, closed_form).
     """
-    hs = scale_window(x, x0, fermi)
-    gp = dirac_profiles(hs, x, x0, fermi)
-    ii = (-hs).astype(int)
-    if ii.max() > ztab.depth:
-        raise ValueError("renormalization tables shallower than the scale "
-                         "window; run the coupling flow deeper")
+    ii, gp = _window_profiles(x, x0, ztab, fermi, 1e-3)
     s_plus = np.sum(gp / ztab.Z[ii])
     total = 2.0 * (np.exp(-1j * fermi.p_F * float(x)) * s_plus).real
     xt = tilde_norm(x, x0, fermi)
     s0 = (fermi.v_F * float(x0) * math.cos(fermi.p_F * float(x))
           - float(x) * math.sin(fermi.p_F * float(x))) / xt
-    closed = s0 / (math.pi * xt ** (1.0 + ex.eta_z))
+    closed = s0 / (math.pi * xt ** (1.0 + ex.eta["z"]))
     return total, closed
 
 
@@ -312,14 +275,10 @@ def oscillation_peak(xs, values):
 def correlation_rows(xs, alphas, ztab, ex, fermi, x0=0.0, rset=None,
                      tail=1e-3):
     """CSV rows (alpha, x, x0, scale_sum_re, scale_sum_im, closed_re,
-    closed_im, rel_err, X_alpha, zeta_est)."""
-    rows = []
-    for alpha in alphas:
-        for x in xs:
-            res = assemble_response(x, alpha, ztab, ex, fermi, x0, rset,
-                                    tail)
-            zeta = zeta_estimate(x, x0, alpha, ex, fermi, rset)
-            rows.append((alpha, float(x), float(x0), res.scale_sum, 0.0,
-                         res.closed_form, 0.0, res.rel_error,
-                         ex.X[alpha], zeta))
-    return rows
+    closed_im, rel_err, X_alpha, zeta_est), channel by channel."""
+    points = [assemble_response(x, alphas, ztab, ex, fermi, x0, rset, tail)
+              for x in xs]
+    return [(alpha, float(x), float(x0), res[alpha].scale_sum, 0.0,
+             res[alpha].closed_form, 0.0, res[alpha].rel_error, ex.X[alpha],
+             res[alpha].zeta)
+            for alpha in alphas for x, res in zip(xs, points)]

@@ -43,21 +43,13 @@ HAT_KEYS = ("z", "1C", "1S", "1SC", "2C", "2S", "2SC", "2TC")
 
 @dataclass
 class RenormSet:
-    """log Zhat^{(t)}_h for t in HAT_KEYS, h = 0 .. -depth (index i = -h).
+    """log Zhat^{(t)}_h for t in HAT_KEYS, h = 0 .. -depth (index i = -h);
+    Zhat_0 = 1 for every channel."""
 
-    Zhat_0 = 1 for every channel.  residual_mode records whether the
-    O(lambda^2)-summable residual model was enabled when flowing.
-    """
-
-    lam: complex
     depth: int
     a: float
     g1_0: float
     log_zhat: dict
-    residual_mode: str
-
-    def log_zhat_at(self, t, h):
-        return float(self.log_zhat[t][-h])
 
     def log_zhat_interp(self, t, h_real):
         """Linear interpolation of log Zhat in the scale variable."""
@@ -117,7 +109,7 @@ def z_flow(traj, limits, residual_mode="none", seed=None):
             raise ValueError("nonpositive Zhat ratio; flow out of range")
         logz = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
         out[key] = logz
-    return RenormSet(traj.lam, depth, a, float(g1[0]), out, residual_mode)
+    return RenormSet(depth, a, float(g1[0]), out)
 
 
 def q_interpolated(rset, t, h_real):
@@ -138,26 +130,19 @@ def q_interpolated(rset, t, h_real):
 class ExponentSet:
     """First-order anomalous and correlation exponents.
 
-    X_alpha = 1 - eta_{2,alpha} - eta_z; the oscillating pair channel keeps
-    X_tilde_SC = 1 at this order.  f_lambda is the coefficient of log|x| in
-    the logarithmic correction factor L(x) = 1 + f_lambda log|x|.  Every
-    entry is first order: it carries an O(lambda^2) uncertainty.
+    eta holds the anomalous exponents under the keys z (wave function) and
+    C, S, SC, TC (the pair channels eta_{2,alpha}); X_alpha = 1 -
+    eta[alpha] - eta[z].  The oscillating pair channel keeps X_tilde_SC = 1
+    at this order.  f_lambda is the coefficient of log|x| in the logarithmic
+    correction factor L(x) = 1 + f_lambda log|x|.  Every entry is first
+    order: it carries an O(lambda^2) uncertainty.
     """
 
-    eta_z: float
-    eta_2C: float
-    eta_2S: float
-    eta_2SC: float
-    eta_2TC: float
+    eta: dict
     X: dict
     X_tilde_SC: float
-    zeta_bar: dict
     f_lambda: float
     c_coefficient: float
-
-    def eta_2(self, alpha):
-        return {"C": self.eta_2C, "S": self.eta_2S,
-                "SC": self.eta_2SC, "TC": self.eta_2TC}[alpha]
 
 
 def c_coefficient(potential, fermi):
@@ -167,9 +152,9 @@ def c_coefficient(potential, fermi):
     return (2.0 * vh0 - vh2p) / (2.0 * math.pi * fermi.v_F)
 
 
-def exponents(params, limits, fermi=None):
+def exponents(params, limits):
     """First-order ExponentSet from the fixed-point couplings."""
-    fermi = params.fermi() if fermi is None else fermi
+    fermi = params.fermi()
     g2inf = limits.g2_inf.real
     # + 0.0 and 0.0 - base: a vanishing coupling gives +0, never -0
     base = g2inf / (2.0 * math.pi * fermi.v_F) + 0.0
@@ -177,7 +162,6 @@ def exponents(params, limits, fermi=None):
     X = {al: 1.0 - eta[al] - eta["z"] for al in CHANNELS}
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
     f_lam = 2.0 * params.lam.real * vh2p / (math.pi * fermi.v_F)
-    return ExponentSet(eta["z"], eta["C"], eta["S"], eta["SC"], eta["TC"],
-                       X, 1.0, dict(ZETA_BAR), f_lam,
+    return ExponentSet(eta, X, 1.0, f_lam,
                        c_coefficient(params.potential, fermi))
 

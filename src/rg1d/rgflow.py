@@ -371,17 +371,13 @@ def flow_checks(traj):
 @dataclass(frozen=True)
 class FixedPointValues:
     g2_inf: complex
-    g4_inf: complex
-    delta_inf: complex
     g2_first_order: complex      # [2 vhat(0) - vhat(2 p_F)] lam
-    g4_first_order: complex      # 2 lam vhat(0)
     converged: bool
-    trailing_diff: float
 
 
 def fixed_point_values(traj, params, tol=1e-9):
-    """Limits of (g2, g4, delta).  g2 uses the conserved combination
-    g2_j - g1_j/2 (exact on the truncated flow, estimate otherwise);
+    """The limit g2_inf, from the conserved combination g2_j - g1_j/2 (exact
+    on the truncated flow, estimate otherwise), and its first-order value;
     converged means the last 16 scales moved by less than tol."""
     fermi = params.fermi()
     c = traj.couplings
@@ -390,10 +386,8 @@ def fixed_point_values(traj, params, tol=1e-9):
     g2_inf = c[-1, 1] - 0.5 * c[-1, 0]
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
     vh0 = params.potential.fourier(0.0)
-    return FixedPointValues(g2_inf, c[-1, 2], c[-1, 3],
-                            (2.0 * vh0 - vh2p) * params.lam,
-                            2.0 * vh0 * params.lam,
-                            bool(tail < tol), float(tail))
+    return FixedPointValues(g2_inf, (2.0 * vh0 - vh2p) * params.lam,
+                            bool(tail < tol))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from rg1d import cli, propagators
+from rg1d import cli, correlations, propagators
 
 REFERENCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks", "reference")
@@ -97,6 +97,15 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["nu", "--mu", "1.5"],
     ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
+    # eps-scale and c0 are a radius and a bound: at 0 the map T vanishes
+    ["nu", "--eps-scale", "-1"],
+    ["nu", "--eps-scale", "0"],
+    ["nu", "--c0", "0"],
+    ["nu", "--c0", "-5"],
+    # a reversed x range; a tail of 1 or more can leave no scale in the window
+    ["correlations", "--x-max", "5"],
+    ["correlations", "--tail", "1e5"],
+    ["correlations", "--tail", "20", "--x-min", "1", "--x-max", "1"],
     ["flow", "--a-mode", "bogus"],
     ["flow", "--pF", "4"],
     ["correlations", "--pF", "-1"],
@@ -216,6 +225,37 @@ def test_default_prop_calls_each_representation_once_per_x0(tmp_path, monkeypatc
     monkeypatch.setattr(propagators, "free_propagator", counted)
     assert _run(["prop"], tmp_path) == 0
     assert calls == {"kernel_sum": 2, "cutoff_sum": 2}
+
+
+def test_correlations_builds_each_window_once(tmp_path, monkeypatch):
+    # one scale window and one set of Dirac profiles per point serve every
+    # channel: 40 points at the defaults, not 40 per channel
+    inner = correlations.dirac_profiles
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(correlations, "dirac_profiles", counted)
+    assert _run(["correlations"], tmp_path) == 0
+    assert len(calls) == len(set(calls)) == 40
+
+
+def test_correlations_outputs_are_pinned(tmp_path):
+    # every knob off its default: x0, seeded residuals, linear grid, uv potential
+    argv = ["correlations", "--lambda", "0.02", "--x0", "3.5", "--residuals", "envelope",
+            "--seed", "4", "--x-spacing", "linear", "--x-min", "100", "--x-max", "163",
+            "--x-count", "64", "--potential", "uv:1:0.5"]
+    assert _run(argv, tmp_path) == 0
+    # sha256 as the one-window-per-channel code wrote them
+    for name, digest in [
+            ("correlations.csv",
+             "da35af5a918ddad74537421be04daead744f4ba993ef97447f0ab74e9e317e3f"),
+            ("correlations_summary.txt",
+             "aab61c29ca5d2997f5dae60e18e39c3deecd3dc0c8172f8bdb4b8dc07ec68e1a")]:
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 # every command's table and handler (oracle's handler is the --what

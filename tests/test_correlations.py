@@ -59,12 +59,12 @@ def test_log_factor_grows_with_distance():
 def test_free_closed_components_space_axis():
     fermi, ex, rset, ztab = _setup(0.0)
     x = 40.0
-    uni, osc = correlations.closed_components(x, 0.0, "C", ex, fermi)
+    uni, osc, _ = correlations.closed_components(x, 0.0, "C", ex, fermi)
     assert uni == pytest.approx(-1.0 / (np.pi**2 * x**2), rel=1e-12)
     assert osc == pytest.approx(
         np.cos(2.0 * P_F * x) / (np.pi**2 * x**2), rel=1e-12
     )
-    uni_tc, osc_tc = correlations.closed_components(x, 0.0, "TC", ex, fermi)
+    uni_tc, osc_tc, _ = correlations.closed_components(x, 0.0, "TC", ex, fermi)
     assert uni_tc == pytest.approx(
         -fermi.v_F**2 / (np.pi**2 * x**2), rel=1e-12
     )
@@ -74,7 +74,7 @@ def test_free_closed_components_space_axis():
 def test_free_closed_components_time_axis():
     fermi, ex, rset, ztab = _setup(0.0)
     x0 = 30.0
-    uni, osc = correlations.closed_components(0.0, x0, "C", ex, fermi)
+    uni, osc, _ = correlations.closed_components(0.0, x0, "C", ex, fermi)
     xt = fermi.v_F * x0
     assert uni == pytest.approx(1.0 / (np.pi**2 * xt**2), rel=1e-12)
 
@@ -95,16 +95,16 @@ def test_free_two_point_closed_form_is_equal_time_kernel():
 
 def test_free_assembly_matches_closed_form():
     fermi, ex, rset, ztab = _setup(0.0)
-    for alpha in correlations.CHANNELS:
-        res = correlations.assemble_response(100.0, alpha, ztab, ex, fermi)
+    out = correlations.assemble_response(100.0, correlations.CHANNELS, ztab, ex, fermi)
+    for alpha, res in out.items():
         assert res.rel_error < 0.05, (alpha, res.rel_error)
 
 
 def test_free_assembly_error_decays():
     # x = 1 mod 3 keeps the closed form away from its zeros at p_F = pi/3
     fermi, ex, rset, ztab = _setup(0.0, depth=26)
-    r1 = correlations.assemble_response(31.0, "C", ztab, ex, fermi)
-    r2 = correlations.assemble_response(301.0, "C", ztab, ex, fermi)
+    r1 = correlations.assemble_response(31.0, ["C"], ztab, ex, fermi)["C"]
+    r2 = correlations.assemble_response(301.0, ["C"], ztab, ex, fermi)["C"]
     assert r1.rel_error > 0.0
     assert r2.rel_error < r1.rel_error
 
@@ -122,10 +122,10 @@ def test_interacting_assembly_within_budget():
     fermi, ex, rset, ztab = _setup(lam, depth=28)
     budget = 10.0 * np.sqrt(lam)
     for x in (100.0, 1000.0):
-        for alpha in correlations.CHANNELS:
-            res = correlations.assemble_response(
-                x, alpha, ztab, ex, fermi, rset=rset
-            )
+        out = correlations.assemble_response(
+            x, correlations.CHANNELS, ztab, ex, fermi, rset=rset
+        )
+        for alpha, res in out.items():
             assert res.rel_error <= budget, (alpha, x, res.rel_error)
 
 
@@ -144,8 +144,8 @@ def test_free_assembly_reproduces_wick_values_at_long_distance():
     # (Wick) form only far out; 1.7e-6 is the worst measured on [400, 1200]
     fermi, ex, rset, ztab = _setup(0.0, depth=26)
     for x in np.linspace(400.0, 1200.0, 21):
-        for alpha in correlations.CHANNELS:
-            res = correlations.assemble_response(x, alpha, ztab, ex, fermi)
+        out = correlations.assemble_response(x, correlations.CHANNELS, ztab, ex, fermi)
+        for alpha, res in out.items():
             assert res.rel_error <= 1e-5, (alpha, x, res.rel_error)
 
 
@@ -175,8 +175,8 @@ def test_uniform_exponent_two_for_interacting_flow():
         vals = []
         for x in xs:
             res = correlations.assemble_response(
-                float(x), "C", ztab, ex, fermi, rset=(rset if lam else None)
-            )
+                float(x), ["C"], ztab, ex, fermi, rset=(rset if lam else None)
+            )["C"]
             vals.append(abs(res.non_oscillating))
         p = -propagators.fit_loglog_slope(xs, vals)
         assert p == pytest.approx(2.0, abs=0.05), lam

@@ -45,3 +45,44 @@ def test_every_definition_is_named_somewhere():
                     if not (node.name.startswith("__") and node.name.endswith("__"))
                     and node.name not in used)
     assert not unused, "defined but never named: " + ", ".join(unused)
+
+
+def _defaulted(fn, is_method):
+    """(position, name) of every parameter of fn that has a default; the
+    position counts from the first argument a caller passes."""
+    args = fn.args.posonlyargs + fn.args.args
+    skip = 1 if is_method and args and args[0].arg in ("self", "cls") else 0
+    first = len(args) - len(fn.args.defaults)
+    out = [(i - skip, a.arg) for i, a in enumerate(args) if i >= first]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = {}
+    for tree in _trees(PACKAGE, ROOT / "tests").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unpassed = []
+    for path, tree in _trees(PACKAGE).items():
+        methods = {id(item) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for fn in _definitions(tree):
+            if isinstance(fn, ast.ClassDef):
+                continue
+            for pos, name in _defaulted(fn, id(fn) in methods):
+                if not any(
+                        any(kw.arg in (name, None) for kw in call.keywords)
+                        or (pos is not None and (
+                            len(call.args) > pos
+                            or any(isinstance(a, ast.Starred) for a in call.args)))
+                        for call in calls.get(fn.name, ())):
+                    unpassed.append("%s:%d %s(%s=)" % (path.name, fn.lineno, fn.name, name))
+    assert not unpassed, "defaulted but never passed: " + ", ".join(unpassed)

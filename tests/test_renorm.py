@@ -55,7 +55,7 @@ def test_free_theory_z_flow_is_trivial():
     rset = renorm.z_flow(traj, limits)
     for key in renorm.HAT_KEYS:
         for h in (-1, -50, -200):
-            assert rset.log_zhat_at(key, h) == pytest.approx(0.0, abs=1e-14)
+            assert rset.log_zhat[key][-h] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_z_flow_rejects_bad_residual_mode():
@@ -73,9 +73,9 @@ def test_envelope_residuals_seeded():
     r3 = renorm.z_flow(traj, limits, residual_mode="envelope", seed=4)
     h = -250
     for key in ("2C", "2SC"):
-        assert r1.log_zhat_at(key, h) == r2.log_zhat_at(key, h)
+        assert r1.log_zhat[key][-h] == r2.log_zhat[key][-h]
     assert any(
-        r1.log_zhat_at(k, h) != r3.log_zhat_at(k, h) for k in renorm.HAT_KEYS
+        r1.log_zhat[k][-h] != r3.log_zhat[k][-h] for k in renorm.HAT_KEYS
     )
 
 
@@ -112,11 +112,11 @@ def test_exponent_values_frozen_hubbard():
     params, traj = _traj(0.05, target_h=-400)
     limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
     ex = renorm.exponents(params, limits)
-    assert ex.eta_2C == pytest.approx(0.009188814923696427, abs=1e-12)
-    assert ex.eta_2S == pytest.approx(ex.eta_2C, abs=1e-12)
-    assert ex.eta_2SC == pytest.approx(-ex.eta_2C, abs=1e-12)
-    assert ex.eta_2TC == pytest.approx(-ex.eta_2C, abs=1e-12)
-    assert ex.eta_z == 0.0
+    assert ex.eta["C"] == pytest.approx(0.009188814923696427, abs=1e-12)
+    assert ex.eta["S"] == pytest.approx(ex.eta["C"], abs=1e-12)
+    assert ex.eta["SC"] == pytest.approx(-ex.eta["C"], abs=1e-12)
+    assert ex.eta["TC"] == pytest.approx(-ex.eta["C"], abs=1e-12)
+    assert ex.eta["z"] == 0.0
     assert ex.X["C"] == pytest.approx(0.9908111850763036, abs=1e-12)
     assert ex.X["SC"] == pytest.approx(1.0091888149236963, abs=1e-12)
     assert ex.f_lambda == pytest.approx(0.036755259694786144, abs=1e-12)
@@ -144,9 +144,6 @@ def test_exponent_ordering_pattern():
     assert ex.X["C"] < 1.0 < ex.X["SC"]
     assert ex.X["C"] == pytest.approx(ex.X["S"], abs=1e-12)
     assert ex.X["SC"] == pytest.approx(ex.X["TC"], abs=1e-12)
-    # eta accessor agrees with the fields
-    assert ex.eta_2("C") == ex.eta_2C
-    assert ex.eta_2("TC") == ex.eta_2TC
 
 
 def test_exponents_linear_in_lambda():
@@ -155,7 +152,7 @@ def test_exponents_linear_in_lambda():
         params, traj = _traj(lam, target_h=-400)
         limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
         ex = renorm.exponents(params, limits)
-        vals.append(ex.eta_2C / lam)
+        vals.append(ex.eta["C"] / lam)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)
     assert vals[1] == pytest.approx(vals[2], rel=1e-9)
 
