@@ -258,6 +258,28 @@ def test_correlations_outputs_are_pinned(tmp_path):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
+
+@pytest.mark.parametrize("argv, digests", [
+    # seeded remainders of both kinds, box scale at the target
+    (["flow", "--remainders", "both", "--seed", "3", "--h", "-300", "--h-lbeta", "-300"],
+     {"flow.csv": "0350eea8a18fc6f6739a29be3e30193bb2da148fc0cf9e4003d594764711fa5b",
+      "flow_summary.txt": "9bd8309f8dbc1632a26831edd118c5e985838f58a5d97253f2ff80826408069e"}),
+    # the lattice bubble a^{(j)} at every step
+    (["flow", "--a-mode", "finite_scale", "--h", "-2", "--beta", "64", "--L", "64"],
+     {"flow.csv": "0822019355a3bff98ebbef52d97188623eb1294ad6c40bf6660f43d6fbbd60e5",
+      "flow_summary.txt": "94bd007c9f264a075e7e1d88a547584cc4889a9a446cd7db54e7fc861ad372af"}),
+    # six counterterm solves and inversions on a short box
+    (["nu", "--lambda-grid", "0.005:0.03:0.005", "--h-box", "-10"],
+     {"nu.csv": "0cccc744cb1b263a0b4df0c61c0ed3af5af94236417c439ed5e1da2068590a2e",
+      "nu_summary.txt": "847b36b89dee033de996df0d63957048611737b726d3a7de8bf293d4b4b3650e"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_flow_and_nu_outputs_are_pinned(argv, digests, tmp_path):
+    assert _run(argv, tmp_path) == 0
+    # sha256 as the per-step record code wrote them
+    for name, digest in digests.items():
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's
 HANDLED = [pytest.param(table, handler, id=command)

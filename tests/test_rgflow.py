@@ -1,5 +1,6 @@
 """Running couplings: truncated flow identities, envelopes, flow checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,24 @@ def test_nu_rescaling_default():
     nu = traj.couplings[:, 4]
     # nu_{j-1} = gamma * nu_j with nu_0 = 0 stays identically zero
     assert np.max(np.abs(nu)) == 0.0
+
+
+def test_complex_flow_is_pinned():
+    # complex lambda with both remainder kinds, worst case and seeded: the
+    # couplings, eps, a_j and every check as the per-step record code wrote them
+    params = model.ModelParams.from_p_F(0.02 + 0.01j, P_F, model.on_site_potential(1.0),
+                                        4096.0, 4096, allow_complex=True)
+    digest = hashlib.sha256()
+    for seed in (None, 3):
+        traj = rgflow.run_flow(params, _cfg(remainder_model="both", seed=seed, h_lbeta=-300),
+                               target_h=-300)
+        assert traj.escaped_at is None
+        for arr in (traj.couplings, traj.eps, traj.a_seq):
+            digest.update(arr.tobytes())
+        digest.update(repr([(k, r.ok, r.worst_scale, r.worst_margin, r.measured_constant)
+                            for k, r in traj.checks.items()]).encode())
+    assert digest.hexdigest() == \
+        "aa6efb44b119b628a2d30cc27c191748061a81b1b3381665a03f3ed76d8a4e53"
 
 
 # ---------------------------------------------------------------------------
