@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import correlations, g1map, nusolver, oracle, propagators, renorm, rgflow
-from .model import (InteractionPotential, ModelParams, MomentumGrids, on_site_potential,
-                    u_v_potential)
+from .model import (InteractionPotential, ModelParams, MomentumGrids, check_positivity,
+                    on_site_potential, u_v_potential)
 
 _FMT = "%.12g"
 
@@ -325,8 +325,7 @@ EXPONENTS = (
 def _fixed_point(params, h):
     """Flow without remainders down to scale h, taken as the box scale, then
     its fixed-point limits and first-order exponents."""
-    traj = rgflow.run_flow(params, rgflow.BetaConfig(h_lbeta=h), h,
-                           with_checks=False)
+    traj = rgflow.run_flow(params, rgflow.BetaConfig(h_lbeta=h), h)
     limits = rgflow.fixed_point_values(traj, params)
     return traj, limits, renorm.exponents(params, limits)
 
@@ -430,8 +429,12 @@ def cmd_correlations(o):
         params = ModelParams.from_p_F(lam, o["pF"],
                                       _potential_from(o["potential"]),
                                       o["beta"], o["L"])
+        fermi = params.fermi()
+        # the exponents and closed forms hold under the positivity hypothesis
+        if not check_positivity(params, fermi):
+            raise ConfigError("lambda * vhat(2 p_F) must be >= 0, got %s"
+                              % _fmt(lam * params.potential.fourier(2.0 * fermi.p_F)))
 
-    fermi = params.fermi()
     spread = np.geomspace if o["x-spacing"] == "log" else np.linspace
     xs = np.unique(np.round(spread(o["x-min"], o["x-max"], o["x-count"])).astype(int))
     xt_max = math.hypot(float(xs.max()), fermi.v_F * x0)

@@ -17,6 +17,10 @@ model.THETA_PRIME.  T contracts on the weighted ball
 ||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi |lambda| once the
 measured operator norm is below 1, and Picard iteration from 0 converges
 geometrically.
+
+Array conventions: a counterterm sequence is a complex array on
+model.scales(), i.e. nu[j - h_box] holds nu_j for j = h_box .. 1; nu[-1]
+is nu_1.
 """
 
 import math
@@ -24,39 +28,6 @@ import numpy as np
 from dataclasses import dataclass, replace
 
 from .model import THETA, THETA_PRIME
-
-
-@dataclass
-class NuSequence:
-    """Counterterm values on scales j = h_box .. 1 (ascending index)."""
-
-    h_box: int
-    gamma: float
-    values: np.ndarray
-
-    @classmethod
-    def zero(cls, h_box, gamma):
-        return cls(h_box, gamma, np.zeros(2 - h_box, dtype=complex))
-
-    def scales(self):
-        return np.arange(self.h_box, 2)
-
-    def at(self, j):
-        if j < self.h_box or j > 1:
-            raise ValueError("scale outside [h_box, 1]")
-        return self.values[j - self.h_box]
-
-    @property
-    def nu1(self):
-        return self.values[-1]
-
-    def norm(self):
-        w = self.gamma ** (-THETA * self.scales())
-        return float(np.max(w * np.abs(self.values)))
-
-    def diff_norm(self, other):
-        w = self.gamma ** (-THETA * self.scales())
-        return float(np.max(w * np.abs(self.values - other.values)))
 
 
 @dataclass
@@ -100,15 +71,24 @@ def default_model(h_box, p_F, eps_value, c0=0.25):
 # ----------------------------------------------------------------------
 
 
-def beta_sequence(nu, model):
-    """beta_nu^{(j)} for j = h_box .. 1 (the h_box entry is never used)."""
+def _cross_weights(model):
+    """gamma^{-theta'(i-j)} at [j - h_box, i - h_box] for i >= j, else 0."""
     js = model.scales()
     i_minus_j = js[None, :] - js[:, None]
-    # weights gamma^{-theta'(i-j)} on the upper triangle i >= j
-    w = np.where(i_minus_j >= 0,
-                 model.gamma ** (-THETA_PRIME * i_minus_j), 0.0)
-    cross = (model.bcross * w) @ nu.values
-    forcing = model.gamma ** (THETA_PRIME * js) * model.bdiag
+    return np.where(i_minus_j >= 0,
+                    model.gamma ** (-THETA_PRIME * i_minus_j), 0.0)
+
+
+def theta_norm(nu, model):
+    """||nu||_theta = max_j gamma^{-theta j} |nu_j|."""
+    w = model.gamma ** (-THETA * model.scales())
+    return float(np.max(w * np.abs(nu)))
+
+
+def beta_sequence(nu, model):
+    """beta_nu^{(j)} for j = h_box .. 1 (the h_box entry is never used)."""
+    cross = (model.bcross * _cross_weights(model)) @ nu
+    forcing = model.gamma ** (THETA_PRIME * model.scales()) * model.bdiag
     return model.eps * (cross + forcing)
 
 
@@ -119,20 +99,16 @@ def T_operator(nu, model):
     T_h = (T_{h-1} - beta_nu^{(h)}) / gamma with T_{h_box} = 0.
     """
     b = beta_sequence(nu, model)
-    out = np.zeros_like(nu.values)
+    out = np.zeros_like(nu)
     for k in range(1, out.size):
         out[k] = (out[k - 1] - b[k]) / model.gamma
-    return NuSequence(model.h_box, model.gamma, out)
+    return out
 
 
 def operator_matrix(model):
     """A = dT/dnu as an explicit matrix over scales h_box .. 1."""
-    js = model.scales()
-    n = js.size
-    i_minus_j = js[None, :] - js[:, None]
-    w = np.where(i_minus_j >= 0,
-                 model.gamma ** (-THETA_PRIME * i_minus_j), 0.0)
-    dB = model.eps[:, None] * model.bcross * w
+    dB = model.eps[:, None] * model.bcross * _cross_weights(model)
+    n = dB.shape[0]
     A = np.zeros((n, n))
     for k in range(1, n):
         A[k] = (A[k - 1] - dB[k]) / model.gamma
@@ -154,7 +130,7 @@ def operator_norm(model):
 
 @dataclass
 class SolveReport:
-    nu: NuSequence
+    nu: np.ndarray
     iterations: int
     residual: float
     contraction_ratio: float
@@ -168,12 +144,12 @@ def solve_fixed_point(model, tol=1e-12):
     (the map is then not a contraction at these parameters); raises if 400
     iterations do not reach tol.
     """
-    nu = NuSequence.zero(model.h_box, model.gamma)
+    nu = np.zeros(model.scales().size, dtype=complex)
     prev_diff = None
     ratios = []
     for it in range(1, 401):
         nxt = T_operator(nu, model)
-        diff = nxt.diff_norm(nu)
+        diff = theta_norm(nxt - nu, model)
         if prev_diff is not None and prev_diff > 0.0:
             r = diff / prev_diff
             ratios.append(r)
@@ -181,7 +157,7 @@ def solve_fixed_point(model, tol=1e-12):
                 return SolveReport(nxt, it, diff, r, False)
         nu = nxt
         if diff < tol:
-            resid = T_operator(nu, model).diff_norm(nu)
+            resid = theta_norm(T_operator(nu, model) - nu, model)
             ratio = max(ratios) if ratios else 0.0
             return SolveReport(nu, it, resid, ratio, True)
         prev_diff = diff
@@ -193,7 +169,7 @@ def ball_check(model, xi_lam):
     on random pairs, over 100 random points.  Returns (worst output norm /
     xi_lam, worst pair ratio)."""
     rng = np.random.default_rng(0)
-    js = np.arange(model.h_box, 2)
+    js = model.scales()
     w = model.gamma ** (THETA * js)
     worst_norm = 0.0
     worst_ratio = 0.0
@@ -202,16 +178,15 @@ def ball_check(model, xi_lam):
         u = rng.uniform(-1.0, 1.0, js.size) \
             + 1j * rng.uniform(-1.0, 1.0, js.size)
         u *= rng.uniform(0.0, 1.0) / np.max(np.abs(u))
-        nu = NuSequence(model.h_box, model.gamma, xi_lam * w * u)
-        nu.values[0] = 0.0
+        nu = xi_lam * w * u
+        nu[0] = 0.0
         out = T_operator(nu, model)
-        worst_norm = max(worst_norm, out.norm() / xi_lam)
+        worst_norm = max(worst_norm, theta_norm(out, model) / xi_lam)
         if prev is not None:
-            d = nu.diff_norm(prev)
+            d = theta_norm(nu - prev, model)
             if d > 0.0:
-                worst_ratio = max(worst_ratio,
-                                  T_operator(nu, model).diff_norm(
-                                      T_operator(prev, model)) / d)
+                worst_ratio = max(worst_ratio, theta_norm(
+                    out - T_operator(prev, model), model) / d)
         prev = nu
     return worst_norm, worst_ratio
 
@@ -228,7 +203,7 @@ def nu1_of_mu(mu, model, tol=1e-12):
     rep = solve_fixed_point(model.with_p_F(math.acos(mu)), tol)
     if not rep.contracting:
         raise RuntimeError("counterterm map stopped contracting")
-    return float(rep.nu.nu1.real)
+    return float(rep.nu[-1].real)
 
 
 def nu1_derivative(mu, model, step=1e-4, tol=1e-12):

@@ -11,6 +11,11 @@ envelopes.  The module integrates the flow, locates the threshold scales j0
 and h_star, runs the per-scale inequality checks, extracts fixed-point
 values, measures the logarithmic coupling sums against their closed forms,
 and probes boundedness over complex sectors and shrinking disks.
+
+Array conventions: a flow is plain arrays indexed by the scale offset
+i = -j, so row 0 holds j = 0 and row n-1 the target scale.  The couplings
+are one complex (n, 5) array with columns g1, g2, g4, delta, nu; eps_j and
+the bubble constants a_j used at each step are real length-n arrays.
 """
 
 import math
@@ -32,21 +37,6 @@ EPS0 = 0.1   # smallness scale eps0 of bej, vdiff1 and the escape bound
 # ----------------------------------------------------------------------
 # configuration and state
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunningCouplings:
-    """Coupling vector at one scale j <= 0."""
-
-    g1: complex
-    g2: complex
-    g4: complex
-    delta: complex
-    nu: complex
-    j: int
-
-    def as_array(self):
-        return np.array([self.g1, self.g2, self.g4, self.delta, self.nu])
 
 
 @dataclass(frozen=True)
@@ -72,12 +62,11 @@ class BetaConfig:
 
 @dataclass
 class FlowTrajectory:
-    """Realized flow from j = 0 down to target_h (inclusive).
-
-    Arrays are indexed by scale offset i = -j, i.e. position 0 holds j=0.
-    checks maps check name -> CheckResult.  escaped_at is the first scale
-    where eps_j exceeded 2 c3 eps0 (flow stopped there), else None.
-    gamma is the scale parameter of the model the flow ran on.
+    """Realized flow from j = 0 down to target_h (inclusive), on the
+    module's array conventions.  checks maps check name -> CheckResult.
+    escaped_at is the first scale where eps_j exceeded 2 c3 eps0 (flow
+    stopped there), else None.  gamma is the scale parameter of the model
+    the flow ran on.
     """
 
     lam: complex
@@ -93,23 +82,20 @@ class FlowTrajectory:
     checks: dict = field(default_factory=dict)
     escaped_at: int | None = None
 
-    def scale_index(self, j):
+    def g1_at(self, j):
         if j > 0 or j < self.target_h:
             raise ValueError("scale outside the integrated range")
-        return -j
-
-    def g1_at(self, j):
-        return self.couplings[self.scale_index(j), 0]
+        return self.couplings[-j, 0]
 
     def g1_approximant(self, j):
-        """gtilde_{1,j} = g1_0 / (1 + a g1_0 |j|), the fixed-mean closed form."""
+        """gtilde_{1,j} = g1_0 / (1 + a g1_0 |j|), the fixed-mean closed form;
+        j may be a scale or an array of scales."""
         g10 = self.couplings[0, 0]
         return g10 / (1.0 + self.a * g10 * (-j))
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     ok: bool
     worst_scale: int | None
     worst_margin: float     # max over scales of (lhs - rhs); <= 0 iff ok
@@ -160,61 +146,29 @@ def finite_scale_bubble(j, fermi, beta, L):
 
 
 # ----------------------------------------------------------------------
-# beta function and single step
-# ----------------------------------------------------------------------
-
-
-def beta_second_order(g1, a_j):
-    """Second-order increments (dg1, dg2, dg4, ddelta)."""
-    q = a_j * g1 * g1
-    return (-q, -0.5 * q, 0.0, 0.0)
-
-
-def _remainder_draws(rng, n):
-    """n modulating factors in [-1, 1] (worst case +1 when rng is None)."""
-    if rng is None:
-        return np.ones(n)
-    return rng.uniform(-1.0, 1.0, n)
-
-
-def flow_step(v, cfg, gamma, a_j, eps_j, h_lbeta, rng):
-    """One scale step j -> j-1.  Returns the new RunningCouplings.
-
-    Remainders are added inside their envelopes:
-      r_alpha: b1 eps_j |g1|^2 on each of g1, g2, g4, delta   (always on
-               unless remainder_model is none),
-      extra on g1: b2 eps_j |g1| gamma^{theta j} (theta_tail) and/or
-                   b2 eps_j |g1| gamma^{-(j - h_lbeta)} (finite_size).
-    """
-    dg1, dg2, dg4, dd = beta_second_order(v.g1, a_j)
-    r = np.zeros(5, dtype=complex)
-    if cfg.remainder_model != "none":
-        base = B1 * eps_j * abs(v.g1) ** 2
-        mods = _remainder_draws(rng, 5)
-        r[:4] = base * mods[:4]
-        tail = 0.0
-        if cfg.remainder_model in ("theta_tail", "both"):
-            tail += gamma ** (THETA * v.j)
-        if cfg.remainder_model in ("finite_size", "both"):
-            tail += gamma ** (-(v.j - h_lbeta))
-        r[0] += B2 * eps_j * abs(v.g1) * tail * mods[4]
-    return RunningCouplings(v.g1 + dg1 + r[0], v.g2 + dg2 + r[1],
-                            v.g4 + dg4 + r[2], v.delta + dd + r[3],
-                            gamma * v.nu, v.j - 1)
-
-
-def initial_couplings(params, fermi):
-    """First-order initial data: g1 = 2 lam vhat(2 p_F), g2 = g4 = 2 lam vhat(0)."""
-    vh2p = params.potential.fourier(2.0 * fermi.p_F)
-    vh0 = params.potential.fourier(0.0)
-    lam = params.lam
-    return RunningCouplings(2.0 * lam * vh2p, 2.0 * lam * vh0,
-                            2.0 * lam * vh0, 0.0, 0.0, 0)
-
-
-# ----------------------------------------------------------------------
 # full flow with per-scale checks
 # ----------------------------------------------------------------------
+
+
+def _remainders(cfg, g1, eps_j, j, gamma, h_lbeta, rng):
+    """Remainders of the step j -> j-1 on (g1, g2, g4, delta), inside their
+    envelopes: b1 eps_j |g1|^2 on each coupling (unless remainder_model is
+    none) and, on g1 alone, b2 eps_j |g1| gamma^{theta j} (theta_tail)
+    and/or b2 eps_j |g1| gamma^{-(j - h_lbeta)} (finite_size).  Each term
+    is modulated by a draw in [-1, 1], or by +1 (the worst case) when rng
+    is None."""
+    r = np.zeros(4, dtype=complex)
+    if cfg.remainder_model == "none":
+        return r
+    mods = np.ones(5) if rng is None else rng.uniform(-1.0, 1.0, 5)
+    r[:] = B1 * eps_j * abs(g1) ** 2 * mods[:4]
+    tail = 0.0
+    if cfg.remainder_model in ("theta_tail", "both"):
+        tail += gamma ** (THETA * j)
+    if cfg.remainder_model in ("finite_size", "both"):
+        tail += gamma ** (-(j - h_lbeta))
+    r[0] += B2 * eps_j * abs(g1) * tail * mods[4]
+    return r
 
 
 def _threshold_j0(g1_0):
@@ -224,50 +178,55 @@ def _threshold_j0(g1_0):
     return -int(math.ceil(1.0 / (C4 * math.sqrt(mag))))
 
 
-def run_flow(params, cfg, target_h, with_checks=True):
-    """Integrate the flow from j=0 down to target_h and check Lemma-style
-    inequalities along the way.  Stops early (escaped_at set) if the
-    smallness variable exceeds 2 c3 eps0.  gamma is the model's."""
+def run_flow(params, cfg, target_h):
+    """Integrate the flow from j=0 down to target_h, writing row -j of the
+    (n, 5) couplings array at each step.  Stops early (escaped_at set, the
+    remaining rows padded with the last one) if the smallness variable
+    exceeds 2 c3 eps0; a flow that reaches target_h carries its flow_checks.
+    gamma is the model's."""
     fermi = params.fermi()
     gamma = fermi.gamma
     a = bubble_constant(fermi)
-    if cfg.h_lbeta is not None:
-        h_lbeta = cfg.h_lbeta
-    else:
-        h_lbeta = finite_size_scale(params.beta, params.L, fermi)
+    h_lbeta = cfg.h_lbeta if cfg.h_lbeta is not None else \
+        finite_size_scale(params.beta, params.L, fermi)
     rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
 
-    v = initial_couplings(params, fermi)
     n = -target_h + 1
     coup = np.empty((n, 5), dtype=complex)
     eps = np.empty(n)
     a_seq = np.empty(n)
-    coup[0] = v.as_array()
-    lam_mag = abs(params.lam)
-    run_max = max(abs(v.g1), abs(v.g2), abs(v.g4), abs(v.delta))
+    # first-order initial data: g1 = 2 lam vhat(2 p_F), g2 = g4 = 2 lam vhat(0)
+    lam = params.lam
+    vh0 = params.potential.fourier(0.0)
+    coup[0] = (2.0 * lam * params.potential.fourier(2.0 * fermi.p_F),
+               2.0 * lam * vh0, 2.0 * lam * vh0, 0.0, 0.0)
+    lam_mag = abs(lam)
+    run_max = max(map(abs, coup[0, :4]))
     eps[0] = max(lam_mag, run_max)
-    j0 = _threshold_j0(v.g1)
+    j0 = _threshold_j0(coup[0, 0])
     h_star = None
     escaped = None
 
     for i in range(n - 1):
         j = -i
-        if cfg.a_mode == "finite_scale":
-            a_j = finite_scale_bubble(j, fermi, params.beta, params.L)
-        else:
-            a_j = a
+        a_j = finite_scale_bubble(j, fermi, params.beta, params.L) \
+            if cfg.a_mode == "finite_scale" else a
         a_seq[i] = a_j
-        v = flow_step(v, cfg, gamma, a_j, eps[i], h_lbeta, rng)
-        coup[i + 1] = v.as_array()
-        run_max = max(run_max, abs(v.g1), abs(v.g2), abs(v.g4), abs(v.delta))
+        # second-order increments (-a_j g1^2, -(a_j/2) g1^2, 0, 0), nu -> gamma nu
+        g1 = coup[i, 0]
+        q = a_j * g1 * g1
+        coup[i + 1, :4] = (coup[i, :4] + (-q, -0.5 * q, 0.0, 0.0)
+                           + _remainders(cfg, g1, eps[i], j, gamma, h_lbeta, rng))
+        coup[i + 1, 4] = gamma * coup[i, 4]
+        g1 = coup[i + 1, 0]
+        run_max = max(run_max, *map(abs, coup[i + 1, :4]))
         eps[i + 1] = max(lam_mag, run_max)
-        if h_star is None and v.j < j0 and abs(v.g1) > 0.0:
-            # gamma^{-(j - h_lbeta)} <= |g1|^2, compared in logs
-            if -(v.j - h_lbeta) * math.log(gamma) <= \
-                    2.0 * math.log(abs(v.g1)):
-                h_star = v.j
+        if h_star is None and j - 1 < j0 and abs(g1) > 0.0:
+            # gamma^{-(j - h_lbeta)} <= |g1|^2 at the new scale, compared in logs
+            if -(j - 1 - h_lbeta) * math.log(gamma) <= 2.0 * math.log(abs(g1)):
+                h_star = j - 1
         if eps[i + 1] > 2.0 * C3 * EPS0:
-            escaped = v.j
+            escaped = j - 1
             coup[i + 2:] = coup[i + 1]
             eps[i + 2:] = eps[i + 1]
             a_seq[i + 1:] = a_j
@@ -276,19 +235,18 @@ def run_flow(params, cfg, target_h, with_checks=True):
 
     traj = FlowTrajectory(params.lam, coup, eps, a_seq, a, j0, h_star,
                           h_lbeta, target_h, gamma, {}, escaped)
-    if with_checks and escaped is None:
+    if escaped is None:
         traj.checks = flow_checks(traj)
     return traj
 
 
-def _check_from_margins(name, js, margins, constants=None):
-    margins = np.asarray(margins)
+def _check_from_margins(js, margins, constants=None):
     if margins.size == 0:
-        return CheckResult(name, True, None, -math.inf, 0.0)
+        return CheckResult(True, None, -math.inf, 0.0)
     i = int(np.argmax(margins))
     meas = float(np.max(constants)) if constants is not None else \
         float(margins[i])
-    return CheckResult(name, bool(np.all(margins <= 0.0)), int(js[i]),
+    return CheckResult(bool(np.all(margins <= 0.0)), int(js[i]),
                        float(margins[i]), meas)
 
 
@@ -302,6 +260,9 @@ def flow_checks(traj):
     gerr:   |g1_j - gtilde_{1,j}| <= |gtilde_{1,j}|^{3/2} (j >= h_star)
     bAj:    |a_j - a| <= c2 |g1_{j0}|                     (all j)
     overstar: |g1_j| <= 2|g1_{h*}| and eps_j <= 2 c3 eps0 (j < h*)
+
+    A scale below target_h (j0 or h_star) reads the deepest row, and a
+    flow without crossover has no overstar scales.
     """
     gamma = traj.gamma
     n = traj.couplings.shape[0]
@@ -320,46 +281,38 @@ def flow_checks(traj):
            + 2.0 * C_BAR * EPS0 * gamma ** (0.5 * THETA * jsel)
            + 2.0 * B2 * traj.eps[:-1][sel] ** 2
            * gamma ** (-(jsel - traj.h_lbeta)))
-    out["vdiff1"] = _check_from_margins("vdiff1", jsel, diffs[sel] - env)
+    out["vdiff1"] = _check_from_margins(jsel, diffs[sel] - env)
 
     # bej for j >= h_star
     sel = js >= h_star
-    out["bej"] = _check_from_margins(
-        "bej", js[sel], traj.eps[sel] - C3 * EPS0,
-        constants=traj.eps[sel] / EPS0)
+    out["bej"] = _check_from_margins(js[sel], traj.eps[sel] - C3 * EPS0,
+                                     constants=traj.eps[sel] / EPS0)
 
     # vdiff for h_star <= j <= j0
     sel = (js[:-1] <= j0) & (js[:-1] >= h_star)
     ref = 4.0 * a * np.abs(g1[:-1]) ** 2
     meas = diffs / np.maximum(np.abs(g1[:-1]) ** 2, 1e-300)
-    out["vdiff"] = _check_from_margins("vdiff", js[:-1][sel],
-                                       (diffs - ref)[sel],
+    out["vdiff"] = _check_from_margins(js[:-1][sel], (diffs - ref)[sel],
                                        constants=meas[sel])
 
     # gerr for j >= h_star
-    g10 = g1[0]
-    gt = g10 / (1.0 + a * g10 * (-js))
+    gt = traj.g1_approximant(js)
     sel = js >= h_star
     out["gerr"] = _check_from_margins(
-        "gerr", js[sel], (np.abs(g1 - gt) - np.abs(gt) ** 1.5)[sel],
+        js[sel], (np.abs(g1 - gt) - np.abs(gt) ** 1.5)[sel],
         constants=(np.abs(g1 - gt) / np.maximum(np.abs(gt) ** 1.5,
                                                 1e-300))[sel])
 
     # bAj at every integrated scale
-    g1j0 = abs(traj.g1_at(j0)) if j0 >= traj.target_h else abs(g1[-1])
+    g1j0 = abs(g1[min(-j0, n - 1)])
     out["bAj"] = _check_from_margins(
-        "bAj", js[:-1], np.abs(traj.a_seq[:-1] - a) - C2 * g1j0)
+        js[:-1], np.abs(traj.a_seq[:-1] - a) - C2 * g1j0)
 
     # overstar below h_star
     sel = js < h_star
-    if traj.h_star is not None and sel.any():
-        g1hs = abs(traj.g1_at(traj.h_star))
-        m1 = np.abs(g1[sel]) - 2.0 * g1hs
-        m2 = traj.eps[sel] - 2.0 * C3 * EPS0
-        out["overstar"] = _check_from_margins(
-            "overstar", js[sel], np.maximum(m1, m2))
-    else:
-        out["overstar"] = CheckResult("overstar", True, None, -math.inf, 0.0)
+    m1 = np.abs(g1[sel]) - 2.0 * abs(g1[min(-h_star, n - 1)])
+    m2 = traj.eps[sel] - 2.0 * C3 * EPS0
+    out["overstar"] = _check_from_margins(js[sel], np.maximum(m1, m2))
     return out
 
 
@@ -372,22 +325,16 @@ def flow_checks(traj):
 class FixedPointValues:
     g2_inf: complex
     g2_first_order: complex      # [2 vhat(0) - vhat(2 p_F)] lam
-    converged: bool
 
 
-def fixed_point_values(traj, params, tol=1e-9):
+def fixed_point_values(traj, params):
     """The limit g2_inf, from the conserved combination g2_j - g1_j/2 (exact
-    on the truncated flow, estimate otherwise), and its first-order value;
-    converged means the last 16 scales moved by less than tol."""
+    on the truncated flow, estimate otherwise), and its first-order value."""
     fermi = params.fermi()
-    c = traj.couplings
-    tail = np.abs(np.diff(c[-16:], axis=0)).max() if c.shape[0] > 16 \
-        else math.inf
-    g2_inf = c[-1, 1] - 0.5 * c[-1, 0]
+    g2_inf = traj.couplings[-1, 1] - 0.5 * traj.couplings[-1, 0]
     vh2p = params.potential.fourier(2.0 * fermi.p_F)
     vh0 = params.potential.fourier(0.0)
-    return FixedPointValues(g2_inf, (2.0 * vh0 - vh2p) * params.lam,
-                            bool(tail < tol))
+    return FixedPointValues(g2_inf, (2.0 * vh0 - vh2p) * params.lam)
 
 
 @dataclass(frozen=True)
@@ -506,15 +453,14 @@ def flow_sector_probe(params_of_lam, cfg, rays=16, radius=0.02, h_sector=-5000,
     angles = np.linspace(-3 * math.pi / 4, 3 * math.pi / 4, rays)
     for th in angles:
         lam = radius * np.exp(1j * th)
-        traj = run_flow(params_of_lam(complex(lam)), cfg, h_sector,
-                        with_checks=False)
+        traj = run_flow(params_of_lam(complex(lam)), cfg, h_sector)
         pts.append(ProbePoint(complex(lam), h_sector,
                               traj.escaped_at is None,
                               traj.escaped_at, float(traj.eps.max()), None))
     c0 = derived_disk_constant()
     for h in disk_hs:
         lam = 0.9 * c0 / (1.0 + abs(h))
-        traj = run_flow(params_of_lam(lam), cfg, h, with_checks=False)
+        traj = run_flow(params_of_lam(lam), cfg, h)
         pts.append(ProbePoint(lam, h, traj.escaped_at is None,
                               traj.escaped_at, float(traj.eps.max()),
                               smallness_chain_ok(lam, h)))

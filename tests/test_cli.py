@@ -106,6 +106,10 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["correlations", "--x-max", "5"],
     ["correlations", "--tail", "1e5"],
     ["correlations", "--tail", "20", "--x-min", "1", "--x-max", "1"],
+    # the positivity hypothesis lambda vhat(2 p_F) >= 0: attractive, and a
+    # repulsive lambda on a potential with vhat(2 p_F) = 1 + 3 cos(2 pi/3) < 0
+    ["correlations", "--lambda", "-0.02"],
+    ["correlations", "--lambda", "0.02", "--potential", "uv:1:3"],
     ["flow", "--a-mode", "bogus"],
     ["flow", "--pF", "4"],
     ["correlations", "--pF", "-1"],

@@ -17,8 +17,8 @@ def _setup(lam, depth=24, residuals="none", seed=None):
         L=1e9,
     )
     cfg = rgflow.BetaConfig(h_lbeta=-depth, seed=seed)
-    traj = rgflow.run_flow(params, cfg, -depth, with_checks=False)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    traj = rgflow.run_flow(params, cfg, -depth)
+    limits = rgflow.fixed_point_values(traj, params)
     ex = renorm.exponents(params, limits)
     rset = renorm.z_flow(traj, limits, residual_mode=residuals, seed=seed)
     fermi = params.fermi()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rg1d import model, renorm, rgflow
+from rg1d import cli, model, renorm, rgflow
 
 P_F = np.pi / 3.0
 
@@ -14,7 +14,7 @@ def _traj(lam, target_h=-2000, potential=None, seed=None, residuals="none"):
         lam=lam, p_F=P_F, potential=pot, beta=4096.0, L=4096
     )
     cfg = rgflow.BetaConfig(h_lbeta=target_h, seed=seed)
-    traj = rgflow.run_flow(params, cfg, target_h, with_checks=False)
+    traj = rgflow.run_flow(params, cfg, target_h)
     return params, traj
 
 
@@ -51,7 +51,7 @@ def test_z2_coefficient_table():
 
 def test_free_theory_z_flow_is_trivial():
     params, traj = _traj(0.0, target_h=-200)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     rset = renorm.z_flow(traj, limits)
     for key in renorm.HAT_KEYS:
         for h in (-1, -50, -200):
@@ -60,14 +60,14 @@ def test_free_theory_z_flow_is_trivial():
 
 def test_z_flow_rejects_bad_residual_mode():
     params, traj = _traj(0.02, target_h=-50)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     with pytest.raises(ValueError):
         renorm.z_flow(traj, limits, residual_mode="gaussian")
 
 
 def test_envelope_residuals_seeded():
     params, traj = _traj(0.02, target_h=-300)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     r1 = renorm.z_flow(traj, limits, residual_mode="envelope", seed=3)
     r2 = renorm.z_flow(traj, limits, residual_mode="envelope", seed=3)
     r3 = renorm.z_flow(traj, limits, residual_mode="envelope", seed=4)
@@ -81,7 +81,7 @@ def test_envelope_residuals_seeded():
 
 def test_q_coefficients_trend_toward_half_zeta():
     params, traj = _traj(0.05, target_h=-20000)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     rset = renorm.z_flow(traj, limits)
     targets = {"2C": -0.75, "2S": 0.25, "2SC": -0.75, "2TC": 0.25}
     for key, target in targets.items():
@@ -93,7 +93,7 @@ def test_q_coefficients_trend_toward_half_zeta():
 
 def test_q_bands_survive_envelope_residuals():
     params, traj = _traj(0.05, target_h=-20000)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     targets = {"2C": -0.75, "2S": 0.25, "2SC": -0.75, "2TC": 0.25}
     for seed in (0, 1, 2):
         rset = renorm.z_flow(traj, limits, residual_mode="envelope", seed=seed)
@@ -110,7 +110,7 @@ def test_q_bands_survive_envelope_residuals():
 def test_exponent_values_frozen_hubbard():
     # frozen reference values for lam = 0.05 on-site coupling at p_F = pi/3
     params, traj = _traj(0.05, target_h=-400)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     ex = renorm.exponents(params, limits)
     assert ex.eta["C"] == pytest.approx(0.009188814923696427, abs=1e-12)
     assert ex.eta["S"] == pytest.approx(ex.eta["C"], abs=1e-12)
@@ -121,6 +121,9 @@ def test_exponent_values_frozen_hubbard():
     assert ex.X["SC"] == pytest.approx(1.0091888149236963, abs=1e-12)
     assert ex.f_lambda == pytest.approx(0.036755259694786144, abs=1e-12)
     assert ex.X_tilde_SC == 1.0
+    # the CLI's fixed-point flow at the exponents depth carries its six checks
+    traj, _, _ = cli._fixed_point(params, -400)
+    assert len(traj.checks) == 6 and all(r.ok for r in traj.checks.values())
 
 
 def test_c_coefficient_value():
@@ -139,7 +142,7 @@ def test_c_coefficient_value():
 def test_exponent_ordering_pattern():
     # repulsive coupling: density/spin exponents below 1, pairing above
     params, traj = _traj(0.03, target_h=-400)
-    limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+    limits = rgflow.fixed_point_values(traj, params)
     ex = renorm.exponents(params, limits)
     assert ex.X["C"] < 1.0 < ex.X["SC"]
     assert ex.X["C"] == pytest.approx(ex.X["S"], abs=1e-12)
@@ -150,7 +153,7 @@ def test_exponents_linear_in_lambda():
     vals = []
     for lam in (0.01, 0.02, 0.04):
         params, traj = _traj(lam, target_h=-400)
-        limits = rgflow.fixed_point_values(traj, params, tol=1e-6)
+        limits = rgflow.fixed_point_values(traj, params)
         ex = renorm.exponents(params, limits)
         vals.append(ex.eta["C"] / lam)
     assert vals[0] == pytest.approx(vals[1], rel=1e-9)

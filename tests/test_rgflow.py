@@ -28,14 +28,16 @@ def _cfg(**kw):
 def test_initial_couplings_values():
     params = _params(0.02, model.u_v_potential(1.0, 0.5))
     fermi = params.fermi()
-    v = rgflow.initial_couplings(params, fermi)
+    traj = rgflow.run_flow(params, _cfg(), target_h=0)
+    assert traj.couplings.shape == (1, 5)
+    g1, g2, g4, delta, nu = traj.couplings[0]
     vhat0 = params.potential.fourier(0.0)
     vhat2 = params.potential.fourier(2.0 * fermi.p_F)
-    assert v.g1 == pytest.approx(2.0 * 0.02 * vhat2, abs=1e-15)
-    assert v.g2 == pytest.approx(2.0 * 0.02 * vhat0, abs=1e-15)
-    assert v.g4 == pytest.approx(2.0 * 0.02 * vhat0, abs=1e-15)
-    assert v.delta == 0.0
-    assert v.j == 0
+    assert g1 == pytest.approx(2.0 * 0.02 * vhat2, abs=1e-15)
+    assert g2 == pytest.approx(2.0 * 0.02 * vhat0, abs=1e-15)
+    assert g4 == pytest.approx(2.0 * 0.02 * vhat0, abs=1e-15)
+    assert delta == 0.0
+    assert nu == 0.0
 
 
 def test_bubble_constant_value():
@@ -116,9 +118,8 @@ def test_fixed_point_first_order_prediction():
             params = _params(lam, pot)
             fermi = params.fermi()
             traj = rgflow.run_flow(params, _cfg(), target_h=-4000)
-            fp = rgflow.fixed_point_values(traj, params, tol=1e-6)
+            fp = rgflow.fixed_point_values(traj, params)
             pred = (2.0 * pot.fourier(0.0) - pot.fourier(2.0 * fermi.p_F)) * lam
-            assert fp.converged
             assert abs(fp.g2_inf - pred) <= 3.0 * lam**1.5
             # the conserved combination makes the estimate depth-independent
             assert abs(fp.g2_inf - pred) < 1e-10
