@@ -284,6 +284,29 @@ def test_flow_and_nu_outputs_are_pinned(argv, digests, tmp_path):
         with open(os.path.join(tmp_path, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
+
+@pytest.mark.parametrize("argv, digests", [
+    # seeded disk drift off the default g0 and horizon
+    (["g1map", "--model", "disk", "--seed", "2", "--g0-im", "0.004", "--n", "3000"],
+     {"g1map.csv": "e58b138d81427985c6364610a00b3a58f794e7bed04353a83b890f11282cda2e",
+      "g1map_summary.txt": "bf759ed04507af1c3b1fa2e0376bfc1635d6777348352eddcd1353aa1020f756"}),
+    # alternating drift, g0 in the left half plane of a narrower sector
+    (["g1map", "--model", "alternating", "--g0-re", "-0.002", "--g0-im", "0.009",
+      "--delta", "0.5"],
+     {"g1map.csv": "88eaf87bff73f8a9d32dbac6c9d712750b19de13497fb31a62f26c7d4d31a5b7",
+      "g1map_summary.txt": "cf39aaaf34ecab0023d883aa02775739e7d77e86b08821a188d3d95a52588572"}),
+    # the multiprecision map against the float one, off the default g0
+    (["oracle", "--what", "map", "--g0-re", "0.01", "--g0-im", "-0.003", "--n", "500"],
+     {"oracle.csv": "2deaa0cf2b5bf65324168042e88e03ea2fbe5f33a7225c405df5dcb4e2bff6eb",
+      "oracle_summary.txt": "1634096f21471108bc59a0f62cc9b1c2b346d9573027ed3a773d583b8d127e28"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_map_outputs_are_pinned(argv, digests, tmp_path):
+    assert _run(argv, tmp_path) == 0
+    # sha256 as the CheckReport and MapState code wrote them
+    for name, digest in digests.items():
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's
 HANDLED = [pytest.param(table, handler, id=command)
