@@ -179,7 +179,8 @@ def _potential_from(spec):
 # name -> (passed, margin), or is None for a command without checks.
 
 COMMON = (Opt("out-dir", str, ".", help="output directory"),)
-SEED = Opt("seed", int, key="seed", help="seed for any stochastic lanes")
+SEED = Opt("seed", int, rule=(">=", 0), key="seed",
+           help="seed for any stochastic lanes")
 # argparse reads a value that starts with "-" as a flag
 GRID_HELP = ("start:stop:step; a negative start needs the = form, "
              "--lambda-grid=-0.02:0.02:0.01")
@@ -490,7 +491,7 @@ G1MAP = (
     Opt("model", str, "zero", ("in", g1map.SIGMA_MODELS), key="model"),
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("epsilon", float, key="epsilon", help="sector radius (default: 1.5 |g0|)"),
-    Opt("sigma-scale", float, key="sigma_scale",
+    Opt("sigma-scale", float, rule=(">=", 0), key="sigma_scale",
         help="perturbation size (default: from a, epsilon and |g0|)"),
 )
 
@@ -507,13 +508,11 @@ def cmd_g1map(o):
 
     sigma = g1map.sigma_sequence(o["model"], n, o["sigma-scale"], o["seed"])
     state = g1map.iterate(g0, a + sigma, n, dom)
-    close = g1map.verify_closeness(state)
-    sector = g1map.verify_sector(state)
     return (("n", "re_g", "im_g", "re_gtilde", "im_gtilde", "err", "bound"),
             g1map.trajectory_rows(state),
             {"escape_index": state.escape_index}, {
-        "closeness": (bool(close.ok), close.worst_margin),
-        "sector": (bool(sector.ok), sector.worst_margin),
+        "closeness": g1map.verify_closeness(state),
+        "sector": g1map.verify_sector(state),
     })
 
 

@@ -8,8 +8,11 @@ form approximant
     gtilde_n = g0 / (1 + g0 n A_n),    A_n = (1/n) sum_{k<n} a_k
 
 tracks the trajectory to relative accuracy |gtilde_n|^{1/2}.  This module
-iterates the map, evaluates the approximant, and verifies the sector
-containments and the closeness bound on single runs and on vectorized
+iterates the map and evaluates the approximant.  Two checks verify one
+run, each returning an (ok, margin) pair: the closeness bound, and the
+sector containments (g_n in the (3 eps/sin d, d/4) domain, gtilde_n in the
+(2 eps/sin d, d/2) one, the consequence of the lower bound on the
+approximant's denominator).  sweep_sector runs both checks on vectorized
 (ray x radius x perturbation-model) sweeps.
 """
 
@@ -92,24 +95,17 @@ def sigma_sequence(model, n, scale, seed=0):
     raise ValueError("unknown perturbation model %r" % (model,))
 
 
-def quadratic_map_step(g, a_n):
-    """One step g - a_n g^2."""
-    return g - a_n * g * g
-
-
 @dataclass
 class MapState:
     """A realized trajectory with its Cesaro data.
 
     trajectory[k] = g_k for k = 0..n; A[k] = (1/k) sum_{j<k} a_j for k >= 1
-    (A[0] = a by convention, it multiplies n = 0); sigma holds the n drawn
-    perturbations.  escape_index is the first k whose g_k left the enlarged
-    trajectory domain, or None. Lanes are frozen after escape.
+    (A[0] = 0, it multiplies n = 0).  escape_index is the first k whose g_k
+    left the enlarged trajectory domain, or None. Lanes are frozen after
+    escape.
     """
 
     g0: complex
-    a: float
-    sigma: np.ndarray
     trajectory: np.ndarray
     A: np.ndarray
     domain: SectorDomain
@@ -122,16 +118,21 @@ def iterate(g0, a_seq, n, domain=None):
     a_seq: scalar mean drift a (sigma = 0) or a length-n array of a_k values.
     domain: the base sector of g0; escape is judged against its trajectory
     enlargement.  After an escape the state is frozen to avoid overflow.
+    A drift sum or a step that leaves the float range raises ArithmeticError.
     """
-    if np.isscalar(a_seq) or getattr(a_seq, "shape", None) == ():
-        a = float(np.real(a_seq))
-        a_arr = np.full(n, a, dtype=complex)
+    if np.ndim(a_seq) == 0:
+        a_arr = np.full(n, float(np.real(a_seq)), dtype=complex)
     else:
         a_arr = np.asarray(a_seq, dtype=complex)
         if a_arr.size < n:
             raise ValueError("a_seq shorter than the requested horizon")
         a_arr = a_arr[:n]
-        a = float(np.mean(a_arr.real))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite sum raises below
+        csum = np.concatenate(([0.0 + 0.0j], np.cumsum(a_arr)))
+    finite = np.isfinite(csum)
+    if not finite.all():
+        raise ArithmeticError("drift sum leaves the float range at step %d"
+                              % np.argmin(finite))
     if domain is None:
         domain = SectorDomain(max(abs(g0) * 1.0000001, 1e-300), math.pi / 4)
     big = domain.trajectory_enlargement()
@@ -144,18 +145,15 @@ def iterate(g0, a_seq, n, domain=None):
         for k in range(n):
             if escape is None:
                 try:
-                    g = quadratic_map_step(g, a_arr[k])
+                    g = g - a_arr[k] * g * g
                 except FloatingPointError:
                     raise ArithmeticError("map trajectory leaves the float "
                                           "range at step %d" % (k + 1)) from None
                 if not big.contains(g):
                     escape = k + 1
             traj[k + 1] = g
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(a_arr)))
-    A = np.empty(n + 1, dtype=complex)
-    A[0] = a
-    A[1:] = csum[1:] / np.arange(1, n + 1)
-    return MapState(complex(g0), a, a_arr - a, traj, A, domain, escape)
+    A = csum / np.maximum(np.arange(n + 1), 1)
+    return MapState(complex(g0), traj, A, domain, escape)
 
 
 # ----------------------------------------------------------------------
@@ -178,61 +176,23 @@ def approximant_path(state):
     return gt
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    first_violation: int | None
-    worst_margin: float   # max of (lhs - rhs) over the horizon; <= 0 iff ok
-    label: str
-
-
 def verify_closeness(state):
-    """Check |g_n - gtilde_n| <= |gtilde_n|^{3/2} along the whole horizon."""
+    """(ok, margin) of |g_n - gtilde_n| <= |gtilde_n|^{3/2} along the whole
+    horizon; margin is the max of lhs - rhs, <= 0 iff ok."""
     gt = approximant_path(state)
-    lhs = np.abs(state.trajectory - gt)
-    rhs = np.abs(gt) ** 1.5
-    bad = lhs > rhs
-    first = int(np.argmax(bad)) if bad.any() else None
-    return CheckReport(not bad.any(), first, float(np.max(lhs - rhs)),
-                       "closeness")
+    excess = np.abs(state.trajectory - gt) - np.abs(gt) ** 1.5
+    return not (excess > 0).any(), float(np.max(excess))
 
 
 def verify_sector(state):
-    """Check gtilde_n in the (2eps/sin d, d/2) domain and g_n in the
-    (3eps/sin d, d/4) domain for the whole horizon."""
+    """(ok, margin) of gtilde_n in the (2eps/sin d, d/2) domain and g_n in
+    the (3eps/sin d, d/4) domain for the whole horizon; margin is
+    max |g_n| - 3 eps/sin d."""
     d1 = state.domain.approximant_enlargement()
     d2 = state.domain.trajectory_enlargement()
     gt = approximant_path(state)
-    bad_t = ~d2.contains(state.trajectory)
-    bad_a = ~d1.contains(gt)
-    bad = bad_t | bad_a
-    first = int(np.argmax(bad)) if bad.any() else None
-    margin = float(np.max(np.abs(state.trajectory)) - d2.epsilon)
-    return CheckReport(not bad.any(), first, margin, "sector")
-
-
-def verify_denominator_bound(state):
-    """Pointwise check of |1 + g0 n alpha_n| >= max{sin d, (sin d/3)(1 + |g0| n alpha_n)}
-    with alpha_n = Re A_n (the inequality behind the approximant bounds)."""
-    d = state.domain.delta
-    n = state.trajectory.size - 1
-    ks = np.arange(n + 1)
-    alpha = state.A.real
-    lhs = np.abs(1.0 + state.g0 * ks * alpha)
-    rhs = np.maximum(math.sin(d),
-                     (math.sin(d) / 3.0) * (1.0 + np.abs(state.g0) * ks * alpha))
-    bad = lhs < rhs
-    first = int(np.argmax(bad)) if bad.any() else None
-    return CheckReport(not bad.any(), first, float(np.max(rhs - lhs)),
-                       "denominator")
-
-
-def square_sum_estimate(g0, a, n):
-    """Quadrature of int_0^n |g0 / (1 + g0 a s)|^2 ds, the continuum estimate
-    of sum |g_k|^2 (finite for every g0 in a sector), on 20000 nodes."""
-    s = np.linspace(0.0, float(n), 20000)
-    vals = np.abs(g0 / (1.0 + g0 * a * s)) ** 2
-    return float(np.trapezoid(vals, s))
+    ok = (d2.contains(state.trajectory) & d1.contains(gt)).all()
+    return bool(ok), float(np.max(np.abs(state.trajectory)) - d2.epsilon)
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +217,6 @@ class SweepLaneReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    delta: float
-    epsilon: float
     n_steps: int
     lanes: list
     containment_fraction: float
@@ -355,7 +313,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
                                      bool(ok_contain[i]), bool(ok_close[i]),
                                      int(first_bad[i]) if first_bad[i] >= 0
                                      else None, float(max_ratio[i])))
-    return SweepReport(delta, epsilon, n_steps, lanes,
+    return SweepReport(n_steps, lanes,
                        float(np.mean(ok_contain)), float(np.mean(ok_close)))
 
 

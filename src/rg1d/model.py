@@ -12,8 +12,10 @@ The interaction is a full double sum over both sites and both spin labels
 v(x) = delta_{x,0} it equals lambda * sum_x (n_x + 2 n_{x,up} n_{x,down})
 with n_x = n_{x,up} + n_{x,down}.
 
-This module owns the interaction potential, the free dispersion, the Fermi
-point data (velocity, grid-snapped momentum, scale geometry) and the
+This module owns the interaction potential (a finite table of v(x), so
+short-ranged by construction), the free dispersion and its form around a
+Fermi point, the Fermi point data (velocity, grid-snapped momentum, scale
+geometry), the positivity hypothesis on lambda vhat(2 p_F) and the
 momentum grids shared by every other module.
 """
 
@@ -39,24 +41,19 @@ THETA_PRIME = 0.9
 
 @dataclass(frozen=True)
 class InteractionPotential:
-    """Even, exponentially decaying pair potential v(x) on the integers.
+    """Even, finite-range pair potential v(x) on the integers.
 
     values maps displacements x >= 0 to v(x); the even extension
-    v(-x) = v(x) is implied.  kappa and bound_const certify the decay
-    |v(x)| <= bound_const * exp(-kappa |x|).
+    v(-x) = v(x) is implied, and v vanishes off the table.
     """
 
     values: dict
-    kappa: float = 1.0
-    bound_const: float = 1.0
 
     def __post_init__(self):
         if any(x < 0 for x in self.values):
             raise ValueError("store displacements x >= 0 only")
         if not all(map(math.isfinite, self.values.values())):
             raise ValueError("potential values must be finite")
-        if self.kappa <= 0:
-            raise ValueError("decay rate must be positive")
 
     def v(self, x):
         return self.values.get(abs(int(x)), 0.0)
@@ -73,12 +70,6 @@ class InteractionPotential:
                 out = out + 2.0 * vx * np.cos(p * x)
         return out if out.shape else float(out)
 
-    def check_decay(self):
-        return all(
-            abs(vx) <= self.bound_const * math.exp(-self.kappa * x) + 1e-15
-            for x, vx in self.values.items()
-        )
-
     def periodized(self, L):
         """v_L(d) for ring displacements 0 <= d < L: sum_m v(d + m L)."""
         out = np.zeros(L)
@@ -87,31 +78,17 @@ class InteractionPotential:
                 out[sgn % L] += vx
         return out
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write("# kappa=%r C=%r\n" % (self.kappa, self.bound_const))
-            for x in sorted(self.values):
-                fh.write("%d %r\n" % (x, self.values[x]))
-
     @classmethod
     def from_file(cls, path):
-        kappa, cconst = 1.0, 1.0
+        """Lines "x v(x)"; blank lines and lines starting with # are skipped."""
         values = {}
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("kappa="):
-                            kappa = float(tok[6:])
-                        elif tok.startswith("C="):
-                            cconst = float(tok[2:])
-                    continue
-                xs, vs = line.split()
-                values[int(xs)] = float(vs)
-        return cls(values=values, kappa=kappa, bound_const=cconst)
+                if line and not line.startswith("#"):
+                    xs, vs = line.split()
+                    values[int(xs)] = float(vs)
+        return cls(values=values)
 
 
 def on_site_potential(strength=1.0):
@@ -144,17 +121,16 @@ def dispersion(k, mu_bar):
     return mu_bar - np.cos(k)
 
 
-def ir_dispersion(k_prime, fermi, omega, p_mode="exact"):
+def ir_dispersion(k_prime, p, omega):
     """Band relative to the Fermi point omega * p, exact on the lattice:
 
         E_omega(k') = omega sin(p) sin k' + cos(p) (1 - cos k')
 
     satisfies e(omega p + k') = E_omega(k') when mu_bar = cos p, and the
-    antisymmetry E_+(k') + E_-(-k') = 2 cos(p) (1 - cos k').  p_mode picks
-    p: "exact" uses p_F, "grid" the snapped p_FL (the choice that makes the
-    scale decomposition of the tuned finite model an identity).
+    antisymmetry E_+(k') + E_-(-k') = 2 cos(p) (1 - cos k').  The scale
+    decomposition takes p = p_FL, the grid-snapped momentum that makes it
+    an identity for the tuned finite model.
     """
-    p = fermi.p_of(p_mode)
     k_prime = np.asarray(k_prime, dtype=float)
     out = omega * math.sin(p) * np.sin(k_prime) + math.cos(p) * (1.0 - np.cos(k_prime))
     return out if out.shape else float(out)
@@ -196,14 +172,6 @@ class FermiPoint:
         return cls(p_F=p_F, v_F=v_F, L=int(L), gamma=float(gamma), n_F=n_F,
                    p_FL=p_FL, a0=a0, t0=a0 * v_F / gamma)
 
-    def p_of(self, mode):
-        # "grid" for exact lattice decompositions, "exact" for asymptotics
-        if mode == "grid":
-            return self.p_FL
-        if mode == "exact":
-            return self.p_F
-        raise ValueError("p mode must be 'grid' or 'exact'")
-
 
 def fermi_point_admissible(fermi):
     """Reject Fermi momenta too close to 0, pi/2 or pi.
@@ -217,15 +185,11 @@ def fermi_point_admissible(fermi):
     return bool(dist >= window)
 
 
-def check_positivity(params, fermi=None, strict=False):
-    """Stability sign of the coupling at momentum transfer 2 p_F.
-
-    Returns Re(lambda) * vhat(2 p_F) >= 0 (or > 0 with strict=True, the
-    hypothesis under which the anomalous exponents are controlled).
-    """
-    fermi = params.fermi() if fermi is None else fermi
+def check_positivity(params, fermi):
+    """Stability sign of the coupling at momentum transfer 2 p_F: whether
+    Re(lambda) * vhat(2 p_F) >= 0."""
     val = complex(params.lam).real * params.potential.fourier(2.0 * fermi.p_F)
-    return bool(val > 0.0) if strict else bool(val >= 0.0)
+    return bool(val >= 0.0)
 
 
 # ----------------------------------------------------------------------

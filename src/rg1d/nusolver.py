@@ -215,8 +215,6 @@ def nu1_derivative(mu, model, step=1e-4, tol=1e-12):
 
 @dataclass(frozen=True)
 class InversionReport:
-    mu_bar: float
-    mu: float
     p_F: float
     nu1: float
     iterations: int
@@ -247,8 +245,7 @@ def invert_pF(mu_bar, model, tol=1e-12):
     else:
         raise RuntimeError("chemical-potential inversion did not settle")
     nu1 = nu1_of_mu(mu, model, tol)
-    return InversionReport(mu_bar, mu, math.acos(mu), nu1, it,
-                           deriv, abs(mu + nu1 - mu_bar))
+    return InversionReport(math.acos(mu), nu1, it, deriv, abs(mu + nu1 - mu_bar))
 
 
 def inversion_rows(lams, mu_bar, h_box, eps_scale=2.0, c0=0.25, tol=1e-12):

@@ -285,7 +285,7 @@ def shell_grid(kind, h, params, omega=None):
     if h > 0:
         raise ValueError("infrared scales have h <= 0")
     kp, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
-    band = ir_dispersion(kp, fermi, omega, "grid") if kind == "ir" else omega * fermi.v_F * kp
+    band = ir_dispersion(kp, fermi.p_FL, omega) if kind == "ir" else omega * fermi.v_F * kp
     return ShellGrid(kp, k0, band, lambda K, K0: chi.f_h(h, K, K0, fermi))
 
 

@@ -339,16 +339,11 @@ def fixed_point_values(traj, params):
 
 @dataclass(frozen=True)
 class LogSumReport:
-    h: int
     w1: float
-    d1: float
-    w2: float
-    d2: float
     sum1: float
     model1: float
     sum2: float
     model2: float
-    h_ref: int
 
 
 def _log_model(a, g1j0, j0, h, factor):
@@ -359,9 +354,9 @@ def log_sum_lemma(traj, h):
     """Compare sum_{j=h}^{j0} g1_j with (1/a) log(1 + a g1_{j0}(j0 - h)) and
     the g2 analogue with (1/(2a)).
 
-    The additive part d_i is frozen as the exact discrepancy at the
-    reference scale h_ref where a g1_{j0} (j0 - h_ref) = 1; the remaining
-    discrepancy is expressed multiplicatively through w_i.
+    The additive part d_1 of the g1 sum is frozen as the exact discrepancy
+    at the reference scale h_ref where a g1_{j0} (j0 - h_ref) = 1; the
+    remaining discrepancy is expressed multiplicatively through w_1.
     """
     j0 = traj.j0
     if h > j0:
@@ -382,15 +377,11 @@ def log_sum_lemma(traj, h):
         s2 = float(np.sum(g2[i0:i1 + 1] - g2_inf))
         return s1, s2
 
-    s1r, s2r = sums_at(h_ref)
-    d1 = s1r - _log_model(a, g1j0, j0, h_ref, 1.0)
-    d2 = s2r - _log_model(a, g1j0, j0, h_ref, 2.0)
+    d1 = sums_at(h_ref)[0] - _log_model(a, g1j0, j0, h_ref, 1.0)
     s1, s2 = sums_at(h)
     m1 = _log_model(a, g1j0, j0, h, 1.0)
-    m2 = _log_model(a, g1j0, j0, h, 2.0)
     w1 = (s1 - d1) / m1 - 1.0 if m1 != 0.0 else 0.0
-    w2 = (s2 - d2) / m2 - 1.0 if m2 != 0.0 else 0.0
-    return LogSumReport(h, w1, d1, w2, d2, s1, m1, s2, m2, h_ref)
+    return LogSumReport(w1, s1, m1, s2, _log_model(a, g1j0, j0, h, 2.0))
 
 
 def log_sum_increment_constant(traj, hs):
@@ -413,10 +404,8 @@ def log_sum_increment_constant(traj, hs):
 @dataclass(frozen=True)
 class ProbePoint:
     lam: complex
-    h: int
     bounded: bool
     escaped_at: int | None
-    max_eps: float
     chain_ok: bool | None    # disk-chain recursion verdict (None off-chain)
 
 
@@ -454,14 +443,12 @@ def flow_sector_probe(params_of_lam, cfg, rays=16, radius=0.02, h_sector=-5000,
     for th in angles:
         lam = radius * np.exp(1j * th)
         traj = run_flow(params_of_lam(complex(lam)), cfg, h_sector)
-        pts.append(ProbePoint(complex(lam), h_sector,
-                              traj.escaped_at is None,
-                              traj.escaped_at, float(traj.eps.max()), None))
+        pts.append(ProbePoint(complex(lam), traj.escaped_at is None,
+                              traj.escaped_at, None))
     c0 = derived_disk_constant()
     for h in disk_hs:
         lam = 0.9 * c0 / (1.0 + abs(h))
         traj = run_flow(params_of_lam(lam), cfg, h)
-        pts.append(ProbePoint(lam, h, traj.escaped_at is None,
-                              traj.escaped_at, float(traj.eps.max()),
+        pts.append(ProbePoint(lam, traj.escaped_at is None, traj.escaped_at,
                               smallness_chain_ok(lam, h)))
     return pts

@@ -136,6 +136,14 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["oracle", "--what", "ed", "--potential", "hubbard:nan"],
     ["exponents", "--potential", "hubbard:inf"],
     ["flow", "--potential", "uv:1:nan"],
+    # a seed is a non-negative integer, on every command that draws with it
+    ["g1map", "--model", "disk", "--seed", "-1"],
+    ["borel", "--seed", "-1"],
+    ["flow", "--h", "-10", "--seed", "-1"],
+    ["correlations", "--residuals", "envelope", "--lambda", "0.02", "--seed", "-1"],
+    # sigma-scale bounds |sigma_k|, so it is a size
+    ["g1map", "--sigma-scale", "-1", "--model", "constant"],
+    ["g1map", "--sigma-scale", "-0.5", "--model", "disk"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -171,6 +179,9 @@ def test_nan_float_option_exits_2_with_one_line(argv, tmp_path, capsys):
     ["borel", "--epsilon", "1e-250", "--n", "5"],
     # 1 + g0 n a = 1 - 0.0025 n vanishes at n = 400: a pole of the approximant
     ["g1map", "--g0-re", "-0.01"],
+    # the drift sum a_0 + a_1 overflows at step 2
+    ["g1map", "--a", "1e308", "--n", "3"],
+    ["g1map", "--sigma-scale", "1e308", "--model", "constant", "--n", "3"],
 ], ids=" ".join)
 def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 3

@@ -86,3 +86,23 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                         for call in calls.get(fn.name, ())):
                     unpassed.append("%s:%d %s(%s=)" % (path.name, fn.lineno, fn.name, name))
     assert not unpassed, "defaulted but never passed: " + ", ".join(unpassed)
+
+
+def _is_dataclass(node):
+    return any((_callee(d) if isinstance(d, ast.Call) else getattr(d, "id", None))
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # a field is read when its name is loaded as an attribute anywhere in the
+    # package, the tests or the benchmark harness
+    read = {node.attr for tree in _trees(PACKAGE, ROOT / "tests", ROOT / "benchmarks").values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted("%s:%d %s.%s" % (path.name, item.lineno, node.name, item.target.id)
+                    for path, tree in _trees(PACKAGE).items() for node in tree.body
+                    if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and item.target.id not in read)
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)

@@ -18,7 +18,8 @@ DELTA = np.pi / 4.0
 
 
 def test_single_step_value():
-    assert g1map.quadratic_map_step(0.1, 0.25) == pytest.approx(0.1 - 0.25 * 0.01, abs=1e-16)
+    g1 = g1map.iterate(0.1, 0.25, 1).trajectory[1]
+    assert g1 == pytest.approx(0.1 - 0.25 * 0.01, abs=1e-16)
 
 
 def test_approximant_real_closed_form():
@@ -54,17 +55,18 @@ def test_real_trajectory_monotone_and_asymptotics():
 
 def test_trajectory_matches_approximant_closely():
     state = g1map.iterate(0.01, 0.25, 100000, g1map.SectorDomain(0.015, DELTA))
-    rep = g1map.verify_closeness(state)
-    assert rep.ok
-    assert rep.worst_margin <= 0.0
+    ok, margin = g1map.verify_closeness(state)
+    assert ok
+    assert margin <= 0.0
 
 
 def test_square_sum_near_quadrature():
-    a = 0.25
-    state = g1map.iterate(0.05, a, 50000)
+    # sum |g_k|^2 against its continuum estimate, which for real g0 is
+    # int_0^n (g0 / (1 + g0 a s))^2 ds = (g0 - g0 / (1 + g0 a n)) / a
+    g0, a, n = 0.05, 0.25, 50000
+    state = g1map.iterate(g0, a, n)
     direct = np.sum(np.abs(state.trajectory[:-1]) ** 2)
-    est = g1map.square_sum_estimate(0.05, a, 50000)
-    assert direct == pytest.approx(est, rel=0.1)
+    assert direct == pytest.approx((g0 - g0 / (1.0 + g0 * a * n)) / a, rel=0.1)
 
 
 def test_escape_for_negative_coupling():
@@ -75,7 +77,7 @@ def test_escape_for_negative_coupling():
     # the raw map runs away monotonically on the negative axis
     g = [-0.01]
     for _ in range(390):
-        g.append(g1map.quadratic_map_step(g[-1], 0.25))
+        g.append(g[-1] - 0.25 * g[-1] ** 2)
     g = np.array(g)
     assert np.all(np.diff(g) < 0.0)
     assert abs(g[-1]) > 10.0 * abs(g[0])
@@ -104,19 +106,11 @@ def test_boundary_ray_stays_in_enlarged_sector():
     dom = g1map.SectorDomain(0.015, DELTA)
     state = g1map.iterate(g0, 0.25, 10000, dom)
     assert state.escape_index is None
-    rep = g1map.verify_sector(state)
-    assert rep.ok
+    ok, _ = g1map.verify_sector(state)
+    assert ok
     # arguments relax toward the positive axis along the trajectory
     args = np.abs(np.angle(state.trajectory))
     assert args[-1] < args[0]
-
-
-def test_denominator_bound_on_boundary_ray():
-    g0 = 0.01 * np.exp(1j * (np.pi - DELTA))
-    dom = g1map.SectorDomain(0.015, DELTA)
-    state = g1map.iterate(g0, 0.25, 10000, dom)
-    rep = g1map.verify_denominator_bound(state)
-    assert rep.ok
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +191,8 @@ def test_closeness_bound_random_rays(r, k):
     g0 = r * np.exp(1j * ang)
     state = g1map.iterate(g0, 0.25, 3000, g1map.SectorDomain(0.015, DELTA))
     if state.escape_index is None:
-        rep = g1map.verify_closeness(state)
-        assert rep.ok
+        ok, _ = g1map.verify_closeness(state)
+        assert ok
 
 
 # ---------------------------------------------------------------------------

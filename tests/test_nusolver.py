@@ -90,7 +90,6 @@ def test_invert_pF_small_shift_and_derivative():
         assert abs(rep.p_F - np.arccos(0.5)) <= 5.0 * lam
         assert abs(rep.derivative) < 0.5
         assert rep.residual < 1e-10
-        assert rep.mu_bar == 0.5
 
 
 def test_invert_rejects_out_of_band():
