@@ -13,10 +13,13 @@ run, each returning an (ok, margin) pair: the closeness bound, and the
 sector containments (g_n in the (3 eps/sin d, d/4) domain, gtilde_n in the
 (2 eps/sin d, d/2) one, the consequence of the lower bound on the
 approximant's denominator).  sweep_sector runs both checks on vectorized
-(ray x radius x perturbation-model) sweeps.
+(ray x radius x perturbation-model) sweeps; a large sweep splits its lanes
+over the available cores, and its report, or the error it raises, is
+bit-identical whatever the CPU count.
 """
 
 import math
+import os
 import numpy as np
 from dataclasses import dataclass
 
@@ -201,6 +204,11 @@ def verify_sector(state):
 
 
 _BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
+# lanes x steps above which a sweep splits its lanes over the available
+# cores.  On 2 cores, at 1024 lanes, two shares took 0.14-0.17 s against
+# 0.11-0.14 s in one process at 1000 steps, broke even at 4000 and took
+# 0.46-0.48 s against 0.71-0.77 s at 8000
+_SPLIT_LANE_STEPS = 4 * 10 ** 6
 # radii of the swept g0, as fractions of epsilon; a sweep takes the first n_radii
 RADII = (0.999, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
 
@@ -224,7 +232,7 @@ class SweepReport:
 
 
 def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
-                 n_steps=10 ** 5, a=0.25, models=SIGMA_MODELS, seed=0):
+                 n_steps=10 ** 5, a=0.25, models=SIGMA_MODELS, seed=0, parts=None):
     """Vectorized verification sweep over g0 = r e^{i theta} in D_{eps,delta}.
 
     All (ray, radius, model) lanes are iterated simultaneously, _BLOCK steps
@@ -232,6 +240,17 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     in the 2eps/sin d one) and the closeness bound are then checked on every
     row of the block at once, so the memory cost is O(lanes x _BLOCK)
     independent of n_steps.  A lane is frozen at its first failing row.
+
+    The lanes are split into `parts` shares, each an equal contiguous share
+    of every model's lanes; one share runs in this process and the others
+    in a fork pool, all through _sweep_lanes.  parts=None takes one share
+    per available core when lanes x n_steps exceeds _SPLIT_LANE_STEPS, else
+    one.  Lanes do not interact, and every share draws the full disk block
+    and keeps its own columns, so the report, and the error a failing sweep
+    raises, are bit-identical for every number of shares.  A sweep in which
+    a lane could leave the float range runs in one share: there a failed
+    lane, which the serial sweep steps on while another lane is live, could
+    raise after its own share has stopped.
     """
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
     radii = epsilon * np.array(RADII[:n_radii])
@@ -242,12 +261,83 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     kind = np.repeat(models, n_pts)
 
     dom = SectorDomain(epsilon, delta)
-    d1 = dom.approximant_enlargement()
     d2 = dom.trajectory_enlargement()
     sig_scale = default_sigma_scale(a, epsilon) * np.abs(g0)
+    sweep = (g0, kind, sig_scale, a, dom.approximant_enlargement(), d2,
+             n_steps, seed)
+    # |a_n| <= top, and a lane steps from |g| < cap or from 0: below these
+    # bounds no step and no drift sum can overflow
+    top, cap = abs(a) + float(np.abs(sig_scale).max()), d2.epsilon
+    if not (2.0 * (cap + 4.0 * top * cap * cap) < 1e300
+            and 2.0 * top * (n_steps + 1) < 1e300):
+        parts = 1
+    elif parts is None:
+        parts = len(os.sched_getaffinity(0)) \
+            if g0.size * n_steps > _SPLIT_LANE_STEPS else 1
+    offsets = n_pts * np.arange(len(models))[:, None]
+    shares = [(offsets + share).ravel()
+              for share in np.array_split(np.arange(n_pts), min(parts, n_pts))]
+    results = _run_shares(sweep, shares)
+
+    errors = [err for _, err in results if err is not None]
+    if errors:   # the serial sweep raises the error of the earliest step
+        raise ArithmeticError(min(errors)[1])
+    merged = [np.empty(g0.size, dtype=dt) for dt in (bool, bool, np.int64, float)]
+    for lanes, (out, _) in zip(shares, results):
+        for full, part in zip(merged, out):
+            full[lanes] = part
+    ok_contain, ok_close, first_bad, max_ratio = merged
+
+    lanes = []
+    for i in range(g0.size):
+        lanes.append(SweepLaneReport(str(kind[i]), complex(g0[i]),
+                                     bool(ok_contain[i]), bool(ok_close[i]),
+                                     int(first_bad[i]) if first_bad[i] >= 0
+                                     else None, float(max_ratio[i])))
+    return SweepReport(n_steps, lanes,
+                       float(np.mean(ok_contain)), float(np.mean(ok_close)))
+
+
+def _run_shares(sweep, shares):
+    """_sweep_lanes of every share: the first in this process, the others in
+    a fork pool whose workers are reaped before this returns or raises; a
+    worker that dies raises BrokenProcessPool, a RuntimeError."""
+    if len(shares) == 1:
+        return [_sweep_lanes(shares[0], *sweep)]
+    # imported here, so that import and small sweeps never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork: the workers inherit the loaded modules; a fork pool forks its
+    # workers before it starts its own thread
+    with ProcessPoolExecutor(len(shares) - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        pending = [pool.submit(_sweep_lanes, lanes, *sweep) for lanes in shares[1:]]
+        return [_sweep_lanes(shares[0], *sweep)] + [f.result() for f in pending]
+
+
+def _span(index):
+    """A sorted index array as a slice when its entries are consecutive."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
+    """The sweep of the lanes g0[lanes] (a sorted index array).
+
+    Returns (contained, close, first_bad, max_ratio) of those lanes and
+    the first error as (step, message), or None.  It does not raise: a step
+    that leaves the float range, a drift sum that does and a non-finite
+    closeness ratio end the run with their error.  The run stops once all
+    of its lanes have failed.
+    """
+    is_disk = kind == "disk"
+    n_disk = int(is_disk.sum())
+    # the serial sweep's draw column of each of these disk lanes
+    cols = _span((np.cumsum(is_disk) - 1)[lanes[is_disk[lanes]]])
+    g0, kind, sig_scale = g0[lanes], kind[lanes], sig_scale[lanes]
+    disk = _span(np.flatnonzero(kind == "disk"))
     rng = np.random.default_rng(seed)
-    disk = kind == "disk"
-    n_disk = int(disk.sum())
     # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
     # disk columns are drawn anew for every block
     drift = np.where((kind == "constant") | (kind == "alternating"),
@@ -258,10 +348,9 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     G = np.empty((_BLOCK + 1, g0.size), dtype=complex)   # g_n of the block
     S = np.empty_like(G)                                 # prefix sums of a_k
     G[0], S[0] = g0, 0.0
-    ok_contain = np.ones(g0.size, dtype=bool)
-    ok_close = np.ones(g0.size, dtype=bool)
-    first_bad = np.full(g0.size, -1, dtype=np.int64)
-    max_ratio = np.zeros(g0.size)
+    out = (np.ones(g0.size, dtype=bool), np.ones(g0.size, dtype=bool),
+           np.full(g0.size, -1, dtype=np.int64), np.zeros(g0.size))
+    ok_contain, ok_close, first_bad, max_ratio = out
     alive = np.ones(g0.size, dtype=bool)
     rows = np.arange(_BLOCK)[:, None]
 
@@ -270,23 +359,27 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
         steps = min(k, n_steps - start)
         if n_disk:
             u = rng.random((steps, 2, n_disk))
-            a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0]) * \
-                np.exp(1j * (2.0 * math.pi * u[:, 1]))
+            a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0, cols]) * \
+                np.exp(1j * (2.0 * math.pi * u[:, 1, cols]))
         # a live lane has |g| < d2.epsilon; a lane past its failing row
         # steps from 0 instead, so only a live lane can overflow
         with np.errstate(over="raise"):
             for j in range(steps):
-                g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
                 try:
+                    g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
                     G[j + 1] = g - a_n[j] * g * g
                 except FloatingPointError:
-                    raise ArithmeticError("sweep leaves the float range at "
-                                          "step %d" % (start + j + 1)) from None
-                S[j + 1] = S[j] + a_n[j]
+                    return out, (start + j + 1, "sweep leaves the float range "
+                                 "at step %d" % (start + j + 1))
+                try:
+                    S[j + 1] = S[j] + a_n[j]
+                except FloatingPointError:
+                    return out, (start + j + 1, "drift sum leaves the float range "
+                                 "at step %d" % (start + j + 1))
 
         g, s = G[:k], S[:k]
         gt = g0 / (1.0 + g0 * s)
-        with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio raises below
+        with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio ends the run below
             ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
         bad_close = ratio > 1.0
         bad_cont = ~(d2.contains(g) & d1.contains(gt))
@@ -295,10 +388,10 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
         last = np.full(g0.size, k - 1)
         last[hit] = bad[:, hit].argmax(axis=0)
         counted = (rows[:k] <= last) & alive
-        max_ratio = np.maximum(max_ratio, np.where(counted, ratio, 0.0).max(axis=0))
+        np.maximum(max_ratio, np.where(counted, ratio, 0.0).max(axis=0), out=max_ratio)
         if not np.isfinite(max_ratio).all():   # a nan ratio is not > 1, so it would pass as close
-            raise ArithmeticError("closeness ratio is not finite at step %d" % (
-                start + (counted & ~np.isfinite(ratio)).any(axis=1).argmax()))
+            step = start + (counted & ~np.isfinite(ratio)).any(axis=1).argmax()
+            return out, (step, "closeness ratio is not finite at step %d" % step)
         first_bad[hit] = start + last[hit]
         ok_close[hit] = ~bad_close[last[hit], hit]
         ok_contain[hit] = ~bad_cont[last[hit], hit]
@@ -306,15 +399,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
         if not alive.any():
             break
         G[0], S[0] = G[k], S[k]
-
-    lanes = []
-    for i in range(g0.size):
-        lanes.append(SweepLaneReport(str(kind[i]), complex(g0[i]),
-                                     bool(ok_contain[i]), bool(ok_close[i]),
-                                     int(first_bad[i]) if first_bad[i] >= 0
-                                     else None, float(max_ratio[i])))
-    return SweepReport(n_steps, lanes,
-                       float(np.mean(ok_contain)), float(np.mean(ok_close)))
+    return out, None
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,9 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["borel", "--n", "-1"],
     ["borel", "--n", "0"],
     ["borel", "--a", "0"],
+    # a/(2 epsilon) is inf: the disk, constant and alternating drifts are not finite
+    ["borel", "--a", "1e308", "--n", "40", "--rays", "2", "--radii", "1"],
+    ["borel", "--epsilon", "1e-320", "--n", "50", "--rays", "2", "--radii", "1"],
     ["nu", "--mu", "1.5"],
     ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
@@ -182,6 +185,9 @@ def test_nan_float_option_exits_2_with_one_line(argv, tmp_path, capsys):
     # the drift sum a_0 + a_1 overflows at step 2
     ["g1map", "--a", "1e308", "--n", "3"],
     ["g1map", "--sigma-scale", "1e308", "--model", "constant", "--n", "3"],
+    # the sweep's drift sums pass 1.8e308 at step 18
+    ["borel", "--a", "1e307", "--epsilon", "1e-200", "--n", "100", "--rays", "2",
+     "--radii", "1", "--models", "zero"],
 ], ids=" ".join)
 def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 3
@@ -437,5 +443,7 @@ def test_import_does_not_load_scipy():
     # scipy.special loads on first use of the Dirac profiles, not at import
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, rg1d.cli; sys.exit('scipy' in sys.modules)"
+    # nor multiprocessing, which only a sweep split over cores loads
+    code = ("import sys, rg1d.cli; "
+            "sys.exit('scipy' in sys.modules or 'multiprocessing' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -106,3 +106,79 @@ def test_every_dataclass_field_is_read_somewhere():
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                     and item.target.id not in read)
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
+
+
+# Definitions that only tests reach.  A name leaves this set when a run
+# reaches it, or when it leaves the package; no name joins it.
+TEST_ONLY = {
+    "model.fermi_point_admissible",
+    "nusolver.ball_check", "nusolver.operator_matrix", "nusolver.operator_norm",
+    "oracle._GTable", "oracle._interaction_monomials", "oracle._pair_value",
+    "oracle._panel_nodes", "oracle._product_expectation", "oracle._wick",
+    "oracle.first_order_slope",
+    "propagators.certify_gram_scaling", "propagators.fit_loglog_slope",
+    "propagators.gram_certify", "propagators.l1_scaling_report",
+    "propagators.single_scale",
+    "rgflow.FlowTrajectory.g1_at", "rgflow.LogSumReport", "rgflow.ProbePoint",
+    "rgflow._log_model", "rgflow.derived_disk_constant", "rgflow.flow_sector_probe",
+    "rgflow.log_sum_increment_constant", "rgflow.log_sum_lemma",
+    "rgflow.smallness_chain_ok",
+}
+
+
+def _refs(nodes):
+    """Every name and attribute name the nodes mention."""
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def _traced():
+    """benchmarks/runner.py's TRACED functions as "module.path" names."""
+    for node in ast.parse((ROOT / "benchmarks" / "runner.py").read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED":
+            return {module + "." + path for module, path in ast.literal_eval(node.value)}
+    raise AssertionError("runner.py has no TRACED")
+
+
+def test_every_definition_is_reached_by_a_run():
+    # a name-based call graph: a definition reaches every definition whose
+    # name it mentions, and a class its dunder methods; the roots are
+    # cli.main, the traced functions and the module-level code of the package
+    mentions, dunders, by_name, module_code = {}, {}, {}, []
+    for path, tree in _trees(PACKAGE).items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    module_code.append(node)
+                continue
+            name = path.stem + "." + node.name
+            by_name.setdefault(node.name, set()).add(name)
+            mentions[name] = set(_refs([node]))
+            if isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                mentions[name] = set(_refs(node.bases + node.decorator_list + [
+                    item for item in node.body if item not in methods]))
+                dunders[name] = set()
+                for item in methods:
+                    method = name + "." + item.name
+                    by_name.setdefault(item.name, set()).add(method)
+                    mentions[method] = set(_refs([item]))
+                    if item.name.startswith("__"):
+                        dunders[name].add(method)
+    todo = {"cli.main"} | _traced()
+    todo |= {q for n in _refs(module_code) for q in by_name.get(n, ())}
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= dunders.get(name, set())
+            todo |= {q for n in mentions.get(name, ()) for q in by_name.get(n, ())}
+    unreached = {name for name in mentions if name not in reached
+                 and not name.rpartition(".")[2].startswith("__")}
+    assert sorted(unreached - TEST_ONLY) == [], "only tests reach these"
+    assert sorted(TEST_ONLY - unreached) == [], "reached by a run: take off TEST_ONLY"

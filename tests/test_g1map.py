@@ -1,6 +1,9 @@
 """Quadratic map g -> g - a_n g^2: trajectories, approximants, sector checks."""
 
 import hashlib
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -168,20 +171,99 @@ SWEEP_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
-                         ids=[str(case) for case, _ in SWEEP_DIGESTS])
-def test_sweep_is_bit_identical_to_the_per_step_sweep(case, expected):
+def _sweep_digest(case, parts=None):
     kw = dict(delta=DELTA, n_rays=8, n_radii=8, seed=3)
     kw.update(case)
     kw.setdefault("epsilon", g1map.default_eps0(kw["delta"]))
-    rep = g1map.sweep_sector(**kw)
+    rep = g1map.sweep_sector(parts=parts, **kw)
     h = hashlib.sha256()
     for ln in rep.lanes:
         h.update(repr((ln.model, ln.g0, ln.contained, ln.close,
                        ln.first_violation, ln.max_ratio.hex())).encode())
     h.update(repr((rep.containment_fraction.hex(),
                    rep.closeness_fraction.hex())).encode())
-    assert h.hexdigest() == expected
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
+                         ids=[str(case) for case, _ in SWEEP_DIGESTS])
+def test_sweep_is_bit_identical_to_the_per_step_sweep(case, expected):
+    assert _sweep_digest(case) == expected
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
+                         ids=[str(case) for case, _ in SWEEP_DIGESTS])
+def test_sweep_split_into_shares_is_bit_identical(case, expected, parts):
+    assert _sweep_digest(case, parts) == expected
+
+
+@pytest.mark.parametrize("kw", [
+    # odd lane counts: shares of unequal size
+    dict(n_rays=7, n_radii=3),
+    dict(n_rays=5, n_radii=1, models=("zero", "disk", "alternating")),
+    # the disk lanes of a share are not one column range
+    dict(n_rays=5, n_radii=2, models=("disk", "zero", "disk")),
+], ids=str)
+def test_shares_match_one_process_at_odd_lane_counts(kw):
+    kw = dict(delta=DELTA, epsilon=1e-2, n_steps=300, seed=4, **kw)
+    serial = g1map.sweep_sector(parts=1, **kw)
+    for parts in (2, 3, 7):
+        assert g1map.sweep_sector(parts=parts, **kw) == serial
+
+
+# the overflowing sweeps run in one share whatever parts asks for; the
+# non-finite ratio is found by every share
+@pytest.mark.parametrize("kw, message", [
+    (dict(epsilon=1e200, n_steps=5), "sweep leaves the float range at step 1"),
+    (dict(epsilon=1e-250, n_steps=5), "closeness ratio is not finite at step 0"),
+    (dict(epsilon=1e-200, a=1e307, n_steps=100, models=("zero",)),
+     "drift sum leaves the float range at step 18"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_failing_sweep_raises_the_same_error_in_every_share_count(kw, message):
+    kw = dict(dict(delta=DELTA, n_rays=4, n_radii=4), **kw)
+    for parts in (1, 2, 3):
+        with pytest.raises(ArithmeticError) as info:
+            g1map.sweep_sector(parts=parts, **kw)
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == message
+
+
+def test_sweep_that_could_leave_the_float_range_runs_in_one_share(monkeypatch):
+    # there a failed lane could overflow after its own share has stopped
+    run, shares = g1map._run_shares, []
+    monkeypatch.setattr(g1map, "_run_shares",
+                        lambda sweep, lanes: shares.append(len(lanes)) or run(sweep, lanes))
+    for epsilon in (1e-2, 1e150):
+        g1map.sweep_sector(DELTA, epsilon, n_rays=4, n_radii=2, n_steps=10, parts=3)
+    with pytest.raises(ArithmeticError):
+        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=10, a=1e299, parts=3)
+    assert shares == [3, 1, 1]
+
+
+_SWEEP_LANES = g1map._sweep_lanes
+
+
+def _sweep_lanes_or_die(*args):
+    # a worker dies at once; this process runs its own share
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _SWEEP_LANES(*args)
+
+
+def test_dead_worker_fails_the_sweep_without_hanging(monkeypatch):
+    monkeypatch.setattr(g1map, "_sweep_lanes", _sweep_lanes_or_die)
+    with pytest.raises(BrokenProcessPool):   # a RuntimeError: the CLI exits 3
+        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100, parts=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_leaves_no_worker_process():
+    g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100, parts=3)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ArithmeticError):
+        g1map.sweep_sector(DELTA, 1e-250, n_rays=4, n_radii=2, n_steps=5, parts=3)
+    assert multiprocessing.active_children() == []
 
 
 @given(st.floats(0.002, 0.012), st.integers(0, 7))
