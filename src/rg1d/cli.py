@@ -540,11 +540,9 @@ def cmd_borel(o):
         if o["epsilon"] is None:
             o["epsilon"] = g1map.default_eps0(o["delta"])
         g1map.SectorDomain(o["epsilon"], o["delta"])
-        # every model but zero drifts by |sigma_n| <= a/(2 epsilon) |g0| < a/2
-        scale = g1map.default_sigma_scale(o["a"], o["epsilon"])
-        if set(o["models"]) - {"zero"} and not math.isfinite(o["a"] + scale * o["epsilon"]):
+        if not math.isfinite(g1map.drift_bound(o["a"], o["epsilon"], o["models"])):
             raise ConfigError("drift a_n = a + sigma_n must be finite, got a = %s and "
-                              "a/(2 epsilon) = %s" % (_fmt(o["a"]), _fmt(scale)))
+                              "epsilon = %s" % (_fmt(o["a"]), _fmt(o["epsilon"])))
     report = g1map.sweep_sector(o["delta"], o["epsilon"], n_rays=o["rays"],
                                 n_radii=o["radii"], n_steps=o["n"], a=o["a"],
                                 models=o["models"], seed=o["seed"])

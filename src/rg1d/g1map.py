@@ -205,10 +205,13 @@ def verify_sector(state):
 
 _BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
 # lanes x steps above which a sweep splits its lanes over the available
-# cores.  On 2 cores, at 1024 lanes, two shares took 0.14-0.17 s against
-# 0.11-0.14 s in one process at 1000 steps, broke even at 4000 and took
-# 0.46-0.48 s against 0.71-0.77 s at 8000
+# cores, and the most shares it takes.  Both were measured on 2 cores only:
+# at 1024 lanes two shares took 0.14-0.17 s against 0.11-0.14 s in one
+# process at 1000 steps, broke even at 4000 and took 0.46-0.48 s against
+# 0.71-0.77 s at 8000.  Every share repeats the disk draws and the per-step
+# loop, so more shares wait for a measurement on more cores
 _SPLIT_LANE_STEPS = 4 * 10 ** 6
+_MAX_SHARES = 2
 # radii of the swept g0, as fractions of epsilon; a sweep takes the first n_radii
 RADII = (0.999, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01)
 
@@ -231,8 +234,16 @@ class SweepReport:
     closeness_fraction: float
 
 
+def drift_bound(a, epsilon, models):
+    """Bound on |a_n| in a sweep of these models over D_{eps,delta}: every
+    model but zero drifts by at most a/(2 eps) |g0| with |g0| < eps."""
+    if set(models) <= {"zero"}:
+        return abs(a)
+    return abs(a) + abs(default_sigma_scale(a, epsilon)) * epsilon
+
+
 def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
-                 n_steps=10 ** 5, a=0.25, models=SIGMA_MODELS, seed=0, parts=None):
+                 n_steps=10 ** 5, a=0.25, models=SIGMA_MODELS, seed=0):
     """Vectorized verification sweep over g0 = r e^{i theta} in D_{eps,delta}.
 
     All (ray, radius, model) lanes are iterated simultaneously, _BLOCK steps
@@ -241,16 +252,15 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     row of the block at once, so the memory cost is O(lanes x _BLOCK)
     independent of n_steps.  A lane is frozen at its first failing row.
 
-    The lanes are split into `parts` shares, each an equal contiguous share
-    of every model's lanes; one share runs in this process and the others
-    in a fork pool, all through _sweep_lanes.  parts=None takes one share
-    per available core when lanes x n_steps exceeds _SPLIT_LANE_STEPS, else
-    one.  Lanes do not interact, and every share draws the full disk block
-    and keeps its own columns, so the report, and the error a failing sweep
-    raises, are bit-identical for every number of shares.  A sweep in which
-    a lane could leave the float range runs in one share: there a failed
-    lane, which the serial sweep steps on while another lane is live, could
-    raise after its own share has stopped.
+    The lanes are split into _share_count shares, each an equal contiguous
+    share of every model's lanes; one share runs in this process and the
+    others in a fork pool, all through _sweep_lanes.  Lanes do not interact,
+    and every share draws the full disk block and keeps its own columns, so
+    the report, and the error a failing sweep raises, are bit-identical for
+    every number of shares, and so whatever the CPU count.  A sweep in
+    which a lane could leave the float range runs in one share: there a
+    failed lane, which the serial sweep steps on while another lane is
+    live, could raise after its own share has stopped.
     """
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
     radii = epsilon * np.array(RADII[:n_radii])
@@ -267,13 +277,10 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
              n_steps, seed)
     # |a_n| <= top, and a lane steps from |g| < cap or from 0: below these
     # bounds no step and no drift sum can overflow
-    top, cap = abs(a) + float(np.abs(sig_scale).max()), d2.epsilon
-    if not (2.0 * (cap + 4.0 * top * cap * cap) < 1e300
-            and 2.0 * top * (n_steps + 1) < 1e300):
-        parts = 1
-    elif parts is None:
-        parts = len(os.sched_getaffinity(0)) \
-            if g0.size * n_steps > _SPLIT_LANE_STEPS else 1
+    top, cap = drift_bound(a, epsilon, models), d2.epsilon
+    parts = 1
+    if 2.0 * (cap + 4.0 * top * cap * cap) < 1e300 and 2.0 * top * (n_steps + 1) < 1e300:
+        parts = _share_count(g0.size, n_steps)
     offsets = n_pts * np.arange(len(models))[:, None]
     shares = [(offsets + share).ravel()
               for share in np.array_split(np.arange(n_pts), min(parts, n_pts))]
@@ -298,28 +305,35 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
                        float(np.mean(ok_contain)), float(np.mean(ok_close)))
 
 
+def _share_count(n_lanes, n_steps):
+    """One share per available core, at most _MAX_SHARES, when lanes x steps
+    exceeds _SPLIT_LANE_STEPS and the platform can fork its workers (Linux:
+    macOS and Windows have no sched_getaffinity); else one."""
+    if n_lanes * n_steps <= _SPLIT_LANE_STEPS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing   # here, so that import and small sweeps never load it
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(_MAX_SHARES, len(os.sched_getaffinity(0)))
+
+
 def _run_shares(sweep, shares):
     """_sweep_lanes of every share: the first in this process, the others in
     a fork pool whose workers are reaped before this returns or raises; a
     worker that dies raises BrokenProcessPool, a RuntimeError."""
     if len(shares) == 1:
         return [_sweep_lanes(shares[0], *sweep)]
-    # imported here, so that import and small sweeps never load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    # fork: the workers inherit the loaded modules; a fork pool forks its
-    # workers before it starts its own thread
+    # fork: the workers inherit the loaded modules.  The executor forks its
+    # workers before it starts its own thread, but numpy's OpenBLAS may run
+    # a thread pool by then; OpenBLAS stops it across a fork (pthread_atfork),
+    # and a worker only runs _sweep_lanes.  Python 3.12 and later still warn
+    # (DeprecationWarning, hidden by default) on a fork of a threaded process
     with ProcessPoolExecutor(len(shares) - 1,
                              mp_context=multiprocessing.get_context("fork")) as pool:
         pending = [pool.submit(_sweep_lanes, lanes, *sweep) for lanes in shares[1:]]
         return [_sweep_lanes(shares[0], *sweep)] + [f.result() for f in pending]
-
-
-def _span(index):
-    """A sorted index array as a slice when its entries are consecutive."""
-    if index.size and index[-1] - index[0] == index.size - 1:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
 
 
 def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
@@ -334,9 +348,9 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     is_disk = kind == "disk"
     n_disk = int(is_disk.sum())
     # the serial sweep's draw column of each of these disk lanes
-    cols = _span((np.cumsum(is_disk) - 1)[lanes[is_disk[lanes]]])
+    cols = (np.cumsum(is_disk) - 1)[lanes[is_disk[lanes]]]
     g0, kind, sig_scale = g0[lanes], kind[lanes], sig_scale[lanes]
-    disk = _span(np.flatnonzero(kind == "disk"))
+    disk = np.flatnonzero(kind == "disk")
     rng = np.random.default_rng(seed)
     # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
     # disk columns are drawn anew for every block

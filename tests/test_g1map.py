@@ -171,11 +171,11 @@ SWEEP_DIGESTS = [
 ]
 
 
-def _sweep_digest(case, parts=None):
+def _sweep_digest(case):
     kw = dict(delta=DELTA, n_rays=8, n_radii=8, seed=3)
     kw.update(case)
     kw.setdefault("epsilon", g1map.default_eps0(kw["delta"]))
-    rep = g1map.sweep_sector(parts=parts, **kw)
+    rep = g1map.sweep_sector(**kw)
     h = hashlib.sha256()
     for ln in rep.lanes:
         h.update(repr((ln.model, ln.g0, ln.contained, ln.close,
@@ -183,6 +183,11 @@ def _sweep_digest(case, parts=None):
     h.update(repr((rep.containment_fraction.hex(),
                    rep.closeness_fraction.hex())).encode())
     return h.hexdigest()
+
+
+def _split(monkeypatch, parts):
+    # every sweep takes `parts` shares, as on a host with that many cores
+    monkeypatch.setattr(g1map, "_share_count", lambda n_lanes, n_steps: parts)
 
 
 @pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
@@ -194,8 +199,9 @@ def test_sweep_is_bit_identical_to_the_per_step_sweep(case, expected):
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("case, expected", SWEEP_DIGESTS,
                          ids=[str(case) for case, _ in SWEEP_DIGESTS])
-def test_sweep_split_into_shares_is_bit_identical(case, expected, parts):
-    assert _sweep_digest(case, parts) == expected
+def test_sweep_split_into_shares_is_bit_identical(case, expected, parts, monkeypatch):
+    _split(monkeypatch, parts)
+    assert _sweep_digest(case) == expected
 
 
 @pytest.mark.parametrize("kw", [
@@ -205,14 +211,16 @@ def test_sweep_split_into_shares_is_bit_identical(case, expected, parts):
     # the disk lanes of a share are not one column range
     dict(n_rays=5, n_radii=2, models=("disk", "zero", "disk")),
 ], ids=str)
-def test_shares_match_one_process_at_odd_lane_counts(kw):
+def test_shares_match_one_process_at_odd_lane_counts(kw, monkeypatch):
     kw = dict(delta=DELTA, epsilon=1e-2, n_steps=300, seed=4, **kw)
-    serial = g1map.sweep_sector(parts=1, **kw)
+    _split(monkeypatch, 1)
+    serial = g1map.sweep_sector(**kw)
     for parts in (2, 3, 7):
-        assert g1map.sweep_sector(parts=parts, **kw) == serial
+        _split(monkeypatch, parts)
+        assert g1map.sweep_sector(**kw) == serial
 
 
-# the overflowing sweeps run in one share whatever parts asks for; the
+# the overflowing sweeps run in one share whatever the share count; the
 # non-finite ratio is found by every share
 @pytest.mark.parametrize("kw, message", [
     (dict(epsilon=1e200, n_steps=5), "sweep leaves the float range at step 1"),
@@ -220,11 +228,12 @@ def test_shares_match_one_process_at_odd_lane_counts(kw):
     (dict(epsilon=1e-200, a=1e307, n_steps=100, models=("zero",)),
      "drift sum leaves the float range at step 18"),
 ], ids=lambda v: v if isinstance(v, str) else "")
-def test_failing_sweep_raises_the_same_error_in_every_share_count(kw, message):
+def test_failing_sweep_raises_the_same_error_in_every_share_count(kw, message, monkeypatch):
     kw = dict(dict(delta=DELTA, n_rays=4, n_radii=4), **kw)
     for parts in (1, 2, 3):
+        _split(monkeypatch, parts)
         with pytest.raises(ArithmeticError) as info:
-            g1map.sweep_sector(parts=parts, **kw)
+            g1map.sweep_sector(**kw)
         assert type(info.value) is ArithmeticError
         assert str(info.value) == message
 
@@ -234,11 +243,33 @@ def test_sweep_that_could_leave_the_float_range_runs_in_one_share(monkeypatch):
     run, shares = g1map._run_shares, []
     monkeypatch.setattr(g1map, "_run_shares",
                         lambda sweep, lanes: shares.append(len(lanes)) or run(sweep, lanes))
+    _split(monkeypatch, 3)
     for epsilon in (1e-2, 1e150):
-        g1map.sweep_sector(DELTA, epsilon, n_rays=4, n_radii=2, n_steps=10, parts=3)
+        g1map.sweep_sector(DELTA, epsilon, n_rays=4, n_radii=2, n_steps=10)
     with pytest.raises(ArithmeticError):
-        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=10, a=1e299, parts=3)
+        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=10, a=1e299)
     assert shares == [3, 1, 1]
+
+
+def test_share_count_is_one_per_core_up_to_the_cap(monkeypatch):
+    big = g1map._SPLIT_LANE_STEPS + 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert g1map._share_count(big, 1) == g1map._MAX_SHARES
+    assert g1map._share_count(g1map._SPLIT_LANE_STEPS, 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert g1map._share_count(big, 1) == 1
+
+
+def test_share_count_is_one_where_workers_cannot_fork(monkeypatch):
+    big = g1map._SPLIT_LANE_STEPS + 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    # Windows has no fork start method
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert g1map._share_count(big, 1) == 1
+    monkeypatch.undo()
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert g1map._share_count(big, 1) == 1
 
 
 _SWEEP_LANES = g1map._sweep_lanes
@@ -253,16 +284,18 @@ def _sweep_lanes_or_die(*args):
 
 def test_dead_worker_fails_the_sweep_without_hanging(monkeypatch):
     monkeypatch.setattr(g1map, "_sweep_lanes", _sweep_lanes_or_die)
+    _split(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):   # a RuntimeError: the CLI exits 3
-        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100, parts=2)
+        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100)
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_leaves_no_worker_process():
-    g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100, parts=3)
+def test_sweep_leaves_no_worker_process(monkeypatch):
+    _split(monkeypatch, 3)
+    g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100)
     assert multiprocessing.active_children() == []
     with pytest.raises(ArithmeticError):
-        g1map.sweep_sector(DELTA, 1e-250, n_rays=4, n_radii=2, n_steps=5, parts=3)
+        g1map.sweep_sector(DELTA, 1e-250, n_rays=4, n_radii=2, n_steps=5)
     assert multiprocessing.active_children() == []
 
 
