@@ -17,8 +17,9 @@ fixed %.12g format and summaries are key-sorted.
 
 Exit codes: 0 ok; 2 config error (a bad flag, config entry or input file,
 or a value that breaks its rule), with one "config error:" line on stderr;
-3 numeric failure; 4 invariant check failure (the summary, failing checks
-included, is written before exiting).
+3 numeric failure (a floating-point fault, a warning or running out of
+memory), with one "numeric failure:" line; 4 invariant check failure (the
+summary, failing checks included, is written before exiting).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _config_phase():
         yield
     except ConfigError:
         raise
-    except (ValueError, KeyError, OSError, configparser.Error) as exc:
+    except (ValueError, KeyError, OSError, configparser.Error, UserWarning) as exc:
         raise ConfigError("; ".join(str(exc).splitlines()))
 
 
@@ -139,8 +140,6 @@ def _fmt(v):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _FMT % v
-    if isinstance(v, complex):
-        return (_FMT + "%+sj") % (v.real, _FMT % v.imag)
     if isinstance(v, tuple):
         return ",".join(_fmt(x) for x in v)
     return str(v)
@@ -174,6 +173,19 @@ def _potential_from(spec):
     return InteractionPotential.from_file(spec)
 
 
+def _model(o):
+    """The run's ModelParams, which main puts at o["params"] (no option is
+    named params): p_F from pF, else mu_bar from mu; a model row that the
+    option table lacks takes its value below."""
+    o = {"lambda": 0.0, "beta": 64.0, "L": 256, "gamma": 2.0, "M": 10,
+         "potential": "hubbard", **o}
+    kw = dict(potential=_potential_from(o["potential"]), beta=o["beta"], L=o["L"],
+              gamma=o["gamma"], M_uv=o["M"])
+    if "pF" in o:
+        return ModelParams.from_p_F(o["lambda"], o["pF"], **kw)
+    return ModelParams(lam=o["lambda"], mu_bar=o["mu"], **kw)
+
+
 # Every command returns (csv header, csv rows, summary, checks): summary
 # holds the computed keys (main adds the reported options), checks maps
 # name -> (passed, margin), or is None for a command without checks.
@@ -202,31 +214,24 @@ PROP = (
 
 
 def cmd_prop(o):
-    beta = o["beta"]
+    params = o["params"]
+    beta = params.beta
     with _config_phase():
-        params = ModelParams(lam=0.0, mu_bar=o["mu"],
-                             potential=on_site_potential(1.0), beta=beta,
-                             L=o["L"], gamma=o["gamma"], M_uv=o["M"])
         if o["points"] is None:
             points = [(x, 0.0) for x in range(9)] + [(x, 0.37 * beta) for x in range(5)]
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)   # a file with no rows
-                try:
-                    table = np.loadtxt(o["points"], comments="#", ndmin=2)
-                except UserWarning as exc:
-                    raise ConfigError(str(exc))
+        else:   # a file with no rows warns, which main makes an error
+            table = np.loadtxt(o["points"], comments="#", ndmin=2)
             points = [(int(x), float(x0)) for x, x0 in table]
         for x, x0 in points:
             if not -beta < x0 < beta:
                 raise ConfigError("point (%d, %g) outside the x0 domain "
                                   "(-beta, beta)" % (x, x0))
         with np.errstate(over="ignore"):   # gamma^(M+1) is inf past the float range
-            top = np.float64(o["gamma"]) ** (o["M"] + 1)
+            top = np.float64(params.gamma) ** (params.M_uv + 1)
         n_k0 = MomentumGrids(params.L, beta).matsubara_count(top)
         if n_k0 > PROP_MAX_K0:
             raise ConfigError("the cutoff grid at M = %d has %s frequencies, over the cap %d"
-                              % (o["M"], _fmt(n_k0), PROP_MAX_K0))
+                              % (params.M_uv, _fmt(n_k0), PROP_MAX_K0))
 
     by_x0 = {}   # x0 bits (-0.0 apart from 0.0) -> indices of its points
     for i, (_, x0) in enumerate(points):
@@ -246,7 +251,7 @@ def cmd_prop(o):
     return (("x", "x0", "kernel_re", "kernel_im", "cutoff_re", "cutoff_im",
              "abs_diff", "discontinuity"), rows,
             {"points": len(points), "max_equiv_diff": worst,
-             "gamma_minus_M": o["gamma"] ** -o["M"]}, None)
+             "gamma_minus_M": params.gamma ** -params.M_uv}, None)
 
 
 # ----------------------------------------------------------------------
@@ -270,13 +275,10 @@ FLOW = (
 
 
 def cmd_flow(o):
-    target_h = o["h"]
+    target_h, params = o["h"], o["params"]
     with _config_phase():
-        params = ModelParams.from_p_F(o["lambda"], o["pF"],
-                                      _potential_from(o["potential"]),
-                                      o["beta"], o["L"])
         # below the box scale no shell is left: a_j = 0 and bAj fails
-        h_box = propagators.finite_size_scale(o["beta"], o["L"], params.fermi())
+        h_box = propagators.finite_size_scale(params.beta, params.L, params.fermi())
         if o["a-mode"] == "finite_scale" and target_h < h_box:
             raise ConfigError("h must be >= the box scale h_{L,beta} = %d with "
                               "--a-mode finite_scale, got %d" % (h_box, target_h))
@@ -332,11 +334,9 @@ def _fixed_point(params, h):
 
 
 def cmd_exponents(o):
+    pot = o["params"].potential
     with _config_phase():
-        pot = _potential_from(o["potential"])
-        # every model is built here, so a bad one exits 2 before any numeric work
-        models = [ModelParams.from_p_F(lam, o["pF"], pot, o["beta"], o["L"])
-                  for lam in _parse_grid(o["lambda-grid"])]
+        models = [o["params"].with_(lam=lam) for lam in _parse_grid(o["lambda-grid"])]
 
     results = []
     for params in models:
@@ -413,7 +413,8 @@ CORRELATIONS = (
     Opt("beta", float, 1e9),
     Opt("L", int, 10 ** 9),
     Opt("x-min", float, 10.0, (">=", 1)),
-    Opt("x-max", float, 400.0, (">=", "x-min")),
+    # x is a distance on the ring
+    Opt("x-max", float, 400.0, ((">=", "x-min"), ("<=", "L"))),
     Opt("x-count", int, 40, (">=", 1)),
     Opt("x-spacing", str, "log", ("in", ("log", "linear"))),
     Opt("x0", float, 0.0, key="x0"),
@@ -425,11 +426,9 @@ CORRELATIONS = (
 
 
 def cmd_correlations(o):
-    lam, x0, alphas, tail = o["lambda"], o["x0"], o["alphas"], o["tail"]
+    x0, alphas, tail, params = o["x0"], o["alphas"], o["tail"], o["params"]
+    lam = params.lam
     with _config_phase():
-        params = ModelParams.from_p_F(lam, o["pF"],
-                                      _potential_from(o["potential"]),
-                                      o["beta"], o["L"])
         fermi = params.fermi()
         # the exponents and closed forms hold under the positivity hypothesis
         if not check_positivity(params, fermi):
@@ -566,10 +565,7 @@ def cmd_borel(o):
 
 
 def _oracle_bubble(o):
-    h_lo = o["h-min"]
-    with _config_phase():
-        fermi = ModelParams.from_p_F(0.0, o["pF"], on_site_potential(1.0),
-                                     64.0, 256, gamma=o["gamma"]).fermi()
+    h_lo, fermi = o["h-min"], o["params"].fermi()
     a = rgflow.bubble_constant(fermi)
     rows = []
     for h in range(o["h-max"], h_lo - 1, -2):
@@ -583,13 +579,10 @@ def _oracle_bubble(o):
 
 
 def _oracle_wick(o):
-    L, x0 = o["L"], o["x0"]
-    with _config_phase():
-        params = ModelParams(lam=0.0, mu_bar=o["mu"],
-                             potential=on_site_potential(1.0),
-                             beta=o["beta"], L=L)
-        if not -params.beta < x0 < params.beta:
-            raise ConfigError("x0 must lie in (-beta, beta), got %s" % _fmt(x0))
+    params, x0 = o["params"], o["x0"]
+    L = params.L
+    if not -params.beta < x0 < params.beta:
+        raise ConfigError("x0 must lie in (-beta, beta), got %s" % _fmt(x0))
     rows = []
     for alpha in oracle.RESPONSE_CHANNELS:
         for x in range(1, min(L // 2, 12)):
@@ -600,11 +593,8 @@ def _oracle_wick(o):
 
 
 def _oracle_ed(o):
-    L, beta, lam = o["L"], o["beta"], o["lambda"]
-    with _config_phase():
-        params = ModelParams(lam=lam, mu_bar=o["mu"],
-                             potential=_potential_from(o["potential"]),
-                             beta=beta, L=L)
+    params = o["params"]
+    L, beta, lam = params.L, params.beta, params.lam
     ed = oracle.ed_micro(params)
     free = params.with_(lam=0.0)
     rows = []
@@ -733,20 +723,27 @@ def main(argv=None):
     command = args.command
     table = COMMON + COMMANDS[command][1]
     try:
-        with _config_phase():
-            cfg = _load_config(args.config)
-            opts = _resolve(table, args, cfg, command)
-            if command == "oracle":
-                mode_table = ORACLE_MODES[opts["what"]][1]
-                opts.update(_resolve(mode_table, args, cfg, command))
-                table += mode_table
-            os.makedirs(opts["out-dir"], exist_ok=True)
-        header, rows, summary, checks = COMMANDS[command][2](opts)
+        # a floating-point fault, running out of memory or a UserWarning past
+        # the config phase exits 3; a UserWarning in the config phase exits 2
+        with np.errstate(divide="raise", over="raise", invalid="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with _config_phase():
+                cfg = _load_config(args.config)
+                opts = _resolve(table, args, cfg, command)
+                if command == "oracle":
+                    mode_table = ORACLE_MODES[opts["what"]][1]
+                    opts.update(_resolve(mode_table, args, cfg, command))
+                    table += mode_table
+                if opts.keys() & {"pF", "beta"}:
+                    opts["params"] = _model(opts)
+                os.makedirs(opts["out-dir"], exist_ok=True)
+            header, rows, summary, checks = COMMANDS[command][2](opts)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError,
-            ValueError) as exc:
+    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError, ValueError,
+            UserWarning, MemoryError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         return 3
 

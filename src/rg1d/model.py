@@ -55,9 +55,6 @@ class InteractionPotential:
         if not all(map(math.isfinite, self.values.values())):
             raise ValueError("potential values must be finite")
 
-    def v(self, x):
-        return self.values.get(abs(int(x)), 0.0)
-
     def fourier(self, p):
         """vhat(p) = sum_x v(x) e^{-ipx} = v(0) + 2 sum_{x>0} v(x) cos(px).
 

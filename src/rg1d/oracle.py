@@ -473,11 +473,11 @@ class EDSystem:
     def spectrum(self):
         return np.sort(np.concatenate(list(self.energies.values())))
 
-    def two_point(self, taus, spin=0):
+    def two_point(self, taus):
         """(L, len(taus)) table of <T a^-_{x,s}(tau) a^+_{0,s}(0)> over
-        x = 0..L-1, the ED twin of the kernel sum."""
-        table, _ = self._pair_table(lambda x: [(1.0, ((0, x, spin, None),))],
-                                    [(1.0, ((1, 0, spin, None),))], taus, True)
+        x = 0..L-1 for spin s = 0, the ED twin of the kernel sum."""
+        table, _ = self._pair_table(lambda x: [(1.0, ((0, x, 0, None),))],
+                                    [(1.0, ((1, 0, 0, None),))], taus, True)
         return table
 
     def response(self, alpha, taus):
@@ -626,8 +626,8 @@ def bubble_quadrature(h, fermi, extrapolate=False):
 # ----------------------------------------------------------------------
 
 
-def mp_map_trajectory(g0, a_seq, n):
-    """Iterate g -> g - a_k g^2 in 40-digit arithmetic.
+def mp_map_trajectory(g0, a, n):
+    """Iterate g -> g - a g^2 in 40-digit arithmetic.
 
     Returns (trajectory as complex128 array, OracleValue of g_n) where
     the bar is the difference against a rerun at 60 digits; this bounds
@@ -636,16 +636,12 @@ def mp_map_trajectory(g0, a_seq, n):
     """
     import mpmath
 
-    a_arr = np.full(n, a_seq, dtype=complex) if np.isscalar(a_seq) \
-        else np.asarray(a_seq, dtype=complex)[:n]
-
     def run(digits):
         with mpmath.workdps(digits):
-            g = mpmath.mpc(complex(g0))
+            g, a_mp = mpmath.mpc(complex(g0)), mpmath.mpc(complex(a))
             traj = [complex(g)]
-            for k in range(n):
-                a = mpmath.mpc(complex(a_arr[k]))
-                g = g - a * g * g
+            for _ in range(n):
+                g = g - a_mp * g * g
                 traj.append(complex(g))
         return np.asarray(traj, dtype=complex)
 

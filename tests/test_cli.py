@@ -15,8 +15,9 @@ import pytest
 
 from rg1d import cli, correlations, propagators
 
-REFERENCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "benchmarks", "reference")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCES = os.path.join(ROOT, "benchmarks", "reference")
+SRC = os.path.join(ROOT, "src")
 
 
 def _invocations(workload):
@@ -147,6 +148,14 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # sigma-scale bounds |sigma_k|, so it is a size
     ["g1map", "--sigma-scale", "-1", "--model", "constant"],
     ["g1map", "--sigma-scale", "-0.5", "--model", "disk"],
+    # x is a distance on the ring: at most L, which also keeps it in int64
+    ["correlations", "--x-min", "1e300", "--x-max", "1e300"],
+    ["correlations", "--L", "100"],
+    ["flow", "--config", "no-such-dir/run.ini"],
+    # start:stop:step grids: two parts, a zero step, an empty range
+    ["exponents", "--lambda-grid", "0.01:0.05"],
+    ["nu", "--lambda-grid", "0.01:0.05:0"],
+    ["exponents", "--lambda-grid", "0.05:0.01:0.01"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -199,8 +208,31 @@ def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("text", ["", "# x x0\n"], ids=["empty", "comment-only"])
+@pytest.mark.parametrize("argv", [
+    # gamma^(h-1) and the quadrature nodes underflow to 0: 0/0 in the cutoff ratio
+    ["oracle", "--what", "bubble", "--gamma", "1e300"],
+    # the finite-scale bubble's momentum grid over L = 1e12 sites takes 7.28 TiB
+    ["flow", "--L", "1000000000000", "--a-mode", "finite_scale", "--h", "-3"],
+], ids=" ".join)
+def test_numeric_fault_exits_3_with_one_line(argv, tmp_path):
+    # in a child whose address space is capped at 4 GiB, so that a large
+    # allocation fails as MemoryError whatever the host's overcommit policy
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            "from rg1d import cli; sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), done.stderr
+
+
+@pytest.mark.parametrize("text", ["", "# x x0\n", "0 0\n1 64\n"],
+                         ids=["empty", "comment-only", "x0-at-beta"])
 def test_prop_points_file_without_rows_exits_2_with_one_line(text, tmp_path, capsys):
+    # a file whose rows leave (-beta, beta) has no usable row either
     points = tmp_path / "points.txt"
     points.write_text(text)
     assert _run(["prop", "--points", str(points)], tmp_path) == 2
@@ -280,6 +312,32 @@ def test_correlations_outputs_are_pinned(tmp_path):
 
 
 
+def test_correlations_peak_sits_at_2pF(tmp_path):
+    # a linear grid from x0 = 0 with 16 or more points adds the peak check:
+    # 64 points of spacing 1 give bins of 2 pi / 64
+    argv = ["correlations", "--x-spacing", "linear", "--x-min", "100", "--x-max", "163",
+            "--x-count", "64"]
+    assert _run(argv, tmp_path) == 0
+    summary = _summary(tmp_path, "correlations")
+    assert summary["check_peak_at_2pF"] == "pass"
+    assert (summary["peak_omega"], summary["two_p_F"], summary["peak_bin_width"],
+            summary["check_peak_at_2pF_margin"]) == (
+        "2.06167017892", "2.09439510239", "0.0981747704247", "-0.0654498469498")
+
+
+def test_potential_file_runs_as_its_spec(tmp_path):
+    # uv:1:0.5 is v(0) = 1, v(1) = 0.25
+    path = tmp_path / "uv.txt"
+    path.write_text("# x v(x)\n0 1.0\n\n1 0.25\n")
+    outputs = []
+    for spec in (str(path), "uv:1:0.5"):
+        out = tmp_path / str(len(outputs))
+        assert _run(["flow", "--h", "-20", "--lambda", "0.05", "--potential", spec], out) == 0
+        with open(os.path.join(out, "flow.csv"), "rb") as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, digests", [
     # seeded remainders of both kinds, box scale at the target
     (["flow", "--remainders", "both", "--seed", "3", "--h", "-300", "--h-lbeta", "-300"],
@@ -334,7 +392,10 @@ HANDLED = [pytest.param(table, handler, id=command)
 
 @pytest.mark.parametrize("table,handler", HANDLED)
 def test_every_option_is_read_by_its_handler(table, handler):
+    # main builds the model of a table with a pF or beta row through _model
     source = inspect.getsource(handler)
+    if {"pF", "beta"} & {opt.name for opt in table}:
+        source += inspect.getsource(cli._model)
     assert [opt.name for opt in table if 'o["%s"]' % opt.name not in source] == []
 
 
@@ -441,8 +502,7 @@ def test_borel_sweep_past_failed_lanes_does_not_warn(tmp_path):
 
 def test_import_does_not_load_scipy():
     # scipy.special loads on first use of the Dirac profiles, not at import
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     # nor multiprocessing, which only a sweep split over cores loads
     code = ("import sys, rg1d.cli; "
             "sys.exit('scipy' in sys.modules or 'multiprocessing' in sys.modules)")

@@ -86,6 +86,19 @@ def test_escape_for_negative_coupling():
     assert abs(g[-1]) > 10.0 * abs(g[0])
 
 
+def test_escape_mid_run_freezes_the_tail():
+    # a negative drift drives g0 = 0.01 out along the positive axis:
+    # g_k ~ 1/(100 - k) passes the enlarged radius 3 eps/sin d = 0.0636 at k = 87
+    dom = g1map.SectorDomain(0.015, DELTA)
+    big = dom.trajectory_enlargement()
+    state = g1map.iterate(0.01, -1.0, 200, dom)
+    k = state.escape_index
+    assert k == 87
+    assert big.contains(state.trajectory[:k]).all()
+    assert not big.contains(state.trajectory[k])
+    assert (state.trajectory[k:] == state.trajectory[k]).all()
+
+
 # ---------------------------------------------------------------------------
 # sector geometry
 # ---------------------------------------------------------------------------
