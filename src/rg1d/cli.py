@@ -411,7 +411,8 @@ CORRELATIONS = (
     Opt("lambda", float, 0.0, key="lambda"),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
     Opt("beta", float, 1e9),
-    Opt("L", int, 10 ** 9),
+    # the x grid is cast to int64, and every x is at most L
+    Opt("L", int, 10 ** 9, ("<=", 2 ** 63 - 1)),
     Opt("x-min", float, 10.0, (">=", 1)),
     # x is a distance on the ring
     Opt("x-max", float, 400.0, ((">=", "x-min"), ("<=", "L"))),

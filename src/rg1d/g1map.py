@@ -13,9 +13,12 @@ run, each returning an (ok, margin) pair: the closeness bound, and the
 sector containments (g_n in the (3 eps/sin d, d/4) domain, gtilde_n in the
 (2 eps/sin d, d/2) one, the consequence of the lower bound on the
 approximant's denominator).  sweep_sector runs both checks on vectorized
-(ray x radius x perturbation-model) sweeps; a large sweep splits its lanes
-over the available cores, and its report, or the error it raises, is
-bit-identical whatever the CPU count.
+(ray x radius x perturbation-model) sweeps.  Its kernel steps a block of
+rows with three ufuncs per step and applies the per-step sweep's freeze
+and overflow rules once per block, so its report, or the error it raises,
+is bit-identical to that sweep's (the tests keep it as the reference); a
+large sweep splits its lanes over the available cores, bit-identically
+whatever the CPU count.
 """
 
 import math
@@ -41,11 +44,18 @@ class SectorDomain:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
-    def contains(self, z):
+    def contains(self, z, modulus=None):
+        """z in D, elementwise; modulus, if given, is np.abs(z).  Where
+        Re z > 0, |Arg z| < pi/2 < pi - delta, so only the other points
+        take the angle."""
         z = np.asarray(z, dtype=complex)
-        inside = (np.abs(z) < self.epsilon) & \
-                 (np.abs(np.angle(z)) <= math.pi - self.delta)
-        return inside if inside.shape else bool(inside)
+        inside = (np.abs(z) if modulus is None else modulus) < self.epsilon
+        edge = math.pi - self.delta
+        if not z.shape:
+            return bool(inside and (z.item().real > 0.0 or np.abs(np.angle(z)) <= edge))
+        left = inside & (z.real <= 0.0)
+        inside[left] = np.abs(np.angle(z[left])) <= edge
+        return inside
 
     def approximant_enlargement(self):
         """Domain the approximant provably stays in: (2 eps/sin d, d/2)."""
@@ -205,11 +215,12 @@ def verify_sector(state):
 
 _BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
 # lanes x steps above which a sweep splits its lanes over the available
-# cores, and the most shares it takes.  Both were measured on 2 cores only:
-# at 1024 lanes two shares took 0.14-0.17 s against 0.11-0.14 s in one
-# process at 1000 steps, broke even at 4000 and took 0.46-0.48 s against
-# 0.71-0.77 s at 8000.  Every share repeats the disk draws and the per-step
-# loop, so more shares wait for a measurement on more cores
+# cores, and the most shares it takes.  Both were measured on 2 cores only,
+# with seven runs per point: at 1024 lanes two shares took 0.08-0.37 s
+# (median 0.12) against 0.09-0.11 s (0.10) in one process at 1000 steps,
+# broke even at 4000 (medians 0.35 and 0.33 s) and took 0.48-0.90 s (0.70)
+# against 0.58-1.32 s (0.81) at 8000.  Every share repeats the disk draws
+# and the block loop, so more shares wait for a measurement on more cores
 _SPLIT_LANE_STEPS = 4 * 10 ** 6
 _MAX_SHARES = 2
 # radii of the swept g0, as fractions of epsilon; a sweep takes the first n_radii
@@ -344,6 +355,17 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     that leaves the float range, a drift sum that does and a non-finite
     closeness ratio end the run with their error.  The run stops once all
     of its lanes have failed.
+
+    The results are those of the per-step sweep, which takes every step
+    from g where |g| < cap = d2.epsilon and from 0 elsewhere, and raises
+    on overflow.  Here every lane takes the block's steps unchecked, the
+    freeze applied to row 0 only.  One |g| of the block's rows then finds
+    each lane's first row outside the cap: if that row is not finite, the
+    per-step sweep overflowed there, and otherwise the rows after it are
+    set to 0, the values that sweep has.  The first non-finite row of the
+    drift sums is its drift-sum error, which a step error at the same step
+    precedes.  The checks write into buffers allocated once and take |g|
+    and |gtilde| from them.
     """
     is_disk = kind == "disk"
     n_disk = int(is_disk.sum())
@@ -359,9 +381,14 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     sign = np.where(kind == "alternating", -1.0, 1.0)
     a_n = (a + drift * sign ** np.arange(_BLOCK)[:, None]).astype(complex)
 
-    G = np.empty((_BLOCK + 1, g0.size), dtype=complex)   # g_n of the block
-    S = np.empty_like(G)                                 # prefix sums of a_k
+    cap = d2.epsilon
+    # the block's rows: g_n, sum_{k<n} a_k, gtilde_n, g_n - gtilde_n, |g_n|,
+    # |gtilde_n|, |gtilde_n|^{3/2} and the closeness ratio
+    G, S, GT, D = (np.empty((_BLOCK + 1, g0.size), dtype=complex) for _ in range(4))
+    M, MT, DEN, R = (np.empty(G.shape) for _ in range(4))
+    ag, agg = np.empty((2, g0.size), dtype=complex)   # a_n g_n and a_n g_n^2
     G[0], S[0] = g0, 0.0
+    np.abs(g0, out=M[0])
     out = (np.ones(g0.size, dtype=bool), np.ones(g0.size, dtype=bool),
            np.full(g0.size, -1, dtype=np.int64), np.zeros(g0.size))
     ok_contain, ok_close, first_bad, max_ratio = out
@@ -375,44 +402,61 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
             u = rng.random((steps, 2, n_disk))
             a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0, cols]) * \
                 np.exp(1j * (2.0 * math.pi * u[:, 1, cols]))
-        # a live lane has |g| < d2.epsilon; a lane past its failing row
-        # steps from 0 instead, so only a live lane can overflow
-        with np.errstate(over="raise"):
+        # row 0 is frozen here, the rows past a lane's first row outside the
+        # cap are set to 0 below
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite row is an error below
+            g = np.where(M[0] < cap, G[0], 0.0)
             for j in range(steps):
-                try:
-                    g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
-                    G[j + 1] = g - a_n[j] * g * g
-                except FloatingPointError:
-                    return out, (start + j + 1, "sweep leaves the float range "
-                                 "at step %d" % (start + j + 1))
-                try:
-                    S[j + 1] = S[j] + a_n[j]
-                except FloatingPointError:
-                    return out, (start + j + 1, "drift sum leaves the float range "
-                                 "at step %d" % (start + j + 1))
+                # not in place: numpy rounds an in-place complex product of
+                # one element differently
+                np.multiply(a_n[j], g, out=ag)
+                np.multiply(ag, g, out=agg)
+                g = np.subtract(g, agg, out=G[j + 1])
+                np.add(S[j], a_n[j], out=S[j + 1])
+            np.abs(G[1:steps + 1], out=M[1:steps + 1])
 
-        g, s = G[:k], S[:k]
-        gt = g0 / (1.0 + g0 * s)
+        # the per-step sweep's errors; at one step the step's comes first
+        outside = ~(M[1:steps + 1] < cap)
+        lost = np.flatnonzero(outside.any(axis=0))
+        first = outside[:, lost].argmax(axis=0) + 1 if lost.size else lost
+        over = start + first[~np.isfinite(G[first, lost])]
+        at = int(over.min()) if over.size else n_steps + 1
+        if not np.isfinite(S[steps]).all():
+            drift = start + 1 + int((~np.isfinite(S[1:steps + 1])).any(axis=1).argmax())
+            if drift < at:
+                return out, (drift, "drift sum leaves the float range at step %d" % drift)
+        if at <= n_steps:
+            return out, (at, "sweep leaves the float range at step %d" % at)
+        for lane, row in zip(lost, first):
+            G[row + 1:steps + 1, lane] = M[row + 1:steps + 1, lane] = 0.0
+
+        g, s, m, gt, mt, r = G[:k], S[:k], M[:k], GT[:k], MT[:k], R[:k]
+        np.divide(g0, np.add(1.0, np.multiply(g0, s, out=gt), out=gt), out=gt)
         with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio ends the run below
-            ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
-        bad_close = ratio > 1.0
-        bad_cont = ~(d2.contains(g) & d1.contains(gt))
+            np.abs(np.subtract(g, gt, out=D[:k]), out=r)
+            den = np.power(np.maximum(np.abs(gt, out=mt), 1e-300, out=DEN[:k]), 1.5,
+                           out=DEN[:k])
+            np.divide(r, den, out=r)
+        bad_close = r > 1.0
+        bad_cont = ~(d2.contains(g, m) & d1.contains(gt, mt))
         bad = (bad_close | bad_cont) & alive
         hit = np.flatnonzero(bad.any(axis=0))
-        last = np.full(g0.size, k - 1)
-        last[hit] = bad[:, hit].argmax(axis=0)
-        counted = (rows[:k] <= last) & alive
-        np.maximum(max_ratio, np.where(counted, ratio, 0.0).max(axis=0), out=max_ratio)
+        if hit.size or not alive.all():   # rows past a lane's first failing row do not count
+            last = np.full(g0.size, k - 1)
+            last[hit] = bad[:, hit].argmax(axis=0)
+            r = np.where((rows[:k] <= last) & alive, r, 0.0)
+        np.maximum(max_ratio, r.max(axis=0), out=max_ratio)
         if not np.isfinite(max_ratio).all():   # a nan ratio is not > 1, so it would pass as close
-            step = start + (counted & ~np.isfinite(ratio)).any(axis=1).argmax()
+            step = start + (~np.isfinite(r)).any(axis=1).argmax()
             return out, (step, "closeness ratio is not finite at step %d" % step)
-        first_bad[hit] = start + last[hit]
-        ok_close[hit] = ~bad_close[last[hit], hit]
-        ok_contain[hit] = ~bad_cont[last[hit], hit]
-        alive[hit] = False
-        if not alive.any():
-            break
-        G[0], S[0] = G[k], S[k]
+        if hit.size:
+            first_bad[hit] = start + last[hit]
+            ok_close[hit] = ~bad_close[last[hit], hit]
+            ok_contain[hit] = ~bad_cont[last[hit], hit]
+            alive[hit] = False
+            if not alive.any():
+                break
+        G[0], S[0], M[0] = G[k], S[k], M[k]
     return out, None
 
 

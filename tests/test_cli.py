@@ -151,6 +151,11 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # x is a distance on the ring: at most L, which also keeps it in int64
     ["correlations", "--x-min", "1e300", "--x-max", "1e300"],
     ["correlations", "--L", "100"],
+    # an L past int64 would let x leave it too
+    ["correlations", "--L", "1000000000000000000000000000000", "--x-min", "1e29",
+     "--x-max", "1e29", "--x-count", "1"],
+    ["correlations", "--L", "10000000000000000000", "--x-min", "1e19", "--x-max", "1e19",
+     "--x-count", "1"],
     ["flow", "--config", "no-such-dir/run.ini"],
     # start:stop:step grids: two parts, a zero step, an empty range
     ["exponents", "--lambda-grid", "0.01:0.05"],

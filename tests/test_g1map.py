@@ -1,13 +1,15 @@
 """Quadratic map g -> g - a_n g^2: trajectories, approximants, sector checks."""
 
 import hashlib
+import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rg1d import g1map, oracle
@@ -115,6 +117,39 @@ def test_domain_membership_and_enlargements():
     mid = dom.approximant_enlargement()
     assert mid.epsilon == pytest.approx(2e-2 / np.sin(DELTA))
     assert mid.delta == pytest.approx(DELTA / 2.0)
+
+
+def _sector_points(dom):
+    """Points where a cheaper sector test could part from the formula."""
+    eps, edge = dom.epsilon, np.pi - dom.delta
+    r, nan, inf = 0.5 * eps, np.nan, np.inf
+    zs = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0, r, -r)]   # +-0, Re z = 0
+    for th in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0), 0.5 * np.pi):
+        zs += [r * np.exp(1j * th), r * np.exp(-1j * th)]   # both boundary rays
+    for m in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, inf)):
+        zs += [m, -m, 1j * m, -1j * m]                       # |z| one ulp either side of eps
+        zs += [m * np.exp(1j * 0.5 * (edge + 0.5 * np.pi))]
+    zs += [complex(nan, 0.0), complex(0.0, nan), complex(-nan, r), complex(inf, 0.0),
+           complex(-inf, 0.0), complex(0.0, inf), complex(inf, -inf), complex(nan, inf),
+           complex(-inf, nan)]
+    return np.array(zs)
+
+
+@pytest.mark.parametrize("which", ["base", "approximant", "trajectory"])
+def test_contains_matches_the_sector_formula(which):
+    dom = g1map.SectorDomain(1e-2, DELTA)
+    dom = {"base": dom, "approximant": dom.approximant_enlargement(),
+           "trajectory": dom.trajectory_enlargement()}[which]
+    zs = _sector_points(dom)
+    expected = (np.abs(zs) < dom.epsilon) & (np.abs(np.angle(zs)) <= np.pi - dom.delta)
+    assert expected.any() and not expected.all()
+    for z in (zs, zs[None, :]):
+        assert np.array_equal(dom.contains(z), expected.reshape(z.shape))
+        assert np.array_equal(dom.contains(z, np.abs(z)), expected.reshape(z.shape))
+    for z, inside in zip(zs, expected):
+        assert dom.contains(z) is bool(inside)
+        # np.abs: Python's abs(complex) can differ from it in the last bit
+        assert dom.contains(complex(z), np.abs(z)) is bool(inside)
 
 
 def test_boundary_ray_stays_in_enlarged_sector():
@@ -240,6 +275,10 @@ def test_shares_match_one_process_at_odd_lane_counts(kw, monkeypatch):
     (dict(epsilon=1e-250, n_steps=5), "closeness ratio is not finite at step 0"),
     (dict(epsilon=1e-200, a=1e307, n_steps=100, models=("zero",)),
      "drift sum leaves the float range at step 18"),
+    # the radius 0.01 eps steps to g_1 ~ -1.96, inside the cap of 4.2, and
+    # both g_2 and the drift sum 2e308 overflow: the step's error comes first
+    (dict(delta=1e-152, epsilon=1.4e-152, a=1e308, n_steps=5, n_radii=8, models=("zero",)),
+     "sweep leaves the float range at step 2"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_failing_sweep_raises_the_same_error_in_every_share_count(kw, message, monkeypatch):
     kw = dict(dict(delta=DELTA, n_rays=4, n_radii=4), **kw)
@@ -310,6 +349,159 @@ def test_sweep_leaves_no_worker_process(monkeypatch):
     with pytest.raises(ArithmeticError):
         g1map.sweep_sector(DELTA, 1e-250, n_rays=4, n_radii=2, n_steps=5)
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# the sweep kernel against the per-step sweep
+# ---------------------------------------------------------------------------
+
+
+def _per_step_sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
+    """The reference for g1map._sweep_lanes: the per-step sweep, which
+    freezes the lanes outside the cap at every step and raises on overflow."""
+    _BLOCK = g1map._BLOCK
+    is_disk = kind == "disk"
+    n_disk = int(is_disk.sum())
+    # the serial sweep's draw column of each of these disk lanes
+    cols = (np.cumsum(is_disk) - 1)[lanes[is_disk[lanes]]]
+    g0, kind, sig_scale = g0[lanes], kind[lanes], sig_scale[lanes]
+    disk = np.flatnonzero(kind == "disk")
+    rng = np.random.default_rng(seed)
+    # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
+    # disk columns are drawn anew for every block
+    drift = np.where((kind == "constant") | (kind == "alternating"),
+                     sig_scale, 0.0)
+    sign = np.where(kind == "alternating", -1.0, 1.0)
+    a_n = (a + drift * sign ** np.arange(_BLOCK)[:, None]).astype(complex)
+
+    G = np.empty((_BLOCK + 1, g0.size), dtype=complex)   # g_n of the block
+    S = np.empty_like(G)                                 # prefix sums of a_k
+    G[0], S[0] = g0, 0.0
+    out = (np.ones(g0.size, dtype=bool), np.ones(g0.size, dtype=bool),
+           np.full(g0.size, -1, dtype=np.int64), np.zeros(g0.size))
+    ok_contain, ok_close, first_bad, max_ratio = out
+    alive = np.ones(g0.size, dtype=bool)
+    rows = np.arange(_BLOCK)[:, None]
+
+    for start in range(0, n_steps + 1, _BLOCK):
+        k = min(_BLOCK, n_steps + 1 - start)     # rows n = start .. start+k-1
+        steps = min(k, n_steps - start)
+        if n_disk:
+            u = rng.random((steps, 2, n_disk))
+            a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0, cols]) * \
+                np.exp(1j * (2.0 * math.pi * u[:, 1, cols]))
+        # a live lane has |g| < d2.epsilon; a lane past its failing row
+        # steps from 0 instead, so only a live lane can overflow
+        with np.errstate(over="raise"):
+            for j in range(steps):
+                try:
+                    g = np.where(np.abs(G[j]) < d2.epsilon, G[j], 0.0)
+                    G[j + 1] = g - a_n[j] * g * g
+                except FloatingPointError:
+                    return out, (start + j + 1, "sweep leaves the float range "
+                                 "at step %d" % (start + j + 1))
+                try:
+                    S[j + 1] = S[j] + a_n[j]
+                except FloatingPointError:
+                    return out, (start + j + 1, "drift sum leaves the float range "
+                                 "at step %d" % (start + j + 1))
+
+        g, s = G[:k], S[:k]
+        gt = g0 / (1.0 + g0 * s)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio ends the run below
+            ratio = np.abs(g - gt) / np.maximum(np.abs(gt), 1e-300) ** 1.5
+        bad_close = ratio > 1.0
+        bad_cont = ~((np.abs(g) < d2.epsilon) & (np.abs(np.angle(g)) <= np.pi - d2.delta) &
+                     (np.abs(gt) < d1.epsilon) & (np.abs(np.angle(gt)) <= np.pi - d1.delta))
+        bad = (bad_close | bad_cont) & alive
+        hit = np.flatnonzero(bad.any(axis=0))
+        last = np.full(g0.size, k - 1)
+        last[hit] = bad[:, hit].argmax(axis=0)
+        counted = (rows[:k] <= last) & alive
+        np.maximum(max_ratio, np.where(counted, ratio, 0.0).max(axis=0), out=max_ratio)
+        if not np.isfinite(max_ratio).all():   # a nan ratio is not > 1, so it would pass as close
+            step = start + (counted & ~np.isfinite(ratio)).any(axis=1).argmax()
+            return out, (step, "closeness ratio is not finite at step %d" % step)
+        first_bad[hit] = start + last[hit]
+        ok_close[hit] = ~bad_close[last[hit], hit]
+        ok_contain[hit] = ~bad_cont[last[hit], hit]
+        alive[hit] = False
+        if not alive.any():
+            break
+        G[0], S[0] = G[k], S[k]
+    return out, None
+
+
+def _kernel_result(kernel, lanes, sweep):
+    """Bytes of (contained, close, first_bad, max_ratio) and the error, or
+    the floating-point fault that a check raised (the CLI raises on every
+    flag, and the tests raise RuntimeWarning)."""
+    try:
+        out, err = kernel(lanes, *sweep)
+    except (FloatingPointError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return [x.tobytes() for x in out], err
+
+
+class _Sweep(Exception):
+    """Carries the arguments sweep_sector hands to its share run."""
+
+
+def _assert_kernel_matches_the_per_step_sweep(**kw):
+    def capture(sweep, shares):
+        raise _Sweep(sweep)
+    with mock.patch.object(g1map, "_run_shares", capture), pytest.raises(_Sweep) as info:
+        g1map.sweep_sector(**kw)
+    sweep = info.value.args[0]
+    n_models = len(kw["models"])
+    n_pts = sweep[0].size // n_models
+    offsets = n_pts * np.arange(n_models)[:, None]
+    for parts in (1, 2):   # as sweep_sector splits the lanes
+        for share in np.array_split(np.arange(n_pts), min(parts, n_pts)):
+            lanes = (offsets + share).ravel()
+            assert _kernel_result(g1map._sweep_lanes, lanes, sweep) == \
+                _kernel_result(_per_step_sweep_lanes, lanes, sweep)
+
+
+@settings(max_examples=60)
+@given(a=st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0)).map(
+           lambda t: t[0] * 10.0 ** t[1]),
+       epsilon=st.floats(-250.0, 200.0).map(lambda e: 10.0 ** e),
+       delta=st.floats(0.01, 1.55), n_steps=st.integers(1, 200),
+       models=st.lists(st.sampled_from(g1map.SIGMA_MODELS), min_size=1, max_size=4),
+       n_rays=st.integers(1, 6), n_radii=st.integers(1, len(g1map.RADII)),
+       seed=st.integers(0, 2 ** 32 - 1))
+# an overflow at step 1, a ratio that is not finite at step 0, a drift sum
+# that overflows at step 18, and one lane, whose complex products numpy
+# rounds differently in place
+@example(a=0.25, epsilon=1e200, delta=DELTA, n_steps=5, models=["zero", "disk"],
+         n_rays=4, n_radii=4, seed=0)
+@example(a=0.25, epsilon=1e-250, delta=DELTA, n_steps=5, models=["disk"],
+         n_rays=4, n_radii=4, seed=0)
+@example(a=1e307, epsilon=1e-200, delta=DELTA, n_steps=100, models=["zero"],
+         n_rays=4, n_radii=4, seed=0)
+@example(a=-1.0, epsilon=10.0 ** 0.05, delta=0.125, n_steps=1, models=["zero"],
+         n_rays=1, n_radii=1, seed=0)
+def test_kernel_is_bit_identical_to_the_per_step_sweep(models, **kw):
+    _assert_kernel_matches_the_per_step_sweep(models=tuple(models), **kw)
+
+
+# g0 = 0.05065 exp(0.01 i) under a = -1 is 6.6e153 + 1.17e154 i at step 31,
+# and at step 32 a finite value whose modulus overflows: the per-step sweep
+# freezes it, as np.abs raises no overflow flag
+@pytest.mark.parametrize("g0, n_steps", [
+    ((0.05065 * np.exp(0.01j), 1e-3), 40),
+    ((0.05065 * np.exp(0.01j),), 40),
+    ((0.05065 * np.exp(0.01j), 1e-3), 33),
+    ((6.615990049364549e153 + 1.1690555014568709e154j, 1e-3), 5),
+], ids=str)
+def test_kernel_freezes_a_finite_row_whose_modulus_overflows(g0, n_steps):
+    g0 = np.array(g0)
+    dom = g1map.SectorDomain(2e154, 0.1)
+    sweep = (g0, np.full(g0.size, "zero"), np.zeros(g0.size), -1.0, dom, dom, n_steps, 0)
+    lanes = np.arange(g0.size)
+    expected = _kernel_result(_per_step_sweep_lanes, lanes, sweep)
+    assert _kernel_result(g1map._sweep_lanes, lanes, sweep) == expected
 
 
 @given(st.floats(0.002, 0.012), st.integers(0, 7))
