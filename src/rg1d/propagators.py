@@ -324,6 +324,72 @@ def single_scale(kind, h, x, x0, params, omega=None):
 
 _gl_nodes = cache(leggauss)   # (nodes, weights) of each order, built once
 
+# Coefficients of j1.c in Moshier's Cephes library, highest power first;
+# the leading 1 that Cephes' p1evl leaves out is written into RQ and QQ.
+_J1_RP = (-8.99971225705559398224e8, 4.52228297998194034323e11,
+          -7.27494245221818276015e13, 3.68295732863852883286e15)
+_J1_RQ = (1.0, 6.20836478118054335476e2, 2.56987256757748830383e5,
+          8.35146791431949253037e7, 2.21511595479792499675e10,
+          4.74914122079991414898e12, 7.84369607876235854894e14,
+          8.95222336184627338078e16, 5.32278620332680085395e18)
+_J1_PP = (7.62125616208173112003e-4, 7.31397056940917570436e-2,
+          1.12719608129684925192e0, 5.11207951146807644818e0,
+          8.42404590141772420927e0, 5.21451598682361504063e0,
+          1.00000000000000000254e0)
+_J1_PQ = (5.71323128072548699714e-4, 6.88455908754495404082e-2,
+          1.10514232634061696926e0, 5.07386386128601488557e0,
+          8.39985554327604159757e0, 5.20982848682361821619e0,
+          9.99999999999999997461e-1)
+_J1_QP = (5.10862594750176621635e-2, 4.98213872951233449420e0,
+          7.58238284132545283818e1, 3.66779609360150777800e2,
+          7.10856304998926107277e2, 5.97489612400613639965e2,
+          2.11688757100572135698e2, 2.52070205858023719784e1)
+_J1_QQ = (1.0, 7.42373277035675149943e1, 1.05644886038262816351e3,
+          4.98641058337653607651e3, 9.56231892404756170795e3,
+          7.99704160447350683650e3, 2.82619278517639096600e3,
+          3.36093607810698293419e2)
+_J1_Z1, _J1_Z2 = 1.46819706421238932572e1, 4.92184563216946036703e1   # j_{1,1}^2, j_{1,2}^2
+_THPIO4 = 2.35619449019234492885          # 3 pi / 4
+_SQ2OPI = 7.9788456080286535587989e-1     # sqrt(2 / pi)
+
+
+def _polevl(z, coef):
+    """Cephes' polevl: Horner's rule, highest power first."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * z + c
+    return acc
+
+
+def _j1(x):
+    """Bessel J1 of a float array, a numpy port of j1.c from Moshier's
+    Cephes library (1989), as SciPy ships it for its special.j1.
+
+    |x| <= 5 takes the rational form x (x^2 - j11^2)(x^2 - j12^2) RP/RQ in
+    x^2, on signed x, so j1(-0.0) = -0.0; |x| > 5 the Hankel form
+    sqrt(2/(pi x)) (P cos xn - (5/x) Q sin xn), xn = x - 3 pi/4, with P, Q
+    rational in (5/x)^2, and j1(-x) = -j1(x).  Every operation comes in
+    j1.c's order, so where numpy's float64 cos and sin are the C library's
+    the values are bit-identical to SciPy's
+    (tests/test_propagators.py::test_j1_matches_cephes_bit_for_bit)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = np.abs(x) <= 5.0
+    xs = x[near]
+    z = xs * xs
+    out[near] = (_polevl(z, _J1_RP) / _polevl(z, _J1_RQ) * xs
+                 * (z - _J1_Z1) * (z - _J1_Z2))
+    far = ~near
+    xa = np.abs(x[far])
+    w = 5.0 / xa
+    z = w * w
+    p = _polevl(z, _J1_PP) / _polevl(z, _J1_PQ)
+    q = _polevl(z, _J1_QP) / _polevl(z, _J1_QQ)
+    xn = xa - _THPIO4
+    r = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQ2OPI / np.sqrt(xa)
+    out[far] = np.where(x[far] < 0.0, -r, r)
+    return out
+
 
 def _dirac_radial(R, fermi, chi, n_nodes):
     """I0(R) = int du chibar0(u) J1(u R), shell u in [t0/gamma, t0*gamma],
@@ -337,7 +403,6 @@ def _dirac_radial(R, fermi, chi, n_nodes):
 
     r = sqrt(x0^2 + (x/v_F)^2), which is exactly scale covariant and sums
     over h to (1/(2 pi)) / (v_F x0 + i omega x)."""
-    from scipy.special import j1   # on use: importing it doubles import time
     g = fermi.gamma
     a, b = fermi.t0 / g, fermi.t0 * g
     xq, wq = _gl_nodes(n_nodes)
@@ -345,7 +410,7 @@ def _dirac_radial(R, fermi, chi, n_nodes):
     w = 0.5 * (b - a) * wq
     cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)
     R = np.asarray(R, dtype=float)
-    return (w * cbar) @ j1(np.outer(u, R))
+    return (w * cbar) @ _j1(np.outer(u, R))
 
 
 # ----------------------------------------------------------------------

@@ -505,10 +505,18 @@ def test_borel_sweep_past_failed_lanes_does_not_warn(tmp_path):
         "edf7ef5987d0bf2c3feba05ad942f4f989bece24aaaba3066915cb2d0065c372"
 
 
-def test_import_does_not_load_scipy():
-    # scipy.special loads on first use of the Dirac profiles, not at import
+def test_import_does_not_load_scipy(tmp_path):
+    # the package needs no scipy: the Dirac profiles' J1 is its own. Import
+    # loads neither mpmath, which only the map oracle reads, nor
+    # multiprocessing, which only a sweep split over cores loads
     env = dict(os.environ, PYTHONPATH=SRC)
-    # nor multiprocessing, which only a sweep split over cores loads
-    code = ("import sys, rg1d.cli; "
-            "sys.exit('scipy' in sys.modules or 'multiprocessing' in sys.modules)")
+    code = ("import sys, rg1d.cli; sys.exit('scipy' in sys.modules "
+            "or 'mpmath' in sys.modules or 'multiprocessing' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # nor do both correlations runs of the defaults, which build the profiles
+    code = ("import sys, rg1d.cli; "
+            "codes = [rg1d.cli.main(argv + ['--out-dir', sys.argv[1]]) for argv in "
+            "(['correlations'], ['correlations', '--lambda', '0.02'])]; "
+            "sys.exit(codes != [0, 0] or 'scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env).returncode == 0

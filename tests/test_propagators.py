@@ -3,10 +3,11 @@
 import cmath
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 
-from rg1d import model, propagators
+from rg1d import cli, model, propagators
 
 GAMMA = 2.0
 
@@ -428,3 +429,53 @@ def test_l1_norm_scaling_slope():
     norms, slope = propagators.l1_scaling_report("ir", [-1, -2, -3, -4], params)
     # L1 mass of a single scale grows like gamma^-h
     assert abs(slope - (-1.0)) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Bessel J1 of the Dirac radial profile
+# ---------------------------------------------------------------------------
+
+J1_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, np.nextafter(5.0, 0.0), 5.0,
+                     np.nextafter(5.0, 6.0), -5.0, 1e8, 1e15, -1e15, np.inf, -np.inf])
+
+
+def test_j1_matches_cephes_bit_for_bit(tmp_path, monkeypatch):
+    # the same values and the same signs (j1(-0.0) = -0.0) as the Cephes
+    # routine scipy runs: on seeded arguments over both branches and the
+    # u R range of dirac_profiles (R <= 1024), on the edges, and on every
+    # np.outer(u, R) grid that _dirac_radial builds in the defaults run of
+    # correlations --lambda 0.02
+    special = pytest.importorskip("scipy.special")
+    inner, grids = propagators._j1, []
+
+    def recorded(x):
+        grids.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(propagators, "_j1", recorded)
+    assert cli.main(["correlations", "--lambda", "0.02", "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert len(grids) == 40 and {g.shape[0] for g in grids} == {256, 512}
+    rng = np.random.default_rng(19)
+    for x in [rng.uniform(0.0, 1e4, 10**6), rng.uniform(-10.0, 10.0, 10**5), J1_EDGES, *grids]:
+        with np.errstate(invalid="ignore"):   # cos and sin of +-inf
+            ours, ref = propagators._j1(x), special.j1(x)
+        assert np.array_equal(ours, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def test_j1_accuracy_against_mpmath():
+    # without scipy: |j1(x) - J1(x)| <= 4 (ulp(J1(x)) + |J1'(x)| ulp(x)), a
+    # few ulps of the value plus a few of the argument carried through the
+    # slope (the Hankel branch rounds xn = x - 3 pi/4 to ulp(x), so a bar
+    # in ulps of the value alone cannot hold at large x); the measured worst
+    # on these points is 1.8 such units
+    far = np.geomspace(np.nextafter(5.0, 6.0), 1e4, 100)
+    far[::2] *= -1.0
+    xs = np.concatenate([np.linspace(-5.0, 5.0, 101), far])
+    ours = propagators._j1(xs)
+    with mpmath.workprec(120):
+        exact = np.array([float(mpmath.besselj(1, x)) for x in xs])
+        slope = np.array([float(mpmath.besselj(1, x, derivative=1)) for x in xs])
+    bar = 4.0 * (np.spacing(np.abs(exact)) + np.abs(slope) * np.spacing(np.abs(xs)))
+    assert np.all(np.abs(ours - exact) <= bar)
