@@ -104,7 +104,8 @@ def _rules(opt):
 def _resolve(table, args, cfg, section):
     """Option values by precedence: command-line flag, then [section] and
     [model] in the config file, then the table default; each value is then
-    checked against its row's rule, and every float value must be finite."""
+    checked against its row's rule, every float value must be finite and no
+    comma list may repeat an item."""
     values = {}
     for opt in table:
         val = getattr(args, opt.name.replace("-", "_"))
@@ -122,6 +123,8 @@ def _resolve(table, args, cfg, section):
         val = values[opt.name]
         if opt.type is float and val is not None and not math.isfinite(val):
             raise ConfigError("%s must be finite, got %s" % (opt.name, _fmt(val)))
+        if isinstance(val, tuple) and len(set(val)) < len(val):
+            raise ConfigError("%s lists an item twice: %s" % (opt.name, _fmt(val)))
         for op, bound in _rules(opt) if val is not None else ():
             limit = values[bound] if isinstance(bound, str) else bound
             items = val if isinstance(val, tuple) else (val,)
@@ -155,10 +158,12 @@ def _parse_grid(text):
         raise ConfigError("grid start, stop and step must be finite, got %r" % text)
     if step == 0.0:
         raise ConfigError("grid step must be nonzero")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if n <= 0:
+    span = (stop - start) / step + 1e-9   # +-inf when the quotient overflows
+    if span < 0.0:
         raise ConfigError("empty grid %r" % text)
-    return [start + i * step for i in range(n)]
+    if span >= GRID_MAX_POINTS:
+        raise ConfigError("grid %r has over %d points" % (text, GRID_MAX_POINTS))
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _potential_from(spec):
@@ -193,6 +198,7 @@ def _model(o):
 COMMON = (Opt("out-dir", str, ".", help="output directory"),)
 SEED = Opt("seed", int, rule=(">=", 0), key="seed",
            help="seed for any stochastic lanes")
+GRID_MAX_POINTS = 10 ** 6   # start:stop:step point cap, 8 MB of floats
 # argparse reads a value that starts with "-" as a flag
 GRID_HELP = ("start:stop:step; a negative start needs the = form, "
              "--lambda-grid=-0.02:0.02:0.01")
@@ -221,6 +227,10 @@ def cmd_prop(o):
             points = [(x, 0.0) for x in range(9)] + [(x, 0.37 * beta) for x in range(5)]
         else:   # a file with no rows warns, which main makes an error
             table = np.loadtxt(o["points"], comments="#", ndmin=2)
+            for x in table[:, 0]:   # x is a distance on the ring
+                if not (x.is_integer() and abs(x) <= params.L):
+                    raise ConfigError("point x = %s is not an integer with |x| <= L = %d"
+                                      % (_fmt(x), params.L))
             points = [(int(x), float(x0)) for x, x0 in table]
         for x, x0 in points:
             if not -beta < x0 < beta:

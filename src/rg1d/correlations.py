@@ -228,25 +228,6 @@ def assemble_response(x, alphas, ztab, ex, fermi, x0=0.0, rset=None,
     return out
 
 
-def two_point(x, x0, ztab, ex, fermi):
-    """Dressed two-point function and its closed form.
-
-    Scale sum sum_w e^{-i w p_F x} sum_h g_w^{(h)}/Z_h; closed form
-    (1/pi) S0bar(x) / |xtilde|^{1+eta_z} with the oscillating envelope
-    S0bar = (v_F x0 cos(p_F x) - x sin(p_F x))/|xtilde| (the first-order
-    log exponent zeta_z is 0, so no L(x) factor).
-    Returns (scale_sum, closed_form).
-    """
-    ii, gp = _window_profiles(x, x0, ztab, fermi, 1e-3)
-    s_plus = np.sum(gp / ztab.Z[ii])
-    total = 2.0 * (np.exp(-1j * fermi.p_F * float(x)) * s_plus).real
-    xt = tilde_norm(x, x0, fermi)
-    s0 = (fermi.v_F * float(x0) * math.cos(fermi.p_F * float(x))
-          - float(x) * math.sin(fermi.p_F * float(x))) / xt
-    closed = s0 / (math.pi * xt ** (1.0 + ex.eta["z"]))
-    return total, closed
-
-
 # ----------------------------------------------------------------------
 # diagnostics
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ the filling).  A NuBetaModel keeps the box scale, c0, gamma and those
 arrays; the exponents theta < theta' are model.THETA and
 model.THETA_PRIME.  T contracts on the weighted ball
 ||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi |lambda| once the
-measured operator norm is below 1, and Picard iteration from 0 converges
-geometrically.
+weighted norm of its linear part is below 1, and Picard iteration from 0
+converges geometrically.
 
 Array conventions: a counterterm sequence is a complex array on
 model.scales(), i.e. nu[j - h_box] holds nu_j for j = h_box .. 1; nu[-1]
@@ -58,7 +58,7 @@ class NuBetaModel:
 def default_model(h_box, p_F, eps_value, c0=0.25):
     """Constant-envelope model at gamma = 2: bcross = c0, bdiag = c0 p_F / pi,
     eps constant.  c0 = 1 would not contract at the default scales; 0.25
-    keeps the measured operator norm safely below 1/2 for |lambda| <= 0.02."""
+    keeps the measured contraction ratio below 1/2 for |lambda| <= 0.02."""
     n = 2 - h_box
     return NuBetaModel(h_box, c0, 2.0,
                        np.full(n, c0 * p_F / math.pi),
@@ -103,24 +103,6 @@ def T_operator(nu, model):
     for k in range(1, out.size):
         out[k] = (out[k - 1] - b[k]) / model.gamma
     return out
-
-
-def operator_matrix(model):
-    """A = dT/dnu as an explicit matrix over scales h_box .. 1."""
-    dB = model.eps[:, None] * model.bcross * _cross_weights(model)
-    n = dB.shape[0]
-    A = np.zeros((n, n))
-    for k in range(1, n):
-        A[k] = (A[k - 1] - dB[k]) / model.gamma
-    return A
-
-
-def operator_norm(model):
-    """Weighted norm max_h gamma^{-theta h} sum_i |A_{h,i}| gamma^{theta i}."""
-    A = operator_matrix(model)
-    js = model.scales().astype(float)
-    row = np.abs(A) @ model.gamma ** (THETA * js)
-    return float(np.max(model.gamma ** (-THETA * js) * row))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Free propagator, smooth scale decomposition and Gram certificates.
+"""Free propagator and its smooth scale decomposition.
 
 Conventions used everywhere in this package:
 
@@ -31,8 +31,8 @@ built: it returns the momenta, frequencies, band and numerator weight of a
 uv shell, an ir or dirac shell, or the whole cutoff propagator.  Values
 and tables (single_scale: the double sum as two matrix products, for
 points or for an x by x0 grid; free_propagator's cutoff_sum, one frequency
-sum per k row for all x at one x0), Gram norms (gram_certify) and the
-lattice bubble of rgflow are all sums over it.
+sum per k row for all x at one x0) and the lattice bubble of rgflow are
+all sums over it.
 """
 
 from __future__ import annotations
@@ -411,63 +411,3 @@ def _dirac_radial(R, fermi, chi, n_nodes):
     cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)
     R = np.asarray(R, dtype=float)
     return (w * cbar) @ _j1(np.outer(u, R))
-
-
-# ----------------------------------------------------------------------
-# Gram certificates
-# ----------------------------------------------------------------------
-
-# |A|^2 ~ gamma^{pA h} and |B|^2 ~ gamma^{pB h}: kind -> (pA, pB)
-GRAM_POWERS = {"uv": (-3, 3), "ir": (-2, 4)}
-
-
-def gram_certify(h, kind, params):
-    """Square norms (|A|^2, |B|^2) of the Gram vectors with
-    g^{(h)}(x-y) = <A_x, B_y> for the uv or ir shell h (the ir shell at
-    omega = 1), as sums over its shell_grid.
-
-    For the ultraviolet shells |A|^2 ~ gamma^{-3h}, |B|^2 ~ gamma^{3h}; for
-    the infrared shells |A|^2 ~ gamma^{-2h}, |B|^2 ~ gamma^{4h}.  The
-    product |A||B| dominates sup|g^{(h)}| pointwise (Cauchy-Schwarz).
-    """
-    if kind not in GRAM_POWERS:
-        raise ValueError("kind must be uv or ir")
-    grid = shell_grid(kind, h, params, 1)
-    _, K0, w = grid.mesh()
-    d2 = K0 ** 2 + grid.band[:, None] ** 2
-    vol = params.beta * params.L
-    normA2 = float(np.sum(w / d2 ** 2)) / vol
-    normB2 = float(np.sum(w * d2)) / vol
-    return normA2, normB2
-
-
-def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x): y ~ x^s gives s."""
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys <= 0.0):
-        raise ValueError("fit_loglog_slope needs positive samples")
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)), np.log(ys), 1)[0])
-
-
-def certify_gram_scaling(hs, kind, params):
-    """Fit the scaling of |A|^2, |B|^2 across scales hs and compare with the
-    certified exponents to 10%.  Returns (norms, slopeA, slopeB, ok), with
-    norms the gram_certify pair of each scale."""
-    norms = [gram_certify(h, kind, params) for h in hs]
-    scales = [params.gamma ** h for h in hs]
-    la = fit_loglog_slope(scales, [a2 for a2, _ in norms])
-    lb = fit_loglog_slope(scales, [b2 for _, b2 in norms])
-    ta, tb = GRAM_POWERS[kind]
-    ok = abs(la - ta) <= 0.10 * abs(ta) and abs(lb - tb) <= 0.10 * abs(tb)
-    return norms, la, lb, ok
-
-
-def l1_scaling_report(kind, hs, params):
-    """Measured L1 norms int dx0 sum_x |g^{(h)}| across scales, as Riemann
-    sums over x = 0..L-1 and x0 = beta m / 512, plus the fitted decay
-    rate (target gamma^{-h}, i.e. log-slope -1 in units of log gamma)."""
-    x, x0 = np.arange(params.L), params.beta * np.arange(512) / 512
-    norms = [float(np.sum(np.abs(single_scale(kind, h, x, x0, params, omega=1)))
-                   * (params.beta / 512)) for h in hs]
-    slope = fit_loglog_slope([params.gamma ** h for h in hs], norms)
-    return norms, slope

@@ -82,11 +82,6 @@ class FlowTrajectory:
     checks: dict = field(default_factory=dict)
     escaped_at: int | None = None
 
-    def g1_at(self, j):
-        if j > 0 or j < self.target_h:
-            raise ValueError("scale outside the integrated range")
-        return self.couplings[-j, 0]
-
     def g1_approximant(self, j):
         """gtilde_{1,j} = g1_0 / (1 + a g1_0 |j|), the fixed-mean closed form;
         j may be a scale or an array of scales."""
@@ -359,12 +354,12 @@ def log_sum_lemma(traj, h):
     remaining discrepancy is expressed multiplicatively through w_1.
     """
     j0 = traj.j0
-    if h > j0:
-        raise ValueError("log sums are defined for h <= j0")
+    if h > j0 or j0 < traj.target_h:
+        raise ValueError("log sums are defined for h <= j0 on a flow that reaches j0")
     a = traj.a
     g1 = traj.couplings[:, 0].real
     g2 = traj.couplings[:, 1].real
-    g1j0 = float(traj.g1_at(j0).real)
+    g1j0 = float(traj.couplings[-j0, 0].real)
     g2_inf = float((traj.couplings[-1, 1] - 0.5 * traj.couplings[-1, 0]).real)
 
     h_ref = j0 - max(1, int(round(1.0 / (a * g1j0))))
@@ -391,7 +386,7 @@ def log_sum_increment_constant(traj, hs):
     for h in hs:
         r0 = log_sum_lemma(traj, h)
         r1 = log_sum_lemma(traj, h - 1)
-        x = traj.a * float(traj.g1_at(traj.j0).real) * (traj.j0 - h)
+        x = traj.a * float(traj.couplings[-traj.j0, 0].real) * (traj.j0 - h)
         vals.append(abs(r1.w1 - r0.w1) * (1.0 + x) * math.log1p(x))
     return max(vals)
 

@@ -161,6 +161,14 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["exponents", "--lambda-grid", "0.01:0.05"],
     ["nu", "--lambda-grid", "0.01:0.05:0"],
     ["exponents", "--lambda-grid", "0.05:0.01:0.01"],
+    # a grid over the 10^6-point cap, or one whose point count overflows a float
+    ["exponents", "--lambda-grid", "0:1:1e-12"],
+    ["nu", "--lambda-grid", "0:1:1e-12"],
+    ["nu", "--lambda-grid", "0:1:1e-320"],
+    ["exponents", "--lambda-grid", "1e308:-1e308:1"],
+    # a comma list names each item once
+    ["correlations", "--alphas", "C,C", "--x-count", "3"],
+    ["borel", "--models", "zero,zero"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -234,10 +242,13 @@ def test_numeric_fault_exits_3_with_one_line(argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), done.stderr
 
 
-@pytest.mark.parametrize("text", ["", "# x x0\n", "0 0\n1 64\n"],
-                         ids=["empty", "comment-only", "x0-at-beta"])
+@pytest.mark.parametrize("text", ["", "# x x0\n", "0 0\n1 64\n", "1.5 0\n", "1e30 0\n",
+                                  "0 0\n-257 0\n"],
+                         ids=["empty", "comment-only", "x0-at-beta", "x-between-sites",
+                              "x-past-L", "x-past-minus-L"])
 def test_prop_points_file_without_rows_exits_2_with_one_line(text, tmp_path, capsys):
-    # a file whose rows leave (-beta, beta) has no usable row either
+    # a file with a row off (-beta, beta) in x0, or off the ring's sites
+    # |x| <= L = 256 in x, has no usable row either
     points = tmp_path / "points.txt"
     points.write_text(text)
     assert _run(["prop", "--points", str(points)], tmp_path) == 2

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from rg1d import nusolver
+from rg1d.model import THETA
 
 P_F_REF = np.arccos(0.5)
 
 
 def _model(lam, h_box=-40, eps_scale=2.0, c0=0.25):
     return nusolver.default_model(h_box, P_F_REF, eps_scale * abs(lam), c0=c0)
+
+
+def _operator_matrix(m):
+    """A = dT/dnu from T's affine columns, A[:, i] = T(e_i) - T(0)."""
+    n = m.scales().size
+    t0 = nusolver.T_operator(np.zeros(n), m)
+    return np.stack([nusolver.T_operator(e, m) - t0 for e in np.eye(n)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +37,7 @@ def test_operator_affine_in_nu():
     ty = nusolver.T_operator(y, m)
     tc = nusolver.T_operator(2.0 * x + y, m)
     assert np.max(np.abs((tc - t0) - (2.0 * (tx - t0) + (ty - t0)))) < 1e-12
-    A = nusolver.operator_matrix(m)
+    A = _operator_matrix(m)
     assert np.max(np.abs((tx - t0) - A @ x)) < 1e-12
 
 
@@ -73,9 +81,11 @@ def test_ball_check_within_contract():
 
 
 def test_operator_norm_scales_with_coupling():
-    n_small = nusolver.operator_norm(_model(0.005))
-    n_big = nusolver.operator_norm(_model(0.02))
-    assert n_big == pytest.approx(4.0 * n_small, rel=0.2)
+    # max_h gamma^{-theta h} sum_i |A_{h,i}| gamma^{theta i} is linear in eps
+    def norm(m):
+        w = m.gamma ** (THETA * m.scales())
+        return np.max((np.abs(_operator_matrix(m)) @ w) / w)
+    assert norm(_model(0.02)) == pytest.approx(4.0 * norm(_model(0.005)), rel=0.2)
 
 
 # ---------------------------------------------------------------------------

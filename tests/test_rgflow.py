@@ -132,7 +132,7 @@ def test_g1_approximant_error_small():
     g1_0 = traj.couplings[0, 0].real
     for j in (-10, -100, -1000, -2000):
         approx = traj.g1_approximant(j)
-        actual = traj.g1_at(j)
+        actual = traj.couplings[-j, 0]
         assert abs(actual - approx) <= abs(approx) ** 1.5 + 1e-15
 
 
@@ -156,7 +156,7 @@ def test_h_star_crossover_definition():
     assert deep.h_star == deep.j0 - 1
     lg = np.log(2.0)
     h = deep.h_star
-    assert -(h - deep.h_lbeta) * lg <= 2.0 * np.log(abs(deep.g1_at(h)))
+    assert -(h - deep.h_lbeta) * lg <= 2.0 * np.log(abs(deep.couplings[-h, 0]))
     # with the physical box scale of a 4096 box the inequality never turns
     # over and no crossover is recorded
     phys = rgflow.run_flow(params, _cfg(), target_h=-3000)
@@ -171,6 +171,14 @@ def test_log_sum_lemma_budget():
         rep = rgflow.log_sum_lemma(traj, h)
         assert abs(rep.sum1 - rep.model1) <= budget
         assert abs(rep.sum2 - rep.model2) <= budget
+
+
+def test_log_sum_lemma_needs_the_flow_to_reach_j0():
+    params = _params(0.03)
+    traj = rgflow.run_flow(params, _cfg(), target_h=-2)
+    assert traj.j0 < traj.target_h
+    with pytest.raises(ValueError):
+        rgflow.log_sum_lemma(traj, traj.j0)
 
 
 def test_log_sum_increment_constant_bounded():
