@@ -253,7 +253,7 @@ def cmd_prop(o):
             g[idx, j] = propagators.free_propagator(xs, x0, params, representation=rep)
     rows, worst = [], 0.0
     for (x, x0), (gk, gc) in zip(points, g.tolist()):
-        flagged = propagators.is_discontinuity_point(x, x0, beta)
+        flagged = propagators.is_discontinuity_point(x, x0, beta, params.L)
         diff = abs(gk - gc)
         if not flagged:
             worst = max(worst, diff)
@@ -530,13 +530,17 @@ def cmd_g1map(o):
 # borel: sector sweep over the analyticity domain
 # ----------------------------------------------------------------------
 
+# --n cap, 100x the default: the default 1024-lane sweep measured 31 us per
+# step on two cores, so the cap runs for about 5 minutes (2^31 steps would
+# take most of a day); memory does not grow with n
+BOREL_MAX_N = 10 ** 7
 BOREL = (
     SEED._replace(default=0),
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("rays", int, 32, (">=", 1), key="rays"),
     Opt("radii", int, len(g1map.RADII), ((">=", 1), ("<=", len(g1map.RADII))),
         key="radii"),
-    Opt("n", int, 10 ** 5, (">=", 1), key="n_steps"),
+    Opt("n", int, 10 ** 5, ((">=", 1), ("<=", BOREL_MAX_N)), key="n_steps"),
     Opt("a", float, 0.25, (">", 0), key="a"),
     Opt("epsilon", float, key="epsilon",
         help="sector radius (default: g1map.default_eps0(delta))"),
@@ -649,6 +653,11 @@ def _oracle_map(o):
     }, None)
 
 
+# map --n cap, 100x the default: the 40- and 60-digit runs and the float
+# iteration measured 34 us and about 100 bytes per step, so the cap runs
+# for about 35 s in about 100 MB
+MAP_MAX_N = 10 ** 6
+
 # --what -> (run, option table)
 ORACLE_MODES = {
     "bubble": (_oracle_bubble, (
@@ -677,7 +686,7 @@ ORACLE_MODES = {
         Opt("g0-re", float, 0.02, key="g0_re"),
         Opt("g0-im", float, 0.005, key="g0_im"),
         Opt("a", float, 0.25, (">", 0), key="a"),
-        Opt("n", int, 10 ** 4, (">=", 0), key="n"),
+        Opt("n", int, 10 ** 4, ((">=", 0), ("<=", MAP_MAX_N)), key="n"),
     )),
 }
 

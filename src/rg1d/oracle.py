@@ -26,7 +26,12 @@ Scope guard: exact diagonalization is a micro oracle.  It validates the
 noninteracting kernels and the first-order response slopes on chains of
 at most 8 sites and moderate beta; the scaling regime (large L, beta) is
 out of its reach by construction and must be probed through the flow
-modules instead.
+modules instead.  Its memory is the eigenvectors of every sector, which
+hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6, 94 MB at L = 7,
+1.3 GB at L = 8), plus the blocks of one source sector of the operators
+at a time: no operator is ever dense or whole.  One density operator's
+sector blocks, all at once, would add as much again as the eigenvectors
+(3432^2 doubles, 94 MB, at L = 7).
 """
 
 from __future__ import annotations
@@ -350,36 +355,54 @@ def _hopping_monomials(L):
             for p, q in ((x, (x + 1) % L), ((x + 1) % L, x))]
 
 
-def _op_blocks(monomials, basis, L):
-    """Dense sector-to-sector blocks of sum coeff * fields, keyed (src,
-    dest); sectors outer, monomials inner, which fixes the block order.
+def _strings(monomials, L):
+    """Each monomial as (coeff, ((dag, bit), ...), (dN_up, dN_down))."""
+    return [(coeff, tuple((dag, spin * L + site) for dag, site, spin, _ in fields),
+             tuple(sum(2 * dag - 1 for dag, _, s, _ in fields if s == spin) for spin in (0, 1)))
+            for coeff, fields in monomials]
+
+
+def _sector_blocks(strings, key, basis, only=None):
+    """Dense blocks of sum coeff * fields out of source sector key, keyed by
+    destination sector in the order the strings first reach it; only, when
+    given, keeps the one destination sector.
 
     Each string (written order, rightmost acts first) is applied to all
-    states of a sector at once.  A string maps each state to at most one
+    states of the sector at once.  A string maps each state to at most one
     state and no two states to the same one, so every entry receives its
-    terms one monomial at a time, in monomial order.
+    terms one string at a time, in string order.
     """
-    strings = [(coeff, tuple((dag, spin * L + site) for dag, site, spin, _ in fields),
-                [sum(2 * dag - 1 for dag, _, s, _ in fields if s == spin) for spin in (0, 1)])
-               for coeff, fields in monomials]
+    states = basis[key]
     blocks = {}
-    for key, states in basis.items():
-        for coeff, ops, (dn_up, dn_dn) in strings:
-            dest = (key[0] + dn_up, key[1] + dn_dn)
-            if dest not in basis:
-                continue
-            mat = blocks.setdefault((key, dest),
-                                    np.zeros((len(basis[dest]), len(states))))
-            out, hit, odd = states, np.ones(len(states), dtype=bool), 0
-            for dag, b in reversed(ops):
-                bit = np.int64(1 << b)
-                hit &= ((out & bit) != 0) != bool(dag)
-                odd = odd ^ (np.bitwise_count(out & (bit - 1)) & 1)
-                out = (out | bit) if dag else (out & ~bit)
-            sign = np.where(odd[hit] == 1, -1.0, 1.0)
-            rows = np.searchsorted(basis[dest], out[hit])
-            np.add.at(mat, (rows, np.flatnonzero(hit)), coeff * sign)
+    for coeff, ops, (dn_up, dn_dn) in strings:
+        dest = (key[0] + dn_up, key[1] + dn_dn)
+        if dest not in basis or only not in (None, dest):
+            continue
+        mat = blocks.setdefault(dest, np.zeros((len(basis[dest]), len(states))))
+        out, hit, odd = states, np.ones(len(states), dtype=bool), 0
+        for dag, b in reversed(ops):
+            bit = np.int64(1 << b)
+            hit &= ((out & bit) != 0) != bool(dag)
+            odd = odd ^ (np.bitwise_count(out & (bit - 1)) & 1)
+            out = (out | bit) if dag else (out & ~bit)
+        sign = np.where(odd[hit] == 1, -1.0, 1.0)
+        rows = np.searchsorted(basis[dest], out[hit])
+        np.add.at(mat, (rows, np.flatnonzero(hit)), coeff * sign)
     return blocks
+
+
+def _op_blocks(monomials, basis, L):
+    """Yield (src, blocks) for each source sector in basis order, blocks
+    being _sector_blocks of the monomial sum out of src.
+
+    A generator, so only the current source sector's blocks are alive: all
+    sector blocks of one density operator hold 3432^2 doubles (94 MB) at
+    L = 7, where one source sector's blocks hold at most two of 1225^2
+    doubles (12 MB each).
+    """
+    strings = _strings(monomials, L)
+    for key in basis:
+        yield key, _sector_blocks(strings, key, basis)
 
 
 @dataclass
@@ -393,9 +416,12 @@ class EDSystem:
     its exact sums.
 
     response and two_point return (L, len(taus)) tables over x = 0..L-1.
-    Each builds and rotates the fixed operator at site 0 once and each
-    operator at site x once, releasing it before the next is built, so at
-    most two rotated operators are alive.
+    Memory: besides the eigenvectors (one square block per sector), the
+    operators are streamed one source sector at a time.  For a sector src
+    each A_x's blocks out of src are built and rotated in turn, and the
+    rotated blocks of B into src are kept until the next sector.  So one
+    response holds about four blocks of the largest sector at its peak
+    (400^2 doubles, 1.28 MB each, at L = 6), never a whole operator.
     """
 
     params: object
@@ -408,64 +434,80 @@ class EDSystem:
 
     # -- operator plumbing -------------------------------------------
 
-    def eig_blocks(self, monomials):
-        """Blocks of a monomial sum rotated to the eigenbases."""
-        out = {}
-        for (src, dest), mat in _op_blocks(monomials, self.basis,
-                                           self.params.L).items():
-            out[(src, dest)] = self.vectors[dest].T @ mat @ self.vectors[src]
-        return out
+    def _rotate(self, mat, src, dest):
+        """A src -> dest Fock block in the two sectors' eigenbases."""
+        return self.vectors[dest].T @ mat @ self.vectors[src]
 
-    def _thermal_pair(self, a_blocks, b_blocks, tau, fermionic):
-        """(1/Z) Tr[e^{-beta H} T A(tau) B(0)] from eigenblocks.
+    def _diagonal_weight(self, src, blk):
+        """Boltzmann-weighted trace of a rotated src -> src block."""
+        w = np.exp(-self.params.beta * (self.energies[src] - self.e0))
+        return float(np.dot(np.diag(blk), w))
+
+    def _partner(self, strings, src, dest):
+        """B's dest -> src block in the eigenbases, None where B has none."""
+        blk = _sector_blocks(strings, dest, self.basis, only=src).get(src)
+        return None if blk is None else self._rotate(blk, dest, src)
+
+    def _block_terms(self, a, pair, src, dest, taus, fermionic):
+        """Tr[e^{-beta H} T A(tau) B(0)] over A's rotated src -> dest block a
+        and B's partner pair, one term per tau, before the 1/Z.
 
         tau in (-beta, beta); tau = 0 resolves to the B A product
         (the 0^- convention for fermions, plain product for densities).
         """
         beta = self.params.beta
-        total = 0.0
-        for (src, dest), a in a_blocks.items():
-            pair = b_blocks.get((dest, src))
-            if pair is None:
-                continue
-            em = self.energies[dest] - self.e0   # row space of A
-            en = self.energies[src] - self.e0    # column space
+        em = self.energies[dest] - self.e0   # row space of A
+        en = self.energies[src] - self.e0    # column space
+        sgn = -1.0 if fermionic else 1.0
+        terms = []
+        for tau in taus:
             if tau > 0.0:
                 w = np.exp(-(beta - tau) * em)[:, None] * np.exp(-tau * en)[None, :]
-                total += float(np.sum(a * w * pair.T))
+                terms.append(float(np.sum(a * w * pair.T)))
             else:
                 w = np.exp(-(beta + tau) * en)[:, None] * np.exp(tau * em)[None, :]
-                sgn = -1.0 if fermionic else 1.0
-                total += sgn * float(np.sum(pair * w * a.T))
-        return total / self.z
+                terms.append(sgn * float(np.sum(pair * w * a.T)))
+        return terms
 
     def _pair_table(self, a_at, b, taus, fermionic):
-        """T[x, j] = <T A_x(taus[j]) B(0)> over x = 0..L-1 for the monomial
-        lists A_x = a_at(x) and B = b, plus the means <A_x> for densities
-        (fermionic = False; else None).  An A_x equal to B reuses B's
-        blocks."""
-        b_blocks = self.eig_blocks(b)
-        table = np.empty((self.params.L, len(taus)))
-        means = None if fermionic else np.empty(self.params.L)
-        for x in range(self.params.L):
-            a = a_at(x)
-            a_blocks = b_blocks if a == b else self.eig_blocks(a)
-            table[x] = [self._thermal_pair(a_blocks, b_blocks, tau, fermionic)
-                        for tau in taus]
-            if means is not None:
-                means[x] = self.expectation(a_blocks)
-            del a_blocks    # release A_x before A_{x+1} is built
-        return table, means
+        """T[x, j] = (1/Z) Tr[e^{-beta H} T A_x(taus[j]) B(0)] over
+        x = 0..L-1 for the monomial lists A_x = a_at(x) and B = b, plus the
+        means <A_x> for densities (fermionic = False; else None).
 
-    def expectation(self, blocks):
-        """Thermal average of an operator from its eig_blocks (only the
-        sector-diagonal blocks contribute)."""
+        Source sectors are outermost: for each src the blocks of every A_x
+        out of src are built and rotated one at a time, and B's partner
+        block (dest, src) is rotated once and kept for that src only.  Each
+        T[x, j] still sums over A_x's blocks in their own order, src outer
+        and dest inner.
+        """
+        L, basis = self.params.L, self.basis
+        a_strings = [_strings(a_at(x), L) for x in range(L)]
+        b_strings = _strings(b, L)
+        table = np.zeros((L, len(taus)))
+        means = None if fermionic else np.zeros(L)
+        for src in basis:
+            partners = {}
+            for x in range(L):
+                blocks = _sector_blocks(a_strings[x], src, basis)
+                for dest in list(blocks):
+                    a = self._rotate(blocks.pop(dest), src, dest)
+                    if means is not None and dest == src:
+                        means[x] += self._diagonal_weight(src, a)
+                    if dest not in partners:
+                        partners[dest] = self._partner(b_strings, src, dest)
+                    if partners[dest] is not None:
+                        table[x] += self._block_terms(a, partners[dest], src, dest,
+                                                      taus, fermionic)
+                    del a    # released before the next block is built
+        return table / self.z, None if means is None else means / self.z
+
+    def expectation(self, monomials):
+        """Thermal average of a monomial sum, one source sector at a time
+        (only the sector-diagonal blocks contribute)."""
         total = 0.0
-        for (src, dest), blk in blocks.items():
-            if src != dest:
-                continue
-            w = np.exp(-self.params.beta * (self.energies[src] - self.e0))
-            total += float(np.dot(np.diag(blk), w))
+        for src, blocks in _op_blocks(monomials, self.basis, self.params.L):
+            if src in blocks:
+                total += self._diagonal_weight(src, self._rotate(blocks[src], src, src))
         return total / self.z
 
     # -- public oracles ----------------------------------------------
@@ -491,8 +533,7 @@ class EDSystem:
 
     def filling(self):
         """Mean total density on one site (the C-channel expectation)."""
-        return self.expectation(self.eig_blocks(
-            _density_monomials("C", 0, None, self.params.L)))
+        return self.expectation(_density_monomials("C", 0, None, self.params.L))
 
 
 def ed_micro(params):
@@ -505,6 +546,11 @@ def ed_micro(params):
     params.beta; the momentum-space band is then mu_bar - cos k on
     k = 2 pi n / L, matching the kernel conventions.
     Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
+
+    The hopping conserves (N_up, N_down), so each sector has one block:
+    it gets its diagonal and is diagonalised as soon as it is built, and
+    only the eigenvectors of every sector stay, (sum_k C(L, k)^2)^2
+    doubles in all (94 MB at L = 7).
     """
     L, beta = params.L, params.beta
     if L > ED_MAX_SITES:
@@ -514,7 +560,6 @@ def ed_micro(params):
         raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
                          "is for the flow modules" % ED_MAX_BETA)
     basis = _sector_basis(L)
-    blocks = _op_blocks(_hopping_monomials(L), basis, L)
 
     # diagonal over every Fock state: chemical potential + interaction on
     # the total site densities, summed x outer, y inner (an empty site x
@@ -532,9 +577,9 @@ def ed_micro(params):
         diag += params.lam * acc
 
     energies, vectors = {}, {}
-    for key, sector in basis.items():
-        h = blocks.pop((key, key))
-        h[np.diag_indices_from(h)] += diag[sector]
+    for key, blocks in _op_blocks(_hopping_monomials(L), basis, L):
+        h = blocks[key]
+        h[np.diag_indices_from(h)] += diag[basis[key]]
         energies[key], vectors[key] = np.linalg.eigh(h)
 
     e0 = min(float(v.min()) for v in energies.values())

@@ -150,10 +150,11 @@ def free_kernel(k, tau, params):
     return out if out.shape else float(out)
 
 
-def is_discontinuity_point(x, x0, beta):
-    """True at the equal-time points x = (0, n beta) where the cutoff
-    representation converges to the half-sum instead of the kernel value."""
-    return int(x) == 0 and abs(math.remainder(x0, beta)) < 1e-12
+def is_discontinuity_point(x, x0, beta, L):
+    """True at the equal-time points x = (n L, m beta), the periodic images
+    of the origin on the ring, where the cutoff representation converges to
+    the half-sum instead of the kernel value."""
+    return int(x) % L == 0 and abs(math.remainder(x0, beta)) < 1e-12
 
 
 def free_propagator(x, x0, params, representation="kernel_sum"):

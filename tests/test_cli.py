@@ -54,6 +54,9 @@ def _assert_golden(ref, out_dir, capsys):
     assert capsys.readouterr().out == summary
 
 
+# The pins hold where the references were captured: numpy 2.4.6 with its
+# AVX-512 kernels (ROADMAP item 10) and scipy-openblas 0.3.31.  The L = 4
+# `oracle --what ed` run matches on one OpenBLAS thread and on two.
 @pytest.mark.parametrize("ref", DEFAULTS, ids=lambda ref: "-".join(ref["argv"]))
 def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
     if ref["argv"] in FIXED:
@@ -66,7 +69,10 @@ def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
 
 def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # the ed_l6 benchmark run: L = 6, lambda = 0.1, uv:1:0.5, with the
-    # particle-hole check
+    # particle-hole check.  The pin holds on two OpenBLAS threads (the CI
+    # workflow sets OPENBLAS_NUM_THREADS=2), not on one: there the 400^2
+    # GEMMs round differently, and the SC,4,-4 row's roundoff-sized abs_diff
+    # reads ...582348 for ...582349
     (ref,) = _invocations("ed_l6")
     _assert_golden(ref, tmp_path, capsys)
 
@@ -94,6 +100,11 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["borel", "--epsilon", "-1"],
     ["borel", "--n", "-1"],
     ["borel", "--n", "0"],
+    # step counts past their caps, which no run of that size gets to test
+    ["borel", "--n", str(cli.BOREL_MAX_N + 1)],
+    ["borel", "--n", str(2 ** 31)],
+    ["oracle", "--what", "map", "--n", str(cli.MAP_MAX_N + 1)],
+    ["oracle", "--what", "map", "--n", str(2 ** 31)],
     ["borel", "--a", "0"],
     # a/(2 epsilon) is inf: the disk, constant and alternating drifts are not finite
     ["borel", "--a", "1e308", "--n", "40", "--rays", "2", "--radii", "1"],
@@ -276,6 +287,30 @@ def test_prop_points_rows_keep_file_order(tmp_path):
     with open(os.path.join(out, "prop_summary.txt"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == \
             "338838627fb95b78c65275346885a84eeb03a01e2eec8660fbfaf21914bf65a7"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["prop", "--L", "4"], None),
+    (["prop"], "256 0\n-256 0\n0 0\n1 0\n256 12.5\n"),
+], ids=["L4-defaults", "points-at-plus-minus-L"])
+def test_prop_flags_every_periodic_image_of_the_origin(argv, text, tmp_path):
+    # x = n L at x0 = 0 is the equal-time jump, where the cutoff sum gives
+    # the half-sum: flagged, so max_equiv_diff stays at the cutoff's
+    # O(gamma^-M) and no longer reads the jump's 0.4999
+    if text is not None:
+        points = tmp_path / "points.txt"
+        points.write_text(text)
+        argv = argv + ["--points", str(points)]
+    out = tmp_path / "out"
+    assert _run(argv, out) == 0
+    summary = _summary(out, "prop")
+    L = int(summary["L"])
+    with open(os.path.join(out, "prop.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert [row[-1] == "1" for row in rows] == \
+        [int(row[0]) % L == 0 and float(row[1]) == 0.0 for row in rows]
+    assert any(int(row[0]) != 0 and row[-1] == "1" for row in rows)
+    assert 0.0 < float(summary["max_equiv_diff"]) <= float(summary["gamma_minus_M"])
 
 
 def test_default_prop_calls_each_representation_once_per_x0(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ the Wick-sum oracles and exact diagonalization."""
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ def test_free_ed_matches_wick_responses():
                 assert abs(table[x, j] - ref.value) <= ed.roundoff + ref.error
 
 
+# bound on one response's peak heap growth at L = 6, in blocks of the
+# largest sector (400^2 doubles, 1.28 MB): streaming source sectors keeps
+# about 4.1 (C) and 3.5 (SC) alive; rotating whole operators took 16 and 24
+ED_PEAK_BLOCKS = 8
+
+
+@pytest.mark.parametrize("alpha", ["C", "SC"])
+def test_ed_response_streams_one_source_sector_at_a_time(alpha):
+    # the ed_l6 benchmark's chain and tau grid
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=6)
+    ed = oracle.ed_micro(params)
+    block = max(len(states) for states in ed.basis.values()) ** 2 * 8
+    assert block == 400 ** 2 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ed.response(alpha, (0.0, 2.5, 7.0, -4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < ED_PEAK_BLOCKS * block
+
+
 JW_L = 3
 
 
@@ -183,8 +208,9 @@ def test_op_blocks_match_dense_jordan_wigner(name):
     assert np.array_equal(np.sort(np.concatenate(list(basis.values()))),
                           np.arange(4 ** JW_L))
     full = np.zeros((4 ** JW_L, 4 ** JW_L))
-    for (src, dest), blk in oracle._op_blocks(monomials, basis, JW_L).items():
-        full[np.ix_(basis[dest], basis[src])] = blk
+    for src, blocks in oracle._op_blocks(monomials, basis, JW_L):
+        for dest, blk in blocks.items():
+            full[np.ix_(basis[dest], basis[src])] = blk
     dense = _jw_dense(monomials, JW_L)
     assert np.any(dense != 0.0)
     assert np.array_equal(full, dense)

@@ -269,10 +269,14 @@ def test_array_x_reproduces_the_pointwise_values(case, rep):
 
 
 def test_discontinuity_predicate():
-    assert propagators.is_discontinuity_point(0, 0.0, 32.0)
-    assert propagators.is_discontinuity_point(0, 32.0 - 32.0, 32.0)
-    assert not propagators.is_discontinuity_point(1, 0.0, 32.0)
-    assert not propagators.is_discontinuity_point(0, 0.5, 32.0)
+    # the equal-time jump sits at every periodic image x = n L of the origin
+    for x in (0, 16, -16, 32):
+        assert propagators.is_discontinuity_point(x, 0.0, 32.0, 16)
+    assert propagators.is_discontinuity_point(0, 32.0 - 32.0, 32.0, 16)
+    for x in (1, 8, -15, 17):
+        assert not propagators.is_discontinuity_point(x, 0.0, 32.0, 16)
+    assert not propagators.is_discontinuity_point(0, 0.5, 32.0, 16)
+    assert not propagators.is_discontinuity_point(16, 0.5, 32.0, 16)
 
 
 # ---------------------------------------------------------------------------
