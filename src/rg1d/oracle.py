@@ -26,12 +26,14 @@ Scope guard: exact diagonalization is a micro oracle.  It validates the
 noninteracting kernels and the first-order response slopes on chains of
 at most 8 sites and moderate beta; the scaling regime (large L, beta) is
 out of its reach by construction and must be probed through the flow
-modules instead.  Its memory is the eigenvectors of every sector, which
-hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6, 94 MB at L = 7,
-1.3 GB at L = 8), plus the blocks of one source sector of the operators
-at a time: no operator is ever dense or whole.  One density operator's
-sector blocks, all at once, would add as much again as the eigenvectors
-(3432^2 doubles, 94 MB, at L = 7).
+modules instead.  Its memory is one eigenbasis, the eigenvectors of
+every sector, which hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6,
+94 MB at L = 7, 1.3 GB at L = 8), plus one sector's eigh transient (the
+particle-hole check keeps only its mirror's eigenvalues), plus the
+blocks of one source sector of the operators at a time: no operator is
+ever dense or whole.  One density operator's sector blocks, all at once,
+would add as much again as the eigenvectors (3432^2 doubles, 94 MB, at
+L = 7).
 """
 
 from __future__ import annotations
@@ -416,10 +418,11 @@ class EDSystem:
     its exact sums.
 
     response and two_point return (L, len(taus)) tables over x = 0..L-1.
-    Memory: besides the eigenvectors (one square block per sector), the
-    operators are streamed one source sector at a time.  For a sector src
-    each A_x's blocks out of src are built and rotated in turn, and the
-    rotated blocks of B into src are kept until the next sector.  So one
+    Memory: besides the one eigenbasis alive (one square block per
+    sector; particle_hole_gap keeps no second one), the operators are
+    streamed one source sector at a time.  For a sector src each A_x's
+    blocks out of src are built and rotated in turn, and the rotated
+    blocks of B into src are kept until the next sector.  So one
     response holds about four blocks of the largest sector at its peak
     (400^2 doubles, 1.28 MB each, at L = 6), never a whole operator.
     """
@@ -460,13 +463,17 @@ class EDSystem:
         en = self.energies[src] - self.e0    # column space
         sgn = -1.0 if fermionic else 1.0
         terms = []
+        # both products go into the fresh C-ordered w: one temporary per
+        # tau, and the same values and pairwise sum as a * w * pair.T
         for tau in taus:
             if tau > 0.0:
                 w = np.exp(-(beta - tau) * em)[:, None] * np.exp(-tau * en)[None, :]
-                terms.append(float(np.sum(a * w * pair.T)))
+                np.multiply(a, w, out=w)
+                terms.append(float(np.sum(np.multiply(w, pair.T, out=w))))
             else:
                 w = np.exp(-(beta + tau) * en)[:, None] * np.exp(tau * em)[None, :]
-                terms.append(sgn * float(np.sum(pair * w * a.T)))
+                np.multiply(pair, w, out=w)
+                terms.append(sgn * float(np.sum(np.multiply(w, a.T, out=w))))
         return terms
 
     def _pair_table(self, a_at, b, taus, fermionic):
@@ -536,34 +543,11 @@ class EDSystem:
         return self.expectation(_density_monomials("C", 0, None, self.params.L))
 
 
-def ed_micro(params):
-    """Sector-resolved exact diagonalization of the interacting chain.
-
-    H = -(1/2) sum_{x,s} (a^+_{x,s} a^-_{x+1,s} + h.c.)
-        + mu_bar sum n + lambda sum_{x,y,s,s'} v(x-y) n_{x,s} n_{y,s'}
-
-    on a periodic ring of params.L sites at inverse temperature
-    params.beta; the momentum-space band is then mu_bar - cos k on
-    k = 2 pi n / L, matching the kernel conventions.
-    Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
-
-    The hopping conserves (N_up, N_down), so each sector has one block:
-    it gets its diagonal and is diagonalised as soon as it is built, and
-    only the eigenvectors of every sector stay, (sum_k C(L, k)^2)^2
-    doubles in all (94 MB at L = 7).
-    """
-    L, beta = params.L, params.beta
-    if L > ED_MAX_SITES:
-        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
-                         "Fock space" % (ED_MAX_SITES, 4 ** L))
-    if beta > ED_MAX_BETA:
-        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
-                         "is for the flow modules" % ED_MAX_BETA)
-    basis = _sector_basis(L)
-
-    # diagonal over every Fock state: chemical potential + interaction on
-    # the total site densities, summed x outer, y inner (an empty site x
-    # adds +-0.0, which leaves the sum unchanged)
+def _fock_diagonal(params):
+    """The diagonal of H over every Fock state: chemical potential plus
+    interaction on the total site densities, summed x outer, y inner (an
+    empty site x adds +-0.0, which leaves the sum unchanged)."""
+    L = params.L
     states = np.arange(4 ** L, dtype=np.int64)
     diag = params.mu_bar * np.bitwise_count(states).astype(float)
     if params.lam != 0.0:
@@ -575,17 +559,58 @@ def ed_micro(params):
             for y in range(L):
                 acc += vp[(x - y) % L] * occ[x] * occ[y]
         diag += params.lam * acc
+    return diag
 
-    energies, vectors = {}, {}
+
+def _sector_eigh(params):
+    """Yield (basis, key, energies, vectors) per sector key in basis order:
+    eigh of the key block of ed_micro's Hamiltonian, under its guards.
+
+    Each block is dead before its eigh result is yielded, and the
+    generator keeps no reference to that result, so the caller alone
+    decides which vectors stay alive.
+    """
+    L, beta = params.L, params.beta
+    if L > ED_MAX_SITES:
+        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
+                         "Fock space" % (ED_MAX_SITES, 4 ** L))
+    if beta > ED_MAX_BETA:
+        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
+                         "is for the flow modules" % ED_MAX_BETA)
+    basis = _sector_basis(L)
+    diag = _fock_diagonal(params)
     for key, blocks in _op_blocks(_hopping_monomials(L), basis, L):
-        h = blocks[key]
+        h = blocks.pop(key)
         h[np.diag_indices_from(h)] += diag[basis[key]]
-        energies[key], vectors[key] = np.linalg.eigh(h)
+        eig = np.linalg.eigh(h)
+        del h
+        yield basis, key, *eig
+        del eig
 
+
+def ed_micro(params):
+    """Sector-resolved exact diagonalization of the interacting chain.
+
+    H = -(1/2) sum_{x,s} (a^+_{x,s} a^-_{x+1,s} + h.c.)
+        + mu_bar sum n + lambda sum_{x,y,s,s'} v(x-y) n_{x,s} n_{y,s'}
+
+    on a periodic ring of params.L sites at inverse temperature
+    params.beta; the momentum-space band is then mu_bar - cos k on
+    k = 2 pi n / L, matching the kernel conventions.
+    Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
+
+    The hopping conserves (N_up, N_down), so each sector has one block,
+    diagonalised as soon as it is built (_sector_eigh).  Alive: one
+    eigenbasis, (sum_k C(L, k)^2)^2 doubles (94 MB at L = 7), plus one
+    sector's eigh transient.
+    """
+    energies, vectors = {}, {}
+    for basis, key, e, v in _sector_eigh(params):
+        energies[key], vectors[key] = e, v
     e0 = min(float(v.min()) for v in energies.values())
-    z = sum(float(np.exp(-beta * (v - e0)).sum()) for v in energies.values())
+    z = sum(float(np.exp(-params.beta * (v - e0)).sum()) for v in energies.values())
     return EDSystem(params, basis, energies, vectors, e0, z,
-                    4 ** L * 64.0 * _EXACT)
+                    4 ** params.L * 64.0 * _EXACT)
 
 
 def particle_hole_mirror(params):
@@ -604,12 +629,18 @@ def particle_hole_gap(ed):
     """Spectral mismatch of the built system ed under the particle-hole
     map: on even rings the sorted spectra of H and of its
     particle_hole_mirror coincide after the shift.  Only the mirror is
-    diagonalized here."""
+    diagonalized here, and only its eigenvalues are kept: each sector's
+    vectors are dropped before the next eigh, so ed's eigenbasis stays the
+    only one alive, plus one mirror sector's eigh transient."""
     params = ed.params
     if params.L % 2:
         raise ValueError("the staggered sign needs an even ring")
     mu_mirror, shift = particle_hole_mirror(params)
-    s2 = ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
+    spectra = []
+    for _, _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror)):
+        spectra.append(e)
+        del v
+    s2 = np.sort(np.concatenate(spectra))
     return float(np.max(np.abs(ed.spectrum() - (s2 + shift))))
 
 

@@ -354,8 +354,9 @@ def log_sum_lemma(traj, h):
     remaining discrepancy is expressed multiplicatively through w_1.
     """
     j0 = traj.j0
-    if h > j0 or j0 < traj.target_h:
-        raise ValueError("log sums are defined for h <= j0 on a flow that reaches j0")
+    if not traj.target_h <= h <= j0:
+        raise ValueError("log sums are defined for target_h <= h <= j0 on a flow that "
+                         "reaches j0")
     a = traj.a
     g1 = traj.couplings[:, 0].real
     g2 = traj.couplings[:, 1].real

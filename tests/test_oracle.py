@@ -153,24 +153,77 @@ def test_free_ed_matches_wick_responses():
 # largest sector (400^2 doubles, 1.28 MB): streaming source sectors keeps
 # about 4.1 (C) and 3.5 (SC) alive; rotating whole operators took 16 and 24
 ED_PEAK_BLOCKS = 8
+# the same bound for particle_hole_gap: about 2.1 with the mirror's
+# eigenvalues only, 6.2 with a second eigenbasis beside the first
+PH_PEAK_BLOCKS = 4
 
 
-@pytest.mark.parametrize("alpha", ["C", "SC"])
-def test_ed_response_streams_one_source_sector_at_a_time(alpha):
-    # the ed_l6 benchmark's chain and tau grid
+@pytest.fixture(scope="module")
+def ed_l6():
+    """The ed_l6 benchmark's chain."""
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
                                beta=10.0, L=6)
     ed = oracle.ed_micro(params)
-    block = max(len(states) for states in ed.basis.values()) ** 2 * 8
-    assert block == 400 ** 2 * 8
+    assert max(len(states) for states in ed.basis.values()) == 400
+    return ed
+
+
+def _peak_blocks(run):
+    """Peak heap growth while run() runs, in blocks of 400^2 doubles."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ed.response(alpha, (0.0, 2.5, 7.0, -4.0))
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < ED_PEAK_BLOCKS * block
+    return (peak - before) / (400 ** 2 * 8)
+
+
+@pytest.mark.parametrize("alpha", ["C", "SC"])
+def test_ed_response_streams_one_source_sector_at_a_time(ed_l6, alpha):
+    # the ed_l6 benchmark's tau grid
+    assert _peak_blocks(lambda: ed_l6.response(alpha, (0.0, 2.5, 7.0, -4.0))) < ED_PEAK_BLOCKS
+
+
+def test_particle_hole_gap_keeps_no_second_eigenbasis(ed_l6):
+    assert _peak_blocks(lambda: oracle.particle_hole_gap(ed_l6)) < PH_PEAK_BLOCKS
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_particle_hole_gap_reads_the_mirror_spectrum_of_ed_micro(L):
+    # the gap from the mirror's eigenvalues alone, bit for bit the gap from
+    # a whole ed_micro build of the mirror
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=L)
+    ed = oracle.ed_micro(params)
+    mu_mirror, shift = oracle.particle_hole_mirror(params)
+    mirror = oracle.ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
+    assert oracle.particle_hole_gap(ed) == float(np.max(np.abs(ed.spectrum() - (mirror + shift))))
+
+
+@pytest.mark.parametrize("fermionic", [False, True])
+def test_block_terms_in_place_match_the_product_sums(fermionic):
+    # route against route: the in-place trace of each tau term against the
+    # plain a * w * pair.T (tau > 0) and pair * w * a.T (tau <= 0) sums
+    rng = np.random.default_rng(7)
+    m, n, beta = 37, 53, 10.0
+    em, en = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 3.0, n)
+    a, pair = rng.standard_normal((m, n)), rng.standard_normal((n, m))
+    params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.on_site_potential(1.0),
+                               beta=beta, L=2)
+    ed = oracle.EDSystem(params, {}, {"src": en, "dest": em}, {}, 0.0, 1.0, 0.0)
+    taus = (0.0, 2.5, 7.0, -4.0, -9.5)
+    sgn = -1.0 if fermionic else 1.0
+    want = []
+    for tau in taus:
+        if tau > 0.0:
+            w = np.exp(-(beta - tau) * em)[:, None] * np.exp(-tau * en)[None, :]
+            want.append(float(np.sum(a * w * pair.T)))
+        else:
+            w = np.exp(-(beta + tau) * en)[:, None] * np.exp(tau * em)[None, :]
+            want.append(sgn * float(np.sum(pair * w * a.T)))
+    assert ed._block_terms(a, pair, "src", "dest", taus, fermionic) == want
 
 
 JW_L = 3

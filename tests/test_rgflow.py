@@ -181,10 +181,21 @@ def test_log_sum_lemma_needs_the_flow_to_reach_j0():
         rgflow.log_sum_lemma(traj, traj.j0)
 
 
+def test_log_sum_lemma_reads_only_scales_the_flow_holds():
+    # below target_h the g1 slice would be clamped to the deepest row, so
+    # the sum would stop growing while its model still grows
+    params = _params(0.03)
+    traj = rgflow.run_flow(params, _cfg(), target_h=-300)
+    rgflow.log_sum_lemma(traj, traj.target_h)
+    with pytest.raises(ValueError):
+        rgflow.log_sum_lemma(traj, traj.target_h - 1)
+
+
 def test_log_sum_increment_constant_bounded():
     params = _params(0.03)
     traj = rgflow.run_flow(params, _cfg(), target_h=-30000)
-    c = rgflow.log_sum_increment_constant(traj, (-300, -3000, -30000))
+    # each h also reads h - 1, so the deepest h is one above target_h
+    c = rgflow.log_sum_increment_constant(traj, (-300, -3000, -29999))
     assert np.isfinite(c)
     assert 0.0 < c < 10.0
 
