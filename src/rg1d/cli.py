@@ -311,8 +311,9 @@ def cmd_flow(o):
         "h_lbeta": traj.h_lbeta, "escaped_at": traj.escaped_at,
         "scales": traj.couplings.shape[0],
     }
-    checks = {name: (res.ok, res.worst_margin)
-              for name, res in traj.checks.items()}
+    # an escaped flow has no checks but reached_target
+    results = rgflow.flow_checks(traj) if traj.escaped_at is None else {}
+    checks = {name: (res.ok, res.worst_margin) for name, res in results.items()}
     checks["reached_target"] = (
         traj.escaped_at is None,
         0.0 if traj.escaped_at is None else float(traj.escaped_at - target_h))

@@ -114,14 +114,14 @@ class MapState:
 
     trajectory[k] = g_k for k = 0..n; A[k] = (1/k) sum_{j<k} a_j for k >= 1
     (A[0] = 0, it multiplies n = 0).  escape_index is the first k whose g_k
-    left the enlarged trajectory domain, or None. Lanes are frozen after
-    escape.
+    left the enlarged trajectory domain, or None (always None without a
+    domain). Lanes are frozen after escape.
     """
 
     g0: complex
     trajectory: np.ndarray
     A: np.ndarray
-    domain: SectorDomain
+    domain: SectorDomain | None
     escape_index: int | None
 
 
@@ -130,7 +130,8 @@ def iterate(g0, a_seq, n, domain=None):
 
     a_seq: scalar mean drift a (sigma = 0) or a length-n array of a_k values.
     domain: the base sector of g0; escape is judged against its trajectory
-    enlargement.  After an escape the state is frozen to avoid overflow.
+    enlargement, and after an escape the state is frozen to avoid overflow.
+    Without a domain every step is the plain map and nothing escapes.
     A drift sum or a step that leaves the float range raises ArithmeticError.
     """
     if np.ndim(a_seq) == 0:
@@ -146,14 +147,12 @@ def iterate(g0, a_seq, n, domain=None):
     if not finite.all():
         raise ArithmeticError("drift sum leaves the float range at step %d"
                               % np.argmin(finite))
-    if domain is None:
-        domain = SectorDomain(max(abs(g0) * 1.0000001, 1e-300), math.pi / 4)
-    big = domain.trajectory_enlargement()
+    big = None if domain is None else domain.trajectory_enlargement()
 
     traj = np.empty(n + 1, dtype=complex)
     traj[0] = g0
     g = complex(g0)
-    escape = None if big.contains(g0) else 0
+    escape = None if big is None or big.contains(g0) else 0
     with np.errstate(over="raise"):
         for k in range(n):
             if escape is None:
@@ -162,7 +161,7 @@ def iterate(g0, a_seq, n, domain=None):
                 except FloatingPointError:
                     raise ArithmeticError("map trajectory leaves the float "
                                           "range at step %d" % (k + 1)) from None
-                if not big.contains(g):
+                if big is not None and not big.contains(g):
                     escape = k + 1
             traj[k + 1] = g
     A = csum / np.maximum(np.arange(n + 1), 1)

@@ -35,8 +35,8 @@ class NuBetaModel:
     """Structural one-step coefficients for the counterterm direction.
 
     bdiag[j] and bcross[j, i] (used for i >= j) are bounded by c0; eps is
-    the per-scale smallness factor on j = h_box+1 .. 1, either constant or
-    read from a coupling trajectory.
+    the per-scale smallness factor on j = h_box+1 .. 1.  default_model, the
+    only builder, sets it constant (eps_scale |lambda| in inversion_rows).
     """
 
     h_box: int

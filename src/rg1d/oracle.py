@@ -29,11 +29,12 @@ out of its reach by construction and must be probed through the flow
 modules instead.  Its memory is one eigenbasis, the eigenvectors of
 every sector, which hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6,
 94 MB at L = 7, 1.3 GB at L = 8), plus one sector's eigh transient (the
-particle-hole check keeps only its mirror's eigenvalues), plus the
-blocks of one source sector of the operators at a time: no operator is
-ever dense or whole.  One density operator's sector blocks, all at once,
-would add as much again as the eigenvectors (3432^2 doubles, 94 MB, at
-L = 7).
+particle-hole check keeps only its mirror's eigenvalues), plus operator
+blocks built one (dest, src) sector pair at a time by _block: no
+operator is ever dense or whole.  A response keeps one A_x block and
+B's rotated blocks into the current source sector.  One density
+operator's sector blocks, all at once, would add as much again as the
+eigenvectors (3432^2 doubles, 94 MB, at L = 7).
 """
 
 from __future__ import annotations
@@ -364,23 +365,27 @@ def _strings(monomials, L):
             for coeff, fields in monomials]
 
 
-def _sector_blocks(strings, key, basis, only=None):
-    """Dense blocks of sum coeff * fields out of source sector key, keyed by
-    destination sector in the order the strings first reach it; only, when
-    given, keeps the one destination sector.
+def _dests(strings, src, basis):
+    """The sectors the strings reach from sector src, in first-reach order."""
+    reached = ((src[0] + dn_up, src[1] + dn_dn) for _, _, (dn_up, dn_dn) in strings)
+    return list(dict.fromkeys(dest for dest in reached if dest in basis))
+
+
+def _block(strings, src, dest, basis):
+    """Dense dest <- src block of sum coeff * fields, or None where no string
+    maps sector src to sector dest.
 
     Each string (written order, rightmost acts first) is applied to all
-    states of the sector at once.  A string maps each state to at most one
-    state and no two states to the same one, so every entry receives its
-    terms one string at a time, in string order.
+    states of src at once.  A string maps each state to at most one state
+    and no two states to the same one, so every entry receives its terms
+    one string at a time, in string order.
     """
-    states = basis[key]
-    blocks = {}
+    states, mat = basis[src], None
     for coeff, ops, (dn_up, dn_dn) in strings:
-        dest = (key[0] + dn_up, key[1] + dn_dn)
-        if dest not in basis or only not in (None, dest):
+        if (src[0] + dn_up, src[1] + dn_dn) != dest:
             continue
-        mat = blocks.setdefault(dest, np.zeros((len(basis[dest]), len(states))))
+        if mat is None:
+            mat = np.zeros((len(basis[dest]), len(states)))
         out, hit, odd = states, np.ones(len(states), dtype=bool), 0
         for dag, b in reversed(ops):
             bit = np.int64(1 << b)
@@ -390,21 +395,7 @@ def _sector_blocks(strings, key, basis, only=None):
         sign = np.where(odd[hit] == 1, -1.0, 1.0)
         rows = np.searchsorted(basis[dest], out[hit])
         np.add.at(mat, (rows, np.flatnonzero(hit)), coeff * sign)
-    return blocks
-
-
-def _op_blocks(monomials, basis, L):
-    """Yield (src, blocks) for each source sector in basis order, blocks
-    being _sector_blocks of the monomial sum out of src.
-
-    A generator, so only the current source sector's blocks are alive: all
-    sector blocks of one density operator hold 3432^2 doubles (94 MB) at
-    L = 7, where one source sector's blocks hold at most two of 1225^2
-    doubles (12 MB each).
-    """
-    strings = _strings(monomials, L)
-    for key in basis:
-        yield key, _sector_blocks(strings, key, basis)
+    return mat
 
 
 @dataclass
@@ -417,14 +408,8 @@ class EDSystem:
     nonpositive.  roundoff is the documented machine-precision bar for
     its exact sums.
 
-    response and two_point return (L, len(taus)) tables over x = 0..L-1.
-    Memory: besides the one eigenbasis alive (one square block per
-    sector; particle_hole_gap keeps no second one), the operators are
-    streamed one source sector at a time.  For a sector src each A_x's
-    blocks out of src are built and rotated in turn, and the rotated
-    blocks of B into src are kept until the next sector.  So one
-    response holds about four blocks of the largest sector at its peak
-    (400^2 doubles, 1.28 MB each, at L = 6), never a whole operator.
+    response and two_point return (L, len(taus)) tables over x = 0..L-1;
+    the module's scope guard states what they keep alive.
     """
 
     params: object
@@ -448,7 +433,7 @@ class EDSystem:
 
     def _partner(self, strings, src, dest):
         """B's dest -> src block in the eigenbases, None where B has none."""
-        blk = _sector_blocks(strings, dest, self.basis, only=src).get(src)
+        blk = _block(strings, dest, src, self.basis)
         return None if blk is None else self._rotate(blk, dest, src)
 
     def _block_terms(self, a, pair, src, dest, taus, fermionic):
@@ -481,11 +466,11 @@ class EDSystem:
         x = 0..L-1 for the monomial lists A_x = a_at(x) and B = b, plus the
         means <A_x> for densities (fermionic = False; else None).
 
-        Source sectors are outermost: for each src the blocks of every A_x
-        out of src are built and rotated one at a time, and B's partner
-        block (dest, src) is rotated once and kept for that src only.  Each
-        T[x, j] still sums over A_x's blocks in their own order, src outer
-        and dest inner.
+        Source sectors are outermost: for each src every block of every A_x
+        out of src is built and rotated alone, and B's partner block
+        (dest, src) is rotated once and kept for that src only.  Each
+        T[x, j] sums over A_x's blocks in their own order, src outer and
+        dest inner.
         """
         L, basis = self.params.L, self.basis
         a_strings = [_strings(a_at(x), L) for x in range(L)]
@@ -495,9 +480,8 @@ class EDSystem:
         for src in basis:
             partners = {}
             for x in range(L):
-                blocks = _sector_blocks(a_strings[x], src, basis)
-                for dest in list(blocks):
-                    a = self._rotate(blocks.pop(dest), src, dest)
+                for dest in _dests(a_strings[x], src, basis):
+                    a = self._rotate(_block(a_strings[x], src, dest, basis), src, dest)
                     if means is not None and dest == src:
                         means[x] += self._diagonal_weight(src, a)
                     if dest not in partners:
@@ -509,12 +493,14 @@ class EDSystem:
         return table / self.z, None if means is None else means / self.z
 
     def expectation(self, monomials):
-        """Thermal average of a monomial sum, one source sector at a time
-        (only the sector-diagonal blocks contribute)."""
+        """Thermal average of a monomial sum (only the sector-diagonal
+        blocks contribute)."""
+        strings = _strings(monomials, self.params.L)
         total = 0.0
-        for src, blocks in _op_blocks(monomials, self.basis, self.params.L):
-            if src in blocks:
-                total += self._diagonal_weight(src, self._rotate(blocks[src], src, src))
+        for src in self.basis:
+            blk = _block(strings, src, src, self.basis)
+            if blk is not None:
+                total += self._diagonal_weight(src, self._rotate(blk, src, src))
         return total / self.z
 
     # -- public oracles ----------------------------------------------
@@ -562,29 +548,22 @@ def _fock_diagonal(params):
     return diag
 
 
-def _sector_eigh(params):
-    """Yield (basis, key, energies, vectors) per sector key in basis order:
-    eigh of the key block of ed_micro's Hamiltonian, under its guards.
+def _sector_eigh(params, basis):
+    """Yield (key, energies, vectors) per sector key in basis order: eigh
+    of the key block of ed_micro's Hamiltonian.
 
     Each block is dead before its eigh result is yielded, and the
     generator keeps no reference to that result, so the caller alone
     decides which vectors stay alive.
     """
-    L, beta = params.L, params.beta
-    if L > ED_MAX_SITES:
-        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
-                         "Fock space" % (ED_MAX_SITES, 4 ** L))
-    if beta > ED_MAX_BETA:
-        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
-                         "is for the flow modules" % ED_MAX_BETA)
-    basis = _sector_basis(L)
     diag = _fock_diagonal(params)
-    for key, blocks in _op_blocks(_hopping_monomials(L), basis, L):
-        h = blocks.pop(key)
+    hopping = _strings(_hopping_monomials(params.L), params.L)
+    for key in basis:
+        h = _block(hopping, key, key, basis)
         h[np.diag_indices_from(h)] += diag[basis[key]]
         eig = np.linalg.eigh(h)
         del h
-        yield basis, key, *eig
+        yield key, *eig
         del eig
 
 
@@ -600,12 +579,17 @@ def ed_micro(params):
     Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
 
     The hopping conserves (N_up, N_down), so each sector has one block,
-    diagonalised as soon as it is built (_sector_eigh).  Alive: one
-    eigenbasis, (sum_k C(L, k)^2)^2 doubles (94 MB at L = 7), plus one
-    sector's eigh transient.
+    diagonalised as soon as it is built (_sector_eigh).
     """
+    if params.L > ED_MAX_SITES:
+        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
+                         "Fock space" % (ED_MAX_SITES, 4 ** params.L))
+    if params.beta > ED_MAX_BETA:
+        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
+                         "is for the flow modules" % ED_MAX_BETA)
+    basis = _sector_basis(params.L)
     energies, vectors = {}, {}
-    for basis, key, e, v in _sector_eigh(params):
+    for key, e, v in _sector_eigh(params, basis):
         energies[key], vectors[key] = e, v
     e0 = min(float(v.min()) for v in energies.values())
     z = sum(float(np.exp(-params.beta * (v - e0)).sum()) for v in energies.values())
@@ -629,15 +613,14 @@ def particle_hole_gap(ed):
     """Spectral mismatch of the built system ed under the particle-hole
     map: on even rings the sorted spectra of H and of its
     particle_hole_mirror coincide after the shift.  Only the mirror is
-    diagonalized here, and only its eigenvalues are kept: each sector's
-    vectors are dropped before the next eigh, so ed's eigenbasis stays the
-    only one alive, plus one mirror sector's eigh transient."""
+    diagonalized here, on ed's basis, and only its eigenvalues are kept:
+    each sector's vectors are dropped before the next eigh."""
     params = ed.params
     if params.L % 2:
         raise ValueError("the staggered sign needs an even ring")
     mu_mirror, shift = particle_hole_mirror(params)
     spectra = []
-    for _, _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror)):
+    for _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror), ed.basis):
         spectra.append(e)
         del v
     s2 = np.sort(np.concatenate(spectra))

@@ -20,7 +20,7 @@ the bubble constants a_j used at each step are real length-n arrays.
 
 import math
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import THETA, TWO_PI
 from .propagators import CutoffFunction, ShellGrid, finite_size_scale, shell_support
@@ -60,10 +60,10 @@ class BetaConfig:
     seed: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowTrajectory:
     """Realized flow from j = 0 down to target_h (inclusive), on the
-    module's array conventions.  checks maps check name -> CheckResult.
+    module's array conventions; flow_checks(traj) runs its checks.
     escaped_at is the first scale where eps_j exceeded 2 c3 eps0 (flow
     stopped there), else None.  gamma is the scale parameter of the model
     the flow ran on.
@@ -79,7 +79,6 @@ class FlowTrajectory:
     h_lbeta: int
     target_h: int
     gamma: float
-    checks: dict = field(default_factory=dict)
     escaped_at: int | None = None
 
     def g1_approximant(self, j):
@@ -177,8 +176,7 @@ def run_flow(params, cfg, target_h):
     """Integrate the flow from j=0 down to target_h, writing row -j of the
     (n, 5) couplings array at each step.  Stops early (escaped_at set, the
     remaining rows padded with the last one) if the smallness variable
-    exceeds 2 c3 eps0; a flow that reaches target_h carries its flow_checks.
-    gamma is the model's."""
+    exceeds 2 c3 eps0.  gamma is the model's."""
     fermi = params.fermi()
     gamma = fermi.gamma
     a = bubble_constant(fermi)
@@ -228,11 +226,8 @@ def run_flow(params, cfg, target_h):
             break
     a_seq[n - 1] = a_seq[n - 2] if n > 1 else a
 
-    traj = FlowTrajectory(params.lam, coup, eps, a_seq, a, j0, h_star,
-                          h_lbeta, target_h, gamma, {}, escaped)
-    if escaped is None:
-        traj.checks = flow_checks(traj)
-    return traj
+    return FlowTrajectory(params.lam, coup, eps, a_seq, a, j0, h_star,
+                          h_lbeta, target_h, gamma, escaped)
 
 
 def _check_from_margins(js, margins, constants=None):

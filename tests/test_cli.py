@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from rg1d import cli, correlations, propagators
+from rg1d import cli, correlations, propagators, rgflow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCES = os.path.join(ROOT, "benchmarks", "reference")
@@ -331,6 +331,23 @@ def test_default_prop_calls_each_representation_once_per_x0(tmp_path, monkeypatc
     assert calls == {"kernel_sum": 2, "cutoff_sum": 2}
 
 
+def test_only_flow_runs_the_flow_checks(tmp_path, monkeypatch):
+    # the benchmark traces flow_checks: flow reads the checks of its one
+    # flow, while the flows of exponents and correlations need none
+    inner = rgflow.flow_checks
+    calls = collections.Counter()
+    command = None
+
+    def counted(traj):
+        calls[command] += 1
+        return inner(traj)
+
+    monkeypatch.setattr(rgflow, "flow_checks", counted)
+    for command in ("flow", "exponents", "correlations"):
+        assert _run([command], tmp_path / command) == 0
+    assert calls == {"flow": 1}
+
+
 def test_correlations_builds_each_window_once(tmp_path, monkeypatch):
     # one scale window and one set of Dirac profiles per point serve every
     # channel: 40 points at the defaults, not 40 per channel
@@ -432,6 +449,17 @@ def test_map_outputs_are_pinned(argv, digests, tmp_path):
     for name, digest in digests.items():
         with open(os.path.join(tmp_path, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("argv", [
+    # g0 outside the pi/4 sector around the positive axis, where the float
+    # side once froze at step 0 and read max_drift = 0.105
+    ["oracle", "--what", "map", "--g0-re", "-0.01", "--g0-im", "0.001", "--n", "2000"],
+], ids=" ".join)
+def test_map_oracle_drift_is_roundoff(argv, tmp_path):
+    # the float map steps at every step, so it tracks the 40-digit one
+    assert _run(argv, tmp_path) == 0
+    assert float(_summary(tmp_path, "oracle")["max_drift"]) <= 1e-12
 
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's

@@ -88,6 +88,18 @@ def test_escape_for_negative_coupling():
     assert abs(g[-1]) > 10.0 * abs(g[0])
 
 
+def test_iterate_without_a_domain_steps_the_plain_map():
+    # no domain, so nothing escapes: a start on the negative side runs the
+    # raw recurrence at every step
+    g0, a = -0.01 + 0.001j, 0.25
+    state = g1map.iterate(g0, a, 400)
+    g = [g0]
+    for _ in range(400):
+        g.append(g[-1] - complex(a) * g[-1] * g[-1])
+    assert state.escape_index is None
+    assert np.array_equal(state.trajectory, g)
+
+
 def test_escape_mid_run_freezes_the_tail():
     # a negative drift drives g0 = 0.01 out along the positive axis:
     # g_k ~ 1/(100 - k) passes the enlarged radius 3 eps/sin d = 0.0636 at k = 87

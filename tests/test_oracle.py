@@ -150,8 +150,9 @@ def test_free_ed_matches_wick_responses():
 
 
 # bound on one response's peak heap growth at L = 6, in blocks of the
-# largest sector (400^2 doubles, 1.28 MB): streaming source sectors keeps
-# about 4.1 (C) and 3.5 (SC) alive; rotating whole operators took 16 and 24
+# largest sector (400^2 doubles, 1.28 MB): building one block at a time
+# keeps about 4.1 (C) and 2.9 (SC) alive; rotating whole operators took
+# 16 and 24
 ED_PEAK_BLOCKS = 8
 # the same bound for particle_hole_gap: about 2.1 with the mirror's
 # eigenvalues only, 6.2 with a second eigenbasis beside the first
@@ -255,15 +256,24 @@ _JW_CASES["hopping"] = oracle._hopping_monomials(JW_L)
 
 @pytest.mark.parametrize("name", sorted(_JW_CASES))
 def test_op_blocks_match_dense_jordan_wigner(name):
-    # every coefficient and matrix entry is dyadic, so both routes are exact
+    # _block over every (src, dest) sector pair: the Jordan-Wigner block
+    # where _dests lists dest, None everywhere else; every coefficient and
+    # matrix entry is dyadic, so both routes are exact
     monomials = _JW_CASES[name]
+    strings = oracle._strings(monomials, JW_L)
     basis = oracle._sector_basis(JW_L)
     assert np.array_equal(np.sort(np.concatenate(list(basis.values()))),
                           np.arange(4 ** JW_L))
     full = np.zeros((4 ** JW_L, 4 ** JW_L))
-    for src, blocks in oracle._op_blocks(monomials, basis, JW_L):
-        for dest, blk in blocks.items():
-            full[np.ix_(basis[dest], basis[src])] = blk
+    for src in basis:
+        dests = oracle._dests(strings, src, basis)
+        assert len(set(dests)) == len(dests)
+        for dest in basis:
+            blk = oracle._block(strings, src, dest, basis)
+            if dest in dests:
+                full[np.ix_(basis[dest], basis[src])] = blk
+            else:
+                assert blk is None
     dense = _jw_dense(monomials, JW_L)
     assert np.any(dense != 0.0)
     assert np.array_equal(full, dense)

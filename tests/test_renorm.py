@@ -121,9 +121,10 @@ def test_exponent_values_frozen_hubbard():
     assert ex.X["SC"] == pytest.approx(1.0091888149236963, abs=1e-12)
     assert ex.f_lambda == pytest.approx(0.036755259694786144, abs=1e-12)
     assert ex.X_tilde_SC == 1.0
-    # the CLI's fixed-point flow at the exponents depth carries its six checks
+    # the CLI's fixed-point flow at the exponents depth passes its six checks
     traj, _, _ = cli._fixed_point(params, -400)
-    assert len(traj.checks) == 6 and all(r.ok for r in traj.checks.values())
+    checks = rgflow.flow_checks(traj)
+    assert len(checks) == 6 and all(r.ok for r in checks.values())
 
 
 def test_c_coefficient_value():

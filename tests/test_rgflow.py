@@ -211,8 +211,9 @@ def test_flow_checks_pass_small_coupling():
     cfg = _cfg(remainder_model="both", seed=11, h_lbeta=-2000)
     traj = rgflow.run_flow(params, cfg, target_h=-2000)
     assert traj.escaped_at is None
-    assert traj.checks
-    for name, res in traj.checks.items():
+    checks = rgflow.flow_checks(traj)
+    assert checks
+    for name, res in checks.items():
         assert res.ok, name
 
 
@@ -277,7 +278,7 @@ def test_complex_flow_is_pinned():
         for arr in (traj.couplings, traj.eps, traj.a_seq):
             digest.update(arr.tobytes())
         digest.update(repr([(k, r.ok, r.worst_scale, r.worst_margin, r.measured_constant)
-                            for k, r in traj.checks.items()]).encode())
+                            for k, r in rgflow.flow_checks(traj).items()]).encode())
     assert digest.hexdigest() == \
         "aa6efb44b119b628a2d30cc27c191748061a81b1b3381665a03f3ed76d8a4e53"
 
