@@ -97,8 +97,10 @@ def dirac_profiles(hs, x, x0, fermi):
     """g_{D,+}^{(h)}(x, x0) for every h in hs (the omega = -1 branch is the
     conjugate).  Scales with gamma^h r > 1024 are dropped: the radial
     profile is below 1e-10 there and the dropped share of the full sum is
-    under 1e-9.  The radial quadrature takes 256 nodes, 512 past
-    gamma^h r = 256 to keep the oscillatory integrand resolved."""
+    under 1e-9.  The radial quadrature takes the 256-node Gauss-Legendre
+    rule, the 512-node one past gamma^h r = 256 to keep the oscillatory
+    integrand resolved; both come from the table that
+    propagators.gauss_legendre ships."""
     chi = props.CutoffFunction(fermi.gamma)
     r = math.sqrt(float(x0) ** 2 + (float(x) / fermi.v_F) ** 2)
     R = fermi.gamma ** np.asarray(hs, dtype=float) * r

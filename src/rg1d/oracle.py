@@ -7,7 +7,8 @@ independent routes to the same numbers.  Agreement between this module
 and the fast implementations is therefore a real two-route check, not a
 tautology.  The only shared objects are the model data themselves (the
 interaction potential, the Fermi point, the cutoff shape), which both
-routes consume by definition.
+routes consume by definition, and the shipped table of Gauss-Legendre
+rules (propagators.gauss_legendre), which is fixed data, not a formula.
 
 The Wick engine and exact diagonalization (ED) share one table of the
 four channel densities (DENSITIES) and one field language, (dag, site,
@@ -44,9 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .propagators import CutoffFunction
+from .propagators import CutoffFunction, gauss_legendre
 
 # ----------------------------------------------------------------------
 # result plumbing
@@ -314,7 +314,7 @@ def first_order_slope(x, tau, alpha, params):
 
 def _panel_nodes(tau, beta, n_nodes):
     """Gauss-Legendre nodes and weights on [0, tau] and [tau, beta]."""
-    xg, wg = leggauss(n_nodes)
+    xg, wg = gauss_legendre(n_nodes)
     nodes, weights = [], []
     for lo, hi in ((0.0, tau), (tau, beta)):
         if hi - lo <= 0.0:
@@ -666,7 +666,7 @@ def bubble_quadrature(h, fermi, extrapolate=False):
     lo, hi = math.log(t0) + (h - 1) * math.log(gamma), math.log(t0) + math.log(gamma)
     vals = []
     for n_nodes in REFINEMENT_LEVELS:
-        xg, wg = leggauss(n_nodes)
+        xg, wg = gauss_legendre(n_nodes)
         n_panels = 1 - h
         edges = np.linspace(lo, hi, n_panels + 1)
         acc = 0.0

@@ -40,10 +40,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import MomentumGrids, TWO_PI, dispersion, ir_dispersion
 
@@ -177,9 +176,12 @@ def free_propagator(x, x0, params, representation="kernel_sum"):
         grid = shell_grid("cutoff", None, params)
         k0 = grid.k0
         ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
+        neg_ik0 = -1j * k0
+        den = np.empty_like(neg_ik0)  # one buffer for every row's quotient
         acc = [np.zeros((), dtype=complex)] * xs.size  # scalar products: an array one rounds apart
         for i in range(L):  # k outer loop keeps memory flat
-            row = np.sum(ph0 / (-1j * k0 + grid.band[i]))
+            np.add(neg_ik0, grid.band[i], out=den)
+            row = np.sum(np.divide(ph0, den, out=den))
             acc = [a + np.exp(-1j * grid.k[i] * xi) * row for a, xi in zip(acc, xs)]
         out = [complex(a) / (beta * L) for a in acc]
     else:
@@ -320,10 +322,40 @@ def single_scale(kind, h, x, x0, params, omega=None):
 
 
 # ----------------------------------------------------------------------
-# relativistic (linear band) single scale
+# Gauss-Legendre rules
 # ----------------------------------------------------------------------
 
-_gl_nodes = cache(leggauss)   # (nodes, weights) of each order, built once
+# Orders of the Gauss-Legendre rules in gauss_legendre.npy, in file order:
+# 16 and 32 for the oracle's refinement levels, 256 and 512 for
+# _dirac_radial.  The file holds each order's nodes, then its weights, bit
+# for bit as numpy 2.4.6 computes the rule: a Golub-Welsch eigenproblem on
+# the dense n x n companion matrix, then one Newton step.  Shipping them
+# saves every process that eigenproblem, and the nodes no longer depend on
+# the host's LAPACK.
+_GL_ORDERS = (16, 32, 256, 512)
+_GL_RULES = {}
+
+
+def gauss_legendre(n):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1],
+    read-only views into the shipped table, loaded on first use; an order
+    that is not in the table raises ValueError."""
+    if n not in _GL_ORDERS:
+        raise ValueError(f"no {n}-point Gauss-Legendre rule; the table holds {_GL_ORDERS}")
+    if not _GL_RULES:
+        table = np.load(Path(__file__).with_name("gauss_legendre.npy"))
+        # over immutable bytes, so that no view can be made writeable again
+        flat = np.frombuffer(table.tobytes(), dtype=table.dtype)
+        start = 0
+        for m in _GL_ORDERS:
+            _GL_RULES[m] = flat[start:start + m], flat[start + m:start + 2 * m]
+            start += 2 * m
+    return _GL_RULES[n]
+
+
+# ----------------------------------------------------------------------
+# relativistic (linear band) single scale
+# ----------------------------------------------------------------------
 
 # Coefficients of j1.c in Moshier's Cephes library, highest power first;
 # the leading 1 that Cephes' p1evl leaves out is written into RQ and QQ.
@@ -403,10 +435,12 @@ def _dirac_radial(R, fermi, chi, n_nodes):
                          * (gamma^h / (2 pi)) I0(gamma^h r),
 
     r = sqrt(x0^2 + (x/v_F)^2), which is exactly scale covariant and sums
-    over h to (1/(2 pi)) / (v_F x0 + i omega x)."""
+    over h to (1/(2 pi)) / (v_F x0 + i omega x).  The integral is the
+    n_nodes-point Gauss-Legendre rule from gauss_legendre's shipped table
+    (dirac_profiles takes 256 or 512 nodes) mapped onto the shell."""
     g = fermi.gamma
     a, b = fermi.t0 / g, fermi.t0 * g
-    xq, wq = _gl_nodes(n_nodes)
+    xq, wq = gauss_legendre(n_nodes)
     u = 0.5 * (b - a) * xq + 0.5 * (b + a)
     w = 0.5 * (b - a) * wq
     cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)

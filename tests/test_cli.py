@@ -582,11 +582,15 @@ def test_borel_sweep_past_failed_lanes_does_not_warn(tmp_path):
 def test_import_does_not_load_scipy(tmp_path):
     # the package needs no scipy: the Dirac profiles' J1 is its own. Import
     # loads neither mpmath, which only the map oracle reads, nor
-    # multiprocessing, which only a sweep split over cores loads
+    # multiprocessing, which only a sweep split over cores loads, nor
+    # numpy.random, which numpy loads when a run first draws, nor
+    # numpy.polynomial: the quadrature rules come from a shipped table
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = ("import sys, rg1d.cli; sys.exit('scipy' in sys.modules "
-            "or 'mpmath' in sys.modules or 'multiprocessing' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, rg1d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'mpmath', 'multiprocessing') "
+            "or m.startswith(('numpy.polynomial', 'numpy.random'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
     # nor do both correlations runs of the defaults, which build the profiles
     code = ("import sys, rg1d.cli; "
             "codes = [rg1d.cli.main(argv + ['--out-dir', sys.argv[1]]) for argv in "
