@@ -769,7 +769,7 @@ def main(argv=None):
         return 3
 
     summary.update((opt.key, opts[opt.name]) for opt in table if opt.key)
-    if checks is not None:
+    if checks:
         for name, (passed, margin) in checks.items():
             summary["check_" + name] = "pass" if passed else "FAIL"
             summary["check_" + name + "_margin"] = margin

@@ -29,6 +29,9 @@ from dataclasses import dataclass, replace
 
 from .model import THETA, THETA_PRIME
 
+# half-width of the finite difference behind nu1_derivative
+DERIVATIVE_STEP = 1e-4
+
 
 @dataclass
 class NuBetaModel:
@@ -188,11 +191,11 @@ def nu1_of_mu(mu, model, tol=1e-12):
     return float(rep.nu[-1].real)
 
 
-def nu1_derivative(mu, model, step=1e-4, tol=1e-12):
-    """Two-point finite difference of nu1 in mu."""
-    up = nu1_of_mu(mu + step, model, tol)
-    dn = nu1_of_mu(mu - step, model, tol)
-    return (up - dn) / (2.0 * step)
+def nu1_derivative(mu, model, tol=1e-12):
+    """Two-point finite difference of nu1 in mu, DERIVATIVE_STEP each side."""
+    up = nu1_of_mu(mu + DERIVATIVE_STEP, model, tol)
+    dn = nu1_of_mu(mu - DERIVATIVE_STEP, model, tol)
+    return (up - dn) / (2.0 * DERIVATIVE_STEP)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ out of its reach by construction and must be probed through the flow
 modules instead.  Its memory is one eigenbasis, the eigenvectors of
 every sector, which hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6,
 94 MB at L = 7, 1.3 GB at L = 8), plus one sector's eigh transient (the
-particle-hole check keeps only its mirror's eigenvalues), plus operator
-blocks built one (dest, src) sector pair at a time by _block: no
-operator is ever dense or whole.  A response keeps one A_x block and
+particle-hole check keeps only its mirror's eigenvalues), plus rotated
+operator blocks, one (dest, src) sector pair at a time.  No Fock-basis
+operator matrix exists: _block gathers rows of dest's eigenbasis, or of
+the identity for the Hamiltonian.  A response keeps one A_x block and
 B's rotated blocks into the current source sector.  One density
 operator's sector blocks, all at once, would add as much again as the
 eigenvectors (3432^2 doubles, 94 MB, at L = 7).
@@ -371,21 +372,23 @@ def _dests(strings, src, basis):
     return list(dict.fromkeys(dest for dest in reached if dest in basis))
 
 
-def _block(strings, src, dest, basis):
-    """Dense dest <- src block of sum coeff * fields, or None where no string
-    maps sector src to sector dest.
+def _block(strings, src, dest, basis, vd):
+    """vd.T @ P for the dest <- src Fock block P of sum coeff * fields, or
+    None where no string maps sector src to sector dest.
 
-    Each string (written order, rightmost acts first) is applied to all
-    states of src at once.  A string maps each state to at most one state
-    and no two states to the same one, so every entry receives its terms
-    one string at a time, in string order.
+    vd is the identity (giving P) or dest's eigenbasis; P is never built.
+    Each string (written order, rightmost acts first) acts on all states
+    of src at once, maps no two of them to one state, and adds its signed
+    rows of vd to the columns it hits, in string order.  This has the
+    GEMM's bits while each column of P has at most two nonzeros, each
+    +-2^k: every entry is one exact product or one rounded sum of two.
     """
-    states, mat = basis[src], None
+    states, left = basis[src], None
     for coeff, ops, (dn_up, dn_dn) in strings:
         if (src[0] + dn_up, src[1] + dn_dn) != dest:
             continue
-        if mat is None:
-            mat = np.zeros((len(basis[dest]), len(states)))
+        if left is None:
+            left = np.zeros((vd.shape[1], len(states)))
         out, hit, odd = states, np.ones(len(states), dtype=bool), 0
         for dag, b in reversed(ops):
             bit = np.int64(1 << b)
@@ -393,9 +396,10 @@ def _block(strings, src, dest, basis):
             odd = odd ^ (np.bitwise_count(out & (bit - 1)) & 1)
             out = (out | bit) if dag else (out & ~bit)
         sign = np.where(odd[hit] == 1, -1.0, 1.0)
-        rows = np.searchsorted(basis[dest], out[hit])
-        np.add.at(mat, (rows, np.flatnonzero(hit)), coeff * sign)
-    return mat
+        rows = vd[np.searchsorted(basis[dest], out[hit])]
+        rows *= (coeff * sign)[:, None]
+        left[:, hit] += rows.T
+    return left
 
 
 @dataclass
@@ -422,19 +426,15 @@ class EDSystem:
 
     # -- operator plumbing -------------------------------------------
 
-    def _rotate(self, mat, src, dest):
-        """A src -> dest Fock block in the two sectors' eigenbases."""
-        return self.vectors[dest].T @ mat @ self.vectors[src]
+    def _rotate(self, strings, src, dest):
+        """The strings' src -> dest block in the eigenbases, or None."""
+        left = _block(strings, src, dest, self.basis, self.vectors[dest])
+        return None if left is None else left @ self.vectors[src]
 
     def _diagonal_weight(self, src, blk):
         """Boltzmann-weighted trace of a rotated src -> src block."""
         w = np.exp(-self.params.beta * (self.energies[src] - self.e0))
         return float(np.dot(np.diag(blk), w))
-
-    def _partner(self, strings, src, dest):
-        """B's dest -> src block in the eigenbases, None where B has none."""
-        blk = _block(strings, dest, src, self.basis)
-        return None if blk is None else self._rotate(blk, dest, src)
 
     def _block_terms(self, a, pair, src, dest, taus, fermionic):
         """Tr[e^{-beta H} T A(tau) B(0)] over A's rotated src -> dest block a
@@ -481,11 +481,11 @@ class EDSystem:
             partners = {}
             for x in range(L):
                 for dest in _dests(a_strings[x], src, basis):
-                    a = self._rotate(_block(a_strings[x], src, dest, basis), src, dest)
+                    a = self._rotate(a_strings[x], src, dest)
                     if means is not None and dest == src:
                         means[x] += self._diagonal_weight(src, a)
                     if dest not in partners:
-                        partners[dest] = self._partner(b_strings, src, dest)
+                        partners[dest] = self._rotate(b_strings, dest, src)
                     if partners[dest] is not None:
                         table[x] += self._block_terms(a, partners[dest], src, dest,
                                                       taus, fermionic)
@@ -498,9 +498,9 @@ class EDSystem:
         strings = _strings(monomials, self.params.L)
         total = 0.0
         for src in self.basis:
-            blk = _block(strings, src, src, self.basis)
+            blk = self._rotate(strings, src, src)
             if blk is not None:
-                total += self._diagonal_weight(src, self._rotate(blk, src, src))
+                total += self._diagonal_weight(src, blk)
         return total / self.z
 
     # -- public oracles ----------------------------------------------
@@ -559,7 +559,7 @@ def _sector_eigh(params, basis):
     diag = _fock_diagonal(params)
     hopping = _strings(_hopping_monomials(params.L), params.L)
     for key in basis:
-        h = _block(hopping, key, key, basis)
+        h = _block(hopping, key, key, basis, np.eye(len(basis[key])))
         h[np.diag_indices_from(h)] += diag[basis[key]]
         eig = np.linalg.eigh(h)
         del h

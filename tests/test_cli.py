@@ -62,7 +62,7 @@ def test_default_runs_match_golden_outputs(ref, tmp_path, capsys):
     if ref["argv"] in FIXED:
         assert ref["exit"] == 3
         assert _run(ref["argv"], tmp_path) == 0
-        assert _summary(tmp_path, ref["argv"][0])["checks_ok"] == "true"
+        assert "checks_ok" not in _summary(tmp_path, ref["argv"][0])
         return
     _assert_golden(ref, tmp_path, capsys)
 
@@ -540,11 +540,17 @@ def test_nu_runs_at_the_largest_box_scale(tmp_path):
     assert _run(["nu", "--h-box", "1"], tmp_path) == 0
 
 
-def test_ed_oracle_drops_particle_hole_check_without_mirror_model(tmp_path):
+@pytest.mark.parametrize("argv", [
     # mu_bar' = -(0.3 + 4 * 0.3 * vhat(0)) = -1.5 lies outside the band
-    assert _run(["oracle", "--what", "ed", "--lambda", "0.3"], tmp_path) == 0
+    ["--lambda", "0.3"],
+    # an odd ring has no staggered sign
+    ["--L", "5", "--lambda", "0.1"],
+], ids=" ".join)
+def test_ed_oracle_drops_particle_hole_check_without_mirror_model(argv, tmp_path):
+    # at lambda != 0 no other check runs either, so no verdict is written
+    assert _run(["oracle", "--what", "ed", *argv], tmp_path) == 0
     summary = _summary(tmp_path, "oracle")
-    assert summary["checks_ok"] == "true"
+    assert "checks_ok" not in summary
     assert "particle_hole_gap" not in summary
     assert "check_particle_hole" not in summary
 

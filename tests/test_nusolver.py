@@ -122,8 +122,8 @@ def test_shift_scales_linearly():
 
 def test_derivative_by_finite_difference():
     m = _model(0.01)
-    step = 1e-4
-    d = nusolver.nu1_derivative(0.5, m, step=step)
+    step = nusolver.DERIVATIVE_STEP
+    d = nusolver.nu1_derivative(0.5, m)
     direct = (nusolver.nu1_of_mu(0.5 + step, m) - nusolver.nu1_of_mu(0.5 - step, m)) / (
         2.0 * step
     )

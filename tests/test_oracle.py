@@ -150,12 +150,13 @@ def test_free_ed_matches_wick_responses():
 
 
 # bound on one response's peak heap growth at L = 6, in blocks of the
-# largest sector (400^2 doubles, 1.28 MB): building one block at a time
-# keeps about 4.1 (C) and 2.9 (SC) alive; rotating whole operators took
-# 16 and 24
+# largest sector (400^2 doubles, 1.28 MB): rotating one block at a time by
+# gathering eigenbasis rows keeps about 4.1 (C) and 2.9 (SC) alive;
+# rotating whole operators took 16 and 24
 ED_PEAK_BLOCKS = 8
-# the same bound for particle_hole_gap: about 2.1 with the mirror's
-# eigenvalues only, 6.2 with a second eigenbasis beside the first
+# the same bound for particle_hole_gap: about 2.7 with the mirror's
+# eigenvalues only and the hopping block gathered from an identity, 6.2
+# with a second eigenbasis beside the first
 PH_PEAK_BLOCKS = 4
 
 
@@ -227,6 +228,39 @@ def test_block_terms_in_place_match_the_product_sums(fermionic):
     assert ed._block_terms(a, pair, "src", "dest", taus, fermionic) == want
 
 
+def _operator_strings(L):
+    """Every DENSITIES channel at every x, and both two-point fields (a^-_x
+    at every x, a^+_0), as string lists."""
+    monomials = [oracle._density_monomials(alpha, x, None, L)
+                 for alpha in oracle.DENSITIES for x in range(L)]
+    monomials += [[(1.0, ((0, x, 0, None),))] for x in range(L)]
+    monomials.append([(1.0, ((1, 0, 0, None),))])
+    return [oracle._strings(m, L) for m in monomials]
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+@pytest.mark.parametrize("L", [4, 5])
+def test_rotation_by_gather_matches_the_two_gemm_route(L, potential):
+    # _rotate gathers rows of the dest eigenbasis and does one GEMM; the
+    # reference rotates the Fock block P with two.  They agree bit for bit
+    # because every column of P holds at most two nonzeros, each +-1/2, +-1
+    # or +-2: every gathered entry is one exact product or one rounded sum
+    # of two, which is what the GEMM computes
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=POTENTIALS[potential],
+                               beta=4.0, L=L)
+    ed = oracle.ed_micro(params)
+    basis, vectors = ed.basis, ed.vectors
+    for strings in _operator_strings(L):
+        for src in basis:
+            for dest in oracle._dests(strings, src, basis):
+                p = oracle._block(strings, src, dest, basis, np.eye(len(basis[dest])))
+                nonzero = p != 0.0
+                assert nonzero.sum(axis=0).max() <= 2
+                assert np.isin(np.abs(p[nonzero]), (0.5, 1.0, 2.0)).all()
+                want = vectors[dest].T @ p @ vectors[src]
+                assert np.array_equal(ed._rotate(strings, src, dest), want)
+
+
 JW_L = 3
 
 
@@ -269,7 +303,7 @@ def test_op_blocks_match_dense_jordan_wigner(name):
         dests = oracle._dests(strings, src, basis)
         assert len(set(dests)) == len(dests)
         for dest in basis:
-            blk = oracle._block(strings, src, dest, basis)
+            blk = oracle._block(strings, src, dest, basis, np.eye(len(basis[dest])))
             if dest in dests:
                 full[np.ix_(basis[dest], basis[src])] = blk
             else:
