@@ -275,9 +275,8 @@ FLOW = (
     Opt("beta", float, 1024.0),
     Opt("L", int, 1024),
     Opt("h", int, -5000, ("<=", 0), key="target_h", help="target scale (negative)"),
-    Opt("remainders", str, "none",
-        ("in", ("none", "theta_tail", "finite_size", "both")), key="remainders"),
-    Opt("a-mode", str, "exact_limit", ("in", ("exact_limit", "finite_scale")),
+    Opt("remainders", str, "none", ("in", rgflow.REMAINDER_MODELS), key="remainders"),
+    Opt("a-mode", str, "exact_limit", ("in", rgflow.A_MODES),
         help="finite_scale needs --h >= the box scale h_{L,beta}"),
     Opt("h-lbeta", int, help="box scale (default: the target scale)"),
     Opt("potential", str),
@@ -292,12 +291,10 @@ def cmd_flow(o):
         if o["a-mode"] == "finite_scale" and target_h < h_box:
             raise ConfigError("h must be >= the box scale h_{L,beta} = %d with "
                               "--a-mode finite_scale, got %d" % (h_box, target_h))
-        h_lbeta = target_h if o["h-lbeta"] is None else o["h-lbeta"]
-        cfg = rgflow.BetaConfig(remainder_model=o["remainders"],
-                                a_mode=o["a-mode"], seed=o["seed"],
-                                h_lbeta=h_lbeta)
 
-    traj = rgflow.run_flow(params, cfg, target_h)
+    traj = rgflow.run_flow(
+        params, target_h, a_mode=o["a-mode"], remainder_model=o["remainders"],
+        h_lbeta=target_h if o["h-lbeta"] is None else o["h-lbeta"], seed=o["seed"])
     rows = []
     for i in range(traj.couplings.shape[0]):
         j = -i
@@ -339,7 +336,7 @@ EXPONENTS = (
 def _fixed_point(params, h):
     """Flow without remainders down to scale h, taken as the box scale, then
     its fixed-point limits and first-order exponents."""
-    traj = rgflow.run_flow(params, rgflow.BetaConfig(h_lbeta=h), h)
+    traj = rgflow.run_flow(params, h, h_lbeta=h)
     limits = rgflow.fixed_point_values(traj, params)
     return traj, limits, renorm.exponents(params, limits)
 
@@ -432,7 +429,7 @@ CORRELATIONS = (
     Opt("x0", float, 0.0, key="x0"),
     Opt("alphas", _names, correlations.CHANNELS, ("in", correlations.CHANNELS)),
     Opt("tail", float, 1e-3, ((">", 0), ("<", 1))),
-    Opt("residuals", str, "none", ("in", ("none", "envelope")), key="residuals"),
+    Opt("residuals", str, "none", ("in", renorm.RESIDUAL_MODES), key="residuals"),
     Opt("potential", str),
 )
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 from . import propagators as props
 from . import renorm as rn
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 CHANNELS = rn.CHANNELS
 

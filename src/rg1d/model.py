@@ -153,10 +153,6 @@ class FermiPoint:
     t0: float
 
     @classmethod
-    def from_mu_bar(cls, mu_bar, L, gamma=2.0):
-        return cls.from_p_F(fermi_momentum_free(mu_bar), L, gamma)
-
-    @classmethod
     def from_p_F(cls, p_F, L, gamma=2.0):
         if not 0.0 < p_F < math.pi:
             raise ValueError("p_F must lie in (0, pi)")
@@ -228,7 +224,7 @@ class ModelParams:
             raise ValueError("complex lam requires allow_complex=True")
 
     def fermi(self):
-        return FermiPoint.from_mu_bar(self.mu_bar, self.L, self.gamma)
+        return FermiPoint.from_p_F(fermi_momentum_free(self.mu_bar), self.L, self.gamma)
 
     @classmethod
     def from_p_F(cls, lam, p_F, potential, beta, L, **kw):

@@ -35,6 +35,8 @@ ZETA_BAR = {"z": 0.0, "C": -1.5, "S": 0.5, "SC": -1.5, "TC": 0.5}
 
 HAT_KEYS = ("z", "1C", "1S", "1SC", "2C", "2S", "2SC", "2TC")
 
+RESIDUAL_MODES = ("none", "envelope")
+
 
 # ----------------------------------------------------------------------
 # renormalization-constant flow
@@ -70,10 +72,10 @@ def _residuals(mode, lam, depth, gamma, seed):
     "none": zeros; "envelope": |lam|^2 gamma^{theta h} with signs
     +1 (worst case) or seeded uniform in [-1, 1].
     """
+    if mode not in RESIDUAL_MODES:
+        raise ValueError("residual mode must be one of %s" % ", ".join(RESIDUAL_MODES))
     if mode == "none":
         return np.zeros(depth)
-    if mode != "envelope":
-        raise ValueError("residual mode must be none or envelope")
     mods = np.ones(depth)
     if seed is not None:
         mods = np.random.default_rng(seed).uniform(-1.0, 1.0, depth)

@@ -7,10 +7,12 @@ Scale recursion, j decreasing from 0:
 
 with the explicit second-order increments (-a_j g1_j^2, -(a_j/2) g1_j^2, 0, 0)
 for (g1, g2, g4, delta) and optional remainder terms confined to their decay
-envelopes.  The module integrates the flow, locates the threshold scales j0
-and h_star, runs the per-scale inequality checks, extracts fixed-point
-values, measures the logarithmic coupling sums against their closed forms,
-and probes boundedness over complex sectors and shrinking disks.
+envelopes.  The module integrates the flow (run_flow, whose settings are
+keyword arguments valued in A_MODES and REMAINDER_MODELS), locates the
+threshold scales j0 and h_star, runs the per-scale inequality checks,
+extracts fixed-point values, measures the logarithmic coupling sums against
+their closed forms, and probes boundedness over complex sectors and
+shrinking disks.
 
 Array conventions: a flow is plain arrays indexed by the scale offset
 i = -j, so row 0 holds j = 0 and row n-1 the target scale.  The couplings
@@ -35,29 +37,11 @@ C4 = 1.0     # threshold scale j0 = -ceil(1 / (c4 |g1_0|^{1/2}))
 EPS0 = 0.1   # smallness scale eps0 of bej, vdiff1 and the escape bound
 
 # ----------------------------------------------------------------------
-# configuration and state
+# settings and state
 # ----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class BetaConfig:
-    """The per-run flow settings: bubble-constant mode, remainder model,
-    box scale and seed.
-
-    a_mode "exact_limit" uses a = log(gamma)/(pi v_F) at every scale;
-    "finite_scale" evaluates the lattice bubble increment a^{(j)} (within
-    C gamma^{-(j - h_lbeta)} of a).  remainder_model selects which envelope
-    terms are added: "none", "theta_tail" (gamma^{theta j} transients),
-    "finite_size" (gamma^{-(j-h_lbeta)} tails), or "both".  seed None means
-    deterministic worst-case remainders at full envelope magnitude.
-    gamma comes from the model (ModelParams.gamma), theta is model.THETA
-    and the bound constants are the module constants above.
-    """
-
-    a_mode: str = "exact_limit"
-    remainder_model: str = "none"
-    h_lbeta: int | None = None  # resolved from (beta, L) when None
-    seed: int | None = None
+A_MODES = ("exact_limit", "finite_scale")
+REMAINDER_MODELS = ("none", "theta_tail", "finite_size", "both")
 
 
 @dataclass(frozen=True)
@@ -144,7 +128,7 @@ def finite_scale_bubble(j, fermi, beta, L):
 # ----------------------------------------------------------------------
 
 
-def _remainders(cfg, g1, eps_j, j, gamma, h_lbeta, rng):
+def _remainders(remainder_model, g1, eps_j, j, gamma, h_lbeta, rng):
     """Remainders of the step j -> j-1 on (g1, g2, g4, delta), inside their
     envelopes: b1 eps_j |g1|^2 on each coupling (unless remainder_model is
     none) and, on g1 alone, b2 eps_j |g1| gamma^{theta j} (theta_tail)
@@ -152,14 +136,14 @@ def _remainders(cfg, g1, eps_j, j, gamma, h_lbeta, rng):
     is modulated by a draw in [-1, 1], or by +1 (the worst case) when rng
     is None."""
     r = np.zeros(4, dtype=complex)
-    if cfg.remainder_model == "none":
+    if remainder_model == "none":
         return r
     mods = np.ones(5) if rng is None else rng.uniform(-1.0, 1.0, 5)
     r[:] = B1 * eps_j * abs(g1) ** 2 * mods[:4]
     tail = 0.0
-    if cfg.remainder_model in ("theta_tail", "both"):
+    if remainder_model in ("theta_tail", "both"):
         tail += gamma ** (THETA * j)
-    if cfg.remainder_model in ("finite_size", "both"):
+    if remainder_model in ("finite_size", "both"):
         tail += gamma ** (-(j - h_lbeta))
     r[0] += B2 * eps_j * abs(g1) * tail * mods[4]
     return r
@@ -172,17 +156,32 @@ def _threshold_j0(g1_0):
     return -int(math.ceil(1.0 / (C4 * math.sqrt(mag))))
 
 
-def run_flow(params, cfg, target_h):
+def run_flow(params, target_h, *, a_mode="exact_limit", remainder_model="none",
+             h_lbeta=None, seed=None):
     """Integrate the flow from j=0 down to target_h, writing row -j of the
     (n, 5) couplings array at each step.  Stops early (escaped_at set, the
     remaining rows padded with the last one) if the smallness variable
-    exceeds 2 c3 eps0.  gamma is the model's."""
+    exceeds 2 c3 eps0.
+
+    a_mode "exact_limit" uses a = log(gamma)/(pi v_F) at every scale;
+    "finite_scale" evaluates the lattice bubble increment a^{(j)} (within
+    C gamma^{-(j - h_lbeta)} of a).  remainder_model selects which envelope
+    terms are added: "none", "theta_tail" (gamma^{theta j} transients),
+    "finite_size" (gamma^{-(j-h_lbeta)} tails), or "both".  h_lbeta None
+    resolves the box scale from (beta, L).  seed None means deterministic
+    worst-case remainders at full envelope magnitude.  gamma comes from the
+    model (ModelParams.gamma), theta is model.THETA and the bound constants
+    are the module constants above.
+    """
+    if a_mode not in A_MODES or remainder_model not in REMAINDER_MODELS:
+        raise ValueError("unknown flow setting: a_mode %r, remainder_model %r"
+                         % (a_mode, remainder_model))
     fermi = params.fermi()
     gamma = fermi.gamma
     a = bubble_constant(fermi)
-    h_lbeta = cfg.h_lbeta if cfg.h_lbeta is not None else \
-        finite_size_scale(params.beta, params.L, fermi)
-    rng = None if cfg.seed is None else np.random.default_rng(cfg.seed)
+    if h_lbeta is None:
+        h_lbeta = finite_size_scale(params.beta, params.L, fermi)
+    rng = None if seed is None else np.random.default_rng(seed)
 
     n = -target_h + 1
     coup = np.empty((n, 5), dtype=complex)
@@ -203,13 +202,13 @@ def run_flow(params, cfg, target_h):
     for i in range(n - 1):
         j = -i
         a_j = finite_scale_bubble(j, fermi, params.beta, params.L) \
-            if cfg.a_mode == "finite_scale" else a
+            if a_mode == "finite_scale" else a
         a_seq[i] = a_j
         # second-order increments (-a_j g1^2, -(a_j/2) g1^2, 0, 0), nu -> gamma nu
         g1 = coup[i, 0]
         q = a_j * g1 * g1
         coup[i + 1, :4] = (coup[i, :4] + (-q, -0.5 * q, 0.0, 0.0)
-                           + _remainders(cfg, g1, eps[i], j, gamma, h_lbeta, rng))
+                           + _remainders(remainder_model, g1, eps[i], j, gamma, h_lbeta, rng))
         coup[i + 1, 4] = gamma * coup[i, 4]
         g1 = coup[i + 1, 0]
         run_max = max(run_max, *map(abs, coup[i + 1, :4]))
@@ -419,27 +418,28 @@ def smallness_chain_ok(lam0, h):
     return True
 
 
-def flow_sector_probe(params_of_lam, cfg, rays=16, radius=0.02, h_sector=-5000,
-                      disk_hs=(-50, -500, -5000)):
+def flow_sector_probe(params_of_lam, rays=16, radius=0.02, h_sector=-5000,
+                      disk_hs=(-50, -500, -5000), **settings):
     """Boundedness map of the flow over a complex sector and shrinking disks.
 
     params_of_lam: callable lam -> ModelParams (fixes potential, mu, grids).
     Sector part: rays at |Arg lam| <= 3 pi/4, fixed |lam| = radius,
     flow run down to h_sector; bounded means no escape and eps within
     2 c3 eps0.  Disk part: real lam = 0.9 c0 / (1 + |h|) per h, with
-    both the flow run and the scalar smallness chain checked.
+    both the flow run and the scalar smallness chain checked.  settings
+    are run_flow's keyword settings.
     """
     pts = []
     angles = np.linspace(-3 * math.pi / 4, 3 * math.pi / 4, rays)
     for th in angles:
         lam = radius * np.exp(1j * th)
-        traj = run_flow(params_of_lam(complex(lam)), cfg, h_sector)
+        traj = run_flow(params_of_lam(complex(lam)), h_sector, **settings)
         pts.append(ProbePoint(complex(lam), traj.escaped_at is None,
                               traj.escaped_at, None))
     c0 = derived_disk_constant()
     for h in disk_hs:
         lam = 0.9 * c0 / (1.0 + abs(h))
-        traj = run_flow(params_of_lam(lam), cfg, h)
+        traj = run_flow(params_of_lam(lam), h, **settings)
         pts.append(ProbePoint(lam, traj.escaped_at is None, traj.escaped_at,
                               smallness_chain_ok(lam, h)))
     return pts

@@ -16,8 +16,7 @@ def _setup(lam, depth=24, residuals="none", seed=None):
         beta=1e9,
         L=1e9,
     )
-    cfg = rgflow.BetaConfig(h_lbeta=-depth, seed=seed)
-    traj = rgflow.run_flow(params, cfg, -depth)
+    traj = rgflow.run_flow(params, -depth, h_lbeta=-depth, seed=seed)
     limits = rgflow.fixed_point_values(traj, params)
     ex = renorm.exponents(params, limits)
     rset = renorm.z_flow(traj, limits, residual_mode=residuals, seed=seed)

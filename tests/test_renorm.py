@@ -13,8 +13,7 @@ def _traj(lam, target_h=-2000, potential=None, seed=None, residuals="none"):
     params = model.ModelParams.from_p_F(
         lam=lam, p_F=P_F, potential=pot, beta=4096.0, L=4096
     )
-    cfg = rgflow.BetaConfig(h_lbeta=target_h, seed=seed)
-    traj = rgflow.run_flow(params, cfg, target_h)
+    traj = rgflow.run_flow(params, target_h, h_lbeta=target_h, seed=seed)
     return params, traj
 
 

@@ -16,10 +16,6 @@ def _params(lam, potential=None, beta=4096.0, L=4096):
     return model.ModelParams.from_p_F(lam=lam, p_F=P_F, potential=pot, beta=beta, L=L)
 
 
-def _cfg(**kw):
-    return rgflow.BetaConfig(**kw)
-
-
 # ---------------------------------------------------------------------------
 # initial couplings and the bubble constant
 # ---------------------------------------------------------------------------
@@ -28,7 +24,7 @@ def _cfg(**kw):
 def test_initial_couplings_values():
     params = _params(0.02, model.u_v_potential(1.0, 0.5))
     fermi = params.fermi()
-    traj = rgflow.run_flow(params, _cfg(), target_h=0)
+    traj = rgflow.run_flow(params, target_h=0)
     assert traj.couplings.shape == (1, 5)
     g1, g2, g4, delta, nu = traj.couplings[0]
     vhat0 = params.potential.fourier(0.0)
@@ -48,7 +44,7 @@ def test_bubble_constant_value():
 
 def test_flow_takes_gamma_from_the_model():
     params = _params(0.02).with_(gamma=3.0)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-50)
+    traj = rgflow.run_flow(params, target_h=-50)
     assert traj.gamma == 3.0
     assert traj.a == math.log(3.0) / (math.pi * params.fermi().v_F)
 
@@ -80,8 +76,7 @@ def test_finite_scale_bubble_window():
 def test_flow_matches_scalar_map_bitwise():
     # with remainders off the g1 flow IS the quadratic map with constant a
     params = _params(0.03)
-    cfg = _cfg()
-    traj = rgflow.run_flow(params, cfg, target_h=-800)
+    traj = rgflow.run_flow(params, target_h=-800)
     g1_0 = traj.couplings[0, 0]
     state = g1map.iterate(g1_0, traj.a, 800)
     assert np.array_equal(traj.couplings[:, 0], state.trajectory)
@@ -91,7 +86,7 @@ def test_telescoping_identities_machine_exact():
     for lam in (0.01, 0.02, 0.05):
         for pot in (model.on_site_potential(1.0), model.u_v_potential(1.0, 0.5)):
             params = _params(lam, pot)
-            traj = rgflow.run_flow(params, _cfg(), target_h=-400)
+            traj = rgflow.run_flow(params, target_h=-400)
             g1 = traj.couplings[:, 0]
             g2 = traj.couplings[:, 1]
             g4 = traj.couplings[:, 2]
@@ -104,7 +99,7 @@ def test_telescoping_identities_machine_exact():
 
 def test_monotone_decay_and_inverse_law():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-20000)
+    traj = rgflow.run_flow(params, target_h=-20000)
     g1 = traj.couplings[:, 0].real
     assert np.all(g1 > 0.0)
     assert np.all(np.diff(g1) < 0.0)
@@ -117,7 +112,7 @@ def test_fixed_point_first_order_prediction():
         for pot in (model.on_site_potential(1.0), model.u_v_potential(1.0, 0.5)):
             params = _params(lam, pot)
             fermi = params.fermi()
-            traj = rgflow.run_flow(params, _cfg(), target_h=-4000)
+            traj = rgflow.run_flow(params, target_h=-4000)
             fp = rgflow.fixed_point_values(traj, params)
             pred = (2.0 * pot.fourier(0.0) - pot.fourier(2.0 * fermi.p_F)) * lam
             assert abs(fp.g2_inf - pred) <= 3.0 * lam**1.5
@@ -128,7 +123,7 @@ def test_fixed_point_first_order_prediction():
 
 def test_g1_approximant_error_small():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-2000)
+    traj = rgflow.run_flow(params, target_h=-2000)
     g1_0 = traj.couplings[0, 0].real
     for j in (-10, -100, -1000, -2000):
         approx = traj.g1_approximant(j)
@@ -143,7 +138,7 @@ def test_g1_approximant_error_small():
 
 def test_threshold_scale_j0():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-100)
+    traj = rgflow.run_flow(params, target_h=-100)
     g1_0 = abs(traj.couplings[0, 0])
     assert traj.j0 == -int(np.ceil(1.0 / (1.0 * np.sqrt(g1_0))))
 
@@ -152,20 +147,20 @@ def test_h_star_crossover_definition():
     # with the box scale pushed below every scale of interest the crossover
     # fires right after the threshold scale
     params = _params(0.03)
-    deep = rgflow.run_flow(params, _cfg(h_lbeta=-3000), target_h=-3000)
+    deep = rgflow.run_flow(params, target_h=-3000, h_lbeta=-3000)
     assert deep.h_star == deep.j0 - 1
     lg = np.log(2.0)
     h = deep.h_star
     assert -(h - deep.h_lbeta) * lg <= 2.0 * np.log(abs(deep.couplings[-h, 0]))
     # with the physical box scale of a 4096 box the inequality never turns
     # over and no crossover is recorded
-    phys = rgflow.run_flow(params, _cfg(), target_h=-3000)
+    phys = rgflow.run_flow(params, target_h=-3000)
     assert phys.h_star is None
 
 
 def test_log_sum_lemma_budget():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-30000)
+    traj = rgflow.run_flow(params, target_h=-30000)
     budget = 2.0 * np.sqrt(0.03)
     for h in (-1000, -10000, -30000):
         rep = rgflow.log_sum_lemma(traj, h)
@@ -175,7 +170,7 @@ def test_log_sum_lemma_budget():
 
 def test_log_sum_lemma_needs_the_flow_to_reach_j0():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-2)
+    traj = rgflow.run_flow(params, target_h=-2)
     assert traj.j0 < traj.target_h
     with pytest.raises(ValueError):
         rgflow.log_sum_lemma(traj, traj.j0)
@@ -185,7 +180,7 @@ def test_log_sum_lemma_reads_only_scales_the_flow_holds():
     # below target_h the g1 slice would be clamped to the deepest row, so
     # the sum would stop growing while its model still grows
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-300)
+    traj = rgflow.run_flow(params, target_h=-300)
     rgflow.log_sum_lemma(traj, traj.target_h)
     with pytest.raises(ValueError):
         rgflow.log_sum_lemma(traj, traj.target_h - 1)
@@ -193,7 +188,7 @@ def test_log_sum_lemma_reads_only_scales_the_flow_holds():
 
 def test_log_sum_increment_constant_bounded():
     params = _params(0.03)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-30000)
+    traj = rgflow.run_flow(params, target_h=-30000)
     # each h also reads h - 1, so the deepest h is one above target_h
     c = rgflow.log_sum_increment_constant(traj, (-300, -3000, -29999))
     assert np.isfinite(c)
@@ -208,8 +203,8 @@ def test_log_sum_increment_constant_bounded():
 def test_flow_checks_pass_small_coupling():
     # box scale pushed to the target so the finite-size envelope stays tame
     params = _params(0.01)
-    cfg = _cfg(remainder_model="both", seed=11, h_lbeta=-2000)
-    traj = rgflow.run_flow(params, cfg, target_h=-2000)
+    traj = rgflow.run_flow(params, target_h=-2000, remainder_model="both", seed=11,
+                           h_lbeta=-2000)
     assert traj.escaped_at is None
     checks = rgflow.flow_checks(traj)
     assert checks
@@ -221,25 +216,32 @@ def test_finite_size_remainder_escalates_below_box_scale():
     # running below the physical box scale with the finite-size term on is
     # outside the envelope's validity: the flow escapes
     params = _params(0.01)
-    cfg = _cfg(remainder_model="both", seed=11)
-    traj = rgflow.run_flow(params, cfg, target_h=-2000)
+    traj = rgflow.run_flow(params, target_h=-2000, remainder_model="both", seed=11)
     assert traj.escaped_at is not None
     assert traj.escaped_at < traj.h_lbeta
 
 
 def test_remainder_seed_reproducibility():
     params = _params(0.02)
-    t1 = rgflow.run_flow(params, _cfg(remainder_model="both", seed=5), target_h=-500)
-    t2 = rgflow.run_flow(params, _cfg(remainder_model="both", seed=5), target_h=-500)
-    t3 = rgflow.run_flow(params, _cfg(remainder_model="both", seed=6), target_h=-500)
+    t1 = rgflow.run_flow(params, target_h=-500, remainder_model="both", seed=5)
+    t2 = rgflow.run_flow(params, target_h=-500, remainder_model="both", seed=5)
+    t3 = rgflow.run_flow(params, target_h=-500, remainder_model="both", seed=6)
     assert np.array_equal(t1.couplings, t2.couplings)
     assert not np.array_equal(t1.couplings, t3.couplings)
 
 
+@pytest.mark.parametrize("name, value", [("a_mode", "finite-scale"),
+                                         ("remainder_model", "theta-tail")])
+def test_run_flow_rejects_unknown_settings(name, value):
+    # a mistyped setting must not run as exact_limit or without its tail term
+    with pytest.raises(ValueError, match=value):
+        rgflow.run_flow(_params(0.02, beta=64.0, L=256), target_h=-50, h_lbeta=-50,
+                        **{name: value})
+
+
 def test_remainders_preserve_inverse_envelope():
     params = _params(0.02)
-    cfg = _cfg(remainder_model="theta_tail", seed=2)
-    traj = rgflow.run_flow(params, cfg, target_h=-4000)
+    traj = rgflow.run_flow(params, target_h=-4000, remainder_model="theta_tail", seed=2)
     assert traj.escaped_at is None
     g1 = np.abs(traj.couplings[:, 0])
     ref = np.abs(traj.couplings[0, 0]) / (1.0 + traj.a * np.abs(traj.couplings[0, 0]) * np.arange(len(g1)))
@@ -249,7 +251,7 @@ def test_remainders_preserve_inverse_envelope():
 
 def test_escape_for_excluded_direction():
     params = _params(-0.02)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-5000)
+    traj = rgflow.run_flow(params, target_h=-5000)
     assert traj.escaped_at is not None
     # growth before the freeze
     idx = -traj.escaped_at
@@ -259,7 +261,7 @@ def test_escape_for_excluded_direction():
 
 def test_nu_rescaling_default():
     params = _params(0.02)
-    traj = rgflow.run_flow(params, _cfg(), target_h=-40)
+    traj = rgflow.run_flow(params, target_h=-40)
     nu = traj.couplings[:, 4]
     # nu_{j-1} = gamma * nu_j with nu_0 = 0 stays identically zero
     assert np.max(np.abs(nu)) == 0.0
@@ -272,8 +274,8 @@ def test_complex_flow_is_pinned():
                                         4096.0, 4096, allow_complex=True)
     digest = hashlib.sha256()
     for seed in (None, 3):
-        traj = rgflow.run_flow(params, _cfg(remainder_model="both", seed=seed, h_lbeta=-300),
-                               target_h=-300)
+        traj = rgflow.run_flow(params, target_h=-300, remainder_model="both", seed=seed,
+                               h_lbeta=-300)
         assert traj.escaped_at is None
         for arr in (traj.couplings, traj.eps, traj.a_seq):
             digest.update(arr.tobytes())
@@ -312,9 +314,8 @@ def test_sector_probe_small():
             allow_complex=True,
         )
 
-    cfg = _cfg(h_lbeta=-300)
     pts = rgflow.flow_sector_probe(
-        params_of_lam, cfg, rays=6, radius=0.02, h_sector=-300, disk_hs=(-30, -300)
+        params_of_lam, rays=6, radius=0.02, h_sector=-300, disk_hs=(-30, -300), h_lbeta=-300
     )
     assert len(pts) == 6 + 2
     sector, disk = pts[:6], pts[6:]
