@@ -191,9 +191,11 @@ def _model(o):
     return ModelParams(lam=o["lambda"], mu_bar=o["mu"], **kw)
 
 
-# Every command returns (csv header, csv rows, summary, checks): summary
-# holds the computed keys (main adds the reported options), checks maps
-# name -> (passed, margin), or is None for a command without checks.
+# Every command returns (csv header, csv rows, summary, checks): rows is any
+# iterable whose values are all computed before the command returns, since
+# main writes them outside the failure boundary; summary holds the computed
+# keys (main adds the reported options), checks maps name -> (passed,
+# margin), or is None for a command without checks.
 
 COMMON = (Opt("out-dir", str, ".", help="output directory"),)
 SEED = Opt("seed", int, rule=(">=", 0), key="seed",
@@ -295,14 +297,10 @@ def cmd_flow(o):
     traj = rgflow.run_flow(
         params, target_h, a_mode=o["a-mode"], remainder_model=o["remainders"],
         h_lbeta=target_h if o["h-lbeta"] is None else o["h-lbeta"], seed=o["seed"])
-    rows = []
-    for i in range(traj.couplings.shape[0]):
-        j = -i
-        c = traj.couplings[i]
-        gt = traj.g1_approximant(j)
-        rows.append((j, c[0].real, c[1].real, c[2].real, c[3].real, c[4].real,
-                     traj.eps[i], traj.a_seq[i], gt.real,
-                     abs(c[0] - gt)))
+    c = traj.couplings
+    js = np.arange(0, -c.shape[0], -1)
+    gt = traj.g1_approximant(js)
+    rows = zip(js, *c.real.T, traj.eps, traj.a_seq, gt.real, np.abs(c[:, 0] - gt))
     summary = {
         "a": traj.a, "j0": traj.j0, "h_star": traj.h_star,
         "h_lbeta": traj.h_lbeta, "escaped_at": traj.escaped_at,

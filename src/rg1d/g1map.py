@@ -465,13 +465,9 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
 
 
 def trajectory_rows(state):
-    """Rows (n, re_g, im_g, re_gtilde, im_gtilde, err, bound) for CSV dumps."""
-    gt = approximant_path(state)
-    err = np.abs(state.trajectory - gt)
+    """Rows (n, re_g, im_g, re_gtilde, im_gtilde, err, bound) for CSV dumps:
+    one pass over arrays this call fills, so iterating does no arithmetic."""
+    g, gt = state.trajectory, approximant_path(state)
+    err = np.abs(g - gt)
     bound = np.abs(gt) ** 1.5
-    out = []
-    for n in range(state.trajectory.size):
-        gn, gtn = state.trajectory[n], gt[n]
-        out.append((n, gn.real, gn.imag, gtn.real, gtn.imag,
-                    float(err[n]), float(bound[n])))
-    return out
+    return zip(range(g.size), g.real, g.imag, gt.real, gt.imag, err, bound)

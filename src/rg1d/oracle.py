@@ -688,26 +688,30 @@ def bubble_quadrature(h, fermi, extrapolate=False):
 def mp_map_trajectory(g0, a, n):
     """Iterate g -> g - a g^2 in 40-digit arithmetic.
 
-    Returns (trajectory as complex128 array, OracleValue of g_n) where
-    the bar is the difference against a rerun at 60 digits; this bounds
-    the float iteration's roundoff drift in the closeness tests.  Raises
-    ArithmeticError at the first step that no complex128 can hold.
+    Returns (trajectory g_0..g_n as a complex128 array, OracleValue of g_n)
+    where the bar is the difference against g_n of a rerun at 60 digits,
+    which keeps only that final value; this bounds the float iteration's
+    roundoff drift in the closeness tests.  Raises ArithmeticError at the
+    first step that no complex128 can hold.
     """
     import mpmath
 
-    def run(digits):
+    def run(digits, traj=None):
+        """g_n at `digits`; traj, if given, receives g_0..g_n."""
         with mpmath.workdps(digits):
             g, a_mp = mpmath.mpc(complex(g0)), mpmath.mpc(complex(a))
-            traj = [complex(g)]
-            for _ in range(n):
-                g = g - a_mp * g * g
-                traj.append(complex(g))
-        return np.asarray(traj, dtype=complex)
+            for k in range(n + 1):
+                if k:
+                    g = g - a_mp * g * g
+                if traj is not None:
+                    traj[k] = complex(g)
+        return complex(g)
 
-    base = run(40)
+    base = np.empty(n + 1, dtype=complex)
+    run(40, base)
     escaped = np.flatnonzero(~np.isfinite(base))
     if escaped.size:
         raise ArithmeticError("map trajectory leaves the float range at step %d"
                               % escaped[0])
     check = run(60)
-    return base, OracleValue(abs(base[-1]), float(abs(base[-1] - check[-1])))
+    return base, OracleValue(abs(base[-1]), float(abs(base[-1] - check)))

@@ -51,12 +51,12 @@ from .model import MomentumGrids, TWO_PI, dispersion, ir_dispersion
 # ----------------------------------------------------------------------
 
 def _bump(u):
-    """w(u) = exp(-1/u) for u > 0, 0 otherwise (vectorized, overflow safe)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
+    """w(u) = exp(-1/u) for u > 1e-12, 0 otherwise, over the float array u."""
     pos = u > 1e-12
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
+    np.divide(-1.0, u, out=u, where=pos)
+    np.exp(u, out=u, where=pos)
+    u[~pos] = 0.0
+    return u
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,21 @@ class CutoffFunction:
     gamma: float = 2.0
 
     def chi0(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        s = (t - 1.0) / (self.gamma - 1.0)
-        lo = _bump(1.0 - s)
-        hi = _bump(s)
-        with np.errstate(invalid="ignore"):
-            mid = lo / (lo + hi)
-        out = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, mid))
-        return out if out.shape else float(out)
+        s = np.array(t, dtype=float)   # a copy, overwritten by the result
+        np.abs(s, out=s)
+        s -= 1.0
+        s /= self.gamma - 1.0
+        one, zero = s <= 0.0, s >= 1.0
+        band = ~(one | zero)   # 0 < s < 1 or NaN: the bump runs here only
+        hi = s[band]
+        lo = _bump(1.0 - hi)
+        _bump(hi)
+        hi += lo
+        with np.errstate(invalid="ignore"):   # NaN gives 0/0
+            s[band] = np.divide(lo, hi, out=lo)
+        s[one] = 1.0
+        s[zero] = 0.0
+        return s if s.shape else float(s)
 
     def scaled_norm(self, k_prime, k0, fermi):
         """|k'| = sqrt(k0^2 + v_F^2 ||k'||_T^2), torus distance in space."""
@@ -175,12 +182,16 @@ def free_propagator(x, x0, params, representation="kernel_sum"):
     elif representation == "cutoff_sum":
         grid = shell_grid("cutoff", None, params)
         k0 = grid.k0
-        ph0 = np.exp(-1j * k0 * x0) * grid.weight(None, k0)  # depends on k0 alone
-        neg_ik0 = -1j * k0
-        den = np.empty_like(neg_ik0)  # one buffer for every row's quotient
+        weight = grid.weight(None, k0)  # first: its temporaries meet no phase
+        ph0 = -1j * k0 * x0  # e^{-i k0 x0} weight depends on k0 alone
+        np.exp(ph0, out=ph0)
+        ph0 *= weight
+        del weight
+        den = np.empty_like(ph0)  # one buffer for every row's quotient
         acc = [np.zeros((), dtype=complex)] * xs.size  # scalar products: an array one rounds apart
         for i in range(L):  # k outer loop keeps memory flat
-            np.add(neg_ik0, grid.band[i], out=den)
+            den.real = grid.band[i]  # -1j * k0 + band[i]: band is never -0.0
+            np.negative(k0, out=den.imag)
             row = np.sum(np.divide(ph0, den, out=den))
             acc = [a + np.exp(-1j * grid.k[i] * xi) * row for a, xi in zip(acc, xs)]
         out = [complex(a) / (beta * L) for a in acc]

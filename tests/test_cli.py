@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -460,6 +461,30 @@ def test_map_oracle_drift_is_roundoff(argv, tmp_path):
     # the float map steps at every step, so it tracks the 40-digit one
     assert _run(argv, tmp_path) == 0
     assert float(_summary(tmp_path, "oracle")["max_drift"]) <= 1e-12
+
+
+# Peak heap growth of a run, in doubles per CSV row, from the arrays it must
+# hold per row.  g1map: the drifts sigma and a + sigma, the trajectory, the
+# Cesaro averages and the approximant (complex, 2 each), and the err and
+# bound columns: 12, about 17 with the checks' temporaries.  flow: the
+# trajectory (five complex couplings, eps and a_j: 12), the j, g1_approx and
+# error columns (4) and flow_checks' work arrays (16): 32.  Rows kept as
+# tuples of Python floats cost about 30 (g1map) and 43 (flow) more.
+@pytest.mark.parametrize("argv, doubles", [
+    (["g1map", "--n", "20000"], 24),
+    (["flow", "--h", "-20000"], 40),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_csv_rows_stream_from_the_arrays(argv, doubles, tmp_path):
+    rows = 20001
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _run(argv, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * rows) < doubles
+
 
 # every command's table and handler (oracle's handler is the --what
 # dispatch), then every --what mode's

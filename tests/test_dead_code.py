@@ -174,7 +174,7 @@ def test_every_dataclass_field_is_read_somewhere():
 # will give it a run caller.  A name leaves this table when a run reaches
 # it, or when it leaves the package; no name joins it.
 TEST_ONLY = {
-    "model.fermi_point_admissible": 7,
+    "model.fermi_point_admissible": 6,
     "nusolver.ball_check": 2,
     "propagators.single_scale": 2,
     **dict.fromkeys(["rgflow.LogSumReport", "rgflow._log_model",

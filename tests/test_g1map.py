@@ -545,7 +545,7 @@ def test_against_multiprecision_oracle():
 
 def test_trajectory_rows_layout():
     state = g1map.iterate(0.01, 0.25, 50, g1map.SectorDomain(0.015, DELTA))
-    rows = g1map.trajectory_rows(state)
+    rows = list(g1map.trajectory_rows(state))
     assert len(rows) == 51
     n, re_g, im_g, re_gt, im_gt, err, bound = rows[10]
     assert n == 10

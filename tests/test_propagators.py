@@ -62,6 +62,53 @@ def test_chi0_smooth_at_window_edges():
     assert cut.chi0(GAMMA - eps) == pytest.approx(0.0, abs=1e-3)
 
 
+def _bump_reference(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    pos = u > 1e-12
+    out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def _chi0_reference(gamma, t):
+    """chi0 as whole-array formulas: the bump on every point, then a select."""
+    t = np.abs(np.asarray(t, dtype=float))
+    s = (t - 1.0) / (gamma - 1.0)
+    lo = _bump_reference(1.0 - s)
+    hi = _bump_reference(s)
+    with np.errstate(invalid="ignore"):
+        mid = lo / (lo + hi)
+    out = np.where(s <= 0.0, 1.0, np.where(s >= 1.0, 0.0, mid))
+    return out if out.shape else float(out)
+
+
+@pytest.mark.parametrize("gamma", [GAMMA, 1.5, 3.7])
+@np.errstate(divide="raise", over="raise", invalid="raise")   # as in cli.main
+def test_chi0_matches_the_whole_array_formulas_bit_for_bit(gamma):
+    # chi0 runs the bump on the transition band only, in place; every bit,
+    # NaN's included, must be the whole-array formulas'
+    cut = propagators.CutoffFunction(gamma)
+    s = np.array([0.0, 1.0, 5e-13, 1e-12, 2e-12, 1.0 - 5e-13, 1.0 - 2e-12, 0.5])
+    t = np.concatenate([1.0 + s * (gamma - 1.0), -(1.0 + s * (gamma - 1.0)),
+                        [0.0, -0.0, 1.0, gamma, -gamma, 2.0 * gamma,
+                         np.inf, -np.inf, np.nan],
+                        np.random.default_rng(3).uniform(-2.0 * gamma, 2.0 * gamma, 4096)])
+    s_got = (np.abs(t) - 1.0) / (gamma - 1.0)
+    # the grid reaches s = 0 and 1 exactly, and either side of the bump's
+    # threshold at both ends of the band
+    assert {0.0, 1.0} <= set(s_got.tolist())
+    for u in (s_got, 1.0 - s_got):
+        assert ((u > 0.0) & (u <= 1e-12)).any() and ((u > 1e-12) & (u < 1e-11)).any()
+    for arr in (t, t[:4096].reshape(64, 64)):
+        assert np.array_equal(cut.chi0(arr).view(np.int64),
+                              _chi0_reference(gamma, arr).view(np.int64))
+    for x in t[:25]:   # 0-d: a float, as before
+        got, ref = cut.chi0(x), _chi0_reference(gamma, x)
+        assert type(got) is float and np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+        got = cut.chi0(np.asarray(x))
+        assert type(got) is float and np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+
+
 def test_uv_partition_of_unity():
     cut = propagators.CutoffFunction(GAMMA)
     M = 12
