@@ -514,11 +514,12 @@ def cmd_g1map(o):
 
     sigma = g1map.sigma_sequence(o["model"], n, o["sigma-scale"], o["seed"])
     state = g1map.iterate(g0, a + sigma, n, dom)
+    gt = g1map.approximant_path(state)
     return (("n", "re_g", "im_g", "re_gtilde", "im_gtilde", "err", "bound"),
-            g1map.trajectory_rows(state),
+            g1map.trajectory_rows(state, gt),
             {"escape_index": state.escape_index}, {
-        "closeness": g1map.verify_closeness(state),
-        "sector": g1map.verify_sector(state),
+        "closeness": g1map.verify_closeness(state, gt),
+        "sector": g1map.verify_sector(state, gt),
     })
 
 
@@ -606,6 +607,11 @@ def _oracle_wick(o):
 def _oracle_ed(o):
     params = o["params"]
     L, beta, lam = params.L, params.beta, params.lam
+    # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams
+    # asks; its spectrum comes first, before the eigenbasis is alive
+    mirror = None
+    if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
+        mirror = oracle.particle_hole_spectrum(params)
     ed = oracle.ed_micro(params)
     free = params.with_(lam=0.0)
     rows = []
@@ -625,9 +631,8 @@ def _oracle_ed(o):
                          for tau, g in zip(taus, two_point[x].tolist()))
         summary["two_point_vs_kernel"] = worst_free
         checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
-    # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams asks
-    if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
-        gap = oracle.particle_hole_gap(ed)
+    if mirror is not None:
+        gap = oracle.particle_hole_gap(ed, mirror)
         summary["particle_hole_gap"] = gap
         checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
     return (("alpha", "x", "tau", "ed", "wick_free", "abs_diff"), rows,

@@ -188,21 +188,20 @@ def approximant_path(state):
     return gt
 
 
-def verify_closeness(state):
+def verify_closeness(state, gt):
     """(ok, margin) of |g_n - gtilde_n| <= |gtilde_n|^{3/2} along the whole
-    horizon; margin is the max of lhs - rhs, <= 0 iff ok."""
-    gt = approximant_path(state)
+    horizon, gt being approximant_path(state); margin is the max of
+    lhs - rhs, <= 0 iff ok."""
     excess = np.abs(state.trajectory - gt) - np.abs(gt) ** 1.5
     return not (excess > 0).any(), float(np.max(excess))
 
 
-def verify_sector(state):
-    """(ok, margin) of gtilde_n in the (2eps/sin d, d/2) domain and g_n in
-    the (3eps/sin d, d/4) domain for the whole horizon; margin is
-    max |g_n| - 3 eps/sin d."""
+def verify_sector(state, gt):
+    """(ok, margin) of gtilde_n = gt[n] (approximant_path(state)) in the
+    (2eps/sin d, d/2) domain and g_n in the (3eps/sin d, d/4) domain for
+    the whole horizon; margin is max |g_n| - 3 eps/sin d."""
     d1 = state.domain.approximant_enlargement()
     d2 = state.domain.trajectory_enlargement()
-    gt = approximant_path(state)
     ok = (d2.contains(state.trajectory) & d1.contains(gt)).all()
     return bool(ok), float(np.max(np.abs(state.trajectory)) - d2.epsilon)
 
@@ -464,10 +463,11 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
 # ----------------------------------------------------------------------
 
 
-def trajectory_rows(state):
-    """Rows (n, re_g, im_g, re_gtilde, im_gtilde, err, bound) for CSV dumps:
-    one pass over arrays this call fills, so iterating does no arithmetic."""
-    g, gt = state.trajectory, approximant_path(state)
+def trajectory_rows(state, gt):
+    """Rows (n, re_g, im_g, re_gtilde, im_gtilde, err, bound) for CSV dumps,
+    gt being approximant_path(state): one pass over arrays this call
+    fills, so iterating does no arithmetic."""
+    g = state.trajectory
     err = np.abs(g - gt)
     bound = np.abs(gt) ** 1.5
     return zip(range(g.size), g.real, g.imag, gt.real, gt.imag, err, bound)

@@ -27,16 +27,17 @@ Scope guard: exact diagonalization is a micro oracle.  It validates the
 noninteracting kernels and the first-order response slopes on chains of
 at most 8 sites and moderate beta; the scaling regime (large L, beta) is
 out of its reach by construction and must be probed through the flow
-modules instead.  Its memory is one eigenbasis, the eigenvectors of
-every sector, which hold (sum_k C(L, k)^2)^2 doubles (6.8 MB at L = 6,
-94 MB at L = 7, 1.3 GB at L = 8), plus one sector's eigh transient (the
-particle-hole check keeps only its mirror's eigenvalues), plus rotated
-operator blocks, one (dest, src) sector pair at a time.  No Fock-basis
-operator matrix exists: _block gathers rows of dest's eigenbasis, or of
-the identity for the Hamiltonian.  A response keeps one A_x block and
-B's rotated blocks into the current source sector.  One density
-operator's sector blocks, all at once, would add as much again as the
-eigenvectors (3432^2 doubles, 94 MB, at L = 7).
+modules instead.  Its memory, in run order: the particle-hole mirror's
+spectrum first (particle_hole_spectrum keeps eigenvalues only, one
+sector's eigh transient at a time); then one eigenbasis, the
+eigenvectors of every sector, which hold (sum_k C(L, k)^2)^2 doubles
+(6.8 MB at L = 6, 94 MB at L = 7, 1.3 GB at L = 8), plus one sector's
+eigh transient while it is built; then at most three rotated blocks per
+response: A_x, B's partner and the weight buffer, one (dest, src) sector
+pair at a time.  No Fock-basis operator matrix exists: _block gathers
+rows of dest's eigenbasis, or of the identity for the Hamiltonian.  One
+density operator's sector blocks, all at once, would add as much again
+as the eigenvectors (3432^2 doubles, 94 MB, at L = 7).
 """
 
 from __future__ import annotations
@@ -448,15 +449,19 @@ class EDSystem:
         en = self.energies[src] - self.e0    # column space
         sgn = -1.0 if fermionic else 1.0
         terms = []
-        # both products go into the fresh C-ordered w: one temporary per
-        # tau, and the same values and pairwise sum as a * w * pair.T
+        # every tau's weights and both products go into one C-ordered
+        # buffer, shaped like a or like pair: the same values and pairwise
+        # sum as a * w * pair.T, and no second block alive while it is filled
+        buf = np.empty(a.size)
         for tau in taus:
             if tau > 0.0:
-                w = np.exp(-(beta - tau) * em)[:, None] * np.exp(-tau * en)[None, :]
+                w = buf.reshape(a.shape)
+                np.multiply(np.exp(-(beta - tau) * em)[:, None], np.exp(-tau * en)[None, :], out=w)
                 np.multiply(a, w, out=w)
                 terms.append(float(np.sum(np.multiply(w, pair.T, out=w))))
             else:
-                w = np.exp(-(beta + tau) * en)[:, None] * np.exp(tau * em)[None, :]
+                w = buf.reshape(pair.shape)
+                np.multiply(np.exp(-(beta + tau) * en)[:, None], np.exp(tau * em)[None, :], out=w)
                 np.multiply(pair, w, out=w)
                 terms.append(sgn * float(np.sum(np.multiply(w, a.T, out=w))))
         return terms
@@ -567,6 +572,15 @@ def _sector_eigh(params, basis):
         del eig
 
 
+def _check_ed_scope(params):
+    if params.L > ED_MAX_SITES:
+        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
+                         "Fock space" % (ED_MAX_SITES, 4 ** params.L))
+    if params.beta > ED_MAX_BETA:
+        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
+                         "is for the flow modules" % ED_MAX_BETA)
+
+
 def ed_micro(params):
     """Sector-resolved exact diagonalization of the interacting chain.
 
@@ -581,12 +595,7 @@ def ed_micro(params):
     The hopping conserves (N_up, N_down), so each sector has one block,
     diagonalised as soon as it is built (_sector_eigh).
     """
-    if params.L > ED_MAX_SITES:
-        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
-                         "Fock space" % (ED_MAX_SITES, 4 ** params.L))
-    if params.beta > ED_MAX_BETA:
-        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
-                         "is for the flow modules" % ED_MAX_BETA)
+    _check_ed_scope(params)
     basis = _sector_basis(params.L)
     energies, vectors = {}, {}
     for key, e, v in _sector_eigh(params, basis):
@@ -609,22 +618,30 @@ def particle_hole_mirror(params):
             2.0 * params.L * (params.mu_bar + 2.0 * params.lam * vbar))
 
 
-def particle_hole_gap(ed):
-    """Spectral mismatch of the built system ed under the particle-hole
-    map: on even rings the sorted spectra of H and of its
-    particle_hole_mirror coincide after the shift.  Only the mirror is
-    diagonalized here, on ed's basis, and only its eigenvalues are kept:
-    each sector's vectors are dropped before the next eigh."""
-    params = ed.params
+def particle_hole_spectrum(params):
+    """The sorted spectrum of params' particle_hole_mirror plus the shift:
+    on even rings it coincides with ed_micro(params).spectrum().
+
+    Only eigenvalues are kept: each sector's vectors are dropped before
+    the next eigh.  Run it before ed_micro, so that its eigh transients
+    never sit on top of the eigenbasis.
+    """
     if params.L % 2:
         raise ValueError("the staggered sign needs an even ring")
+    _check_ed_scope(params)
     mu_mirror, shift = particle_hole_mirror(params)
     spectra = []
-    for _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror), ed.basis):
+    for _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror), _sector_basis(params.L)):
         spectra.append(e)
         del v
-    s2 = np.sort(np.concatenate(spectra))
-    return float(np.max(np.abs(ed.spectrum() - (s2 + shift))))
+    return np.sort(np.concatenate(spectra)) + shift
+
+
+def particle_hole_gap(ed, mirror):
+    """Spectral mismatch of the built system ed under the particle-hole
+    map: the largest distance between its sorted spectrum and mirror, the
+    particle_hole_spectrum of ed.params."""
+    return float(np.max(np.abs(ed.spectrum() - mirror)))
 
 
 # ----------------------------------------------------------------------

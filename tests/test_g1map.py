@@ -60,7 +60,7 @@ def test_real_trajectory_monotone_and_asymptotics():
 
 def test_trajectory_matches_approximant_closely():
     state = g1map.iterate(0.01, 0.25, 100000, g1map.SectorDomain(0.015, DELTA))
-    ok, margin = g1map.verify_closeness(state)
+    ok, margin = g1map.verify_closeness(state, g1map.approximant_path(state))
     assert ok
     assert margin <= 0.0
 
@@ -169,7 +169,7 @@ def test_boundary_ray_stays_in_enlarged_sector():
     dom = g1map.SectorDomain(0.015, DELTA)
     state = g1map.iterate(g0, 0.25, 10000, dom)
     assert state.escape_index is None
-    ok, _ = g1map.verify_sector(state)
+    ok, _ = g1map.verify_sector(state, g1map.approximant_path(state))
     assert ok
     # arguments relax toward the positive axis along the trajectory
     args = np.abs(np.angle(state.trajectory))
@@ -523,7 +523,7 @@ def test_closeness_bound_random_rays(r, k):
     g0 = r * np.exp(1j * ang)
     state = g1map.iterate(g0, 0.25, 3000, g1map.SectorDomain(0.015, DELTA))
     if state.escape_index is None:
-        ok, _ = g1map.verify_closeness(state)
+        ok, _ = g1map.verify_closeness(state, g1map.approximant_path(state))
         assert ok
 
 
@@ -545,7 +545,7 @@ def test_against_multiprecision_oracle():
 
 def test_trajectory_rows_layout():
     state = g1map.iterate(0.01, 0.25, 50, g1map.SectorDomain(0.015, DELTA))
-    rows = list(g1map.trajectory_rows(state))
+    rows = list(g1map.trajectory_rows(state, g1map.approximant_path(state)))
     assert len(rows) == 51
     n, re_g, im_g, re_gt, im_gt, err, bound = rows[10]
     assert n == 10

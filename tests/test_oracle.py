@@ -129,7 +129,7 @@ def test_bubble_quadrature_extrapolates_to_bubble_constant():
 def test_particle_hole_spectra_coincide(potential):
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=potential, beta=4.0, L=4)
     ed = oracle.ed_micro(params)
-    gap = oracle.particle_hole_gap(ed)
+    gap = oracle.particle_hole_gap(ed, oracle.particle_hole_spectrum(params))
     assert gap <= ed.roundoff
 
 
@@ -151,13 +151,14 @@ def test_free_ed_matches_wick_responses():
 
 # bound on one response's peak heap growth at L = 6, in blocks of the
 # largest sector (400^2 doubles, 1.28 MB): rotating one block at a time by
-# gathering eigenbasis rows keeps about 4.1 (C) and 2.9 (SC) alive;
-# rotating whole operators took 16 and 24
-ED_PEAK_BLOCKS = 8
-# the same bound for particle_hole_gap: about 2.7 with the mirror's
+# gathering eigenbasis rows, with one weight buffer per block pair, keeps
+# about 3.1 (C) and 2.4 (SC) alive: A_x, B's partner and the buffer; a
+# fresh weight block per tau took 4.1 (C), whole operators 16 and 24
+ED_PEAK_BLOCKS = 4
+# the same bound for particle_hole_spectrum: about 2.7 with the mirror's
 # eigenvalues only and the hopping block gathered from an identity, 6.2
-# with a second eigenbasis beside the first
-PH_PEAK_BLOCKS = 4
+# with a second eigenbasis
+PH_PEAK_BLOCKS = 3
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +190,18 @@ def test_ed_response_streams_one_source_sector_at_a_time(ed_l6, alpha):
 
 
 def test_particle_hole_gap_keeps_no_second_eigenbasis(ed_l6):
-    assert _peak_blocks(lambda: oracle.particle_hole_gap(ed_l6)) < PH_PEAK_BLOCKS
+    # particle_hole_spectrum is the only diagonalisation behind the gap
+    assert _peak_blocks(lambda: oracle.particle_hole_spectrum(ed_l6.params)) < PH_PEAK_BLOCKS
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_eigenbasis_holds_the_sector_squares(L):
+    # the module docstring's memory claim: the vectors of every sector hold
+    # (sum_k C(L, k)^2)^2 = C(2L, L)^2 doubles, 6.8 MB at L = 6
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=L)
+    ed = oracle.ed_micro(params)
+    assert sum(v.nbytes for v in ed.vectors.values()) == 8 * math.comb(2 * L, L) ** 2
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -201,7 +213,8 @@ def test_particle_hole_gap_reads_the_mirror_spectrum_of_ed_micro(L):
     ed = oracle.ed_micro(params)
     mu_mirror, shift = oracle.particle_hole_mirror(params)
     mirror = oracle.ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
-    assert oracle.particle_hole_gap(ed) == float(np.max(np.abs(ed.spectrum() - (mirror + shift))))
+    gap = oracle.particle_hole_gap(ed, oracle.particle_hole_spectrum(params))
+    assert gap == float(np.max(np.abs(ed.spectrum() - (mirror + shift))))
 
 
 @pytest.mark.parametrize("fermionic", [False, True])
