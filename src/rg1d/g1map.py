@@ -214,11 +214,18 @@ def verify_sector(state, gt):
 _BLOCK = 32   # rows per sweep block; even, so a block starts on an even step
 # lanes x steps above which a sweep splits its lanes over the available
 # cores, and the most shares it takes.  Both were measured on 2 cores only,
-# with seven runs per point: at 1024 lanes two shares took 0.08-0.37 s
-# (median 0.12) against 0.09-0.11 s (0.10) in one process at 1000 steps,
-# broke even at 4000 (medians 0.35 and 0.33 s) and took 0.48-0.90 s (0.70)
-# against 0.58-1.32 s (0.81) at 8000.  Every share repeats the disk draws
-# and the block loop, so more shares wait for a measurement on more cores
+# seven fresh processes per point, the default 1024 lanes, sweep_sector
+# alone: two shares took 0.088-0.109 s (median 0.095) against 0.070-0.101 s
+# (0.095) in one at 1000 steps, 0.20-0.34 s (0.22) against 0.25-0.32 s
+# (0.30) at 4000 and 0.34-0.53 s (0.40) against 0.40-0.62 s (0.52) at 8000,
+# so the split breaks even near 1e6 lane-steps; the bound stays until a
+# benchmark workload below it confirms that.  Only the disk share draws,
+# but every share runs the block loop, so more shares wait for a
+# measurement on more cores.  The two shares are 768 lanes that draw
+# nothing and the 256 disk lanes; run serially at 1e5 steps they took
+# medians of 3.5 and 3.2 s (seven runs each, ratios 0.91-1.24): the disk
+# lanes' draws and exponentials cost about what three times as many
+# other lanes do
 _SPLIT_LANE_STEPS = 4 * 10 ** 6
 _MAX_SHARES = 2
 # radii of the swept g0, as fractions of epsilon; a sweep takes the first n_radii
@@ -261,15 +268,19 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     row of the block at once, so the memory cost is O(lanes x _BLOCK)
     independent of n_steps.  A lane is frozen at its first failing row.
 
-    The lanes are split into _share_count shares, each an equal contiguous
-    share of every model's lanes; one share runs in this process and the
-    others in a fork pool, all through _sweep_lanes.  Lanes do not interact,
-    and every share draws the full disk block and keeps its own columns, so
-    the report, and the error a failing sweep raises, are bit-identical for
-    every number of shares, and so whatever the CPU count.  A sweep in
-    which a lane could leave the float range runs in one share: there a
-    failed lane, which the serial sweep steps on while another lane is
-    live, could raise after its own share has stopped.
+    The lanes are split into _share_count shares; share 0 runs in this
+    process and the others in a fork pool, all through _sweep_lanes.  A
+    sweep that mixes disk lanes with lanes that draw nothing puts every
+    disk lane in the last share and splits the others into at most
+    _share_count - 1 shares, so this process never loads numpy.random or
+    draws; any other sweep gives each share an equal contiguous share of
+    every model's lanes.  Lanes do not interact, and a share with disk
+    lanes draws the serial sweep's full disk block and keeps its own
+    columns, so the report, and the error a failing sweep raises, are
+    bit-identical for every number of shares, and so whatever the CPU
+    count.  A sweep in which a lane could leave the float range runs in
+    one share: there a failed lane, which the serial sweep steps on while
+    another lane is live, could raise after its own share has stopped.
     """
     thetas = np.linspace(-(math.pi - delta), math.pi - delta, n_rays)
     radii = epsilon * np.array(RADII[:n_radii])
@@ -290,9 +301,14 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     parts = 1
     if 2.0 * (cap + 4.0 * top * cap * cap) < 1e300 and 2.0 * top * (n_steps + 1) < 1e300:
         parts = _share_count(g0.size, n_steps)
-    offsets = n_pts * np.arange(len(models))[:, None]
-    shares = [(offsets + share).ravel()
-              for share in np.array_split(np.arange(n_pts), min(parts, n_pts))]
+    is_disk = kind == "disk"
+    if parts > 1 and is_disk.any() and not is_disk.all():
+        others = np.flatnonzero(~is_disk)
+        shares = np.array_split(others, min(parts - 1, others.size)) + [np.flatnonzero(is_disk)]
+    else:
+        offsets = n_pts * np.arange(len(models))[:, None]
+        shares = [(offsets + share).ravel()
+                  for share in np.array_split(np.arange(n_pts), min(parts, n_pts))]
     results = _run_shares(sweep, shares)
 
     errors = [err for _, err in results if err is not None]
@@ -364,6 +380,10 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     drift sums is its drift-sum error, which a step error at the same step
     precedes.  The checks write into buffers allocated once and take |g|
     and |gtilde| from them.
+
+    Only a share with disk lanes makes a generator: for every block it draws
+    the serial sweep's full disk block, all of the sweep's disk lanes, and
+    keeps its own columns.
     """
     is_disk = kind == "disk"
     n_disk = int(is_disk.sum())
@@ -371,7 +391,7 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     cols = (np.cumsum(is_disk) - 1)[lanes[is_disk[lanes]]]
     g0, kind, sig_scale = g0[lanes], kind[lanes], sig_scale[lanes]
     disk = np.flatnonzero(kind == "disk")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if disk.size else None
     # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
     # disk columns are drawn anew for every block
     drift = np.where((kind == "constant") | (kind == "alternating"),
@@ -380,10 +400,11 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     a_n = (a + drift * sign ** np.arange(_BLOCK)[:, None]).astype(complex)
 
     cap = d2.epsilon
-    # the block's rows: g_n, sum_{k<n} a_k, gtilde_n, g_n - gtilde_n, |g_n|,
-    # |gtilde_n|, |gtilde_n|^{3/2} and the closeness ratio
-    G, S, GT, D = (np.empty((_BLOCK + 1, g0.size), dtype=complex) for _ in range(4))
-    M, MT, DEN, R = (np.empty(G.shape) for _ in range(4))
+    # the block's rows: g_n, sum_{k<n} a_k, gtilde_n then g_n - gtilde_n,
+    # |g_n|, |gtilde_n| then max(|gtilde_n|, 1e-300)^{3/2}, and the
+    # closeness ratio
+    G, S, GT = (np.empty((_BLOCK + 1, g0.size), dtype=complex) for _ in range(3))
+    M, MT, R = (np.empty(G.shape) for _ in range(3))
     ag, agg = np.empty((2, g0.size), dtype=complex)   # a_n g_n and a_n g_n^2
     G[0], S[0] = g0, 0.0
     np.abs(g0, out=M[0])
@@ -396,7 +417,7 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     for start in range(0, n_steps + 1, _BLOCK):
         k = min(_BLOCK, n_steps + 1 - start)     # rows n = start .. start+k-1
         steps = min(k, n_steps - start)
-        if n_disk:
+        if disk.size:
             u = rng.random((steps, 2, n_disk))
             a_n[:steps, disk] = a + sig_scale[disk] * np.sqrt(u[:, 0, cols]) * \
                 np.exp(1j * (2.0 * math.pi * u[:, 1, cols]))
@@ -430,13 +451,13 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
 
         g, s, m, gt, mt, r = G[:k], S[:k], M[:k], GT[:k], MT[:k], R[:k]
         np.divide(g0, np.add(1.0, np.multiply(g0, s, out=gt), out=gt), out=gt)
+        # the containment check reads gtilde_n and |gtilde_n| before the
+        # ratio overwrites them
+        bad_cont = ~(d2.contains(g, m) & d1.contains(gt, np.abs(gt, out=mt)))
         with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio ends the run below
-            np.abs(np.subtract(g, gt, out=D[:k]), out=r)
-            den = np.power(np.maximum(np.abs(gt, out=mt), 1e-300, out=DEN[:k]), 1.5,
-                           out=DEN[:k])
-            np.divide(r, den, out=r)
+            np.abs(np.subtract(g, gt, out=gt), out=r)
+            np.divide(r, np.power(np.maximum(mt, 1e-300, out=mt), 1.5, out=mt), out=r)
         bad_close = r > 1.0
-        bad_cont = ~(d2.contains(g, m) & d1.contains(gt, mt))
         bad = (bad_close | bad_cont) & alive
         hit = np.flatnonzero(bad.any(axis=0))
         if hit.size or not alive.all():   # rows past a lane's first failing row do not count

@@ -650,3 +650,20 @@ def test_import_does_not_load_scipy(tmp_path):
             "sys.exit(codes != [0, 0] or 'scipy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env).returncode == 0
+
+
+@pytest.mark.parametrize("models, draws", [("zero,constant,disk,alternating", False),
+                                           ("disk", True)])
+def test_split_borel_run_loads_numpy_random_only_where_it_draws(models, draws, tmp_path):
+    # in a fresh child, on two shares: the disk lanes make the worker's
+    # share, so this process never loads numpy.random (whose pages
+    # tracemalloc cannot see); with only disk lanes both shares draw
+    code = ("import sys; from rg1d import cli, g1map; "
+            "g1map._share_count = lambda n_lanes, n_steps: 2; "
+            "code = cli.main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)")
+    argv = ["borel", "--n", "200", "--rays", "4", "--radii", "2", "--models", models,
+            "--out-dir", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 %s" % draws, done.stderr

@@ -315,6 +315,45 @@ def test_sweep_that_could_leave_the_float_range_runs_in_one_share(monkeypatch):
     assert shares == [3, 1, 1]
 
 
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("kw", [
+    dict(n_rays=5, n_radii=3),
+    dict(n_rays=5, n_radii=2, models=("disk", "zero", "disk")),
+    # one lane draws nothing: it makes one share whatever the share count
+    dict(n_rays=1, n_radii=1, models=("zero", "disk")),
+], ids=str)
+def test_disk_lanes_make_one_share_that_this_process_does_not_run(kw, parts, monkeypatch):
+    run, split = g1map._run_shares, []
+    monkeypatch.setattr(g1map, "_run_shares",
+                        lambda sweep, shares: split.append((sweep[1], shares)) or run(sweep, shares))
+    _split(monkeypatch, parts)
+    g1map.sweep_sector(DELTA, 1e-2, n_steps=100, seed=4, **kw)
+    (kind, shares), = split
+    is_disk = kind == "disk"
+    assert len(shares) == min(parts, int((~is_disk).sum()) + 1)
+    assert min(share.size for share in shares) > 0
+    assert np.array_equal(np.sort(np.concatenate(shares)), np.arange(kind.size))
+    # share 0 runs in this process
+    assert not is_disk[shares[0]].any()
+    drawing = [share for share in shares if is_disk[share].any()]
+    assert len(drawing) == 1 and np.array_equal(drawing[0], np.flatnonzero(is_disk))
+
+
+def test_split_mixed_sweep_draws_only_in_a_worker(monkeypatch):
+    kw = dict(delta=DELTA, epsilon=1e-2, n_rays=5, n_radii=3, n_steps=300, seed=4)
+    _split(monkeypatch, 1)
+    serial = g1map.sweep_sector(**kw)
+    default_rng = np.random.default_rng
+
+    def worker_rng(seed):
+        if multiprocessing.parent_process() is None:
+            raise AssertionError("the sweep drew in this process")
+        return default_rng(seed)
+    monkeypatch.setattr(np.random, "default_rng", worker_rng)
+    _split(monkeypatch, 2)
+    assert g1map.sweep_sector(**kw) == serial
+
+
 def test_share_count_is_one_per_core_up_to_the_cap(monkeypatch):
     big = g1map._SPLIT_LANE_STEPS + 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
