@@ -269,7 +269,7 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
     independent of n_steps.  A lane is frozen at its first failing row.
 
     The lanes are split into _share_count shares; share 0 runs in this
-    process and the others in a fork pool, all through _sweep_lanes.  A
+    process and each other one in a forked child, all through _sweep_lanes.  A
     sweep that mixes disk lanes with lanes that draw nothing puts every
     disk lane in the last share and splits the others into at most
     _share_count - 1 shares, so this process never loads numpy.random or
@@ -333,32 +333,64 @@ def sweep_sector(delta, epsilon, n_rays=32, n_radii=len(RADII),
 def _share_count(n_lanes, n_steps):
     """One share per available core, at most _MAX_SHARES, when lanes x steps
     exceeds _SPLIT_LANE_STEPS and the platform can fork its workers (Linux:
-    macOS and Windows have no sched_getaffinity); else one."""
-    if n_lanes * n_steps <= _SPLIT_LANE_STEPS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing   # here, so that import and small sweeps never load it
-    if "fork" not in multiprocessing.get_all_start_methods():
+    macOS has no sched_getaffinity, Windows no os.fork either); else one."""
+    if n_lanes * n_steps <= _SPLIT_LANE_STEPS or not hasattr(os, "fork") \
+            or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(_MAX_SHARES, len(os.sched_getaffinity(0)))
 
 
 def _run_shares(sweep, shares):
-    """_sweep_lanes of every share: the first in this process, the others in
-    a fork pool whose workers are reaped before this returns or raises; a
-    worker that dies raises BrokenProcessPool, a RuntimeError."""
+    """_sweep_lanes of every share: the first in this process, each other in
+    a forked child that pickles its result into a pipe and exits.  A child
+    that fails or dies raises RuntimeError.  Every child is reaped before
+    this returns or raises, and one still running when this raises is
+    killed first, so a failing share 0 does not wait for the others."""
     if len(shares) == 1:
         return [_sweep_lanes(shares[0], *sweep)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork: the workers inherit the loaded modules.  The executor forks its
-    # workers before it starts its own thread, but numpy's OpenBLAS may run
-    # a thread pool by then; OpenBLAS stops it across a fork (pthread_atfork),
-    # and a worker only runs _sweep_lanes.  Python 3.12 and later still warn
-    # (DeprecationWarning, hidden by default) on a fork of a threaded process
-    with ProcessPoolExecutor(len(shares) - 1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        pending = [pool.submit(_sweep_lanes, lanes, *sweep) for lanes in shares[1:]]
-        return [_sweep_lanes(shares[0], *sweep)] + [f.result() for f in pending]
+    import pickle
+    import signal
+    import traceback
+    # a child inherits the loaded modules and only runs _sweep_lanes.  numpy's
+    # OpenBLAS may run a thread pool by then; OpenBLAS stops it across a fork
+    # (pthread_atfork).  Python 3.12 and later still warn (DeprecationWarning,
+    # hidden by default) on a fork of a threaded process
+    children = {}   # pid -> the read end of its pipe
+    try:
+        for lanes in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the child never returns into the caller's stack
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as fh:
+                        pickle.dump(_sweep_lanes(lanes, *sweep), fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                except Exception:   # the parent sees the status only
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = read
+        results = [_sweep_lanes(shares[0], *sweep)]
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status:
+                raise RuntimeError("sweep worker exited with status %d" % status)
+            try:
+                results.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("sweep worker sent a short result") from None
+        return results
+    finally:
+        for pid, read in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
 
 
 def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
@@ -379,7 +411,9 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     set to 0, the values that sweep has.  The first non-finite row of the
     drift sums is its drift-sum error, which a step error at the same step
     precedes.  The checks write into buffers allocated once and take |g|
-    and |gtilde| from them.
+    and |gtilde| from them; they overwrite rows 0..k-1 of a k-row block
+    only, so row k, the carry into the next block, keeps g_n, the drift sum
+    and |g_n|.
 
     Only a share with disk lanes makes a generator: for every block it draws
     the serial sweep's full disk block, all of the sweep's disk lanes, and
@@ -392,19 +426,21 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
     g0, kind, sig_scale = g0[lanes], kind[lanes], sig_scale[lanes]
     disk = np.flatnonzero(kind == "disk")
     rng = np.random.default_rng(seed) if disk.size else None
-    # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n; the
-    # disk columns are drawn anew for every block
+    # a_n of the block's rows j: _BLOCK is even, so (-1)^j is (-1)^n.  The
+    # disk columns are drawn anew for every block; a share without them
+    # keeps rows 0 and 1 only, as its a_n depend on the parity of n alone
     drift = np.where((kind == "constant") | (kind == "alternating"),
                      sig_scale, 0.0)
     sign = np.where(kind == "alternating", -1.0, 1.0)
-    a_n = (a + drift * sign ** np.arange(_BLOCK)[:, None]).astype(complex)
+    a_n = (a + drift * sign ** np.arange(_BLOCK if disk.size else 2)[:, None]).astype(complex)
+    period = a_n.shape[0]
 
     cap = d2.epsilon
-    # the block's rows: g_n, sum_{k<n} a_k, gtilde_n then g_n - gtilde_n,
-    # |g_n|, |gtilde_n| then max(|gtilde_n|, 1e-300)^{3/2}, and the
-    # closeness ratio
-    G, S, GT = (np.empty((_BLOCK + 1, g0.size), dtype=complex) for _ in range(3))
-    M, MT, R = (np.empty(G.shape) for _ in range(3))
+    # the block's rows: g_n; sum_{k<n} a_k, then gtilde_n, then g_n - gtilde_n;
+    # |g_n|, then the closeness ratio; |gtilde_n|, then
+    # max(|gtilde_n|, 1e-300)^{3/2}
+    G, S = (np.empty((_BLOCK + 1, g0.size), dtype=complex) for _ in range(2))
+    M, MT = (np.empty(G.shape) for _ in range(2))
     ag, agg = np.empty((2, g0.size), dtype=complex)   # a_n g_n and a_n g_n^2
     G[0], S[0] = g0, 0.0
     np.abs(g0, out=M[0])
@@ -426,12 +462,13 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite row is an error below
             g = np.where(M[0] < cap, G[0], 0.0)
             for j in range(steps):
+                a_j = a_n[j % period]
                 # not in place: numpy rounds an in-place complex product of
                 # one element differently
-                np.multiply(a_n[j], g, out=ag)
+                np.multiply(a_j, g, out=ag)
                 np.multiply(ag, g, out=agg)
                 g = np.subtract(g, agg, out=G[j + 1])
-                np.add(S[j], a_n[j], out=S[j + 1])
+                np.add(S[j], a_j, out=S[j + 1])
             np.abs(G[1:steps + 1], out=M[1:steps + 1])
 
         # the per-step sweep's errors; at one step the step's comes first
@@ -449,13 +486,14 @@ def _sweep_lanes(lanes, g0, kind, sig_scale, a, d1, d2, n_steps, seed):
         for lane, row in zip(lost, first):
             G[row + 1:steps + 1, lane] = M[row + 1:steps + 1, lane] = 0.0
 
-        g, s, m, gt, mt, r = G[:k], S[:k], M[:k], GT[:k], MT[:k], R[:k]
-        np.divide(g0, np.add(1.0, np.multiply(g0, s, out=gt), out=gt), out=gt)
-        # the containment check reads gtilde_n and |gtilde_n| before the
-        # ratio overwrites them
+        # rows 0..k-1 only: row k carries into the next block
+        g, gt, m, mt = G[:k], S[:k], M[:k], MT[:k]
+        np.divide(g0, np.add(1.0, np.multiply(g0, gt, out=gt), out=gt), out=gt)
+        # the containment check reads |g_n|, gtilde_n and |gtilde_n| before
+        # the ratio overwrites them
         bad_cont = ~(d2.contains(g, m) & d1.contains(gt, np.abs(gt, out=mt)))
         with np.errstate(divide="ignore", invalid="ignore"):   # a non-finite ratio ends the run below
-            np.abs(np.subtract(g, gt, out=gt), out=r)
+            r = np.abs(np.subtract(g, gt, out=gt), out=m)
             np.divide(r, np.power(np.maximum(mt, 1e-300, out=mt), 1.5, out=mt), out=r)
         bad_close = r > 1.0
         bad = (bad_close | bad_cont) & alive

@@ -634,7 +634,7 @@ def test_borel_sweep_past_failed_lanes_does_not_warn(tmp_path):
 def test_import_does_not_load_scipy(tmp_path):
     # the package needs no scipy: the Dirac profiles' J1 is its own. Import
     # loads neither mpmath, which only the map oracle reads, nor
-    # multiprocessing, which only a sweep split over cores loads, nor
+    # multiprocessing, which no run loads, nor
     # numpy.random, which numpy loads when a run first draws, nor
     # numpy.polynomial: the quadrature rules come from a shipped table
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -657,13 +657,17 @@ def test_import_does_not_load_scipy(tmp_path):
 def test_split_borel_run_loads_numpy_random_only_where_it_draws(models, draws, tmp_path):
     # in a fresh child, on two shares: the disk lanes make the worker's
     # share, so this process never loads numpy.random (whose pages
-    # tracemalloc cannot see); with only disk lanes both shares draw
+    # tracemalloc cannot see); with only disk lanes both shares draw.  The
+    # worker is a plain fork: no run loads multiprocessing or
+    # concurrent.futures
     code = ("import sys; from rg1d import cli, g1map; "
             "g1map._share_count = lambda n_lanes, n_steps: 2; "
-            "code = cli.main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)")
+            "code = cli.main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules, "
+            "[m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures')])")
     argv = ["borel", "--n", "200", "--rays", "4", "--radii", "2", "--models", models,
             "--out-dir", str(tmp_path)]
     done = subprocess.run([sys.executable, "-c", code, *argv],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "0 %s" % draws, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 %s []" % draws, done.stderr

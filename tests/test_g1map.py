@@ -1,10 +1,10 @@
 """Quadratic map g -> g - a_n g^2: trajectories, approximants, sector checks."""
 
+import functools
 import hashlib
 import math
-import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
+import time
 from unittest import mock
 
 import numpy as np
@@ -343,10 +343,10 @@ def test_split_mixed_sweep_draws_only_in_a_worker(monkeypatch):
     kw = dict(delta=DELTA, epsilon=1e-2, n_rays=5, n_radii=3, n_steps=300, seed=4)
     _split(monkeypatch, 1)
     serial = g1map.sweep_sector(**kw)
-    default_rng = np.random.default_rng
+    default_rng, main = np.random.default_rng, os.getpid()
 
     def worker_rng(seed):
-        if multiprocessing.parent_process() is None:
+        if os.getpid() == main:
             raise AssertionError("the sweep drew in this process")
         return default_rng(seed)
     monkeypatch.setattr(np.random, "default_rng", worker_rng)
@@ -366,8 +366,8 @@ def test_share_count_is_one_per_core_up_to_the_cap(monkeypatch):
 def test_share_count_is_one_where_workers_cannot_fork(monkeypatch):
     big = g1map._SPLIT_LANE_STEPS + 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    # Windows has no fork start method
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    # Windows has no os.fork
+    monkeypatch.delattr(os, "fork", raising=False)
     assert g1map._share_count(big, 1) == 1
     monkeypatch.undo()
     # macOS and Windows have no sched_getaffinity
@@ -375,31 +375,76 @@ def test_share_count_is_one_where_workers_cannot_fork(monkeypatch):
     assert g1map._share_count(big, 1) == 1
 
 
-_SWEEP_LANES = g1map._sweep_lanes
+def _assert_no_child_process():
+    # a raw fork is no multiprocessing child: ask the kernel
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the share runs below replace _sweep_lanes; they are module functions, and
+# a worker tells itself from this process by its pid
+_SWEEP_LANES, _MAIN_PID = g1map._sweep_lanes, os.getpid()
 
 
 def _sweep_lanes_or_die(*args):
     # a worker dies at once; this process runs its own share
-    if multiprocessing.parent_process() is not None:
+    if os.getpid() != _MAIN_PID:
         os._exit(1)
     return _SWEEP_LANES(*args)
 
 
-def test_dead_worker_fails_the_sweep_without_hanging(monkeypatch):
-    monkeypatch.setattr(g1map, "_sweep_lanes", _sweep_lanes_or_die)
+class _ExitWhilePickled:
+    def __reduce__(self):
+        os._exit(0)
+
+
+def _sweep_lanes_or_exit_while_pickled(*args):
+    # a worker exits 0 before its result is all in the pipe
+    return _SWEEP_LANES(*args) if os.getpid() == _MAIN_PID else _ExitWhilePickled()
+
+
+def _sweep_lanes_or_sleep(error, *args):
+    # share 0 raises while a worker share runs for minutes
+    if os.getpid() != _MAIN_PID:
+        time.sleep(10)
+        os._exit(0)
+    raise error
+
+
+def _assert_dead_worker_fails_the_sweep(run, monkeypatch):
+    monkeypatch.setattr(g1map, "_sweep_lanes", run)
     _split(monkeypatch, 2)
-    with pytest.raises(BrokenProcessPool):   # a RuntimeError: the CLI exits 3
+    with pytest.raises(RuntimeError):   # the CLI exits 3
         g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_process()
+
+
+def test_dead_worker_fails_the_sweep_without_hanging(monkeypatch):
+    _assert_dead_worker_fails_the_sweep(_sweep_lanes_or_die, monkeypatch)
+
+
+def test_worker_with_a_short_result_fails_the_sweep(monkeypatch):
+    _assert_dead_worker_fails_the_sweep(_sweep_lanes_or_exit_while_pickled, monkeypatch)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+def test_failing_share_0_stops_the_workers_at_once(error, monkeypatch):
+    monkeypatch.setattr(g1map, "_sweep_lanes", functools.partial(_sweep_lanes_or_sleep, error))
+    _split(monkeypatch, 3)
+    begin = time.monotonic()
+    with pytest.raises(error):
+        g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100)
+    assert time.monotonic() - begin < 1.0
+    _assert_no_child_process()
 
 
 def test_sweep_leaves_no_worker_process(monkeypatch):
     _split(monkeypatch, 3)
     g1map.sweep_sector(DELTA, 1e-2, n_rays=4, n_radii=2, n_steps=100)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_process()
     with pytest.raises(ArithmeticError):
         g1map.sweep_sector(DELTA, 1e-250, n_rays=4, n_radii=2, n_steps=5)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------

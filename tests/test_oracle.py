@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rg1d import model, oracle, propagators, rgflow
+from rg1d import g1map, model, oracle, propagators, rgflow
 
 D_LAMBDA = 1e-4
 
@@ -171,8 +171,8 @@ def ed_l6():
     return ed
 
 
-def _peak_blocks(run):
-    """Peak heap growth while run() runs, in blocks of 400^2 doubles."""
+def _peak_bytes(run):
+    """Peak heap growth while run() runs, in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -180,7 +180,12 @@ def _peak_blocks(run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / (400 ** 2 * 8)
+    return peak - before
+
+
+def _peak_blocks(run):
+    """Peak heap growth while run() runs, in blocks of 400^2 doubles."""
+    return _peak_bytes(run) / (400 ** 2 * 8)
 
 
 @pytest.mark.parametrize("alpha", ["C", "SC"])
@@ -192,6 +197,34 @@ def test_ed_response_streams_one_source_sector_at_a_time(ed_l6, alpha):
 def test_particle_hole_gap_keeps_no_second_eigenbasis(ed_l6):
     # particle_hole_spectrum is the only diagonalisation behind the gap
     assert _peak_blocks(lambda: oracle.particle_hole_spectrum(ed_l6.params)) < PH_PEAK_BLOCKS
+
+
+# bound on the sweep kernel's peak heap growth per lane, for a share with no
+# disk lane: about 2260 bytes with two drift rows and the ratio and gtilde
+# written over the block's |g| and drift sums; 3530 with 32 drift rows and
+# a buffer for each
+SWEEP_PEAK_BYTES_PER_LANE = 2800
+
+
+class _Share0(Exception):
+    """Carries the arguments of the sweep and the lanes of its share 0."""
+
+
+def _raise_share0(sweep, shares):
+    raise _Share0(sweep, shares[0])
+
+
+def test_sweep_share_without_disk_lanes_keeps_few_rows(monkeypatch):
+    # the default borel sweep on two shares: share 0 holds its 768 lanes
+    # that draw nothing
+    monkeypatch.setattr(g1map, "_share_count", lambda n_lanes, n_steps: 2)
+    monkeypatch.setattr(g1map, "_run_shares", _raise_share0)
+    with pytest.raises(_Share0) as info:
+        g1map.sweep_sector(math.pi / 4.0, g1map.default_eps0(math.pi / 4.0), n_steps=3000)
+    sweep, lanes = info.value.args
+    assert lanes.size == 768 and not (sweep[1][lanes] == "disk").any()
+    peak = _peak_bytes(lambda: g1map._sweep_lanes(lanes, *sweep))
+    assert peak / lanes.size < SWEEP_PEAK_BYTES_PER_LANE
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
