@@ -393,9 +393,14 @@ def cmd_nu(o):
     with _config_phase():
         grid = o["lambda-grid"]
         lams = _parse_grid(grid) if grid else [o["lambda"]]
+        # d nu1/d mu is taken at mu +- the step, as nusolver.nu1_derivative does
+        mu, step = o["mu"], nusolver.DERIVATIVE_STEP
+        if not (-1.0 < mu - step < 1.0 and -1.0 < mu + step < 1.0):
+            raise ConfigError("mu +- the derivative step %s must lie inside the band "
+                              "(-1, 1), got mu = %s" % (_fmt(step), _fmt(mu)))
 
     tol = o["tol"]
-    rows = nusolver.inversion_rows(lams, o["mu"], o["h-box"],
+    rows = nusolver.inversion_rows(lams, mu, o["h-box"],
                                    eps_scale=o["eps-scale"], c0=o["c0"], tol=tol)
     worst_ratio = max(r[5] for r in rows)
     worst_res = max(r[6] for r in rows)

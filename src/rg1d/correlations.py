@@ -100,14 +100,13 @@ def dirac_profiles(hs, x, x0, fermi):
     rule, the 512-node one past gamma^h r = 256 to keep the oscillatory
     integrand resolved; both come from the table that
     propagators.gauss_legendre ships."""
-    chi = props.CutoffFunction(fermi.gamma)
     r = math.sqrt(float(x0) ** 2 + (float(x) / fermi.v_F) ** 2)
     R = fermi.gamma ** np.asarray(hs, dtype=float) * r
     keep = R <= 1024.0
     rad = np.zeros_like(R)
     if np.any(keep):
         n = 256 if R[keep].max() <= 256.0 else 512
-        rad[keep] = props._dirac_radial(R[keep], fermi, chi, n)
+        rad[keep] = props._dirac_radial(R[keep], fermi, n)
     pref = (float(x0) - 1j * float(x) / fermi.v_F) / (fermi.v_F * r)
     return pref * (fermi.gamma ** np.asarray(hs, dtype=float) / TWO_PI) * rad
 

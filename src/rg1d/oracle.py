@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import CutoffFunction, gauss_legendre
+from .propagators import chi0, gauss_legendre
 
 # ----------------------------------------------------------------------
 # result plumbing
@@ -678,7 +678,6 @@ def bubble_quadrature(h, fermi, extrapolate=False):
         return OracleValue(num / (abs(h) - abs(h2)),
                            (abs(h) * v1.error + abs(h2) * v2.error) / (abs(h) - abs(h2)))
 
-    chi = CutoffFunction(gamma).chi0
     t0, v_f = fermi.t0, fermi.v_F
     lo, hi = math.log(t0) + (h - 1) * math.log(gamma), math.log(t0) + math.log(gamma)
     vals = []
@@ -691,7 +690,7 @@ def bubble_quadrature(h, fermi, extrapolate=False):
             half = 0.5 * (edges[i + 1] - edges[i])
             u = half * (xg + 1.0) + edges[i]
             rho = np.exp(u)
-            c = chi(rho / t0) - chi(rho / (t0 * gamma ** (h - 1)))
+            c = chi0(rho / t0, gamma) - chi0(rho / (t0 * gamma ** (h - 1)), gamma)
             acc += half * float(np.dot(wg, c * c))
         vals.append(2.0 * acc * (2.0 * math.pi) / (4.0 * math.pi ** 2 * v_f * abs(h)))
     return OracleValue(vals[-1], abs(vals[-1] - vals[0]))

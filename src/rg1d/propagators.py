@@ -17,29 +17,31 @@ conditionally convergent; the two concrete representations are
     pointwise away from x = (0, n beta) and to the half-sum of the two
     one-sided limits there.
 
-The scale decomposition splits 1 = f_uv + sum_omega chi(k - omega p, k0) and
-then slices f_uv into ultraviolet frequency shells H_h (1 <= h <= M) and
-each infrared sector into shells f_h (h <= 0) of width gamma^h around the
-Fermi points.  With mu_bar = cos(p) and p on the snapped grid the split is
-an exact finite-sum identity, tested to near machine precision.  A uv shell
-h >= 2 carries H_h alone: H_h vanishes for |k0| <= gamma^{h-1}, which is
-above 1, and chi(k -+ p, k0) vanishes for |k0| >= a0 v_F, which is at most
-pi/4, so f_uv is exactly 1 wherever H_h is not 0.
+The smooth cutoff is a set of plain functions: chi0(t, gamma), the
+frequency shells H_h and, on the scaled norm of one Fermi point, chi, f_h
+and f_uv, which read gamma from fermi.gamma.  The scale decomposition
+splits 1 = f_uv + sum_omega chi(k - omega p, k0) and then slices f_uv into
+ultraviolet frequency shells H_h (1 <= h <= M) and each infrared sector
+into shells f_h (h <= 0) of width gamma^h around the Fermi points.  With
+mu_bar = cos(p) and p on the snapped grid the split is an exact finite-sum
+identity, tested to near machine precision.  A uv shell h >= 2 carries H_h
+alone: H_h vanishes for |k0| <= gamma^{h-1}, which is above 1, and
+chi(k -+ p, k0) vanishes for |k0| >= a0 v_F, which is at most pi/4, so
+f_uv is exactly 1 wherever H_h is not 0.
 
 shell_grid is the one place where the (k, k0) grids of these pieces are
-built: it returns the momenta, frequencies, band and numerator weight of a
-uv shell, an ir or dirac shell, or the whole cutoff propagator.  Values
-and tables (single_scale: the double sum as two matrix products, for
-points or for an x by x0 grid; free_propagator's cutoff_sum, one frequency
-sum per k row for all x at one x0) and the lattice bubble of rgflow are
-all sums over it.
+built: it returns (k, k0, band, weight) of a uv shell, an ir or dirac
+shell, or the whole cutoff propagator, with weight a function on a
+broadcast (k, k0) mesh.  Values and tables (single_scale: the double sum
+as two matrix products, for points or for an x by x0 grid;
+free_propagator's cutoff_sum, one frequency sum per k row for all x at one
+x0) are sums over it, and the lattice bubble of rgflow is a sum over the
+box of shell_support.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +61,7 @@ def _bump(u):
     return u
 
 
-@dataclass(frozen=True)
-class CutoffFunction:
+def chi0(t, gamma):
     """C-infinity scale cutoff chi0 built from the exp(-1/s) smoothstep.
 
     chi0(t) = 1 for |t| <= 1, 0 for |t| >= gamma, and in between
@@ -70,59 +71,59 @@ class CutoffFunction:
     with w(u) = exp(-1/u).  The formula is fixed so results are bit-for-bit
     reproducible across platforms with IEEE double arithmetic.
     """
+    s = np.array(t, dtype=float)   # a copy, overwritten by the result
+    np.abs(s, out=s)
+    s -= 1.0
+    s /= gamma - 1.0
+    one, zero = s <= 0.0, s >= 1.0
+    band = ~(one | zero)   # 0 < s < 1 or NaN: the bump runs here only
+    hi = s[band]
+    lo = _bump(1.0 - hi)
+    _bump(hi)
+    hi += lo
+    with np.errstate(invalid="ignore"):   # NaN gives 0/0
+        s[band] = np.divide(lo, hi, out=lo)
+    s[one] = 1.0
+    s[zero] = 0.0
+    return s if s.shape else float(s)
 
-    gamma: float = 2.0
 
-    def chi0(self, t):
-        s = np.array(t, dtype=float)   # a copy, overwritten by the result
-        np.abs(s, out=s)
-        s -= 1.0
-        s /= self.gamma - 1.0
-        one, zero = s <= 0.0, s >= 1.0
-        band = ~(one | zero)   # 0 < s < 1 or NaN: the bump runs here only
-        hi = s[band]
-        lo = _bump(1.0 - hi)
-        _bump(hi)
-        hi += lo
-        with np.errstate(invalid="ignore"):   # NaN gives 0/0
-            s[band] = np.divide(lo, hi, out=lo)
-        s[one] = 1.0
-        s[zero] = 0.0
-        return s if s.shape else float(s)
+def scaled_norm(k_prime, k0, fermi):
+    """|k'| = sqrt(k0^2 + v_F^2 ||k'||_T^2), torus distance in space."""
+    kp = np.asarray(k_prime, dtype=float)
+    kt = np.abs((kp + math.pi) % TWO_PI - math.pi)
+    return np.sqrt(np.asarray(k0, dtype=float) ** 2 + (fermi.v_F * kt) ** 2)
 
-    def scaled_norm(self, k_prime, k0, fermi):
-        """|k'| = sqrt(k0^2 + v_F^2 ||k'||_T^2), torus distance in space."""
-        kp = np.asarray(k_prime, dtype=float)
-        kt = np.abs((kp + math.pi) % TWO_PI - math.pi)
-        return np.sqrt(np.asarray(k0, dtype=float) ** 2 + (fermi.v_F * kt) ** 2)
 
-    def chi(self, k_prime, k0, fermi):
-        """chi(k', k0) = chi0(|k'| / t0): support |k'| <= gamma t0 = a0 v_F."""
-        return self.chi0(self.scaled_norm(k_prime, k0, fermi) / fermi.t0)
+def chi(k_prime, k0, fermi):
+    """chi(k', k0) = chi0(|k'| / t0): support |k'| <= gamma t0 = a0 v_F."""
+    return chi0(scaled_norm(k_prime, k0, fermi) / fermi.t0, fermi.gamma)
 
-    def f_h(self, h, k_prime, k0, fermi):
-        """Infrared shell h <= 0: chi(gamma^-h k') - chi(gamma^-h+1 k')."""
-        norm = self.scaled_norm(k_prime, k0, fermi)
-        g = self.gamma
-        return self.chi0(norm / (fermi.t0 * g ** h)) - self.chi0(norm / (fermi.t0 * g ** (h - 1)))
 
-    def f_uv(self, k, k0, fermi, p):
-        """Ultraviolet weight 1 - chi(k - p, k0) - chi(k + p, k0)."""
-        k = np.asarray(k, dtype=float)
-        return 1.0 - self.chi(k - p, k0, fermi) - self.chi(k + p, k0, fermi)
+def f_h(h, k_prime, k0, fermi):
+    """Infrared shell h <= 0: chi(gamma^-h k') - chi(gamma^-h+1 k')."""
+    norm = scaled_norm(k_prime, k0, fermi)
+    g = fermi.gamma
+    return chi0(norm / (fermi.t0 * g ** h), g) - chi0(norm / (fermi.t0 * g ** (h - 1)), g)
 
-    def H_h(self, h, k0):
-        """Ultraviolet frequency shells, telescoping to chi0(gamma^-M k0):
 
-        H_1 = chi0(k0/gamma), H_h = chi0(gamma^-h k0) - chi0(gamma^-h+1 k0)
-        for h >= 2.
-        """
-        if h < 1:
-            raise ValueError("ultraviolet shells have h >= 1")
-        if h == 1:
-            return self.chi0(np.asarray(k0, dtype=float) / self.gamma)
-        g = self.gamma
-        return self.chi0(np.asarray(k0) / g ** h) - self.chi0(np.asarray(k0) / g ** (h - 1))
+def f_uv(k, k0, fermi, p):
+    """Ultraviolet weight 1 - chi(k - p, k0) - chi(k + p, k0)."""
+    k = np.asarray(k, dtype=float)
+    return 1.0 - chi(k - p, k0, fermi) - chi(k + p, k0, fermi)
+
+
+def H_h(h, k0, gamma):
+    """Ultraviolet frequency shells, telescoping to chi0(gamma^-M k0):
+
+    H_1 = chi0(k0/gamma), H_h = chi0(gamma^-h k0) - chi0(gamma^-h+1 k0)
+    for h >= 2.
+    """
+    if h < 1:
+        raise ValueError("ultraviolet shells have h >= 1")
+    if h == 1:
+        return chi0(np.asarray(k0, dtype=float) / gamma, gamma)
+    return chi0(np.asarray(k0) / gamma ** h, gamma) - chi0(np.asarray(k0) / gamma ** (h - 1), gamma)
 
 
 # ----------------------------------------------------------------------
@@ -180,20 +181,19 @@ def free_propagator(x, x0, params, representation="kernel_sum"):
         ker = free_kernel(k, x0, params)
         out = [complex(np.sum(np.exp(-1j * k * xi) * ker)) / L for xi in xs]
     elif representation == "cutoff_sum":
-        grid = shell_grid("cutoff", None, params)
-        k0 = grid.k0
-        weight = grid.weight(None, k0)  # first: its temporaries meet no phase
+        k, k0, band, weight = shell_grid("cutoff", None, params)
+        w = weight(None, k0)  # first: its temporaries meet no phase
         ph0 = -1j * k0 * x0  # e^{-i k0 x0} weight depends on k0 alone
         np.exp(ph0, out=ph0)
-        ph0 *= weight
-        del weight
+        ph0 *= w
+        del w
         den = np.empty_like(ph0)  # one buffer for every row's quotient
         acc = [np.zeros((), dtype=complex)] * xs.size  # scalar products: an array one rounds apart
         for i in range(L):  # k outer loop keeps memory flat
-            den.real = grid.band[i]  # -1j * k0 + band[i]: band is never -0.0
+            den.real = band[i]  # -1j * k0 + band[i]: band is never -0.0
             np.negative(k0, out=den.imag)
             row = np.sum(np.divide(ph0, den, out=den))
-            acc = [a + np.exp(-1j * grid.k[i] * xi) * row for a, xi in zip(acc, xs)]
+            acc = [a + np.exp(-1j * k[i] * xi) * row for a, xi in zip(acc, xs)]
         out = [complex(a) / (beta * L) for a in acc]
     else:
         raise ValueError("representation must be kernel_sum or cutoff_sum")
@@ -222,30 +222,6 @@ def finite_size_scale(beta, L, fermi):
 # shell grids: the one place where (k, k0) meshes are built
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShellGrid:
-    """Support of one piece of the scale decomposition,
-
-        g(x, x0) = (1/(beta L)) sum_{k, k0} e^{-i(k0 x0 + k x)}
-                   weight(k, k0) / (-i k0 + band(k)).
-
-    k holds the momenta (k on D_L for the uv and cutoff pieces, k' on D'_L
-    for the ir and dirac shells), k0 the Matsubara frequencies of the
-    support and band the denominator band of each momentum.  weight(K, K0)
-    evaluates the numerator on a mesh of broadcast axes.
-    """
-
-    k: np.ndarray
-    k0: np.ndarray
-    band: np.ndarray
-    weight: Callable
-
-    def mesh(self, cols=slice(None)):
-        """K, K0 (broadcast axes) and the weight on the k x k0[cols] mesh."""
-        K, K0 = self.k[:, None], self.k0[None, cols]
-        return K, K0, self.weight(K, K0)
-
-
 def shell_support(top, L, beta, fermi):
     """Quasi-momenta k' and frequencies k0 in the box
     v_F ||k'||_T <= top, |k0| <= top that carries an infrared shell.
@@ -264,7 +240,16 @@ def shell_support(top, L, beta, fermi):
 
 
 def shell_grid(kind, h, params, omega=None):
-    """ShellGrid of one piece of the scale decomposition.
+    """Support (k, k0, band, weight) of one piece of the scale decomposition,
+
+        g(x, x0) = (1/(beta L)) sum_{k, k0} e^{-i(k0 x0 + k x)}
+                   weight(k, k0) / (-i k0 + band(k)).
+
+    k holds the momenta (k on D_L for the uv and cutoff pieces, k' on D'_L
+    for the ir and dirac shells), k0 the Matsubara frequencies of the
+    support and band the denominator band of each momentum.  weight(K, K0)
+    evaluates the numerator on a mesh of broadcast axes, such as
+    k[:, None] and k0[None, :].
 
     kind "uv": ultraviolet shell 1 <= h <= M, weight f_uv * H_h (H_h alone
         for h >= 2, see the module docstring), band cos(p) - cos(k)
@@ -279,28 +264,26 @@ def shell_grid(kind, h, params, omega=None):
     M is params.M_uv.  The Fermi point is params.fermi() at its grid
     momentum p_FL, so the pieces sum exactly on the lattice.
     """
-    fermi, M = params.fermi(), params.M_uv
-    chi = CutoffFunction(params.gamma)
+    fermi, M, gamma = params.fermi(), params.M_uv, params.gamma
     grids = MomentumGrids(params.L, params.beta)
     k = grids.spatial()
     if kind == "uv":
         if not 1 <= h <= M:
             raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
         p = fermi.p_FL
-        weight = ((lambda K, K0: chi.H_h(h, K0)) if h >= 2 else   # f_uv is 1 there
-                  (lambda K, K0: chi.f_uv(K, K0, fermi, p) * chi.H_h(h, K0)))
-        return ShellGrid(k, grids.matsubara(params.gamma ** (h + 1)), dispersion(k, math.cos(p)),
-                         weight)
+        weight = ((lambda K, K0: H_h(h, K0, gamma)) if h >= 2 else   # f_uv is 1 there
+                  (lambda K, K0: f_uv(K, K0, fermi, p) * H_h(h, K0, gamma)))
+        return k, grids.matsubara(gamma ** (h + 1)), dispersion(k, math.cos(p)), weight
     if kind == "cutoff":
-        return ShellGrid(k, grids.matsubara(params.gamma ** (M + 1)), dispersion(k, params.mu_bar),
-                         lambda K, K0: chi.chi0(K0 / params.gamma ** M))
+        return (k, grids.matsubara(gamma ** (M + 1)), dispersion(k, params.mu_bar),
+                lambda K, K0: chi0(K0 / gamma ** M, gamma))
     if kind not in ("ir", "dirac"):
         raise ValueError("kind must be uv, cutoff, ir or dirac")
     if h > 0:
         raise ValueError("infrared scales have h <= 0")
     kp, k0 = shell_support(fermi.t0 * fermi.gamma ** (h + 1), params.L, params.beta, fermi)
     band = ir_dispersion(kp, fermi.p_FL, omega) if kind == "ir" else omega * fermi.v_F * kp
-    return ShellGrid(kp, k0, band, lambda K, K0: chi.f_h(h, K, K0, fermi))
+    return kp, k0, band, lambda K, K0: f_h(h, K, K0, fermi)
 
 
 def single_scale(kind, h, x, x0, params, omega=None):
@@ -319,15 +302,15 @@ def single_scale(kind, h, x, x0, params, omega=None):
     plus both ir sectors h_{L,beta}..0 sum exactly to the cutoff
     propagator at scale M.
     """
-    grid = shell_grid(kind, h, params, omega)
+    k, k0, band, weight = shell_grid(kind, h, params, omega)
     x0s = np.atleast_1d(x0)
-    acc = np.zeros((grid.k.size, x0s.size), dtype=complex)
-    chunk = max(1, int(4e6) // max(1, grid.k.size))
-    for j in range(0, grid.k0.size, chunk):
-        cols = slice(j, j + chunk)
-        _, K0, w = grid.mesh(cols)
-        acc += (w / (-1j * K0 + grid.band[:, None])) @ np.exp(-1j * np.outer(grid.k0[cols], x0s))
-    out = np.exp(-1j * np.outer(np.atleast_1d(x), grid.k)) @ acc / (params.beta * params.L)
+    acc = np.zeros((k.size, x0s.size), dtype=complex)
+    chunk = max(1, int(4e6) // max(1, k.size))
+    for j in range(0, k0.size, chunk):
+        K0 = k0[None, j:j + chunk]
+        w = weight(k[:, None], K0)
+        acc += (w / (-1j * K0 + band[:, None])) @ np.exp(-1j * np.outer(k0[j:j + chunk], x0s))
+    out = np.exp(-1j * np.outer(np.atleast_1d(x), k)) @ acc / (params.beta * params.L)
     out = out.reshape(np.shape(x) + np.shape(x0))
     return complex(out) if out.ndim == 0 else out
 
@@ -435,9 +418,10 @@ def _j1(x):
     return out
 
 
-def _dirac_radial(R, fermi, chi, n_nodes):
+def _dirac_radial(R, fermi, n_nodes):
     """I0(R) = int du chibar0(u) J1(u R), shell u in [t0/gamma, t0*gamma],
-    chibar0(u) = chi0(u/t0) - chi0(u gamma/t0).  Vectorized over R.
+    chibar0(u) = chi0(u/t0) - chi0(u gamma/t0) with gamma = fermi.gamma.
+    Vectorized over R.
 
     It is the radial profile of the continuum (beta, L -> infinity)
     single-scale propagator with exactly linear band omega v_F k',
@@ -454,6 +438,6 @@ def _dirac_radial(R, fermi, chi, n_nodes):
     xq, wq = gauss_legendre(n_nodes)
     u = 0.5 * (b - a) * xq + 0.5 * (b + a)
     w = 0.5 * (b - a) * wq
-    cbar = chi.chi0(u / fermi.t0) - chi.chi0(u * g / fermi.t0)
+    cbar = chi0(u / fermi.t0, g) - chi0(u * g / fermi.t0, g)
     R = np.asarray(R, dtype=float)
     return (w * cbar) @ _j1(np.outer(u, R))

@@ -53,18 +53,6 @@ class RenormSet:
     g1_0: float
     log_zhat: dict
 
-    def log_zhat_interp(self, t, h_real):
-        """Linear interpolation of log Zhat in the scale variable."""
-        i = -h_real
-        arr = self.log_zhat[t]
-        if i <= 0.0:
-            return float(arr[0])
-        if i >= self.depth:
-            return float(arr[-1])
-        i0 = int(math.floor(i))
-        t_frac = i - i0
-        return float((1.0 - t_frac) * arr[i0] + t_frac * arr[i0 + 1])
-
 
 def _residuals(mode, lam, depth, gamma, seed):
     """Per-scale residual sequence r_h with sum_h |r_h| <= C |lam|^2.
@@ -116,11 +104,18 @@ def z_flow(traj, limits, residual_mode="none", seed=None):
 
 def q_interpolated(rset, t, h_real):
     """q^{(h)}_t = log Zhat^{(t)}_h / log(1 + a g1_0 |h|) at a real-valued
-    scale h, with log Zhat interpolated linearly between integer scales."""
+    scale h, with log Zhat interpolated linearly between integer scales and
+    held at its last value below h = -depth; 0 at h >= 0."""
     if h_real >= 0.0:
         return 0.0
     den = math.log1p(rset.a * rset.g1_0 * (-h_real))
-    return rset.log_zhat_interp(t, h_real) / den
+    i = -h_real
+    arr = rset.log_zhat[t]
+    if i >= rset.depth:
+        return float(arr[-1]) / den
+    i0 = int(math.floor(i))
+    t_frac = i - i0
+    return float((1.0 - t_frac) * arr[i0] + t_frac * arr[i0 + 1]) / den
 
 
 # ----------------------------------------------------------------------

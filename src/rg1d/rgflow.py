@@ -25,7 +25,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .model import THETA, TWO_PI
-from .propagators import CutoffFunction, ShellGrid, finite_size_scale, shell_support
+from .propagators import chi0, finite_size_scale, shell_support
 
 # constants of the inductive bounds, fixed for the whole construction
 B1 = 1.0     # remainder envelope b1 eps_j |g1_j|^2 on each coupling
@@ -102,23 +102,16 @@ def finite_scale_bubble(j, fermi, beta, L):
     C gamma^{-(j-h_lbeta)} envelope.
     """
     g = fermi.gamma
-    chi = CutoffFunction(g)
     # support of C_j^2 - C_{j+1}^2: the box of the h = j+1 shell
     kp, k0 = shell_support(fermi.t0 * g ** (j + 2), L, beta, fermi)
     if k0.size == 0:  # no shell: +0.0, where the empty sum below gives -0.0
         return 0.0
     kp = (kp + math.pi) % TWO_PI - math.pi
-
-    def window(norm, jj):
-        return chi.chi0(norm / fermi.t0) - chi.chi0(norm / (fermi.t0 * g ** (jj - 1)))
-
-    def weight(KP, K0):
-        norm = np.sqrt(K0 ** 2 + (fermi.v_F * KP) ** 2)
-        return window(norm, j) ** 2 - window(norm, j + 1) ** 2
-
-    grid = ShellGrid(kp, k0, fermi.v_F * kp, weight)
-    _, K0, w = grid.mesh()
-    band = grid.band[:, None]
+    band = (fermi.v_F * kp)[:, None]
+    K0 = k0[None, :]
+    norm = np.sqrt(K0 ** 2 + band ** 2)
+    w = ((chi0(norm / fermi.t0, g) - chi0(norm / (fermi.t0 * g ** (j - 1)), g)) ** 2
+         - (chi0(norm / fermi.t0, g) - chi0(norm / (fermi.t0 * g ** j), g)) ** 2)
     val = np.sum(w * np.real(1.0 / ((-1j * K0 + band) * (-1j * K0 - band)))) / (beta * L)
     return -2.0 * float(val)
 

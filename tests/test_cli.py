@@ -2,6 +2,7 @@
 option precedence."""
 
 import collections
+import csv
 import gzip
 import hashlib
 import inspect
@@ -181,6 +182,9 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # a comma list names each item once
     ["correlations", "--alphas", "C,C", "--x-count", "3"],
     ["borel", "--models", "zero,zero"],
+    # d nu1/d mu steps 1e-4 either side of mu, and 0.9999 + 1e-4 is 1.0
+    ["nu", "--mu", "0.9999"],
+    ["nu", "--mu", "-0.9999"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert _run(argv, tmp_path) == 2
@@ -238,6 +242,8 @@ def test_escaping_map_oracle_exits_3_with_one_line(argv, tmp_path, capsys):
     ["oracle", "--what", "bubble", "--gamma", "1e300"],
     # the finite-scale bubble's momentum grid over L = 1e12 sites takes 7.28 TiB
     ["flow", "--L", "1000000000000", "--a-mode", "finite_scale", "--h", "-3"],
+    # d nu1/d mu = 0.616 near the band edge: past the contraction bound 1/2
+    ["nu", "--lambda", "0.05", "--mu", "0.9995", "--eps-scale", "4"],
 ], ids=" ".join)
 def test_numeric_fault_exits_3_with_one_line(argv, tmp_path):
     # in a child whose address space is capped at 4 GiB, so that a large
@@ -400,6 +406,17 @@ def test_correlations_outputs_are_pinned(tmp_path):
         with open(os.path.join(tmp_path, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
+
+
+def test_correlations_at_unit_distance_report_zeta_zero(tmp_path):
+    # |xtilde| = 1 is the scale h = -0.0, where q is 0 by definition: the
+    # log(1 + a g1_0 |h|) it divides by vanishes there
+    argv = ["correlations", "--lambda", "0.02", "--x-min", "1", "--x-max", "1", "--x-count", "1"]
+    assert _run(argv, tmp_path) == 0
+    with open(os.path.join(tmp_path, "correlations.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["x"] for row in rows} == {"1"}
+    assert all(float(row["zeta_est"]) == 0.0 for row in rows)
 
 
 def test_correlations_peak_sits_at_2pF(tmp_path):

@@ -110,6 +110,14 @@ def test_invert_rejects_out_of_band():
         nusolver.invert_pF(-1.2, m)
 
 
+def test_invert_rejects_derivative_outside_the_contraction_regime():
+    # the model inversion_rows builds for nu --lambda 0.05 --mu 0.9995
+    # --eps-scale 4: near the band edge d nu1/d mu = 0.616 is past the bound 1/2
+    m = nusolver.default_model(-40, np.arccos(0.9995), 4.0 * 0.05)
+    with pytest.raises(RuntimeError, match="d nu1/d mu = 0.616 outside the contraction regime"):
+        nusolver.invert_pF(0.9995, m)
+
+
 def test_shift_scales_linearly():
     shifts = []
     for lam in (0.004, 0.008, 0.016):

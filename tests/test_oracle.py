@@ -123,6 +123,27 @@ def test_bubble_quadrature_extrapolates_to_bubble_constant():
     assert abs(rich.value - rgflow.bubble_constant(fermi)) <= rich.error
 
 
+def test_bubble_quadrature_is_for_the_asymptotic_regime():
+    fermi = model.FermiPoint.from_p_F(math.pi / 3.0, 256)
+    with pytest.raises(ValueError, match="asymptotic regime h <= -4"):
+        oracle.bubble_quadrature(oracle.BUBBLE_MAX_H + 1, fermi)
+
+
+@pytest.mark.parametrize("build, change, match", [
+    pytest.param(oracle.ed_micro, {"L": 9}, "L > 8", id="ed_micro-L9"),
+    pytest.param(oracle.ed_micro, {"beta": 21.0}, "beta <= 20", id="ed_micro-beta21"),
+    pytest.param(oracle.particle_hole_spectrum, {"L": 10}, "L > 8", id="mirror-L10"),
+    pytest.param(oracle.particle_hole_spectrum, {"beta": 21.0}, "beta <= 20", id="mirror-beta21"),
+    pytest.param(oracle.particle_hole_spectrum, {"L": 5}, "even ring", id="mirror-L5"),
+])
+def test_ed_oracles_reject_systems_outside_their_scope(build, change, match):
+    # each guard raises before a Fock space is built
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=4).with_(**change)
+    with pytest.raises(ValueError, match=match):
+        build(params)
+
+
 @pytest.mark.parametrize("potential", [model.on_site_potential(1.0),
                                        model.u_v_potential(1.0, 0.5)],
                          ids=["hubbard", "uv:1:0.5"])

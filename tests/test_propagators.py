@@ -41,25 +41,23 @@ def _grid_params(beta, L, p_F=np.pi / 3.0):
 
 
 def test_chi0_plateau_and_support():
-    cut = propagators.CutoffFunction(GAMMA)
-    assert cut.chi0(0.0) == 1.0
-    assert cut.chi0(1.0) == 1.0
-    assert cut.chi0(GAMMA) == 0.0
-    assert cut.chi0(5.0) == 0.0
-    mid = cut.chi0(1.5)
+    assert propagators.chi0(0.0, GAMMA) == 1.0
+    assert propagators.chi0(1.0, GAMMA) == 1.0
+    assert propagators.chi0(GAMMA, GAMMA) == 0.0
+    assert propagators.chi0(5.0, GAMMA) == 0.0
+    mid = propagators.chi0(1.5, GAMMA)
     assert 0.0 < mid < 1.0
     # monotone nonincreasing on the transition window
     ts = np.linspace(1.0, GAMMA, 101)
-    vals = np.array([cut.chi0(t) for t in ts])
+    vals = np.array([propagators.chi0(t, GAMMA) for t in ts])
     assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_chi0_smooth_at_window_edges():
-    cut = propagators.CutoffFunction(GAMMA)
     # w(u) = exp(-1/u) glue: flat to all orders at both ends
     eps = 1e-4
-    assert cut.chi0(1.0 + eps) == pytest.approx(1.0, abs=1e-3)
-    assert cut.chi0(GAMMA - eps) == pytest.approx(0.0, abs=1e-3)
+    assert propagators.chi0(1.0 + eps, GAMMA) == pytest.approx(1.0, abs=1e-3)
+    assert propagators.chi0(GAMMA - eps, GAMMA) == pytest.approx(0.0, abs=1e-3)
 
 
 def _bump_reference(u):
@@ -87,7 +85,6 @@ def _chi0_reference(gamma, t):
 def test_chi0_matches_the_whole_array_formulas_bit_for_bit(gamma):
     # chi0 runs the bump on the transition band only, in place; every bit,
     # NaN's included, must be the whole-array formulas'
-    cut = propagators.CutoffFunction(gamma)
     s = np.array([0.0, 1.0, 5e-13, 1e-12, 2e-12, 1.0 - 5e-13, 1.0 - 2e-12, 0.5])
     t = np.concatenate([1.0 + s * (gamma - 1.0), -(1.0 + s * (gamma - 1.0)),
                         [0.0, -0.0, 1.0, gamma, -gamma, 2.0 * gamma,
@@ -100,24 +97,23 @@ def test_chi0_matches_the_whole_array_formulas_bit_for_bit(gamma):
     for u in (s_got, 1.0 - s_got):
         assert ((u > 0.0) & (u <= 1e-12)).any() and ((u > 1e-12) & (u < 1e-11)).any()
     for arr in (t, t[:4096].reshape(64, 64)):
-        assert np.array_equal(cut.chi0(arr).view(np.int64),
+        assert np.array_equal(propagators.chi0(arr, gamma).view(np.int64),
                               _chi0_reference(gamma, arr).view(np.int64))
     for x in t[:25]:   # 0-d: a float, as before
-        got, ref = cut.chi0(x), _chi0_reference(gamma, x)
+        got, ref = propagators.chi0(x, gamma), _chi0_reference(gamma, x)
         assert type(got) is float and np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
-        got = cut.chi0(np.asarray(x))
+        got = propagators.chi0(np.asarray(x), gamma)
         assert type(got) is float and np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
 
 
 def test_uv_partition_of_unity():
-    cut = propagators.CutoffFunction(GAMMA)
     M = 12
     k0 = np.pi * (2.0 * np.arange(200) + 1.0) / 64.0
     total = np.zeros_like(k0)
     for h in range(1, M + 1):
-        total += np.array([cut.H_h(h, w) for w in k0])
+        total += np.array([propagators.H_h(h, w, GAMMA) for w in k0])
     # telescoping: sum_{h=1..M} H_h(k0) = chi0(k0 / gamma^M)
-    recon = np.array([cut.chi0(w / GAMMA**M) for w in k0])
+    recon = np.array([propagators.chi0(w / GAMMA**M, GAMMA) for w in k0])
     assert np.max(np.abs(total - recon)) < 1e-12
     # and equals 1 once the rescaled frequency is inside the plateau
     inside = np.abs(k0) <= GAMMA**M
@@ -127,7 +123,6 @@ def test_uv_partition_of_unity():
 def test_ir_shell_partition_on_grid():
     params = _grid_params(beta=32.0, L=64)
     fermi = params.fermi()
-    cut = propagators.CutoffFunction(GAMMA)
     h_lbeta = propagators.finite_size_scale(params.beta, params.L, fermi)
     grids = model.MomentumGrids(params.L, params.beta)
     kp = grids.quasi() - fermi.p_FL
@@ -135,22 +130,21 @@ def test_ir_shell_partition_on_grid():
     KP, K0 = np.meshgrid(kp, k0, indexing="ij")
     total = np.zeros_like(KP)
     for h in range(h_lbeta, 1):
-        total += cut.f_h(h, KP, K0, fermi)
-    full = cut.chi(KP, K0, fermi)
+        total += propagators.f_h(h, KP, K0, fermi)
+    full = propagators.chi(KP, K0, fermi)
     assert np.max(np.abs(total - full)) < 1e-12
 
 
 def test_uv_complement_plus_windows_is_one():
     params = _grid_params(beta=32.0, L=64)
     fermi = params.fermi()
-    cut = propagators.CutoffFunction(GAMMA)
     grids = model.MomentumGrids(params.L, params.beta)
     ks = grids.quasi()
     k0 = grids.matsubara(40)
     K, K0 = np.meshgrid(ks, k0, indexing="ij")
     p = fermi.p_FL
-    total = cut.f_uv(K, K0, fermi, p)
-    total = total + cut.chi(K - p, K0, fermi) + cut.chi(K + p, K0, fermi)
+    total = propagators.f_uv(K, K0, fermi, p)
+    total = total + propagators.chi(K - p, K0, fermi) + propagators.chi(K + p, K0, fermi)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -163,12 +157,29 @@ def test_uv_shells_above_one_carry_H_h_alone(p_F, gamma):
     # is H_h bit for bit, one row for all momenta
     params = model.ModelParams.from_p_F(lam=0.0, p_F=p_F, potential=model.on_site_potential(1.0),
                                         beta=16.0, L=32, gamma=gamma, M_uv=6)
-    fermi, cut = params.fermi(), propagators.CutoffFunction(gamma)
+    fermi = params.fermi()
     for h in range(2, params.M_uv + 1):
-        K, K0, w = propagators.shell_grid("uv", h, params).mesh()
-        full = cut.f_uv(K, K0, fermi, fermi.p_FL) * cut.H_h(h, K0)
+        k, k0, _, weight = propagators.shell_grid("uv", h, params)
+        K, K0 = k[:, None], k0[None, :]
+        w = weight(K, K0)
+        full = propagators.f_uv(K, K0, fermi, fermi.p_FL) * propagators.H_h(h, K0, gamma)
         assert w.shape == (1, K0.size) and full.shape == (params.L, K0.size)
         assert full.tobytes() == np.broadcast_to(w, full.shape).tobytes()
+
+
+@pytest.mark.parametrize("piece, match", [
+    pytest.param(lambda p: propagators.shell_grid("uv", 0, p), "1 <= h <= M", id="uv-h0"),
+    pytest.param(lambda p: propagators.shell_grid("uv", p.M_uv + 1, p), "1 <= h <= M",
+                 id="uv-above-M"),
+    pytest.param(lambda p: propagators.shell_grid("band", 0, p, 1), "kind must be", id="kind"),
+    pytest.param(lambda p: propagators.shell_grid("ir", 1, p, 1), "h <= 0", id="ir-h1"),
+    pytest.param(lambda p: propagators.shell_grid("dirac", 1, p, 1), "h <= 0", id="dirac-h1"),
+    pytest.param(lambda p: propagators.H_h(0, 1.0, p.gamma), "h >= 1", id="H_h-h0"),
+])
+def test_pieces_outside_the_decomposition_are_rejected(piece, match):
+    params = _grid_params(beta=16.0, L=8).with_(M_uv=6)
+    with pytest.raises(ValueError, match=match):
+        piece(params)
 
 
 def test_finite_size_scale_brackets_smallest_mode():
@@ -379,9 +390,10 @@ def _gram_norms(h, kind, params):
     """Square norms (|A|^2, |B|^2) of the Gram vectors with
     g^{(h)}(x-y) = <A_x, B_y> for shell h at omega = 1: the sums of w/d^4
     and w d^2 over its mesh, d^2 = k0^2 + band^2."""
-    grid = propagators.shell_grid(kind, h, params, 1)
-    _, K0, w = grid.mesh()
-    d2 = K0 ** 2 + grid.band[:, None] ** 2
+    k, k0, band, weight = propagators.shell_grid(kind, h, params, 1)
+    K0 = k0[None, :]
+    w = weight(k[:, None], K0)
+    d2 = K0 ** 2 + band[:, None] ** 2
     vol = params.beta * params.L
     return float(np.sum(w / d2 ** 2)) / vol, float(np.sum(w * d2)) / vol
 
@@ -404,10 +416,11 @@ def test_gram_certificates_scaling():
 def _double_loop(grid, x, x0, params):
     """The defining double sum term by term over grid's support: one
     value per (x, x0) pair."""
+    ks, k0s, bands, weight = grid
     out = np.zeros((len(x), len(x0)), dtype=complex)
-    for k, band in zip(grid.k, grid.band):
-        for k0 in grid.k0:
-            term = grid.weight(k, k0) / (-1j * k0 + band)
+    for k, band in zip(ks, bands):
+        for k0 in k0s:
+            term = weight(k, k0) / (-1j * k0 + band)
             for i, xi in enumerate(x):
                 for j, x0j in enumerate(x0):
                     out[i, j] += cmath.exp(-1j * (k0 * x0j + k * xi)) * term
@@ -435,7 +448,7 @@ def test_propagator_table_matches_pointwise(kind, h, omega):
                            for x0 in taus], axis=1)
     else:
         grid = propagators.shell_grid(kind, h, params, omega)
-        assert grid.k.size and grid.k0.size
+        assert grid[0].size and grid[1].size
         direct = _double_loop(grid, x, taus, params)
     assert np.abs(direct).max() > 1e-6
     assert np.max(np.abs(table - direct)) <= 1e-10
@@ -465,7 +478,7 @@ def test_empty_shell_is_zero(kind):
     table = propagators.single_scale(kind, h, x, taus, params, 1)
     assert table.shape == (params.L, 8)
     assert not table.any()
-    assert propagators.shell_grid(kind, h, params, 1).k0.size == 0
+    assert propagators.shell_grid(kind, h, params, 1)[1].size == 0
     assert propagators.single_scale(kind, h, 3, 2.2, params, 1) == 0j
     if kind == "ir":
         assert _gram_norms(h, "ir", params) == (0.0, 0.0)
