@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import correlations, g1map, nusolver, oracle, propagators, renorm, rgflow
-from .model import (InteractionPotential, ModelParams, MomentumGrids, check_positivity,
+from .model import (InteractionPotential, ModelParams, check_positivity, matsubara_count,
                     on_site_potential, u_v_potential)
 
 _FMT = "%.12g"
@@ -240,7 +240,7 @@ def cmd_prop(o):
                                   "(-beta, beta)" % (x, x0))
         with np.errstate(over="ignore"):   # gamma^(M+1) is inf past the float range
             top = np.float64(params.gamma) ** (params.M_uv + 1)
-        n_k0 = MomentumGrids(params.L, beta).matsubara_count(top)
+        n_k0 = matsubara_count(beta, top)
         if n_k0 > PROP_MAX_K0:
             raise ConfigError("the cutoff grid at M = %d has %s frequencies, over the cap %d"
                               % (params.M_uv, _fmt(n_k0), PROP_MAX_K0))
@@ -493,12 +493,16 @@ def cmd_correlations(o):
 # g1map: one perturbed quadratic-map trajectory
 # ----------------------------------------------------------------------
 
+# --n cap, 100x the default: on a 2-CPU Xeon host 10^6 steps measured 7.2 s
+# and 125 MB peak RSS against 32 MB at the default; memory grows with n, at
+# about 93 bytes per step, so 2^31 steps would take about 200 GB
+G1MAP_MAX_N = 10 ** 6
 G1MAP = (
     SEED._replace(default=0),
     Opt("g0-re", float, 0.01, key="g0_re"),
     Opt("g0-im", float, 0.0, key="g0_im"),
     Opt("a", float, 0.25, (">", 0), key="a"),
-    Opt("n", int, 10 ** 4, (">=", 1), key="n"),
+    Opt("n", int, 10 ** 4, ((">=", 1), ("<=", G1MAP_MAX_N)), key="n"),
     Opt("model", str, "zero", ("in", g1map.SIGMA_MODELS), key="model"),
     Opt("delta", float, math.pi / 4.0, key="delta"),
     Opt("epsilon", float, key="epsilon", help="sector radius (default: 1.5 |g0|)"),

@@ -45,16 +45,12 @@ class SectorDomain:
             raise ValueError("epsilon must be positive")
 
     def contains(self, z, modulus=None):
-        """z in D, elementwise; modulus, if given, is np.abs(z).  Where
-        Re z > 0, |Arg z| < pi/2 < pi - delta, so only the other points
-        take the angle."""
-        z = np.asarray(z, dtype=complex)
+        """z in D, elementwise, for a complex array z; modulus, if given, is
+        np.abs(z).  Where Re z > 0, |Arg z| < pi/2 < pi - delta, so only
+        the other points take the angle."""
         inside = (np.abs(z) if modulus is None else modulus) < self.epsilon
-        edge = math.pi - self.delta
-        if not z.shape:
-            return bool(inside and (z.item().real > 0.0 or np.abs(np.angle(z)) <= edge))
         left = inside & (z.real <= 0.0)
-        inside[left] = np.abs(np.angle(z[left])) <= edge
+        inside[left] = np.abs(np.angle(z[left])) <= math.pi - self.delta
         return inside
 
     def approximant_enlargement(self):
@@ -129,10 +125,13 @@ def iterate(g0, a_seq, n, domain=None):
     """Iterate the map n steps and record the trajectory.
 
     a_seq: scalar mean drift a (sigma = 0) or a length-n array of a_k values.
-    domain: the base sector of g0; escape is judged against its trajectory
-    enlargement, and after an escape the state is frozen to avoid overflow.
+    domain: the base sector of g0.  The map runs to the horizon or to its
+    first floating-point fault; the first row of that trajectory outside
+    the domain's trajectory enlargement is the escape, and every later row
+    takes its value.  Steps after an escape raise and warn nothing.
     Without a domain every step is the plain map and nothing escapes.
-    A drift sum or a step that leaves the float range raises ArithmeticError.
+    A drift sum, or a step before any escape, that leaves the float range
+    raises ArithmeticError.
     """
     if np.ndim(a_seq) == 0:
         a_arr = np.full(n, float(np.real(a_seq)), dtype=complex)
@@ -147,23 +146,28 @@ def iterate(g0, a_seq, n, domain=None):
     if not finite.all():
         raise ArithmeticError("drift sum leaves the float range at step %d"
                               % np.argmin(finite))
-    big = None if domain is None else domain.trajectory_enlargement()
 
     traj = np.empty(n + 1, dtype=complex)
     traj[0] = g0
     g = complex(g0)
-    escape = None if big is None or big.contains(g0) else 0
-    with np.errstate(over="raise"):
+    rows = n + 1   # the rows the steps filled
+    # only a step from an infinite g0, which escapes at row 0, is invalid
+    with np.errstate(over="raise", invalid=None if domain is None else "ignore"):
         for k in range(n):
-            if escape is None:
-                try:
-                    g = g - a_arr[k] * g * g
-                except FloatingPointError:
-                    raise ArithmeticError("map trajectory leaves the float "
-                                          "range at step %d" % (k + 1)) from None
-                if big is not None and not big.contains(g):
-                    escape = k + 1
+            try:
+                g = g - a_arr[k] * g * g
+            except FloatingPointError:
+                rows = k + 1
+                break
             traj[k + 1] = g
+    escape = None
+    if domain is not None:
+        outside = ~domain.trajectory_enlargement().contains(traj[:rows])
+        if outside.any():
+            escape = int(outside.argmax())
+            traj[escape + 1:] = traj[escape]
+    if rows <= n and escape is None:
+        raise ArithmeticError("map trajectory leaves the float range at step %d" % rows)
     A = csum / np.maximum(np.arange(n + 1), 1)
     return MapState(complex(g0), traj, A, domain, escape)
 

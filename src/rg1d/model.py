@@ -242,43 +242,31 @@ class ModelParams:
 # momentum grids
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentumGrids:
-    """Shared grids: spatial momenta, fermionic Matsubara frequencies and
-    the half-integer quasi-momentum grid reached by shifting k by p_FL.
+# spatial momenta D_L, fermionic Matsubara frequencies D_beta and the
+# half-integer quasi-momenta D'_L reached by shifting k by p_FL.  Exactness
+# contract: shifting a spatial index n by +-(n_F + 1/2) lands on a
+# half-integer index, so k +- p_FL maps the integer grid into the
+# half-integer grid exactly at the index level.
 
-    Exactness contract: shifting a spatial index n by +-(n_F + 1/2) lands on
-    a half-integer index, so k +- p_FL maps the integer grid into the
-    half-integer grid exactly at the index level.
-    """
+def spatial_momenta(L):
+    """D_L: k = (2 pi / L) n, n in [-floor((L-1)/2), floor(L/2)]: exactly L
+    modes, one full zone."""
+    return (TWO_PI / L) * np.arange(-((L - 1) // 2), L // 2 + 1)
 
-    L: int
-    beta: float
 
-    def spatial_indices(self):
-        # n in [-floor((L-1)/2), floor(L/2)]: exactly L modes, one full zone
-        return np.arange(-((self.L - 1) // 2), self.L // 2 + 1)
+def quasi_momenta(L):
+    """D'_L: k' = (2 pi / L)(m + 1/2), m in [-floor(L/2), L - floor(L/2))."""
+    half = L // 2
+    return (TWO_PI / L) * (np.arange(-half, L - half) + 0.5)
 
-    def spatial(self):
-        """D_L: k = (2 pi / L) n over one Brillouin zone."""
-        return (TWO_PI / self.L) * self.spatial_indices()
 
-    def quasi_indices(self):
-        half = self.L // 2
-        return np.arange(-half, self.L - half)
+def matsubara_count(beta, k0_max):
+    """Number of k0 in D_beta with |k0| <= k0_max, as a float: inf once the
+    count leaves the float range."""
+    return 2.0 * (np.floor(k0_max * beta / TWO_PI - 0.5) + 1.0)
 
-    def quasi(self):
-        """D'_L: k' = (2 pi / L)(m + 1/2)."""
-        return (TWO_PI / self.L) * (self.quasi_indices() + 0.5)
 
-    def matsubara_count(self, k0_max):
-        """Number of k0 in D_beta with |k0| <= k0_max, as a float: inf
-        once the count leaves the float range."""
-        return 2.0 * (np.floor(k0_max * self.beta / TWO_PI - 0.5) + 1.0)
-
-    def matsubara(self, k0_max):
-        """D_beta restricted to |k0| <= k0_max: k0 = (2 pi / beta)(n + 1/2)."""
-        half = int(self.matsubara_count(k0_max)) // 2
-        n = np.arange(-half, half)
-        return (TWO_PI / self.beta) * (n + 0.5)
-
+def matsubara(beta, k0_max):
+    """D_beta restricted to |k0| <= k0_max: k0 = (2 pi / beta)(n + 1/2)."""
+    half = int(matsubara_count(beta, k0_max)) // 2
+    return (TWO_PI / beta) * (np.arange(-half, half) + 0.5)

@@ -125,9 +125,11 @@ class SolveReport:
 def solve_fixed_point(model, tol=1e-12):
     """Picard iteration from nu = 0; geometric convergence expected.
 
-    Reports a measured successive-difference ratio >= 1 as not contracting
-    (the map is then not a contraction at these parameters); raises if 400
-    iterations do not reach tol.
+    The step difference d = ||T(nu) - nu||_theta stops falling at the
+    roundoff floor 64 eps ||T(nu)||_theta (eps of float64), and the
+    iteration stops once d < max(tol, floor).  Above the floor a difference
+    ratio >= 1 is reported as not contracting; below it the ratio is noise
+    and is not recorded.  Raises if 400 iterations do not stop.
     """
     nu = np.zeros(model.scales().size, dtype=complex)
     prev_diff = None
@@ -135,13 +137,14 @@ def solve_fixed_point(model, tol=1e-12):
     for it in range(1, 401):
         nxt = T_operator(nu, model)
         diff = theta_norm(nxt - nu, model)
-        if prev_diff is not None and prev_diff > 0.0:
+        floor = 64.0 * np.finfo(float).eps * theta_norm(nxt, model)
+        if prev_diff is not None and prev_diff > 0.0 and diff >= floor:
             r = diff / prev_diff
             ratios.append(r)
             if r >= 1.0:
                 return SolveReport(nxt, it, diff, r, False)
         nu = nxt
-        if diff < tol:
+        if diff < max(tol, floor):
             resid = theta_norm(T_operator(nu, model) - nu, model)
             ratio = max(ratios) if ratios else 0.0
             return SolveReport(nu, it, resid, ratio, True)

@@ -46,7 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MomentumGrids, TWO_PI, dispersion, ir_dispersion
+from .model import (TWO_PI, dispersion, ir_dispersion, matsubara, quasi_momenta,
+                    spatial_momenta)
 
 # ----------------------------------------------------------------------
 # smooth cutoff
@@ -177,7 +178,7 @@ def free_propagator(x, x0, params, representation="kernel_sum"):
         raise ValueError("x0 must lie in (-beta, beta)")
     xs = np.atleast_1d(x)
     if representation == "kernel_sum":
-        k = MomentumGrids(L, beta).spatial()
+        k = spatial_momenta(L)
         ker = free_kernel(k, x0, params)
         out = [complex(np.sum(np.exp(-1j * k * xi) * ker)) / L for xi in xs]
     elif representation == "cutoff_sum":
@@ -229,10 +230,9 @@ def shell_support(top, L, beta, fermi):
     Below the box scale h_{L,beta} one of the two is empty; both are then
     returned empty, so every sum over the shell is zero.
     """
-    grids = MomentumGrids(L, beta)
-    kp = grids.quasi()
+    kp = quasi_momenta(L)
     keep = fermi.v_F * np.abs((kp + math.pi) % TWO_PI - math.pi) <= top
-    k0 = grids.matsubara(top)
+    k0 = matsubara(beta, top)
     if k0.size == 0 or not keep.any():
         keep[:] = False
         k0 = k0[:0]
@@ -265,17 +265,16 @@ def shell_grid(kind, h, params, omega=None):
     momentum p_FL, so the pieces sum exactly on the lattice.
     """
     fermi, M, gamma = params.fermi(), params.M_uv, params.gamma
-    grids = MomentumGrids(params.L, params.beta)
-    k = grids.spatial()
+    k = spatial_momenta(params.L)
     if kind == "uv":
         if not 1 <= h <= M:
             raise ValueError("ultraviolet scale must satisfy 1 <= h <= M")
         p = fermi.p_FL
         weight = ((lambda K, K0: H_h(h, K0, gamma)) if h >= 2 else   # f_uv is 1 there
                   (lambda K, K0: f_uv(K, K0, fermi, p) * H_h(h, K0, gamma)))
-        return k, grids.matsubara(gamma ** (h + 1)), dispersion(k, math.cos(p)), weight
+        return k, matsubara(params.beta, gamma ** (h + 1)), dispersion(k, math.cos(p)), weight
     if kind == "cutoff":
-        return (k, grids.matsubara(gamma ** (M + 1)), dispersion(k, params.mu_bar),
+        return (k, matsubara(params.beta, gamma ** (M + 1)), dispersion(k, params.mu_bar),
                 lambda K, K0: chi0(K0 / gamma ** M, gamma))
     if kind not in ("ir", "dirac"):
         raise ValueError("kind must be uv, cutoff, ir or dirac")

@@ -105,6 +105,8 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # step counts past their caps, which no run of that size gets to test
     ["borel", "--n", str(cli.BOREL_MAX_N + 1)],
     ["borel", "--n", str(2 ** 31)],
+    ["g1map", "--n", str(cli.G1MAP_MAX_N + 1)],
+    ["g1map", "--n", str(2 ** 31)],
     ["oracle", "--what", "map", "--n", str(cli.MAP_MAX_N + 1)],
     ["oracle", "--what", "map", "--n", str(2 ** 31)],
     ["borel", "--a", "0"],
@@ -597,6 +599,15 @@ def test_exponents_ratio_skips_lambda_below_roundoff(argv, tmp_path):
     # the gap of a tiny lambda is roundoff: no ratio is taken, and 0 is reported
     assert _run(["exponents", *argv], tmp_path) == 0
     assert _summary(tmp_path, "exponents")["worst_fixed_point_gap_over_lam32"] == "0"
+
+
+@pytest.mark.parametrize("tol", ["1e-19", "1e-25", "1e-300"])
+def test_nu_tol_below_roundoff_stops_at_the_floor(tol, tmp_path):
+    # the Picard differences stop falling at roundoff, 64 eps ||nu||_theta,
+    # where their ratio is noise: a tol below that stops at the floor, and
+    # does not read the noise as a map that stopped contracting
+    assert _run(["nu", "--tol", tol], tmp_path) == 0
+    assert _summary(tmp_path, "nu")["worst_residual"] == "0"
 
 
 def test_nu_runs_at_the_largest_box_scale(tmp_path):

@@ -100,16 +100,102 @@ def test_iterate_without_a_domain_steps_the_plain_map():
     assert np.array_equal(state.trajectory, g)
 
 
-def test_escape_mid_run_freezes_the_tail():
+def _per_step_iterate(g0, a_seq, n, domain=None):
+    """The per-step reference for iterate: a sector test after every step,
+    and no step after an escape."""
+    if np.ndim(a_seq) == 0:
+        a_arr = np.full(n, float(np.real(a_seq)), dtype=complex)
+    else:
+        a_arr = np.asarray(a_seq, dtype=complex)[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.concatenate(([0.0 + 0.0j], np.cumsum(a_arr)))
+    finite = np.isfinite(csum)
+    if not finite.all():
+        raise ArithmeticError("drift sum leaves the float range at step %d"
+                              % np.argmin(finite))
+    big = None if domain is None else domain.trajectory_enlargement()
+    traj = np.empty(n + 1, dtype=complex)
+    traj[0] = g0
+    g = complex(g0)
+    escape = None if big is None or big.contains(traj[:1])[0] else 0
+    with np.errstate(over="raise"):
+        for k in range(n):
+            if escape is None:
+                try:
+                    g = g - a_arr[k] * g * g
+                except FloatingPointError:
+                    raise ArithmeticError("map trajectory leaves the float "
+                                          "range at step %d" % (k + 1)) from None
+                if big is not None and not big.contains(np.array([g]))[0]:
+                    escape = k + 1
+            traj[k + 1] = g
+    A = csum / np.maximum(np.arange(n + 1), 1)
+    return g1map.MapState(complex(g0), traj, A, domain, escape)
+
+
+def _outcome(run, g0, a, n, domain):
+    """(trajectory bytes, A bytes, escape_index), or the error message."""
+    try:
+        state = run(g0, a, n, domain)
+    except ArithmeticError as exc:
+        return str(exc)
+    return state.trajectory.tobytes(), state.A.tobytes(), state.escape_index
+
+
+_DOM = g1map.SectorDomain(0.015, DELTA)
+_EDGE = 0.012 * np.exp(1j * (np.pi - DELTA))   # on the base sector's boundary ray
+
+
+def _drifted(model, g0, a, scale, n=400):
+    return g0, a + g1map.sigma_sequence(model, n, scale, seed=1), n, _DOM
+
+
+@pytest.mark.parametrize("g0, a, n, domain, expected", [
+    # the negative real axis lies outside the sector: escape at step 0, and
+    # the raw map's steps from there raise nothing
+    pytest.param(-0.01, 0.25, 1000, _DOM, 0, id="negative-axis"),
+    pytest.param(1e200, 0.25, 10, _DOM, 0, id="outside-then-overflow"),
+    pytest.param(complex(np.inf, 0.0), 0.25, 10, _DOM, 0, id="infinite-g0"),
     # a negative drift drives g0 = 0.01 out along the positive axis:
-    # g_k ~ 1/(100 - k) passes the enlarged radius 3 eps/sin d = 0.0636 at k = 87
-    dom = g1map.SectorDomain(0.015, DELTA)
-    big = dom.trajectory_enlargement()
-    state = g1map.iterate(0.01, -1.0, 200, dom)
+    # g_k ~ 1/(100 - k) passes the enlarged radius 3 eps/sin d = 0.0636 at
+    # k = 87, and the raw map overflows at step 114, which the per-step run
+    # never steps to
+    pytest.param(0.01, -1.0, 200, _DOM, 87, id="escape-87-then-overflow"),
+    pytest.param(0.01, -1.0, 200, None, "map trajectory leaves the float range at step 114",
+                 id="no-domain-overflow-114"),
+    # overflows with no escape: |g_1| = 1e300 lies inside the enlarged
+    # radius 4.2e300 and g_2 overflows; without a domain g_1 does
+    pytest.param(1e150, -1.0, 5, g1map.SectorDomain(1e300, DELTA),
+                 "map trajectory leaves the float range at step 2", id="overflow-inside"),
+    pytest.param(1e200, 0.25, 5, None, "map trajectory leaves the float range at step 1",
+                 id="no-domain-overflow-1"),
+    pytest.param(0.01, 1e308, 3, _DOM, "drift sum leaves the float range at step 2",
+                 id="drift-sum"),
+    # no domain: the plain map on the negative side
+    pytest.param(-0.01 + 0.001j, 0.25, 400, None, None, id="no-domain"),
+] + [
+    # every drift model: a run from the boundary ray that stays in, and one
+    # that a negative mean drift pushes out before the raw map overflows
+    pytest.param(*_drifted(model, *args), escape, id="%s-%s" % (model, name))
+    for model, pushed in zip(g1map.SIGMA_MODELS, (87, 171, 87, 88))
+    for name, args, escape in (
+        ("in", (_EDGE, 0.25, g1map.default_sigma_scale(0.25, 0.015) * 0.012), None),
+        ("out", (0.01, -1.0, 0.5), pushed))
+])
+def test_escape_mid_run_freezes_the_tail(g0, a, n, domain, expected):
+    got = _outcome(g1map.iterate, g0, a, n, domain)
+    assert got == _outcome(_per_step_iterate, g0, a, n, domain)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    state = g1map.iterate(g0, a, n, domain)
     k = state.escape_index
-    assert k == 87
+    assert k == expected
+    if k is None:
+        return
+    big = domain.trajectory_enlargement()
     assert big.contains(state.trajectory[:k]).all()
-    assert not big.contains(state.trajectory[k])
+    assert not big.contains(state.trajectory[k:k + 1])[0]
     assert (state.trajectory[k:] == state.trajectory[k]).all()
 
 
@@ -120,9 +206,9 @@ def test_escape_mid_run_freezes_the_tail():
 
 def test_domain_membership_and_enlargements():
     dom = g1map.SectorDomain(1e-2, DELTA)
-    assert dom.contains(5e-3 * np.exp(1j * (np.pi - DELTA)))
-    assert not dom.contains(5e-3 * np.exp(1j * (np.pi - DELTA / 2.0)))
-    assert not dom.contains(2e-2)
+    assert dom.contains(np.array([5e-3 * np.exp(1j * (np.pi - DELTA)),
+                                  5e-3 * np.exp(1j * (np.pi - DELTA / 2.0)),
+                                  2e-2 + 0j])).tolist() == [True, False, False]
     big = dom.trajectory_enlargement()
     assert big.epsilon == pytest.approx(3e-2 / np.sin(DELTA))
     assert big.delta == pytest.approx(DELTA / 4.0)
@@ -158,10 +244,10 @@ def test_contains_matches_the_sector_formula(which):
     for z in (zs, zs[None, :]):
         assert np.array_equal(dom.contains(z), expected.reshape(z.shape))
         assert np.array_equal(dom.contains(z, np.abs(z)), expected.reshape(z.shape))
-    for z, inside in zip(zs, expected):
-        assert dom.contains(z) is bool(inside)
-        # np.abs: Python's abs(complex) can differ from it in the last bit
-        assert dom.contains(complex(z), np.abs(z)) is bool(inside)
+    for i, inside in enumerate(expected):
+        z = zs[i:i + 1]
+        assert dom.contains(z)[0] == inside
+        assert dom.contains(z, np.abs(z))[0] == inside
 
 
 def test_boundary_ray_stays_in_enlarged_sector():

@@ -216,23 +216,20 @@ def test_with_rebuilds_other_fields():
 
 
 def test_momentum_grid_counts_and_ranges():
-    grids = model.MomentumGrids(L=8, beta=16.0)
-    n = grids.spatial_indices()
+    ks = model.spatial_momenta(8)
+    n = ks * 8 / (2.0 * np.pi)
     assert len(n) == 8
     assert n.min() == -3 and n.max() == 4
-    ks = grids.spatial()
     assert np.max(np.abs(np.sort(np.exp(1j * ks).imag) - np.sort(np.sin(ks)))) < 1e-12
 
-    q = grids.quasi_indices()
-    assert len(q) == 8
-    kq = grids.quasi()
+    kq = model.quasi_momenta(8)
+    assert len(kq) == 8
     # antiperiodic: no quasi momentum coincides with a periodic one
     assert np.min(np.abs(np.subtract.outer(kq, ks))) > 1e-9
 
 
 def test_matsubara_frequencies_are_odd_multiples():
-    grids = model.MomentumGrids(L=8, beta=10.0)
-    w = grids.matsubara(5)
+    w = model.matsubara(10.0, 5)
     base = np.pi / 10.0
     ratio = w / base
     assert np.max(np.abs(ratio - np.round(ratio))) < 1e-12

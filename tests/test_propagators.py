@@ -124,9 +124,8 @@ def test_ir_shell_partition_on_grid():
     params = _grid_params(beta=32.0, L=64)
     fermi = params.fermi()
     h_lbeta = propagators.finite_size_scale(params.beta, params.L, fermi)
-    grids = model.MomentumGrids(params.L, params.beta)
-    kp = grids.quasi() - fermi.p_FL
-    k0 = grids.matsubara(40)
+    kp = model.quasi_momenta(params.L) - fermi.p_FL
+    k0 = model.matsubara(params.beta, 40)
     KP, K0 = np.meshgrid(kp, k0, indexing="ij")
     total = np.zeros_like(KP)
     for h in range(h_lbeta, 1):
@@ -138,9 +137,8 @@ def test_ir_shell_partition_on_grid():
 def test_uv_complement_plus_windows_is_one():
     params = _grid_params(beta=32.0, L=64)
     fermi = params.fermi()
-    grids = model.MomentumGrids(params.L, params.beta)
-    ks = grids.quasi()
-    k0 = grids.matsubara(40)
+    ks = model.quasi_momenta(params.L)
+    k0 = model.matsubara(params.beta, 40)
     K, K0 = np.meshgrid(ks, k0, indexing="ij")
     p = fermi.p_FL
     total = propagators.f_uv(K, K0, fermi, p)
