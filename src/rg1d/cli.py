@@ -274,8 +274,8 @@ FLOW = (
     SEED,
     Opt("lambda", float, 0.02, key="lambda"),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
-    Opt("beta", float, 1024.0),
-    Opt("L", int, 1024),
+    Opt("beta", float, 1024.0, help="read by --a-mode finite_scale only"),
+    Opt("L", int, 1024, help="read by --a-mode finite_scale only"),
     Opt("h", int, -5000, ("<=", 0), key="target_h", help="target scale (negative)"),
     Opt("remainders", str, "none", ("in", rgflow.REMAINDER_MODELS), key="remainders"),
     Opt("a-mode", str, "exact_limit", ("in", rgflow.A_MODES),
@@ -324,8 +324,6 @@ EXPONENTS = (
     Opt("lambda-grid", str, "0.01:0.05:0.01", key="lambda_grid",
         help=GRID_HELP),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
-    Opt("beta", float, 4096.0),
-    Opt("L", int, 4096),
     Opt("h", int, -400, ("<=", 0)),
     Opt("potential", str, "hubbard", key="potential"),
 )
@@ -421,12 +419,9 @@ CORRELATIONS = (
     SEED._replace(default=0),
     Opt("lambda", float, 0.0, key="lambda"),
     Opt("pF", float, math.pi / 3.0, key="p_F"),
-    Opt("beta", float, 1e9),
-    # the x grid is cast to int64, and every x is at most L
-    Opt("L", int, 10 ** 9, ("<=", 2 ** 63 - 1)),
     Opt("x-min", float, 10.0, (">=", 1)),
-    # x is a distance on the ring
-    Opt("x-max", float, 400.0, ((">=", "x-min"), ("<=", "L"))),
+    # the x grid is cast to int64
+    Opt("x-max", float, 400.0, ((">=", "x-min"), ("<=", 2 ** 63 - 1))),
     Opt("x-count", int, 40, (">=", 1)),
     Opt("x-spacing", str, "log", ("in", ("log", "linear"))),
     Opt("x0", float, 0.0, key="x0"),

@@ -92,25 +92,6 @@ def scale_window(x, x0, fermi, tail):
     return np.arange(h_min, 1)
 
 
-def dirac_profiles(hs, x, x0, fermi):
-    """g_{D,+}^{(h)}(x, x0) for every h in hs (the omega = -1 branch is the
-    conjugate).  Scales with gamma^h r > 1024 are dropped: the radial
-    profile is below 1e-10 there and the dropped share of the full sum is
-    under 1e-9.  The radial quadrature takes the 256-node Gauss-Legendre
-    rule, the 512-node one past gamma^h r = 256 to keep the oscillatory
-    integrand resolved; both come from the table that
-    propagators.gauss_legendre ships."""
-    r = math.sqrt(float(x0) ** 2 + (float(x) / fermi.v_F) ** 2)
-    R = fermi.gamma ** np.asarray(hs, dtype=float) * r
-    keep = R <= 1024.0
-    rad = np.zeros_like(R)
-    if np.any(keep):
-        n = 256 if R[keep].max() <= 256.0 else 512
-        rad[keep] = props._dirac_radial(R[keep], fermi, n)
-    pref = (float(x0) - 1j * float(x) / fermi.v_F) / (fermi.v_F * r)
-    return pref * (fermi.gamma ** np.asarray(hs, dtype=float) / TWO_PI) * rad
-
-
 def _window_profiles(x, x0, ztab, fermi, tail):
     """Table indices i = -h of the scale window and the profiles on it."""
     hs = scale_window(x, x0, fermi, tail)
@@ -118,7 +99,7 @@ def _window_profiles(x, x0, ztab, fermi, tail):
     if ii.max() > ztab.depth:
         raise ValueError("renormalization tables shallower than the scale "
                          "window; run the coupling flow deeper")
-    return ii, dirac_profiles(hs, x, x0, fermi)
+    return ii, props.dirac_profiles(hs, x, x0, fermi)
 
 
 def _weight_matrix(ztab, znum, ii):

@@ -447,23 +447,20 @@ class EDSystem:
         beta = self.params.beta
         em = self.energies[dest] - self.e0   # row space of A
         en = self.energies[src] - self.e0    # column space
-        sgn = -1.0 if fermionic else 1.0
+        # tau <= 0 is the tau > 0 product at -tau with A and B swapped
+        sides = (a, pair, em, en, 1.0), (pair, a, en, em, -1.0 if fermionic else 1.0)
         terms = []
         # every tau's weights and both products go into one C-ordered
         # buffer, shaped like a or like pair: the same values and pairwise
         # sum as a * w * pair.T, and no second block alive while it is filled
         buf = np.empty(a.size)
         for tau in taus:
-            if tau > 0.0:
-                w = buf.reshape(a.shape)
-                np.multiply(np.exp(-(beta - tau) * em)[:, None], np.exp(-tau * en)[None, :], out=w)
-                np.multiply(a, w, out=w)
-                terms.append(float(np.sum(np.multiply(w, pair.T, out=w))))
-            else:
-                w = buf.reshape(pair.shape)
-                np.multiply(np.exp(-(beta + tau) * en)[:, None], np.exp(tau * em)[None, :], out=w)
-                np.multiply(pair, w, out=w)
-                terms.append(sgn * float(np.sum(np.multiply(w, a.T, out=w))))
+            left, right, el, er, sgn = sides[0] if tau > 0.0 else sides[1]
+            t = abs(tau)   # at tau <= 0, beta - t and -t are beta + tau and tau exactly
+            w = buf.reshape(left.shape)
+            np.multiply(np.exp(-(beta - t) * el)[:, None], np.exp(-t * er)[None, :], out=w)
+            np.multiply(left, w, out=w)
+            terms.append(sgn * float(np.sum(np.multiply(w, right.T, out=w))))
         return terms
 
     def _pair_table(self, a_at, b, taus, fermionic):

@@ -36,7 +36,8 @@ broadcast (k, k0) mesh.  Values and tables (single_scale: the double sum
 as two matrix products, for points or for an x by x0 grid;
 free_propagator's cutoff_sum, one frequency sum per k row for all x at one
 x0) are sums over it, and the lattice bubble of rgflow is a sum over the
-box of shell_support.
+box of shell_support.  dirac_profiles is the continuum (beta, L ->
+infinity) single scale of the linear band that correlations sums.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def single_scale(kind, h, x, x0, params, omega=None):
 
 # Orders of the Gauss-Legendre rules in gauss_legendre.npy, in file order:
 # 16 and 32 for the oracle's refinement levels, 256 and 512 for
-# _dirac_radial.  The file holds each order's nodes, then its weights, bit
+# dirac_profiles.  The file holds each order's nodes, then its weights, bit
 # for bit as numpy 2.4.6 computes the rule: a Golub-Welsch eigenproblem on
 # the dense n x n companion matrix, then one Newton step.  Shipping them
 # saves every process that eigenproblem, and the nodes no longer depend on
@@ -417,26 +418,31 @@ def _j1(x):
     return out
 
 
-def _dirac_radial(R, fermi, n_nodes):
-    """I0(R) = int du chibar0(u) J1(u R), shell u in [t0/gamma, t0*gamma],
-    chibar0(u) = chi0(u/t0) - chi0(u gamma/t0) with gamma = fermi.gamma.
-    Vectorized over R.
+def dirac_profiles(hs, x, x0, fermi):
+    """g_{D,+}^{(h)}(x, x0) for every h in hs, the continuum (beta, L ->
+    infinity) single-scale propagator with exactly linear band omega v_F k'
+    (the omega = -1 branch is the conjugate):
 
-    It is the radial profile of the continuum (beta, L -> infinity)
-    single-scale propagator with exactly linear band omega v_F k',
+        g^{(h)}(x, x0) = (x0 - i x / v_F) / (v_F r) (gamma^h / (2 pi)) I0(gamma^h r),
 
-        g^{(h)}(x, x0) = (x0 - i omega x / v_F) / (v_F r)
-                         * (gamma^h / (2 pi)) I0(gamma^h r),
-
-    r = sqrt(x0^2 + (x/v_F)^2), which is exactly scale covariant and sums
-    over h to (1/(2 pi)) / (v_F x0 + i omega x).  The integral is the
-    n_nodes-point Gauss-Legendre rule from gauss_legendre's shipped table
-    (dirac_profiles takes 256 or 512 nodes) mapped onto the shell."""
+    r = sqrt(x0^2 + (x/v_F)^2), exactly scale covariant, summing over h to
+    (1/(2 pi)) / (v_F x0 + i x).  I0(R) = int du chibar0(u) J1(u R) over the
+    shell u in [t0/gamma, t0*gamma], chibar0(u) = chi0(u/t0) - chi0(u gamma/t0),
+    is the 256-node Gauss-Legendre rule of gauss_legendre's table, the
+    512-node one past gamma^h r = 256 to keep the oscillatory integrand
+    resolved.  Scales with gamma^h r > 1024 are dropped: I0 is below 1e-10
+    there and the dropped share of the full sum is under 1e-9."""
     g = fermi.gamma
-    a, b = fermi.t0 / g, fermi.t0 * g
-    xq, wq = gauss_legendre(n_nodes)
-    u = 0.5 * (b - a) * xq + 0.5 * (b + a)
-    w = 0.5 * (b - a) * wq
-    cbar = chi0(u / fermi.t0, g) - chi0(u * g / fermi.t0, g)
-    R = np.asarray(R, dtype=float)
-    return (w * cbar) @ _j1(np.outer(u, R))
+    r = math.sqrt(float(x0) ** 2 + (float(x) / fermi.v_F) ** 2)
+    R = g ** np.asarray(hs, dtype=float) * r
+    keep = R <= 1024.0
+    rad = np.zeros_like(R)
+    if np.any(keep):
+        a, b = fermi.t0 / g, fermi.t0 * g
+        xq, wq = gauss_legendre(256 if R[keep].max() <= 256.0 else 512)
+        u = 0.5 * (b - a) * xq + 0.5 * (b + a)
+        w = 0.5 * (b - a) * wq
+        cbar = chi0(u / fermi.t0, g) - chi0(u * g / fermi.t0, g)
+        rad[keep] = (w * cbar) @ _j1(np.outer(u, R[keep]))
+    pref = (float(x0) - 1j * float(x) / fermi.v_F) / (fermi.v_F * r)
+    return pref * (g ** np.asarray(hs, dtype=float) / TWO_PI) * rad

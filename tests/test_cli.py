@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from rg1d import cli, correlations, oracle, propagators, rgflow
+from rg1d import cli, oracle, propagators, rgflow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCES = os.path.join(ROOT, "benchmarks", "reference")
@@ -114,7 +114,6 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     ["borel", "--a", "1e308", "--n", "40", "--rays", "2", "--radii", "1"],
     ["borel", "--epsilon", "1e-320", "--n", "50", "--rays", "2", "--radii", "1"],
     ["nu", "--mu", "1.5"],
-    ["exponents", "--beta", "0"],
     ["nu", "--h-box", "2"],
     # eps-scale and c0 are a radius and a bound: at 0 the map T vanishes
     ["nu", "--eps-scale", "-1"],
@@ -163,14 +162,10 @@ def test_interacting_ed_run_matches_golden_outputs(tmp_path, capsys):
     # sigma-scale bounds |sigma_k|, so it is a size
     ["g1map", "--sigma-scale", "-1", "--model", "constant"],
     ["g1map", "--sigma-scale", "-0.5", "--model", "disk"],
-    # x is a distance on the ring: at most L, which also keeps it in int64
+    # the x grid is cast to int64: x-max is at most 2^63 - 1
     ["correlations", "--x-min", "1e300", "--x-max", "1e300"],
-    ["correlations", "--L", "100"],
-    # an L past int64 would let x leave it too
-    ["correlations", "--L", "1000000000000000000000000000000", "--x-min", "1e29",
-     "--x-max", "1e29", "--x-count", "1"],
-    ["correlations", "--L", "10000000000000000000", "--x-min", "1e19", "--x-max", "1e19",
-     "--x-count", "1"],
+    ["correlations", "--x-min", "1e29", "--x-max", "1e29", "--x-count", "1"],
+    ["correlations", "--x-min", "1e19", "--x-max", "1e19", "--x-count", "1"],
     ["flow", "--config", "no-such-dir/run.ini"],
     # start:stop:step grids: two parts, a zero step, an empty range
     ["exponents", "--lambda-grid", "0.01:0.05"],
@@ -381,14 +376,14 @@ def test_ed_oracle_takes_the_mirror_spectrum_before_the_eigenbasis(tmp_path, mon
 def test_correlations_builds_each_window_once(tmp_path, monkeypatch):
     # one scale window and one set of Dirac profiles per point serve every
     # channel: 40 points at the defaults, not 40 per channel
-    inner = correlations.dirac_profiles
+    inner = propagators.dirac_profiles
     calls = []
 
     def counted(*args):
         calls.append(args[1])
         return inner(*args)
 
-    monkeypatch.setattr(correlations, "dirac_profiles", counted)
+    monkeypatch.setattr(propagators, "dirac_profiles", counted)
     assert _run(["correlations"], tmp_path) == 0
     assert len(calls) == len(set(calls)) == 40
 
@@ -419,6 +414,15 @@ def test_correlations_at_unit_distance_report_zeta_zero(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows and {row["x"] for row in rows} == {"1"}
     assert all(float(row["zeta_est"]) == 0.0 for row in rows)
+
+
+def test_correlations_run_past_any_lattice_box(tmp_path):
+    # the continuum profiles carry no lattice box: the only bound on x is
+    # the int64 cast of the x grid
+    argv = ["correlations", "--x-max", "1e12", "--x-count", "5", "--lambda", "0.01"]
+    assert _run(argv, tmp_path) == 0
+    with open(os.path.join(tmp_path, "correlations.csv")) as fh:
+        assert max(float(row["x"]) for row in csv.DictReader(fh)) == 1e12
 
 
 def test_correlations_peak_sits_at_2pF(tmp_path):
@@ -546,6 +550,130 @@ def test_every_option_is_read_by_its_handler(table, handler):
 def test_common_options_are_read_by_main():
     source = inspect.getsource(cli.main)
     assert [opt.name for opt in cli.COMMON if 'opts["%s"]' % opt.name not in source] == []
+
+
+# (table, row) -> (base argv where the row matters, flags that set it to a
+# second value); a table is a command or oracle-<mode>, and {points} names
+# a two-row points file
+_P = ["prop", "--M", "4"]
+_F = ["flow", "--h", "-20"]
+_FS = ["flow", "--a-mode", "finite_scale", "--h", "-5"]
+_FR = _F + ["--remainders", "finite_size"]
+_E = ["exponents", "--lambda-grid", "0.01:0.02:0.01", "--h", "-40"]
+_C = ["correlations", "--lambda", "0.02", "--x-count", "8"]
+_G = ["g1map", "--n", "1000"]
+_GD = _G + ["--model", "disk"]
+_B = ["borel", "--n", "200", "--rays", "2", "--radii", "2"]
+_OW = ["oracle", "--what", "wick", "--L", "16"]
+_OE = ["oracle", "--what", "ed", "--L", "3"]
+_OM = ["oracle", "--what", "map", "--n", "100"]
+OPTION_CASES = {
+    ("prop", "mu"): (_P, ["--mu", "0.3"]),
+    ("prop", "beta"): (_P, ["--beta", "32"]),
+    ("prop", "L"): (_P, ["--L", "128"]),
+    ("prop", "M"): (_P, ["--M", "5"]),
+    ("prop", "gamma"): (_P, ["--gamma", "2.5"]),
+    ("prop", "points"): (_P, ["--points", "{points}"]),
+    ("flow", "seed"): (_FR, ["--seed", "3"]),
+    ("flow", "lambda"): (_F, ["--lambda", "0.03"]),
+    ("flow", "pF"): (_F, ["--pF", "1.2"]),
+    ("flow", "beta"): (_FS, ["--beta", "512"]),
+    ("flow", "L"): (_FS, ["--L", "512"]),
+    ("flow", "h"): (_F, ["--h", "-30"]),
+    ("flow", "remainders"): (_F, ["--remainders", "finite_size"]),
+    ("flow", "a-mode"): (_FS, ["--a-mode", "exact_limit"]),
+    ("flow", "h-lbeta"): (_FR, ["--h-lbeta", "-10"]),
+    ("flow", "potential"): (_F, ["--potential", "uv:1:0.5"]),
+    ("exponents", "lambda-grid"): (_E, ["--lambda-grid", "0.01:0.03:0.01"]),
+    ("exponents", "pF"): (_E, ["--pF", "1.2"]),
+    ("exponents", "h"): (_E, ["--h", "-60"]),
+    ("exponents", "potential"): (_E, ["--potential", "uv:1:0.5"]),
+    ("nu", "lambda"): (["nu"], ["--lambda", "0.03"]),
+    ("nu", "lambda-grid"): (["nu"], ["--lambda-grid", "0.01:0.02:0.01"]),
+    ("nu", "mu"): (["nu"], ["--mu", "0.4"]),
+    ("nu", "h-box"): (["nu"], ["--h-box", "-30"]),
+    ("nu", "eps-scale"): (["nu"], ["--eps-scale", "3"]),
+    ("nu", "c0"): (["nu"], ["--c0", "0.5"]),
+    ("nu", "tol"): (["nu"], ["--tol", "1e-8"]),
+    ("correlations", "seed"): (_C + ["--residuals", "envelope"], ["--seed", "4"]),
+    ("correlations", "lambda"): (_C, ["--lambda", "0.03"]),
+    ("correlations", "pF"): (_C, ["--pF", "1.2"]),
+    ("correlations", "x-min"): (_C, ["--x-min", "20"]),
+    ("correlations", "x-max"): (_C, ["--x-max", "300"]),
+    ("correlations", "x-count"): (_C, ["--x-count", "9"]),
+    ("correlations", "x-spacing"): (_C, ["--x-spacing", "linear"]),
+    ("correlations", "x0"): (_C, ["--x0", "3.5"]),
+    ("correlations", "alphas"): (_C, ["--alphas", "C,S"]),
+    ("correlations", "tail"): (_C, ["--tail", "0.01"]),
+    ("correlations", "residuals"): (_C, ["--residuals", "envelope"]),
+    ("correlations", "potential"): (_C, ["--potential", "uv:1:0.5"]),
+    ("g1map", "seed"): (_GD, ["--seed", "3"]),
+    ("g1map", "g0-re"): (_G, ["--g0-re", "0.02"]),
+    ("g1map", "g0-im"): (_G, ["--g0-im", "0.003"]),
+    ("g1map", "a"): (_G, ["--a", "0.3"]),
+    ("g1map", "n"): (_G, ["--n", "1200"]),
+    ("g1map", "model"): (_G, ["--model", "constant"]),
+    ("g1map", "delta"): (_G, ["--delta", "0.6"]),
+    ("g1map", "epsilon"): (_G, ["--epsilon", "0.05"]),
+    ("g1map", "sigma-scale"): (_GD, ["--sigma-scale", "0.001"]),
+    ("borel", "seed"): (_B, ["--seed", "3"]),
+    ("borel", "delta"): (_B, ["--delta", "0.6"]),
+    ("borel", "rays"): (_B, ["--rays", "3"]),
+    ("borel", "radii"): (_B, ["--radii", "3"]),
+    ("borel", "n"): (_B, ["--n", "300"]),
+    ("borel", "a"): (_B, ["--a", "0.3"]),
+    ("borel", "epsilon"): (_B, ["--epsilon", "0.01"]),
+    ("borel", "models"): (_B, ["--models", "zero,disk"]),
+    ("oracle", "what"): (["oracle", "--n", "100"], ["--what", "map"]),
+    ("oracle-bubble", "pF"): (["oracle"], ["--pF", "1.2"]),
+    ("oracle-bubble", "gamma"): (["oracle"], ["--gamma", "2.5"]),
+    ("oracle-bubble", "h-min"): (["oracle"], ["--h-min", "-12"]),
+    ("oracle-bubble", "h-max"): (["oracle"], ["--h-max", "-10"]),
+    ("oracle-wick", "mu"): (_OW, ["--mu", "0.3"]),
+    ("oracle-wick", "beta"): (_OW, ["--beta", "16"]),
+    ("oracle-wick", "L"): (_OW, ["--L", "20"]),
+    ("oracle-wick", "x0"): (_OW, ["--x0", "3"]),
+    ("oracle-ed", "L"): (_OE, ["--L", "4"]),
+    ("oracle-ed", "beta"): (_OE, ["--beta", "8"]),
+    ("oracle-ed", "lambda"): (_OE, ["--lambda", "0.1"]),
+    ("oracle-ed", "mu"): (_OE, ["--mu", "0.2"]),
+    ("oracle-ed", "potential"): (_OE + ["--lambda", "0.1"], ["--potential", "uv:1:0.5"]),
+    ("oracle-map", "g0-re"): (_OM, ["--g0-re", "0.03"]),
+    ("oracle-map", "g0-im"): (_OM, ["--g0-im", "0.002"]),
+    ("oracle-map", "a"): (_OM, ["--a", "0.3"]),
+    ("oracle-map", "n"): (_OM, ["--n", "120"]),
+}
+
+
+def test_every_option_changes_an_output(tmp_path):
+    # every row of every table, out-dir aside, has a case, and in it a
+    # second value changes the CSV or the summary (the row's own summary
+    # key aside): an option that no output reads fails here
+    tables = {command: table for command, (_, table, _) in cli.COMMANDS.items()}
+    tables.update(("oracle-" + mode, table) for mode, (_, table) in cli.ORACLE_MODES.items())
+    rows = {(where, opt.name): opt.key for where, table in tables.items() for opt in table}
+    assert sorted(set(rows) ^ set(OPTION_CASES)) == []
+    points = tmp_path / "points.txt"
+    points.write_text("1 0.5\n3 2.0\n")
+    runs = {}
+
+    def outputs(argv):
+        argv = [arg.format(points=points) for arg in argv]
+        if tuple(argv) not in runs:
+            out = tmp_path / str(len(runs))
+            assert _run(argv, out) in (0, 4), argv
+            with open(out / (argv[0] + ".csv")) as fh:
+                runs[tuple(argv)] = fh.read(), _summary(out, argv[0])
+        return runs[tuple(argv)]
+
+    unchanged = []
+    for (where, name), (base, flags) in OPTION_CASES.items():
+        key = rows[where, name]
+        (csv_a, sum_a), (csv_b, sum_b) = outputs(base), outputs(base + flags)
+        if csv_a == csv_b and ({k: v for k, v in sum_a.items() if k != key}
+                               == {k: v for k, v in sum_b.items() if k != key}):
+            unchanged.append((where, name))
+    assert unchanged == []
 
 
 def _flow_summary(tmp_path, config, *flags):

@@ -506,7 +506,7 @@ def test_j1_matches_cephes_bit_for_bit(tmp_path, monkeypatch):
     # the same values and the same signs (j1(-0.0) = -0.0) as the Cephes
     # routine scipy runs: on seeded arguments over both branches and the
     # u R range of dirac_profiles (R <= 1024), on the edges, and on every
-    # np.outer(u, R) grid that _dirac_radial builds in the defaults run of
+    # np.outer(u, R) grid that dirac_profiles builds in the defaults run of
     # correlations --lambda 0.02
     special = pytest.importorskip("scipy.special")
     inner, grids = propagators._j1, []
