@@ -425,6 +425,24 @@ def test_correlations_run_past_any_lattice_box(tmp_path):
         assert max(float(row["x"]) for row in csv.DictReader(fh)) == 1e12
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--beta", "1024"],
+    ["exponents", "--L", "1000"],
+    ["correlations", "--beta", "1e6"],
+    ["correlations", "--L", "5000"],
+], ids=" ".join)
+def test_continuum_stages_reject_a_lattice_box(argv, tmp_path, capsys):
+    # exponents and correlations work at beta, L -> infinity: a --beta or --L
+    # there is a usage error, never a flag that is read and then ignored
+    with pytest.raises(SystemExit) as exc:
+        _run(argv, tmp_path)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in captured.err
+    assert os.listdir(tmp_path) == []
+
+
 def test_correlations_peak_sits_at_2pF(tmp_path):
     # a linear grid from x0 = 0 with 16 or more points adds the peak check:
     # 64 points of spacing 1 give bins of 2 pi / 64
