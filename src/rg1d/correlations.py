@@ -43,30 +43,14 @@ CHANNELS = rn.CHANNELS
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZTables:
-    """Full (uncompensated) constants on scales h = 0 .. -depth.
-
-    Arrays are indexed by i = -h.  Z is the wave-function constant,
-    Z1[alpha] dresses the uniform density part, Z2[alpha] the pair /
-    oscillating part: Z^{(t)}_h = gamma^{-eta_t h} Zhat^{(t)}_h.
-    """
-
-    depth: int
-    Z: np.ndarray
-    Z1: dict
-    Z2: dict
-
-
 def z_tables(rset, ex, gamma):
-    """Build ZTables from a flow of the hat constants and the exponents."""
+    """{t: Z^{(t)}_h = gamma^{-eta_t h} Zhat^{(t)}_h} for t in renorm.HAT_KEYS
+    on h = 0 .. -depth, indexed by i = -h: "z" is the wave-function constant,
+    "1" + alpha dresses the uniform density part with eta_z and "2" + alpha
+    the pair / oscillating part with eta_alpha."""
     i = np.arange(rset.depth + 1, dtype=float)
-    zz = gamma ** (ex.eta["z"] * i) * np.exp(rset.log_zhat["z"])
-    z1 = {al: gamma ** (ex.eta["z"] * i) * np.exp(rset.log_zhat["1" + al])
-          for al in ("C", "S", "SC")}
-    z2 = {al: gamma ** (ex.eta[al] * i) * np.exp(rset.log_zhat["2" + al])
-          for al in CHANNELS}
-    return ZTables(rset.depth, zz, z1, z2)
+    return {key: gamma ** (ex.eta[key[1:] if key[0] == "2" else "z"] * i)
+            * np.exp(rset.log_zhat[key]) for key in rn.HAT_KEYS}
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +80,7 @@ def _window_profiles(x, x0, ztab, fermi, tail):
     """Table indices i = -h of the scale window and the profiles on it."""
     hs = scale_window(x, x0, fermi, tail)
     ii = (-hs).astype(int)
-    if ii.max() > ztab.depth:
+    if ii.max() >= ztab["z"].size:
         raise ValueError("renormalization tables shallower than the scale "
                          "window; run the coupling flow deeper")
     return ii, props.dirac_profiles(hs, x, x0, fermi)
@@ -105,7 +89,7 @@ def _window_profiles(x, x0, ztab, fermi, tail):
 def _weight_matrix(ztab, znum, ii):
     """W_{hh'} = znum[h v h']^2 / (Z_h Z_{h'}) on the window, h v h' = max."""
     num = znum[np.minimum.outer(ii, ii)] ** 2
-    den = np.outer(ztab.Z[ii], ztab.Z[ii])
+    den = np.outer(ztab["z"][ii], ztab["z"][ii])
     return num / den
 
 
@@ -188,18 +172,18 @@ def assemble_response(x, alphas, ztab, ex, fermi, x0=0.0, rset=None,
     for alpha in alphas:
         ucf, ocf, zeta = closed_components(x, x0, alpha, ex, fermi, rset)
         if alpha in ("C", "S"):
-            Wu = _weight_matrix(ztab, ztab.Z1[alpha], ii)
-            Wo = _weight_matrix(ztab, ztab.Z2[alpha], ii)
+            Wu = _weight_matrix(ztab, ztab["1" + alpha], ii)
+            Wo = _weight_matrix(ztab, ztab["2" + alpha], ii)
             uni = 4.0 * (gp @ Wu @ gp).real
             osc = cos2 * 4.0 * (gp @ Wo @ gm).real
         elif alpha == "SC":
-            Wu = _weight_matrix(ztab, ztab.Z2["SC"], ii)
-            Wo = _weight_matrix(ztab, ztab.Z1["SC"], ii)
+            Wu = _weight_matrix(ztab, ztab["2SC"], ii)
+            Wo = _weight_matrix(ztab, ztab["1SC"], ii)
             uni = -4.0 * (gp @ Wu @ gm).real
             phase = np.exp(2j * fermi.p_F * float(x))
             osc = -4.0 * (phase * (gp @ Wo @ gp)).real
         else:   # TC; closed_components rejects any other channel
-            Wu = _weight_matrix(ztab, ztab.Z2["TC"], ii)
+            Wu = _weight_matrix(ztab, ztab["2TC"], ii)
             uni = -4.0 * fermi.v_F ** 2 * (gp @ Wu @ gm).real
             osc = 0.0
         total = uni + osc
@@ -240,7 +224,7 @@ def correlation_rows(xs, alphas, ztab, ex, fermi, x0=0.0, rset=None,
     closed_im, rel_err, X_alpha, zeta_est), channel by channel."""
     points = [assemble_response(x, alphas, ztab, ex, fermi, x0, rset, tail)
               for x in xs]
-    return [(alpha, float(x), float(x0), res[alpha].scale_sum, 0.0,
+    return [(alpha, int(x), float(x0), res[alpha].scale_sum, 0.0,
              res[alpha].closed_form, 0.0, res[alpha].rel_error, ex.X[alpha],
              res[alpha].zeta)
             for alpha in alphas for x, res in zip(xs, points)]

@@ -1,19 +1,18 @@
 """Fixed point of the relevant (counterterm) direction.
 
 The chemical-potential counterterm sequence nu_j, j in [h_box, 1], must
-satisfy nu = T(nu) with
+satisfy nu = T(nu) with the boundary value nu_{h_box} = 0 and
 
     T(nu)_h = - sum_{j=h_box+1}^{h} gamma^{-(h-j+1)} beta_nu^{(j)},
-    beta_nu^{(j)} = eps_j [ sum_{i>=j} nu_i bcross_{j,i} gamma^{-theta'(i-j)}
-                            + gamma^{theta' j} bdiag_j ],
+    beta_nu^{(j)} = eps [ c0 sum_{i>=j} nu_i gamma^{-theta'(i-j)}
+                          + gamma^{theta' j} c0 p_F / pi ].
 
-with |bcross|, |bdiag| <= c0 and the boundary value nu_{h_box} = 0.  The
-one-step beta coefficients are not available in closed form; the module
-ships the structural model with bounded arrays (bdiag defaults to the
-first-order tadpole-like value c0 p_F / pi so that the counterterm tracks
-the filling).  A NuBetaModel keeps the box scale, c0, gamma and those
-arrays; the exponents theta < theta' are model.THETA and
-model.THETA_PRIME.  T contracts on the weighted ball
+The one-step beta coefficients are not available in closed form, only
+bounded by c0; the module ships this structural model, which holds each
+at that bound, with the first-order tadpole-like forcing c0 p_F / pi so
+that the counterterm tracks the filling.  A NuBetaModel keeps its five
+scalars h_box, c0, gamma, p_F and eps; the exponents theta < theta' are
+model.THETA and model.THETA_PRIME.  T contracts on the weighted ball
 ||nu||_theta = max_j gamma^{-theta j}|nu_j| <= xi |lambda| once the
 weighted norm of its linear part is below 1, and Picard iteration from 0
 converges geometrically.
@@ -33,40 +32,27 @@ from .model import THETA, THETA_PRIME
 DERIVATIVE_STEP = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class NuBetaModel:
-    """Structural one-step coefficients for the counterterm direction.
-
-    bdiag[j] and bcross[j, i] (used for i >= j) are bounded by c0; eps is
-    the per-scale smallness factor on j = h_box+1 .. 1.  default_model, the
-    only builder, sets it constant (eps_scale |lambda| in inversion_rows).
-    """
+    """Constant-envelope one-step coefficients for the counterterm
+    direction (module docstring); eps is eps_scale |lambda| in
+    inversion_rows."""
 
     h_box: int
     c0: float
     gamma: float
-    bdiag: np.ndarray      # index j - h_box, scales h_box .. 1
-    bcross: np.ndarray     # [j - h_box, i - h_box], applied for i >= j
-    eps: np.ndarray        # index j - h_box, scales h_box .. 1
-
-    def with_p_F(self, p_F):
-        """Same model with the tadpole-like diagonal at a new Fermi point."""
-        n = 2 - self.h_box
-        return replace(self, bdiag=np.full(n, self.c0 * p_F / math.pi))
+    p_F: float
+    eps: float
 
     def scales(self):
         return np.arange(self.h_box, 2)
 
 
 def default_model(h_box, p_F, eps_value, c0=0.25):
-    """Constant-envelope model at gamma = 2: bcross = c0, bdiag = c0 p_F / pi,
-    eps constant.  c0 = 1 would not contract at the default scales; 0.25
-    keeps the measured contraction ratio below 1/2 for |lambda| <= 0.02."""
-    n = 2 - h_box
-    return NuBetaModel(h_box, c0, 2.0,
-                       np.full(n, c0 * p_F / math.pi),
-                       np.full((n, n), c0),
-                       np.full(n, float(eps_value)))
+    """Constant-envelope model at gamma = 2.  c0 = 1 would not contract at
+    the default scales; 0.25 keeps the measured contraction ratio below 1/2
+    for |lambda| <= 0.02."""
+    return NuBetaModel(h_box, c0, 2.0, p_F, float(eps_value))
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +76,9 @@ def theta_norm(nu, model):
 
 def beta_sequence(nu, model):
     """beta_nu^{(j)} for j = h_box .. 1 (the h_box entry is never used)."""
-    cross = (model.bcross * _cross_weights(model)) @ nu
-    forcing = model.gamma ** (THETA_PRIME * model.scales()) * model.bdiag
+    cross = (model.c0 * _cross_weights(model)) @ nu
+    forcing = model.gamma ** (THETA_PRIME * model.scales()) \
+        * (model.c0 * model.p_F / math.pi)
     return model.eps * (cross + forcing)
 
 
@@ -119,7 +106,7 @@ class SolveReport:
     iterations: int
     residual: float
     contraction_ratio: float
-    contracting: bool = True
+    contracting: bool
 
 
 def solve_fixed_point(model, tol=1e-12):
@@ -188,7 +175,7 @@ def nu1_of_mu(mu, model, tol=1e-12):
     """Counterterm at scale 1 for the Fermi point arccos(mu)."""
     if not -1.0 < mu < 1.0:
         raise ValueError("mu must lie inside the band (-1, 1)")
-    rep = solve_fixed_point(model.with_p_F(math.acos(mu)), tol)
+    rep = solve_fixed_point(replace(model, p_F=math.acos(mu)), tol)
     if not rep.contracting:
         raise RuntimeError("counterterm map stopped contracting")
     return float(rep.nu[-1].real)
@@ -205,7 +192,6 @@ def nu1_derivative(mu, model, tol=1e-12):
 class InversionReport:
     p_F: float
     nu1: float
-    iterations: int
     derivative: float
     residual: float
 
@@ -224,7 +210,7 @@ def invert_pF(mu_bar, model, tol=1e-12):
         raise RuntimeError("d nu1/d mu = %.3f outside the contraction "
                            "regime" % deriv)
     mu = mu_bar
-    for it in range(1, 101):
+    for _ in range(100):
         nxt = mu_bar - nu1_of_mu(mu, model, tol)
         if abs(nxt - mu) < tol:
             mu = nxt
@@ -233,7 +219,7 @@ def invert_pF(mu_bar, model, tol=1e-12):
     else:
         raise RuntimeError("chemical-potential inversion did not settle")
     nu1 = nu1_of_mu(mu, model, tol)
-    return InversionReport(math.acos(mu), nu1, it, deriv, abs(mu + nu1 - mu_bar))
+    return InversionReport(math.acos(mu), nu1, deriv, abs(mu + nu1 - mu_bar))
 
 
 def inversion_rows(lams, mu_bar, h_box, eps_scale=2.0, c0=0.25, tol=1e-12):

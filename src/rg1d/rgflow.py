@@ -63,7 +63,7 @@ class FlowTrajectory:
     h_lbeta: int
     target_h: int
     gamma: float
-    escaped_at: int | None = None
+    escaped_at: int | None
 
     def g1_approximant(self, j):
         """gtilde_{1,j} = g1_0 / (1 + a g1_0 |j|), the fixed-mean closed form;

@@ -425,6 +425,16 @@ def test_correlations_run_past_any_lattice_box(tmp_path):
         assert max(float(row["x"]) for row in csv.DictReader(fh)) == 1e12
 
 
+def test_correlations_write_x_as_the_integer_it_is(tmp_path):
+    # the x grid is integer: an x past 10^12 prints every digit, not the
+    # %.12g rounding of a float
+    argv = ["correlations", "--x-min", "1234567890123", "--x-max", "1234567890123",
+            "--x-count", "1", "--lambda", "0.01"]
+    assert _run(argv, tmp_path) == 0
+    with open(os.path.join(tmp_path, "correlations.csv")) as fh:
+        assert {row["x"] for row in csv.DictReader(fh)} == {"1234567890123"}
+
+
 @pytest.mark.parametrize("argv", [
     ["exponents", "--beta", "1024"],
     ["exponents", "--L", "1000"],

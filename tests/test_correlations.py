@@ -29,7 +29,7 @@ def _two_point(x, ztab, ex, fermi):
     sum_w e^{-i w p_F x} sum_h g_w^{(h)}/Z_h, and its closed form
     -sin(p_F x) x / (pi |x|^{2+eta_z}) (the log exponent zeta_z is 0)."""
     ii, gp = correlations._window_profiles(x, 0.0, ztab, fermi, 1e-3)
-    total = 2.0 * (np.exp(-1j * fermi.p_F * x) * np.sum(gp / ztab.Z[ii])).real
+    total = 2.0 * (np.exp(-1j * fermi.p_F * x) * np.sum(gp / ztab["z"][ii])).real
     xt = correlations.tilde_norm(x, 0.0, fermi)
     return total, -np.sin(fermi.p_F * x) * x / (np.pi * xt ** (2.0 + ex.eta["z"]))
 
@@ -142,10 +142,22 @@ def test_z_tables_are_one_at_zero_coupling():
     # the free case: every constant identically 1
     fermi, ex, rset, ztab = _setup(0.0, depth=20)
     ones = np.ones(21)
-    assert np.array_equal(ztab.Z, ones)
-    for table in (ztab.Z1, ztab.Z2):
-        for key in table:
-            assert np.array_equal(table[key], ones), key
+    for key, table in ztab.items():
+        assert np.array_equal(table, ones), key
+
+
+def test_z_tables_dress_each_key_with_its_exponent():
+    # "z" and the uniform "1" + alpha tables carry eta_z, the pair "2" + alpha
+    # tables eta_alpha; eta_C != eta_z here, so a "1C" table dressed with
+    # eta_C would fail
+    fermi, ex, rset, ztab = _setup(0.03)
+    assert tuple(ztab) == renorm.HAT_KEYS
+    assert ex.eta["C"] != ex.eta["z"]
+    i = np.arange(rset.depth + 1, dtype=float)
+    for key in renorm.HAT_KEYS:
+        eta = ex.eta[key[1:]] if key.startswith("2") else ex.eta["z"]
+        expected = fermi.gamma ** (eta * i) * np.exp(rset.log_zhat[key])
+        assert np.array_equal(ztab[key], expected), key
 
 
 def test_free_assembly_reproduces_wick_values_at_long_distance():

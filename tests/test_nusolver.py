@@ -1,10 +1,12 @@
 """Counterterm fixed point: contraction, scaling, chemical-potential inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rg1d import nusolver
-from rg1d.model import THETA
+from rg1d.model import THETA, THETA_PRIME
 
 P_F_REF = np.arccos(0.5)
 
@@ -86,6 +88,33 @@ def test_operator_norm_scales_with_coupling():
         w = m.gamma ** (THETA * m.scales())
         return np.max((np.abs(_operator_matrix(m)) @ w) / w)
     assert norm(_model(0.02)) == pytest.approx(4.0 * norm(_model(0.005)), rel=0.2)
+
+
+@pytest.mark.parametrize("h_box, p_F, eps, c0", [
+    (-40, math.acos(0.5), 0.04, 0.25),
+    (-20, math.acos(-0.3), 0.03, 0.1),
+    (-10, 0.3, 0.8, 1.0),
+])
+def test_constant_envelope_matches_the_array_model(h_box, p_F, eps, c0):
+    # the scalar envelope against constant-filled bcross, bdiag and eps
+    # arrays: a product with a constant-filled array runs the same multiply
+    # per element as a product with the scalar, so the bits agree
+    m = nusolver.default_model(h_box, p_F, eps, c0=c0)
+    n = m.scales().size
+    bcross = np.full((n, n), c0)
+    bdiag = np.full(n, c0 * p_F / math.pi)
+    eps_arr = np.full(n, float(eps))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        nu = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cross = (bcross * nusolver._cross_weights(m)) @ nu
+        forcing = m.gamma ** (THETA_PRIME * m.scales()) * bdiag
+        beta = eps_arr * (cross + forcing)
+        t = np.zeros_like(nu)
+        for k in range(1, n):
+            t[k] = (t[k - 1] - beta[k]) / m.gamma
+        assert nusolver.beta_sequence(nu, m).tobytes() == beta.tobytes()
+        assert nusolver.T_operator(nu, m).tobytes() == t.tobytes()
 
 
 # ---------------------------------------------------------------------------
