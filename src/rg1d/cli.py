@@ -611,11 +611,6 @@ def _oracle_wick(o):
 def _oracle_ed(o):
     params = o["params"]
     L, beta, lam = params.L, params.beta, params.lam
-    # the mirror must be a model too: mu_bar' inside (-1, 1), as ModelParams
-    # asks; its spectrum comes first, before the eigenbasis is alive
-    mirror = None
-    if L % 2 == 0 and -1.0 < oracle.particle_hole_mirror(params)[0] < 1.0:
-        mirror = oracle.particle_hole_spectrum(params)
     ed = oracle.ed_micro(params)
     free = params.with_(lam=0.0)
     rows = []
@@ -635,8 +630,8 @@ def _oracle_ed(o):
                          for tau, g in zip(taus, two_point[x].tolist()))
         summary["two_point_vs_kernel"] = worst_free
         checks["free_kernel_match"] = (worst_free <= 1e-12, worst_free - 1e-12)
-    if mirror is not None:
-        gap = oracle.particle_hole_gap(ed, mirror)
+    if ed.mirror is not None:   # None where the particle-hole mirror is no model
+        gap = oracle.particle_hole_gap(ed)
         summary["particle_hole_gap"] = gap
         checks["particle_hole"] = (gap <= 1e-10, gap - 1e-10)
     return (("alpha", "x", "tau", "ed", "wick_free", "abs_diff"), rows,

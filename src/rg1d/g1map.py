@@ -85,7 +85,7 @@ SIGMA_MODELS = ("zero", "constant", "disk", "alternating")
 def sigma_sequence(model, n, scale, seed=0):
     """Length-n drift perturbation sequence with |sigma_k| <= scale.
 
-    zero: no drift; constant: worst-case real shift +scale; disk: uniform in
+    zero: no drift; constant: the constant real shift +scale; disk: uniform in
     the complex disk of radius scale (seeded); alternating: (-1)^k scale.
     """
     if model == "zero":

@@ -108,6 +108,11 @@ class SolveReport:
     contraction_ratio: float
     contracting: bool
 
+    @property
+    def nu1(self):
+        """The counterterm at scale 1, Re nu_1."""
+        return float(self.nu[-1].real)
+
 
 def solve_fixed_point(model, tol=1e-12):
     """Picard iteration from nu = 0; geometric convergence expected.
@@ -171,20 +176,20 @@ def ball_check(model, xi_lam):
 # ----------------------------------------------------------------------
 
 
-def nu1_of_mu(mu, model, tol=1e-12):
-    """Counterterm at scale 1 for the Fermi point arccos(mu)."""
+def solve_at_mu(mu, model, tol=1e-12):
+    """The contracting solve of the map at the Fermi point arccos(mu)."""
     if not -1.0 < mu < 1.0:
         raise ValueError("mu must lie inside the band (-1, 1)")
     rep = solve_fixed_point(replace(model, p_F=math.acos(mu)), tol)
     if not rep.contracting:
         raise RuntimeError("counterterm map stopped contracting")
-    return float(rep.nu[-1].real)
+    return rep
 
 
 def nu1_derivative(mu, model, tol=1e-12):
     """Two-point finite difference of nu1 in mu, DERIVATIVE_STEP each side."""
-    up = nu1_of_mu(mu + DERIVATIVE_STEP, model, tol)
-    dn = nu1_of_mu(mu - DERIVATIVE_STEP, model, tol)
+    up = solve_at_mu(mu + DERIVATIVE_STEP, model, tol).nu1
+    dn = solve_at_mu(mu - DERIVATIVE_STEP, model, tol).nu1
     return (up - dn) / (2.0 * DERIVATIVE_STEP)
 
 
@@ -194,6 +199,7 @@ class InversionReport:
     nu1: float
     derivative: float
     residual: float
+    first: SolveReport    # the first step's solve, at mu = mu_bar
 
 
 def invert_pF(mu_bar, model, tol=1e-12):
@@ -209,17 +215,17 @@ def invert_pF(mu_bar, model, tol=1e-12):
     if abs(deriv) >= 0.5:
         raise RuntimeError("d nu1/d mu = %.3f outside the contraction "
                            "regime" % deriv)
-    mu = mu_bar
+    mu, first = mu_bar, None
     for _ in range(100):
-        nxt = mu_bar - nu1_of_mu(mu, model, tol)
-        if abs(nxt - mu) < tol:
-            mu = nxt
+        rep = solve_at_mu(mu, model, tol)
+        first = rep if first is None else first
+        mu, prev = mu_bar - rep.nu1, mu
+        if abs(mu - prev) < tol:
             break
-        mu = nxt
     else:
         raise RuntimeError("chemical-potential inversion did not settle")
-    nu1 = nu1_of_mu(mu, model, tol)
-    return InversionReport(math.acos(mu), nu1, deriv, abs(mu + nu1 - mu_bar))
+    nu1 = solve_at_mu(mu, model, tol).nu1
+    return InversionReport(math.acos(mu), nu1, deriv, abs(mu + nu1 - mu_bar), first)
 
 
 def inversion_rows(lams, mu_bar, h_box, eps_scale=2.0, c0=0.25, tol=1e-12):
@@ -229,8 +235,7 @@ def inversion_rows(lams, mu_bar, h_box, eps_scale=2.0, c0=0.25, tol=1e-12):
     for lam in lams:
         model = default_model(h_box, math.acos(mu_bar), eps_scale * abs(lam),
                               c0=c0)
-        rep = solve_fixed_point(model, tol)
         inv = invert_pF(mu_bar, model, tol)
-        rows.append((lam, mu_bar, inv.p_F, inv.nu1, rep.iterations,
-                     rep.contraction_ratio, inv.residual))
+        rows.append((lam, mu_bar, inv.p_F, inv.nu1, inv.first.iterations,
+                     inv.first.contraction_ratio, inv.residual))
     return rows

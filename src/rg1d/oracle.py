@@ -27,17 +27,17 @@ Scope guard: exact diagonalization is a micro oracle.  It validates the
 noninteracting kernels and the first-order response slopes on chains of
 at most 8 sites and moderate beta; the scaling regime (large L, beta) is
 out of its reach by construction and must be probed through the flow
-modules instead.  Its memory, in run order: the particle-hole mirror's
-spectrum first (particle_hole_spectrum keeps eigenvalues only, one
-sector's eigh transient at a time); then one eigenbasis, the
+modules instead.  Its memory, in run order: one eigenbasis, the
 eigenvectors of every sector, which hold (sum_k C(L, k)^2)^2 doubles
-(6.8 MB at L = 6, 94 MB at L = 7, 1.3 GB at L = 8), plus one sector's
-eigh transient while it is built; then at most three rotated blocks per
-response: A_x, B's partner and the weight buffer, one (dest, src) sector
-pair at a time.  No Fock-basis operator matrix exists: _block gathers
-rows of dest's eigenbasis, or of the identity for the Hamiltonian.  One
-density operator's sector blocks, all at once, would add as much again
-as the eigenvectors (3432^2 doubles, 94 MB, at L = 7).
+(6.8 MB at L = 6, 94 MB at L = 7, 1.3 GB at L = 8), plus, while it is
+built, one sector's hopping block, its particle-hole mirror copy and an
+eigh transient (the mirror keeps eigenvalues only); then at most three
+rotated blocks per response: A_x, B's partner and the weight buffer, one
+(dest, src) sector pair at a time.  No Fock-basis operator matrix
+exists: _block gathers rows of dest's eigenbasis, or of the identity for
+the Hamiltonian.  One density operator's sector blocks, all at once,
+would add as much again as the eigenvectors (3432^2 doubles, 94 MB, at
+L = 7).
 """
 
 from __future__ import annotations
@@ -411,7 +411,9 @@ class EDSystem:
     states; energies/vectors are the per-sector eigendecompositions; e0
     is the global ground energy used to keep all Boltzmann exponents
     nonpositive.  roundoff is the documented machine-precision bar for
-    its exact sums.
+    its exact sums.  mirror is the sorted spectrum of params'
+    particle_hole_mirror plus its shift, or None where the mirror is no
+    model (odd ring, or mu_bar' outside (-1, 1)).
 
     response and two_point return (L, len(taus)) tables over x = 0..L-1;
     the module's scope guard states what they keep alive.
@@ -424,6 +426,7 @@ class EDSystem:
     e0: float
     z: float
     roundoff: float
+    mirror: np.ndarray | None
 
     # -- operator plumbing -------------------------------------------
 
@@ -550,32 +553,32 @@ def _fock_diagonal(params):
     return diag
 
 
-def _sector_eigh(params, basis):
-    """Yield (key, energies, vectors) per sector key in basis order: eigh
-    of the key block of ed_micro's Hamiltonian.
+def _sector_eigh(params, basis, mirror):
+    """Yield (key, energies, vectors, mirror energies) per sector key in
+    basis order: eigh of the key block of ed_micro's Hamiltonian, and the
+    eigenvalues of the same hopping block with the diagonal of the model
+    mirror instead (None where mirror is None).
 
     Each block is dead before its eigh result is yielded, and the
     generator keeps no reference to that result, so the caller alone
     decides which vectors stay alive.
     """
     diag = _fock_diagonal(params)
+    mirror_diag = None if mirror is None else _fock_diagonal(mirror)
     hopping = _strings(_hopping_monomials(params.L), params.L)
     for key in basis:
         h = _block(hopping, key, key, basis, np.eye(len(basis[key])))
+        mirror_e = None
+        if mirror_diag is not None:
+            m = h.copy()
+            m[np.diag_indices_from(m)] += mirror_diag[basis[key]]
+            mirror_e = np.linalg.eigh(m)[0]
+            del m
         h[np.diag_indices_from(h)] += diag[basis[key]]
         eig = np.linalg.eigh(h)
         del h
-        yield key, *eig
+        yield key, *eig, mirror_e
         del eig
-
-
-def _check_ed_scope(params):
-    if params.L > ED_MAX_SITES:
-        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
-                         "Fock space" % (ED_MAX_SITES, 4 ** params.L))
-    if params.beta > ED_MAX_BETA:
-        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
-                         "is for the flow modules" % ED_MAX_BETA)
 
 
 def ed_micro(params):
@@ -590,17 +593,30 @@ def ed_micro(params):
     Guards: L <= 8 (4^L states), beta <= 20 (micro-oracle scope).
 
     The hopping conserves (N_up, N_down), so each sector has one block,
-    diagonalised as soon as it is built (_sector_eigh).
+    diagonalised as soon as it is built (_sector_eigh), with the
+    particle-hole mirror's block on even rings where mu_bar' lies in
+    (-1, 1), as ModelParams asks of every model.
     """
-    _check_ed_scope(params)
+    if params.L > ED_MAX_SITES:
+        raise ValueError("ed_micro is a micro oracle: L > %d would need %d-dim "
+                         "Fock space" % (ED_MAX_SITES, 4 ** params.L))
+    if params.beta > ED_MAX_BETA:
+        raise ValueError("ed_micro scope is beta <= %.0f; the scaling regime "
+                         "is for the flow modules" % ED_MAX_BETA)
+    mu_mirror, shift = particle_hole_mirror(params)
+    twin = None
+    if params.L % 2 == 0 and -1.0 < mu_mirror < 1.0:
+        twin = params.with_(mu_bar=mu_mirror)
     basis = _sector_basis(params.L)
-    energies, vectors = {}, {}
-    for key, e, v in _sector_eigh(params, basis):
+    energies, vectors, spectra = {}, {}, []
+    for key, e, v, m in _sector_eigh(params, basis, twin):
         energies[key], vectors[key] = e, v
+        spectra.append(m)
     e0 = min(float(v.min()) for v in energies.values())
     z = sum(float(np.exp(-params.beta * (v - e0)).sum()) for v in energies.values())
+    mirror = None if twin is None else np.sort(np.concatenate(spectra)) + shift
     return EDSystem(params, basis, energies, vectors, e0, z,
-                    4 ** params.L * 64.0 * _EXACT)
+                    4 ** params.L * 64.0 * _EXACT, mirror)
 
 
 def particle_hole_mirror(params):
@@ -615,30 +631,10 @@ def particle_hole_mirror(params):
             2.0 * params.L * (params.mu_bar + 2.0 * params.lam * vbar))
 
 
-def particle_hole_spectrum(params):
-    """The sorted spectrum of params' particle_hole_mirror plus the shift:
-    on even rings it coincides with ed_micro(params).spectrum().
-
-    Only eigenvalues are kept: each sector's vectors are dropped before
-    the next eigh.  Run it before ed_micro, so that its eigh transients
-    never sit on top of the eigenbasis.
-    """
-    if params.L % 2:
-        raise ValueError("the staggered sign needs an even ring")
-    _check_ed_scope(params)
-    mu_mirror, shift = particle_hole_mirror(params)
-    spectra = []
-    for _, e, v in _sector_eigh(params.with_(mu_bar=mu_mirror), _sector_basis(params.L)):
-        spectra.append(e)
-        del v
-    return np.sort(np.concatenate(spectra)) + shift
-
-
-def particle_hole_gap(ed, mirror):
+def particle_hole_gap(ed):
     """Spectral mismatch of the built system ed under the particle-hole
-    map: the largest distance between its sorted spectrum and mirror, the
-    particle_hole_spectrum of ed.params."""
-    return float(np.max(np.abs(ed.spectrum() - mirror)))
+    map: the largest distance between its sorted spectrum and ed.mirror."""
+    return float(np.max(np.abs(ed.spectrum() - ed.mirror)))
 
 
 # ----------------------------------------------------------------------

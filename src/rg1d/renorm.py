@@ -57,8 +57,8 @@ class RenormSet:
 def _residuals(mode, lam, depth, gamma, seed):
     """Per-scale residual sequence r_h with sum_h |r_h| <= C |lam|^2.
 
-    "none": zeros; "envelope": |lam|^2 gamma^{theta h} with signs
-    +1 (worst case) or seeded uniform in [-1, 1].
+    "none": zeros; "envelope": |lam|^2 gamma^{theta h} with every sign
+    +1 (seed None) or seeded uniform in [-1, 1].
     """
     if mode not in RESIDUAL_MODES:
         raise ValueError("residual mode must be one of %s" % ", ".join(RESIDUAL_MODES))

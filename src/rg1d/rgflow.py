@@ -126,8 +126,7 @@ def _remainders(remainder_model, g1, eps_j, j, gamma, h_lbeta, rng):
     envelopes: b1 eps_j |g1|^2 on each coupling (unless remainder_model is
     none) and, on g1 alone, b2 eps_j |g1| gamma^{theta j} (theta_tail)
     and/or b2 eps_j |g1| gamma^{-(j - h_lbeta)} (finite_size).  Each term
-    is modulated by a draw in [-1, 1], or by +1 (the worst case) when rng
-    is None."""
+    is modulated by a draw in [-1, 1], or by +1 when rng is None."""
     r = np.zeros(4, dtype=complex)
     if remainder_model == "none":
         return r
@@ -162,9 +161,9 @@ def run_flow(params, target_h, *, a_mode="exact_limit", remainder_model="none",
     terms are added: "none", "theta_tail" (gamma^{theta j} transients),
     "finite_size" (gamma^{-(j-h_lbeta)} tails), or "both".  h_lbeta None
     resolves the box scale from (beta, L).  seed None means deterministic
-    worst-case remainders at full envelope magnitude.  gamma comes from the
-    model (ModelParams.gamma), theta is model.THETA and the bound constants
-    are the module constants above.
+    remainders at full envelope magnitude, every modulation +1.  gamma
+    comes from the model (ModelParams.gamma), theta is model.THETA and the
+    bound constants are the module constants above.
     """
     if a_mode not in A_MODES or remainder_model not in REMAINDER_MODELS:
         raise ValueError("unknown flow setting: a_mode %r, remainder_model %r"
@@ -388,7 +387,6 @@ def log_sum_increment_constant(traj, hs):
 class ProbePoint:
     lam: complex
     bounded: bool
-    escaped_at: int | None
     chain_ok: bool | None    # disk-chain recursion verdict (None off-chain)
 
 
@@ -427,12 +425,10 @@ def flow_sector_probe(params_of_lam, rays=16, radius=0.02, h_sector=-5000,
     for th in angles:
         lam = radius * np.exp(1j * th)
         traj = run_flow(params_of_lam(complex(lam)), h_sector, **settings)
-        pts.append(ProbePoint(complex(lam), traj.escaped_at is None,
-                              traj.escaped_at, None))
+        pts.append(ProbePoint(complex(lam), traj.escaped_at is None, None))
     c0 = derived_disk_constant()
     for h in disk_hs:
         lam = 0.9 * c0 / (1.0 + abs(h))
         traj = run_flow(params_of_lam(lam), h, **settings)
-        pts.append(ProbePoint(lam, traj.escaped_at is None, traj.escaped_at,
-                              smallness_chain_ok(lam, h)))
+        pts.append(ProbePoint(lam, traj.escaped_at is None, smallness_chain_ok(lam, h)))
     return pts

@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from rg1d import cli, oracle, propagators, rgflow
+from rg1d import cli, propagators, rgflow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCES = os.path.join(ROOT, "benchmarks", "reference")
@@ -350,27 +350,6 @@ def test_only_flow_runs_the_flow_checks(tmp_path, monkeypatch):
     for command in ("flow", "exponents", "correlations"):
         assert _run([command], tmp_path / command) == 0
     assert calls == {"flow": 1}
-
-
-def test_ed_oracle_takes_the_mirror_spectrum_before_the_eigenbasis(tmp_path, monkeypatch):
-    # the mirror's eigh transients (its LAPACK workspace among them, which
-    # tracemalloc does not see) must not sit on top of ed_micro's
-    # eigenbasis, so only the call order can show a reorder
-    calls = []
-
-    def recorded(name):
-        inner = getattr(oracle, name)
-
-        def call(params):
-            calls.append(name)
-            return inner(params)
-        return call
-
-    for name in ("particle_hole_spectrum", "ed_micro"):
-        monkeypatch.setattr(oracle, name, recorded(name))
-    assert _run(["oracle", "--what", "ed", "--lambda", "0.1"], tmp_path) == 0
-    assert calls == ["particle_hole_spectrum", "ed_micro"]
-    assert "particle_hole_gap" in _summary(tmp_path, "oracle")
 
 
 def test_correlations_builds_each_window_once(tmp_path, monkeypatch):

@@ -63,7 +63,7 @@ def test_large_coupling_reported_not_contracting():
     assert rep.contraction_ratio >= 1.0
     # downstream consumers refuse to use a non-contracting solve
     with pytest.raises(RuntimeError):
-        nusolver.nu1_of_mu(0.5, _model(0.4))
+        nusolver.solve_at_mu(0.5, _model(0.4))
 
 
 def test_fixed_point_norm_linear_in_lambda():
@@ -161,7 +161,7 @@ def test_derivative_by_finite_difference():
     m = _model(0.01)
     step = nusolver.DERIVATIVE_STEP
     d = nusolver.nu1_derivative(0.5, m)
-    direct = (nusolver.nu1_of_mu(0.5 + step, m) - nusolver.nu1_of_mu(0.5 - step, m)) / (
+    direct = (nusolver.solve_at_mu(0.5 + step, m).nu1 - nusolver.solve_at_mu(0.5 - step, m).nu1) / (
         2.0 * step
     )
     assert d == pytest.approx(direct, rel=1e-8)
@@ -177,3 +177,20 @@ def test_inversion_rows_layout():
     assert ratio < 1.0
     assert residual < 1e-10
     assert iterations >= 1
+
+
+def test_inversion_rows_solve_each_model_once(monkeypatch):
+    # a row's iterations and contraction ratio come from the inversion's
+    # first step, the solve at mu_bar itself: 8 solves per lambda here
+    inner = nusolver.solve_fixed_point
+    models = []
+
+    def counted(model, tol):
+        models.append(model)
+        return inner(model, tol)
+
+    monkeypatch.setattr(nusolver, "solve_fixed_point", counted)
+    rows = nusolver.inversion_rows([0.005, 0.01], 0.5, -40)
+    assert len(models) == len(set(models)) == 16
+    direct = inner(nusolver.default_model(-40, math.acos(0.5), 2.0 * 0.005))
+    assert rows[0][4:6] == (direct.iterations, direct.contraction_ratio)

@@ -129,19 +129,16 @@ def test_bubble_quadrature_is_for_the_asymptotic_regime():
         oracle.bubble_quadrature(oracle.BUBBLE_MAX_H + 1, fermi)
 
 
-@pytest.mark.parametrize("build, change, match", [
-    pytest.param(oracle.ed_micro, {"L": 9}, "L > 8", id="ed_micro-L9"),
-    pytest.param(oracle.ed_micro, {"beta": 21.0}, "beta <= 20", id="ed_micro-beta21"),
-    pytest.param(oracle.particle_hole_spectrum, {"L": 10}, "L > 8", id="mirror-L10"),
-    pytest.param(oracle.particle_hole_spectrum, {"beta": 21.0}, "beta <= 20", id="mirror-beta21"),
-    pytest.param(oracle.particle_hole_spectrum, {"L": 5}, "even ring", id="mirror-L5"),
+@pytest.mark.parametrize("change, match", [
+    pytest.param({"L": 9}, "L > 8", id="ed_micro-L9"),
+    pytest.param({"beta": 21.0}, "beta <= 20", id="ed_micro-beta21"),
 ])
-def test_ed_oracles_reject_systems_outside_their_scope(build, change, match):
+def test_ed_oracles_reject_systems_outside_their_scope(change, match):
     # each guard raises before a Fock space is built
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
                                beta=10.0, L=4).with_(**change)
     with pytest.raises(ValueError, match=match):
-        build(params)
+        oracle.ed_micro(params)
 
 
 @pytest.mark.parametrize("potential", [model.on_site_potential(1.0),
@@ -150,8 +147,36 @@ def test_ed_oracles_reject_systems_outside_their_scope(build, change, match):
 def test_particle_hole_spectra_coincide(potential):
     params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=potential, beta=4.0, L=4)
     ed = oracle.ed_micro(params)
-    gap = oracle.particle_hole_gap(ed, oracle.particle_hole_spectrum(params))
-    assert gap <= ed.roundoff
+    assert oracle.particle_hole_gap(ed) <= ed.roundoff
+
+
+@pytest.mark.parametrize("change", [{"L": 5}, {"lam": 0.3}], ids=["odd-ring", "mu-mirror-out"])
+def test_ed_micro_has_no_mirror_where_the_mirror_is_no_model(change):
+    # the staggered sign needs an even ring, and at lambda = 0.3 the mirror's
+    # mu_bar' = -(0.3 + 4 * 0.3 * 1.5) = -2.1 leaves the band (-1, 1)
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=4).with_(**change)
+    assert oracle.ed_micro(params).mirror is None
+
+
+def test_sector_eigh_builds_each_hopping_block_once(monkeypatch):
+    # one hopping block per sector serves both the mirror's eigh and the
+    # model's: 49 blocks and 98 eighs at L = 6
+    counts = {"block": 0, "eigh": 0}
+
+    def counted(name, inner):
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+        return call
+
+    monkeypatch.setattr(oracle, "_block", counted("block", oracle._block))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
+                               beta=10.0, L=6)
+    ed = oracle.ed_micro(params)
+    assert ed.mirror is not None and len(ed.basis) == 49
+    assert counts == {"block": 49, "eigh": 98}
 
 
 def test_free_ed_matches_wick_responses():
@@ -176,10 +201,11 @@ def test_free_ed_matches_wick_responses():
 # about 3.1 (C) and 2.4 (SC) alive: A_x, B's partner and the buffer; a
 # fresh weight block per tau took 4.1 (C), whole operators 16 and 24
 ED_PEAK_BLOCKS = 4
-# the same bound for particle_hole_spectrum: about 2.7 with the mirror's
-# eigenvalues only and the hopping block gathered from an identity, 6.2
-# with a second eigenbasis
-PH_PEAK_BLOCKS = 3
+# bound on ed_micro's peak heap growth at L = 6 beyond its eigenbasis
+# (C(12, 6)^2 doubles), in the same blocks: about 0.68 with the mirror's
+# eigenvalues taken from a copy of each hopping block (0.41 with no
+# mirror); the mirror's vectors kept would add a second eigenbasis, 5.3
+ED_MICRO_PEAK_BLOCKS = 1
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +241,11 @@ def test_ed_response_streams_one_source_sector_at_a_time(ed_l6, alpha):
     assert _peak_blocks(lambda: ed_l6.response(alpha, (0.0, 2.5, 7.0, -4.0))) < ED_PEAK_BLOCKS
 
 
-def test_particle_hole_gap_keeps_no_second_eigenbasis(ed_l6):
-    # particle_hole_spectrum is the only diagonalisation behind the gap
-    assert _peak_blocks(lambda: oracle.particle_hole_spectrum(ed_l6.params)) < PH_PEAK_BLOCKS
+def test_ed_micro_keeps_no_second_eigenbasis(ed_l6):
+    # the gap's mirror spectrum comes from the same ed_micro pass
+    eigenbasis = sum(v.nbytes for v in ed_l6.vectors.values()) / (400 ** 2 * 8)
+    growth = _peak_blocks(lambda: oracle.ed_micro(ed_l6.params))
+    assert growth - eigenbasis < ED_MICRO_PEAK_BLOCKS
 
 
 # bound on the sweep kernel's peak heap growth per lane, for a share with no
@@ -258,17 +286,17 @@ def test_eigenbasis_holds_the_sector_squares(L):
     assert sum(v.nbytes for v in ed.vectors.values()) == 8 * math.comb(2 * L, L) ** 2
 
 
+@pytest.mark.parametrize("potential", [model.on_site_potential(1.0),
+                                       model.u_v_potential(1.0, 0.5)],
+                         ids=["hubbard", "uv:1:0.5"])
 @pytest.mark.parametrize("L", [2, 4, 6])
-def test_particle_hole_gap_reads_the_mirror_spectrum_of_ed_micro(L):
-    # the gap from the mirror's eigenvalues alone, bit for bit the gap from
-    # a whole ed_micro build of the mirror
-    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=model.u_v_potential(1.0, 0.5),
-                               beta=10.0, L=L)
-    ed = oracle.ed_micro(params)
+def test_particle_hole_gap_reads_the_mirror_spectrum_of_ed_micro(L, potential):
+    # the mirror spectrum taken beside the eigenbasis, bit for bit the
+    # spectrum of a whole ed_micro build of the mirror
+    params = model.ModelParams(lam=0.1, mu_bar=0.3, potential=potential, beta=10.0, L=L)
     mu_mirror, shift = oracle.particle_hole_mirror(params)
     mirror = oracle.ed_micro(params.with_(mu_bar=mu_mirror)).spectrum()
-    gap = oracle.particle_hole_gap(ed, oracle.particle_hole_spectrum(params))
-    assert gap == float(np.max(np.abs(ed.spectrum() - (mirror + shift))))
+    assert np.array_equal(oracle.ed_micro(params).mirror, mirror + shift)
 
 
 @pytest.mark.parametrize("fermionic", [False, True])
@@ -281,7 +309,8 @@ def test_block_terms_in_place_match_the_product_sums(fermionic):
     a, pair = rng.standard_normal((m, n)), rng.standard_normal((n, m))
     params = model.ModelParams(lam=0.0, mu_bar=0.3, potential=model.on_site_potential(1.0),
                                beta=beta, L=2)
-    ed = oracle.EDSystem(params, {}, {"src": en, "dest": em}, {}, 0.0, 1.0, 0.0)
+    ed = oracle.EDSystem(params, {}, {"src": en, "dest": em}, {}, 0.0, 1.0, 0.0,
+                         mirror=None)
     taus = (0.0, 2.5, 7.0, -4.0, -9.5)
     sgn = -1.0 if fermionic else 1.0
     want = []
